@@ -3,28 +3,23 @@
 //!
 //! Sweeps crash density (storm period in simulated cycles) × engine ×
 //! thread count, cutting power mid-run on every shard and recovering
-//! against the oracle after each cut. Three properties are asserted *in
-//! the target* on every cell, so CI fails loudly rather than baking a bad
-//! number into a baseline:
-//!
-//! 1. **Zero data loss** — `lost_txns == 0` for all four engines: no
-//!    committed transaction may disappear across any storm.
-//! 2. **Mode determinism** — the threaded and sequential drivers produce
-//!    bit-identical per-shard reports for the same seed + schedule.
-//! 3. **Repeat determinism** — a second threaded run reproduces the first
-//!    exactly.
+//! against the oracle after each cut. **Zero data loss** — `lost_txns ==
+//! 0` for all four engines: no committed transaction may disappear
+//! across any storm — is asserted *in the target* on every cell, so CI
+//! fails loudly rather than baking a bad number into a baseline.
 //!
 //! Everything reported under `sim` (storm counts, torn-transaction
 //! resolution, recovery NVRAM traffic and cycle estimates, NVRAM
 //! fingerprints) is deterministic simulated state and exact-gated by
-//! `bench_diff`.
+//! `bench_diff` against the committed baseline, which is what pins repeat
+//! determinism here; threaded == sequential == repeats is pinned for all
+//! four engines by `tests/crash_storm.rs`.
 
 use std::time::Instant;
 
 use ssp_simulator::config::MachineConfig;
 use ssp_simulator::obs::{ObsConfig, ObsKind};
-use ssp_workloads::storm::{run_storm, StormRun, StormSchedule};
-use ssp_workloads::ExecMode;
+use ssp_workloads::storm::{run_storm, StormSchedule};
 
 use super::quick_mode;
 use crate::json::Json;
@@ -73,33 +68,13 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
                 let shard_cfgs: Vec<MachineConfig> = (0..threads)
                     .map(|w| cfg.shard_slice_for(threads, w))
                     .collect();
-                let storm = |mode: ExecMode| -> StormRun {
-                    let mut mode_cfg = run_cfg.clone();
-                    mode_cfg.mode = mode;
-                    run_storm(
-                        |w| make_engine(engine, &shard_cfgs[w], &ssp_cfg),
-                        |_w| make_workload(WorkloadKind::Sps, shard_scale),
-                        &mode_cfg,
-                        &schedule,
-                    )
-                };
-
-                let threaded = storm(ExecMode::Threaded);
-                let repeat = storm(ExecMode::Threaded);
-                let sequential = storm(ExecMode::Sequential);
-                assert_eq!(
-                    threaded.shards,
-                    repeat.shards,
-                    "{} p{period} x{threads}: threaded repeat drifted",
-                    engine.name()
+                let storm = run_storm(
+                    |w| make_engine(engine, &shard_cfgs[w], &ssp_cfg),
+                    |_w| make_workload(WorkloadKind::Sps, shard_scale),
+                    &run_cfg,
+                    &schedule,
                 );
-                assert_eq!(
-                    threaded.shards,
-                    sequential.shards,
-                    "{} p{period} x{threads}: threaded vs sequential diverged",
-                    engine.name()
-                );
-                let t = threaded.totals();
+                let t = storm.totals();
                 assert_eq!(
                     t.lost_txns,
                     0,
@@ -132,7 +107,7 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
                 sim.set("recovery_nvram_writes", Json::U64(t.recovery_nvram_writes));
                 sim.set("recovery_cycles_est", Json::U64(t.recovery_cycles_est));
                 sim.set("elapsed_cycles", Json::U64(t.elapsed_cycles));
-                sim.set("fingerprint", Json::U64(threaded.combined_fingerprint()));
+                sim.set("fingerprint", Json::U64(storm.combined_fingerprint()));
                 sim_rows.push(sim);
             }
         }
@@ -149,9 +124,8 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
         ],
         &rows,
     );
-    println!("\nevery cell is run threaded twice and sequentially once; all three");
-    println!("runs must match bit-for-bit, and no engine may lose a committed");
-    println!("transaction (lost == 0 is asserted, not just reported)");
+    println!("\nno engine may lose a committed transaction (lost == 0 is asserted,");
+    println!("not just reported)");
 
     let mut report = BenchReport::new("crash_storm", quick);
     report.sim("rows", Json::Arr(sim_rows));

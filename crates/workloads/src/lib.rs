@@ -1,7 +1,7 @@
 //! # ssp-workloads — the paper's benchmark programs
 //!
 //! Persistent data structures built on the transactional interface, the
-//! key distributions of Section 5.1, and the driver that measures them:
+//! key distributions of Section 5.1, and the drivers that measure them:
 //!
 //! * [`btree`] — persistent B+-tree (BTree-Rand / BTree-Zipf)
 //! * [`rbtree`] — persistent red-black tree (RBTree-Rand / RBTree-Zipf)
@@ -10,20 +10,43 @@
 //! * [`kvcache`] — memcached-like LRU cache + memslap-style generator
 //! * [`vacation`] — STAMP-Vacation-like reservation OLTP emulation
 //! * [`dist`] — uniform and "80% of updates to 15% of keys" skew
-//! * [`runner`] — the drivers: the sharded `std::thread` driver
-//!   ([`runner::run_parallel`]) and the legacy single-machine round-robin
-//!   driver ([`runner::run`]), both producing [`runner::RunResult`]
-//! * [`storm`] — the crash-storm driver: scheduled power cuts under full
-//!   traffic, oracle-verified recovery after every storm, identical in
-//!   both execution modes
-//! * [`shared`] — the shared-heap driver: N clients against ONE
-//!   versioned store, optimistic concurrency with deterministic
-//!   epoch-boundary conflict resolution ([`shared::run_shared`])
 //! * [`conflict`] — the conflict-dial workload ([`conflict::ConflictSps`]):
 //!   SPS swaps over a shared region + per-worker private slices
-//! * [`service`] — the service-mode driver ([`service::run_service`]):
-//!   open-loop arrivals, bounded queues, admission control, deadlines
-//!   with bounded retry, group commit, and recovery-under-fire
+//!
+//! # Run drivers
+//!
+//! [`runner::run`] is the legacy single-machine driver: transactions
+//! round-robin over the simulated cores of *one* machine, on the calling
+//! thread (Tables 4/5's four-clients-on-one-machine cells have no sharded
+//! equivalent). Every other driver shards the machine per worker and is a
+//! *protocol* over one crate-private scheduler, `kernel.rs`: shards are
+//! built inside their own thread, then `local` runs one shard to its
+//! epoch boundary, `deposit` hands the epoch's output to a shared board,
+//! exactly one `merge` per epoch resolves it, `apply` takes each shard's
+//! verdict. [`runner::ExecMode::Threaded`] schedules those four
+//! functions on one real thread per shard with two barrier crossings per
+//! epoch; [`runner::ExecMode::Sequential`] calls the same four functions
+//! in worker-index order on the calling thread, which is why the two
+//! modes are bit-identical for every driver.
+//!
+//! | Driver | `local` | `merge` | `apply` | Board |
+//! |---|---|---|---|---|
+//! | [`runner::run_parallel`] | transactions up to the epoch boundary | arbitrate the interconnect streams | charge the shard clock | interconnect board |
+//! | [`storm::run_epoch_storm`] | the same, oracle-recorded | the same | charge; crash + recover + verify if the charge tripped the cut | interconnect board |
+//! | [`shared::run_shared`], [`shared::run_shared_crash_probe`] | speculate against the heap snapshot | arbitrate + validate commit intents first-committer-wins | charge, replay winners through the engine, queue losers | heap + intents + interconnect board |
+//! | [`storm::run_storm`] | the whole share, storm sequence after every cut | — (one epoch) | — | none |
+//! | [`service::run_service`] | scheduling steps until the arrivals drain | — (one epoch) | — | none |
+//!
+//! * [`runner`] — [`runner::run`], [`runner::run_parallel`] and the
+//!   warm/measure split behind them, all producing [`runner::RunResult`]
+//! * [`storm`] — the crash-storm drivers: scheduled power cuts under full
+//!   traffic, oracle-verified recovery after every storm
+//! * [`shared`] — the shared-heap driver: N clients against ONE
+//!   versioned store, optimistic concurrency with deterministic
+//!   epoch-boundary conflict resolution
+//! * [`service`] — the service-mode driver: open-loop arrivals, bounded
+//!   queues, admission control, deadlines with bounded retry, group
+//!   commit, and recovery-under-fire
 
 #![warn(missing_docs)]
 
@@ -31,6 +54,7 @@ pub mod btree;
 pub mod conflict;
 pub mod dist;
 pub mod hash;
+mod kernel;
 pub mod kvcache;
 pub mod rbtree;
 pub mod runner;

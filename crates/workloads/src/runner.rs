@@ -22,25 +22,26 @@
 //! (`cfg.seed`, worker index), so for a fixed [`RunConfig`] the merged
 //! [`RunResult`] counters and every shard's persistent state are
 //! **bit-identical across repeated runs and across host schedules** —
-//! [`ExecMode::Sequential`] replays the identical per-worker schedules
-//! round-robin on the calling thread and must produce byte-equal results
-//! (`tests/threaded_equivalence.rs` locks this in). Only the host-time
-//! measurements ([`ParallelRun::host_elapsed`]) are outside the contract.
+//! [`ExecMode::Sequential`] runs the identical per-worker schedules in
+//! worker-index order on the calling thread and must produce byte-equal
+//! results (`tests/threaded_equivalence.rs` locks this in). Both modes
+//! are the same protocol under the crate-private `kernel` module's two
+//! schedulers, not two loops. Only the host-time measurements
+//! ([`ParallelRun::host_elapsed`]) are outside the contract.
 //!
 //! # Cross-shard memory interconnect
 //!
 //! When the shards' machine config enables
 //! [`InterconnectConfig`](ssp_simulator::config::InterconnectConfig), the
 //! measured phase runs in *epochs*: each worker executes until its local
-//! clock crosses the next `epoch_cycles` boundary, all workers rendezvous
-//! at a barrier, one leader merges the shards' recorded memory-event
+//! clock crosses the next `epoch_cycles` boundary, all workers rendezvous,
+//! one merge runs the shards' recorded memory-event and LLC-probe
 //! streams through the shared [`Interconnect`] in `(local time, worker
 //! index)` order, and each shard's cross-shard queueing delay is charged
 //! back to its clock before the next epoch. Every arbitration input is
 //! shard-local, so the determinism contract above holds unchanged with
 //! contention enabled (`tests/interconnect_contention.rs`).
 
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -52,6 +53,8 @@ use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::LatencyStats;
 use ssp_simulator::stats::{MachineStats, WriteClass};
 use ssp_txn::engine::{TxnEngine, TxnStats};
+
+use crate::kernel::{drive, spawn_each, Epoch, Protocol};
 
 /// A benchmark program driving a [`TxnEngine`].
 ///
@@ -112,9 +115,10 @@ pub enum ExecMode {
     /// One real `std::thread` per worker (the default).
     #[default]
     Threaded,
-    /// The reference schedule: the identical per-worker work, interleaved
-    /// round-robin at transaction granularity on the calling thread. Used
-    /// by the equivalence tests to pin the determinism contract.
+    /// The reference schedule: the identical per-worker work, one worker
+    /// after the other (per epoch, where the run has epochs) on the
+    /// calling thread. Used by the equivalence tests to pin the
+    /// determinism contract.
     Sequential,
 }
 
@@ -251,124 +255,194 @@ pub fn worker_share(total: u64, workers: usize, w: usize) -> u64 {
 
 pub(crate) const SHARD_CORE: CoreId = CoreId::new(0);
 
-/// A reusable rendezvous like [`std::sync::Barrier`], except that a
-/// panicking participant can [`poison`](PoisonBarrier::poison) it: every
-/// parked or future waiter panics instead of staying parked forever. The
-/// epoch protocol rendezvouses hundreds of times per run, so without
-/// poisoning a single engine panic inside one worker would deadlock the
-/// other workers (and the coordinator) into an indefinite hang — in CI
-/// that is a job timeout with the original panic message never surfaced.
-pub(crate) struct PoisonBarrier {
-    n: usize,
-    state: Mutex<PoisonBarrierState>,
-    cv: Condvar,
+/// The interconnect's side of an epoch rendezvous, shared by every
+/// epoch protocol: shards deposit their recorded memory and LLC-probe
+/// streams (plus how much work they still hold), one merge runs them
+/// through the shared [`Interconnect`] in `(local time, worker index)`
+/// order, and each shard picks up its [`EpochCharge`].
+///
+/// Every interconnect decision of a run — whether the model runs at all,
+/// the epoch length, the controller's banks and service times — derives
+/// from worker 0's config in *both* execution modes. Shards are expected
+/// to share the knobs; routing everything through worker 0's copy means
+/// a mixed-configuration factory can neither strand part of the team at
+/// the epoch barrier nor make the arbitration depend on which thread
+/// happens to win a barrier leadership (an enabled shard in a disabled
+/// run merely has its event log discarded at each boundary).
+pub(crate) struct EpochBoard {
+    cfg: MachineConfig,
+    interconnect: Option<Interconnect>,
+    streams: Vec<Vec<MemEvent>>,
+    llc_streams: Vec<Vec<LlcEvent>>,
+    outstanding: Vec<u64>,
 }
 
-struct PoisonBarrierState {
-    count: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-impl PoisonBarrier {
-    pub(crate) fn new(n: usize) -> Self {
+impl EpochBoard {
+    pub(crate) fn new(arbiter_cfg: &MachineConfig, workers: usize) -> Self {
         Self {
-            n,
-            state: Mutex::new(PoisonBarrierState {
-                count: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
+            cfg: arbiter_cfg.clone(),
+            interconnect: None,
+            streams: vec![Vec::new(); workers],
+            llc_streams: vec![Vec::new(); workers],
+            outstanding: vec![u64::MAX; workers],
         }
     }
 
-    /// Recovers the state even if a panic inside `wait` poisoned the
-    /// mutex — the barrier's own `poisoned` flag is the source of truth.
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoisonBarrierState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Blocks until `n` participants arrive; returns `true` for exactly
-    /// one of them (the leader).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier was poisoned (before or while waiting).
-    pub(crate) fn wait(&self) -> bool {
-        let mut st = self.lock();
-        assert!(!st.poisoned, "a peer worker thread panicked");
-        let generation = st.generation;
-        st.count += 1;
-        if st.count == self.n {
-            st.count = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-            return true;
-        }
-        while st.generation == generation && !st.poisoned {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        assert!(!st.poisoned, "a peer worker thread panicked");
-        false
-    }
-
-    pub(crate) fn poison(&self) {
-        self.lock().poisoned = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Poisons every barrier of the run if the owning thread unwinds, so a
-/// panic anywhere in a worker (or the coordinator) fails the whole run
-/// loudly instead of deadlocking the remaining rendezvous.
-pub(crate) struct PoisonOnPanic<'a>(pub(crate) Vec<&'a PoisonBarrier>);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            for barrier in &self.0 {
-                barrier.poison();
-            }
+    /// Epoch length in cycles under `cfg`: the interconnect's when it is
+    /// enabled (so everything riding the rendezvous shares one boundary),
+    /// else the protocol's own `fallback`.
+    pub(crate) fn epoch_cycles(cfg: &MachineConfig, fallback: u64) -> u64 {
+        if cfg.interconnect.enabled {
+            cfg.interconnect.epoch_cycles.max(1)
+        } else {
+            fallback.max(1)
         }
     }
+
+    /// Shard `w`'s deposit: the epoch's event streams and the work it
+    /// still holds.
+    pub(crate) fn deposit(&mut self, w: usize, machine: &mut Machine, outstanding: u64) {
+        if self.cfg.interconnect.enabled {
+            // Swap rather than replace: this epoch's events land in the
+            // board's slot and the previous epoch's (drained) buffer
+            // becomes the machine's next recording buffer, so runs stop
+            // allocating per epoch per shard.
+            machine.take_mem_events_into(&mut self.streams[w]);
+            machine.take_llc_events_into(&mut self.llc_streams[w]);
+        } else {
+            machine.discard_mem_events();
+        }
+        self.outstanding[w] = outstanding;
+    }
+
+    /// One merge over everything deposited: the per-shard charges in
+    /// worker order, or `None` with the interconnect disabled. Every
+    /// input is shard-local (local clocks, event streams, worker
+    /// indices, worker 0's config), so the outcome is independent of
+    /// host scheduling.
+    pub(crate) fn arbitrate(&mut self) -> Option<Vec<EpochCharge>> {
+        if !self.cfg.interconnect.enabled {
+            return None;
+        }
+        let ic = self
+            .interconnect
+            .get_or_insert_with(|| Interconnect::new(&self.cfg, self.streams.len()));
+        Some(ic.arbitrate_epoch(&self.streams, &self.llc_streams))
+    }
+
+    /// The whole merge of a protocol that exchanges nothing but the
+    /// interconnect's streams: every shard's charge into `verdicts`, and
+    /// whether the run is over.
+    pub(crate) fn merge(&mut self, verdicts: &mut [Option<EpochCharge>]) -> Epoch {
+        let charges = self.arbitrate();
+        for (w, verdict) in verdicts.iter_mut().enumerate() {
+            *verdict = charges.as_ref().map(|c| c[w]);
+        }
+        if self.drained() {
+            Epoch::Last
+        } else {
+            Epoch::Next
+        }
+    }
+
+    /// True once no shard deposited outstanding work.
+    pub(crate) fn drained(&self) -> bool {
+        self.outstanding.iter().all(|&r| r == 0)
+    }
+
+    /// The machine lost power: the shared controller's queues are gone
+    /// too, and post-crash local clocks restart at zero — the next merge
+    /// starts from a fresh controller.
+    pub(crate) fn power_cycle(&mut self) {
+        self.interconnect = None;
+    }
 }
 
-/// Rendezvous state for the interconnect's epoch arbitration: workers
-/// deposit their event streams, one (arbitrary — the computation is pure)
-/// leader runs the deterministic merge, and everyone picks up its charge.
-pub(crate) struct EpochSync {
-    pub(crate) barrier: PoisonBarrier,
-    pub(crate) state: Mutex<EpochState>,
+/// Measurement baselines of one shard, snapshotted where its measured
+/// phase starts.
+#[derive(Clone)]
+pub(crate) struct ShardBase {
+    stats: MachineStats,
+    txn: TxnStats,
+    cycles: u64,
 }
 
-pub(crate) struct EpochState {
-    pub(crate) interconnect: Option<Interconnect>,
-    pub(crate) streams: Vec<Vec<MemEvent>>,
-    pub(crate) llc_streams: Vec<Vec<LlcEvent>>,
-    pub(crate) remaining: Vec<u64>,
-    pub(crate) charges: Vec<EpochCharge>,
-    pub(crate) done: bool,
-}
-
-impl EpochSync {
-    pub(crate) fn new(workers: usize) -> Self {
+impl ShardBase {
+    pub(crate) fn snapshot<E: TxnEngine>(engine: &E) -> Self {
         Self {
-            barrier: PoisonBarrier::new(workers),
-            state: Mutex::new(EpochState {
-                interconnect: None,
-                streams: vec![Vec::new(); workers],
-                llc_streams: vec![Vec::new(); workers],
-                remaining: vec![u64::MAX; workers],
-                charges: vec![EpochCharge::default(); workers],
-                done: false,
-            }),
+            stats: engine.machine().stats().clone(),
+            txn: engine.txn_stats().clone(),
+            cycles: engine.machine().cycles(SHARD_CORE),
         }
+    }
+
+    /// Machine counters and transaction statistics since the snapshot.
+    pub(crate) fn measured<E: TxnEngine>(&self, engine: &E) -> (MachineStats, TxnStats) {
+        (
+            engine.machine().stats().diff(&self.stats),
+            engine.txn_stats().diff(&self.txn),
+        )
+    }
+
+    /// Shard-core cycles since the snapshot (meaningless across a crash,
+    /// which resets the clock).
+    pub(crate) fn elapsed_cycles<E: TxnEngine>(&self, engine: &E) -> u64 {
+        engine.machine().cycles(SHARD_CORE) - self.cycles
     }
 }
 
-/// Measurement baselines of one shard (stats, txn stats, start cycles).
-type ShardBase = (MachineStats, TxnStats, u64);
+impl RunResult {
+    fn new<E: TxnEngine>(
+        engine: &E,
+        workload: &str,
+        txns: u64,
+        elapsed_cycles: u64,
+        stats: MachineStats,
+        txn_stats: TxnStats,
+        latency: LatencyStats,
+    ) -> Self {
+        let freq_hz = engine.machine().config().freq_ghz * 1e9;
+        let tps = if elapsed_cycles == 0 {
+            0.0
+        } else {
+            txns as f64 / (elapsed_cycles as f64 / freq_hz)
+        };
+        RunResult {
+            engine: engine.name().to_string(),
+            workload: workload.to_string(),
+            txns,
+            elapsed_cycles,
+            tps,
+            stats,
+            txn_stats,
+            latency,
+        }
+    }
+
+    /// Merges per-shard measurements — `(elapsed cycles, machine
+    /// counters, transaction statistics, latency histograms)` in
+    /// worker-index order — into the run's result: counters summed, the
+    /// wall-clock the maximum shard time, exactly as
+    /// [`Machine::elapsed_cycles`] defines it for a shared machine.
+    pub(crate) fn merged<'a, E: TxnEngine>(
+        engine: &E,
+        workload: &str,
+        txns: u64,
+        shards: impl IntoIterator<Item = (u64, &'a MachineStats, &'a TxnStats, &'a LatencyStats)>,
+    ) -> Self {
+        let mut stats = MachineStats::new();
+        let mut txn_stats = TxnStats::default();
+        let mut latency = LatencyStats::default();
+        let mut elapsed = 0;
+        for (cycles, shard_stats, shard_txn_stats, shard_latency) in shards {
+            elapsed = elapsed.max(cycles);
+            stats.merge(shard_stats);
+            txn_stats.merge(shard_txn_stats);
+            latency.merge(shard_latency);
+        }
+        Self::new(engine, workload, txns, elapsed, stats, txn_stats, latency)
+    }
+}
 
 /// Per-worker driver state for the sharded run.
 #[derive(Clone)]
@@ -378,6 +452,10 @@ struct Worker<E, W> {
     rng: SmallRng,
     txns: u64,
     warmup: u64,
+    /// Measured transactions still to run, and the local virtual time of
+    /// the next epoch boundary.
+    remaining: u64,
+    target: u64,
     /// Latency histograms; recorded by every transaction, reset at the
     /// start of the measured phase so warm-up samples are excluded.
     lat: LatencyStats,
@@ -391,11 +469,14 @@ impl<E: TxnEngine, W: Workload> Worker<E, W> {
             rng: SmallRng::seed_from_u64(worker_seed(cfg.seed, w)),
             txns: worker_share(cfg.txns, cfg.threads, w),
             warmup: worker_share(cfg.warmup, cfg.threads, w),
+            remaining: 0,
+            target: 0,
             lat: LatencyStats::default(),
         }
     }
 
-    fn one_txn(&mut self) {
+    /// Runs one transaction; returns the shard clock at its end.
+    fn one_txn(&mut self) -> u64 {
         // The phase boundaries read the shard's (virtual) clock only —
         // recording latency never touches the simulated state, so the
         // histograms are exact and deterministic in every execution mode.
@@ -411,10 +492,11 @@ impl<E: TxnEngine, W: Workload> Worker<E, W> {
         self.lat.exec.record(c2 - c1);
         self.lat.commit.record(c3 - c2);
         self.lat.txn.record(c3 - c0);
+        c3
     }
 
     /// Setup plus warm-up, then snapshot the measurement baselines.
-    fn prepare(&mut self) -> (MachineStats, TxnStats, u64) {
+    fn prepare(&mut self) -> ShardBase {
         self.workload.setup(&mut self.engine, SHARD_CORE);
         for _ in 0..self.warmup {
             self.one_txn();
@@ -422,95 +504,68 @@ impl<E: TxnEngine, W: Workload> Worker<E, W> {
         // Setup and warm-up run uncontended: their recorded events are
         // discarded so epoch arbitration covers the measured phase only.
         self.engine.machine_mut().discard_mem_events();
-        (
-            self.engine.machine().stats().clone(),
-            self.engine.txn_stats().clone(),
-            self.engine.machine().cycles(SHARD_CORE),
-        )
+        ShardBase::snapshot(&self.engine)
     }
 
-    /// Runs this worker's transactions up to the next epoch boundary:
-    /// local virtual time `target`, or until the share is exhausted.
-    /// Returns the transactions still to run.
-    fn run_until(&mut self, remaining: u64, target: u64) -> u64 {
-        let mut remaining = remaining;
-        while remaining > 0 && self.engine.machine().cycles(SHARD_CORE) < target {
-            self.one_txn();
-            remaining -= 1;
-        }
-        remaining
-    }
-
-    /// The measured phase under epoch arbitration (threaded mode): run an
-    /// epoch, rendezvous with every other worker, let the leader merge
-    /// all event streams through the shared controller, apply this
-    /// shard's charge, repeat until every worker is out of transactions.
-    ///
-    /// Every quantity feeding the arbitration (local clocks, event
-    /// streams, worker indices, and `arbiter_cfg` — worker 0's machine
-    /// config, identical for every worker and both execution modes) is
-    /// deterministic, so the outcome is independent of host scheduling
-    /// even though an arbitrary barrier leader runs the merge.
-    fn run_measured_epochs(&mut self, w: usize, sync: &EpochSync, arbiter_cfg: &MachineConfig) {
-        let epoch_cycles = arbiter_cfg.interconnect.epoch_cycles.max(1);
-        let mut remaining = self.txns;
-        let mut target = self.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
-        loop {
-            remaining = self.run_until(remaining, target);
-            {
-                let mut st = sync.state.lock().expect("epoch state poisoned");
-                // Swap rather than replace: this epoch's events land in the
-                // shared slot and the previous epoch's (drained) buffer
-                // becomes the machine's next recording buffer, so threaded
-                // runs stop allocating per epoch per shard.
-                self.engine
-                    .machine_mut()
-                    .take_mem_events_into(&mut st.streams[w]);
-                self.engine
-                    .machine_mut()
-                    .take_llc_events_into(&mut st.llc_streams[w]);
-                st.remaining[w] = remaining;
-            }
-            if sync.barrier.wait() {
-                let mut st = sync.state.lock().expect("epoch state poisoned");
-                let st = &mut *st;
-                let shards = st.streams.len();
-                let ic = st
-                    .interconnect
-                    .get_or_insert_with(|| Interconnect::new(arbiter_cfg, shards));
-                st.charges = ic.arbitrate_epoch(&st.streams, &st.llc_streams);
-                st.done = st.remaining.iter().all(|&r| r == 0);
-            }
-            sync.barrier.wait();
-            let (charge, done) = {
-                let st = sync.state.lock().expect("epoch state poisoned");
-                (st.charges[w], st.done)
-            };
-            self.engine
-                .machine_mut()
-                .apply_epoch_charge(SHARD_CORE, &charge);
-            if done {
-                break;
-            }
-            target += epoch_cycles;
-        }
-    }
-
-    fn finish(self, w: usize, base: (MachineStats, TxnStats, u64)) -> ShardRun<E> {
-        let (stats_base, txn_base, cycles_base) = base;
-        let stats = self.engine.machine().stats().diff(&stats_base);
-        let txn_stats = self.engine.txn_stats().diff(&txn_base);
-        let elapsed_cycles = self.engine.machine().cycles(SHARD_CORE) - cycles_base;
+    fn finish(self, w: usize, base: ShardBase) -> ShardRun<E> {
+        let (stats, txn_stats) = base.measured(&self.engine);
         ShardRun {
             workload: self.workload.name(),
             worker: w,
             txns: self.txns,
-            elapsed_cycles,
+            elapsed_cycles: base.elapsed_cycles(&self.engine),
             stats,
             txn_stats,
             latency: self.lat,
             engine: self.engine,
         }
+    }
+}
+
+/// [`run_parallel`]'s measured phase as a kernel protocol: run an epoch
+/// of local virtual time, deposit the event streams, let one merge run
+/// them through the shared controller, apply this shard's charge, repeat
+/// until every worker is out of transactions. With the interconnect
+/// disabled the single epoch never ends before the share does, and
+/// nothing is charged.
+struct MeasuredEpochs {
+    epoch_cycles: u64,
+}
+
+impl<E: TxnEngine, W: Workload> Protocol<Worker<E, W>> for MeasuredEpochs {
+    type Board = EpochBoard;
+    type Verdict = Option<EpochCharge>;
+
+    fn local(&self, _w: usize, worker: &mut Worker<E, W>) {
+        // The hot loop of every partitioned run: the boundary test works
+        // on locals and the clock `one_txn` already read (re-reading the
+        // clock and the worker's fields per transaction measured 1–2 %
+        // off txn_stream's host throughput).
+        let (mut left, target) = (worker.remaining, worker.target);
+        let mut now = worker.engine.machine().cycles(SHARD_CORE);
+        while left > 0 && now < target {
+            now = worker.one_txn();
+            left -= 1;
+        }
+        worker.remaining = left;
+    }
+
+    fn deposit(&self, w: usize, worker: &mut Worker<E, W>, board: &mut EpochBoard) {
+        board.deposit(w, worker.engine.machine_mut(), worker.remaining);
+    }
+
+    fn merge(&self, board: &mut EpochBoard, verdicts: &mut [Option<EpochCharge>]) -> Epoch {
+        board.merge(verdicts)
+    }
+
+    fn apply(&self, _w: usize, worker: &mut Worker<E, W>, charge: Option<EpochCharge>) {
+        if let Some(charge) = charge {
+            worker
+                .engine
+                .machine_mut()
+                .apply_epoch_charge(SHARD_CORE, &charge);
+        }
+        worker.target = worker.target.saturating_add(self.epoch_cycles);
     }
 }
 
@@ -559,32 +614,13 @@ where
     W: Workload,
 {
     assert!(cfg.threads >= 1, "at least one worker");
-    let pairs: Vec<(Worker<E, W>, ShardBase)> = match cfg.mode {
-        ExecMode::Threaded => std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..cfg.threads)
-                .map(|w| {
-                    let (mk_engine, mk_workload) = (&mk_engine, &mk_workload);
-                    scope.spawn(move || {
-                        let mut worker = Worker::new(mk_engine(w), mk_workload(w), cfg, w);
-                        let base = worker.prepare();
-                        (worker, base)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked during warm-up"))
-                .collect()
-        }),
-        ExecMode::Sequential => (0..cfg.threads)
-            .map(|w| {
-                let mut worker = Worker::new(mk_engine(w), mk_workload(w), cfg, w);
-                let base = worker.prepare();
-                (worker, base)
-            })
-            .collect(),
-    };
-    let (workers, bases) = pairs.into_iter().unzip();
+    let (workers, bases) = spawn_each(cfg.mode, cfg.threads, |w| {
+        let mut worker = Worker::new(mk_engine(w), mk_workload(w), cfg, w);
+        let base = worker.prepare();
+        (worker, base)
+    })
+    .into_iter()
+    .unzip();
     WarmParallel { workers, bases }
 }
 
@@ -598,64 +634,37 @@ impl<E: TxnEngine, W: Workload> WarmParallel<E, W> {
     /// Consumes the warm state; clone first to keep a restorable
     /// snapshot.
     pub fn run_measured(self, txns: u64, mode: ExecMode) -> ParallelRun<E> {
-        let WarmParallel {
-            mut workers, bases, ..
-        } = self;
+        let WarmParallel { workers, bases } = self;
         let threads = workers.len();
-        for (w, worker) in workers.iter_mut().enumerate() {
+        let arbiter_cfg = workers[0].engine.machine().config();
+        let epoch_cycles = EpochBoard::epoch_cycles(arbiter_cfg, u64::MAX);
+        let mut board = EpochBoard::new(arbiter_cfg, threads);
+        let enter = |w: usize, mut worker: Worker<E, W>| {
             worker.txns = worker_share(txns, threads, w);
+            worker.remaining = worker.txns;
+            let now = worker.engine.machine().cycles(SHARD_CORE);
+            worker.target = now.saturating_add(epoch_cycles);
             // Warm-up transactions recorded latency samples; the measured
             // phase starts from empty histograms.
             worker.lat.reset();
-        }
-        // Every interconnect decision of the run — whether epochs run at
-        // all, the epoch length, and the controller's banks and service
-        // times — derives from worker 0's config in *both* execution
-        // modes. Shards are expected to share the knobs; routing
-        // everything through worker 0's copy means a mixed-configuration
-        // factory can neither strand part of the team at the epoch
-        // barrier nor make the arbitration depend on which thread happens
-        // to win a barrier leadership (an enabled shard in a disabled run
-        // merely has its event log discarded per transaction).
-        let arbiter_cfg = workers[0].engine.machine().config().clone();
-        let txns_total = txns;
-        let (workers, host_elapsed) = match mode {
-            ExecMode::Threaded => measure_workers_threaded(workers, &arbiter_cfg),
-            ExecMode::Sequential => measure_workers_sequential(workers, &arbiter_cfg),
+            worker
         };
+        let protocol = MeasuredEpochs { epoch_cycles };
+        let (workers, host_elapsed) = drive(mode, workers, enter, &protocol, &mut board);
         let shards: Vec<ShardRun<E>> = workers
             .into_iter()
             .zip(bases)
             .enumerate()
             .map(|(w, (worker, base))| worker.finish(w, base))
             .collect();
-
-        let mut stats = MachineStats::new();
-        let mut txn_stats = TxnStats::default();
-        let mut latency = LatencyStats::default();
-        for shard in &shards {
-            stats.merge(&shard.stats);
-            txn_stats.merge(&shard.txn_stats);
-            latency.merge(&shard.latency);
-        }
-        let elapsed = shards.iter().map(|s| s.elapsed_cycles).max().unwrap_or(0);
-        let freq_hz = shards[0].engine.machine().config().freq_ghz * 1e9;
-        let tps = if elapsed == 0 {
-            0.0
-        } else {
-            txns_total as f64 / (elapsed as f64 / freq_hz)
-        };
-
-        let result = RunResult {
-            engine: shards[0].engine.name().to_string(),
-            workload: shards[0].workload.to_string(),
-            txns: txns_total,
-            elapsed_cycles: elapsed,
-            tps,
-            stats,
-            txn_stats,
-            latency,
-        };
+        let result = RunResult::merged(
+            &shards[0].engine,
+            shards[0].workload,
+            txns,
+            shards
+                .iter()
+                .map(|s| (s.elapsed_cycles, &s.stats, &s.txn_stats, &s.latency)),
+        );
         ParallelRun {
             result,
             shards,
@@ -689,142 +698,6 @@ where
     W: Workload,
 {
     warm_parallel(mk_engine, mk_workload, cfg).run_measured(cfg.txns, cfg.mode)
-}
-
-fn measure_workers_threaded<E, W>(
-    workers: Vec<Worker<E, W>>,
-    arbiter_cfg: &MachineConfig,
-) -> (Vec<Worker<E, W>>, Duration)
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let threads = workers.len();
-    // Two rendezvous with the coordinator bracket the measured phase so
-    // host_elapsed covers exactly the span in which measured transactions
-    // run (setup and warm-up stay outside). Poisoning barriers turn a
-    // panic in any participant into a loud failure of the whole run
-    // rather than a deadlock of the surviving waiters.
-    let start = PoisonBarrier::new(threads + 1);
-    let end = PoisonBarrier::new(threads + 1);
-    // Epoch rendezvous for the interconnect (workers only); unused unless
-    // the arbiter config enables the model.
-    let epoch_sync = EpochSync::new(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut worker)| {
-                let (start, end, epoch_sync) = (&start, &end, &epoch_sync);
-                scope.spawn(move || {
-                    let _poison = PoisonOnPanic(vec![start, end, &epoch_sync.barrier]);
-                    start.wait();
-                    if arbiter_cfg.interconnect.enabled {
-                        worker.run_measured_epochs(w, epoch_sync, arbiter_cfg);
-                    } else {
-                        for _ in 0..worker.txns {
-                            worker.one_txn();
-                            // Free for a disabled shard; keeps the log of
-                            // an (unsupported) enabled-while-run-disabled
-                            // shard from growing without bound.
-                            worker.engine.machine_mut().discard_mem_events();
-                        }
-                    }
-                    end.wait();
-                    worker
-                })
-            })
-            .collect();
-        start.wait();
-        let t0 = Instant::now();
-        end.wait();
-        let host_elapsed = t0.elapsed();
-        let workers = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect();
-        (workers, host_elapsed)
-    })
-}
-
-fn measure_workers_sequential<E, W>(
-    mut workers: Vec<Worker<E, W>>,
-    arbiter_cfg: &MachineConfig,
-) -> (Vec<Worker<E, W>>, Duration)
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let t0 = Instant::now();
-    // Like the threaded driver, the run routes on worker 0's flag.
-    if arbiter_cfg.interconnect.enabled {
-        run_epochs_sequential(&mut workers);
-    } else {
-        // The reference schedule: one transaction per worker per round, in
-        // worker order — the sequential analogue of the threaded
-        // interleaving.
-        let mut remaining: Vec<u64> = workers.iter().map(|w| w.txns).collect();
-        while remaining.iter().any(|&r| r > 0) {
-            for (w, worker) in workers.iter_mut().enumerate() {
-                if remaining[w] > 0 {
-                    worker.one_txn();
-                    worker.engine.machine_mut().discard_mem_events();
-                    remaining[w] -= 1;
-                }
-            }
-        }
-    }
-    let host_elapsed = t0.elapsed();
-    (workers, host_elapsed)
-}
-
-/// The sequential analogue of [`Worker::run_measured_epochs`]: identical
-/// per-epoch arithmetic (run to the local-time boundary, merge all event
-/// streams in worker order, charge the delays), executed one worker at a
-/// time on the calling thread — so a threaded run must match it
-/// bit-for-bit.
-fn run_epochs_sequential<E: TxnEngine, W: Workload>(workers: &mut [Worker<E, W>]) {
-    let epoch_cycles = workers[0]
-        .engine
-        .machine()
-        .config()
-        .interconnect
-        .epoch_cycles
-        .max(1);
-    let mut ic = Interconnect::new(workers[0].engine.machine().config(), workers.len());
-    let mut remaining: Vec<u64> = workers.iter().map(|w| w.txns).collect();
-    let mut targets: Vec<u64> = workers
-        .iter()
-        .map(|w| w.engine.machine().cycles(SHARD_CORE) + epoch_cycles)
-        .collect();
-    // One stream buffer per worker, recycled across epochs exactly like
-    // the threaded driver's EpochSync slots.
-    let mut streams: Vec<Vec<MemEvent>> = vec![Vec::new(); workers.len()];
-    let mut llc_streams: Vec<Vec<LlcEvent>> = vec![Vec::new(); workers.len()];
-    loop {
-        for (w, worker) in workers.iter_mut().enumerate() {
-            remaining[w] = worker.run_until(remaining[w], targets[w]);
-            worker
-                .engine
-                .machine_mut()
-                .take_mem_events_into(&mut streams[w]);
-            worker
-                .engine
-                .machine_mut()
-                .take_llc_events_into(&mut llc_streams[w]);
-        }
-        let charges = ic.arbitrate_epoch(&streams, &llc_streams);
-        for (w, worker) in workers.iter_mut().enumerate() {
-            worker
-                .engine
-                .machine_mut()
-                .apply_epoch_charge(SHARD_CORE, &charges[w]);
-            targets[w] += epoch_cycles;
-        }
-        if remaining.iter().all(|&r| r == 0) {
-            break;
-        }
-    }
 }
 
 /// Runs `workload` on `engine`: setup, warm-up, then the measured phase —
@@ -928,28 +801,19 @@ fn single_measured<E: TxnEngine>(
 
     let stats = engine.machine().stats().diff(&base.stats);
     let txn_stats = engine.txn_stats().diff(&base.txn);
-
     let elapsed = (0..threads)
         .map(|c| engine.machine().cycles(CoreId::new(c)) - base.cycles[c])
         .max()
         .unwrap_or(0);
-    let freq_hz = engine.machine().config().freq_ghz * 1e9;
-    let tps = if elapsed == 0 {
-        0.0
-    } else {
-        txns as f64 / (elapsed as f64 / freq_hz)
-    };
-
-    RunResult {
-        engine: engine.name().to_string(),
-        workload: workload.name().to_string(),
+    RunResult::new(
+        engine,
+        workload.name(),
         txns,
-        elapsed_cycles: elapsed,
-        tps,
+        elapsed,
         stats,
         txn_stats,
         latency,
-    }
+    )
 }
 
 /// A warmed legacy-driver cell, snapshotted right before the measured

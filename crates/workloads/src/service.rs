@@ -57,23 +57,25 @@
 //! bit-identical: served/shed/expired/retry counts, latency histograms,
 //! queue-drain curves, and post-recovery NVRAM fingerprints
 //! (`tests/service_mode.rs`).
+//!
+//! [`ExecMode::Threaded`]: crate::runner::ExecMode::Threaded
+//! [`ExecMode::Sequential`]: crate::runner::ExecMode::Sequential
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ssp_simulator::fault::{CrashPoint, FaultSite};
 use ssp_simulator::obs::{LatencyStats, ObsKind};
 use ssp_simulator::stats::MachineStats;
 use ssp_txn::engine::{TxnEngine, TxnStats};
 use ssp_txn::occ::BackoffPolicy;
 
+use crate::kernel::{drive, map_each, Solo};
 use crate::runner::{
-    worker_seed, worker_share, ExecMode, PoisonBarrier, PoisonOnPanic, RunConfig, RunResult,
-    Workload, SHARD_CORE,
+    worker_seed, worker_share, RunConfig, RunResult, ShardBase, Workload, SHARD_CORE,
 };
-use crate::storm::{OracleEngine, StormPoint, StormSchedule};
+use crate::storm::{OracleEngine, StormSchedule, Torn};
 
 /// Inter-arrival shape of the open-loop generator. All shapes have the
 /// same mean inter-arrival time ([`ServiceConfig::period_cycles`]); they
@@ -409,7 +411,7 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
     /// Setup + closed-loop warm-up (excluded from every counter), then
     /// the measured-phase baseline. The arrival schedule is relative to
     /// the phase start.
-    fn prepare(&mut self, warmup: u64) -> (MachineStats, TxnStats, u64) {
+    fn prepare(&mut self, warmup: u64) -> ShardBase {
         self.workload.setup(&mut self.engine, SHARD_CORE);
         for _ in 0..warmup {
             self.engine.begin(SHARD_CORE);
@@ -421,37 +423,14 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
         self.engine.set_recording(true);
         self.seg_base = self.engine.machine().cycles(SHARD_CORE);
         self.arm_next();
-        (
-            self.engine.machine().stats().clone(),
-            self.engine.txn_stats().clone(),
-            self.engine.machine().cycles(SHARD_CORE),
-        )
+        ShardBase::snapshot(&self.engine)
     }
 
-    /// Arms the next storm point, translating cycle deltas against the
-    /// current clock (like the crash-storm driver).
+    /// Arms the next storm point (like the crash-storm driver).
     fn arm_next(&mut self) {
-        let Some(schedule) = self.cfg.storm.clone() else {
-            return;
-        };
-        let n = schedule.points.len();
-        if n == 0 {
-            return;
+        if let Some(schedule) = &self.cfg.storm {
+            schedule.arm(self.next_point, self.engine.machine_mut());
         }
-        let idx = if schedule.rearm {
-            self.next_point % n
-        } else if self.next_point < n {
-            self.next_point
-        } else {
-            return;
-        };
-        let point = match schedule.points[idx] {
-            StormPoint::AfterCycles(delta) => {
-                CrashPoint::AtCycle(self.engine.machine().cycles(SHARD_CORE) + delta)
-            }
-            StormPoint::AtSite { site, hits } => CrashPoint::AtSite { site, hits },
-        };
-        self.engine.machine_mut().arm_crash(point);
     }
 
     fn depth(&self) -> u64 {
@@ -651,49 +630,33 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
         self.elapsed_accum += cut.saturating_sub(self.seg_base);
 
         // Group commit is all-or-nothing: the whole batch either rolled
-        // back or its commit mark beat the freeze.
-        let mut dropped = self.engine.oracle().clone();
-        dropped.on_crash();
-        let mut kept = self.engine.oracle().clone();
-        kept.on_commit(SHARD_CORE);
-        kept.on_crash();
-
-        self.engine.crash();
-        if self
+        // back or its commit mark beat the freeze. `recover()` itself
+        // does not advance the core clock, so each pass's estimated
+        // latency is charged to it — arrivals keep accruing through the
+        // outage. A recovery that was itself cut is unavailability too,
+        // and counts in service time before the second crash resets the
+        // clock.
+        let cut_recovery = self
             .cfg
             .storm
             .as_ref()
-            .is_some_and(|s| s.crash_during_recovery)
-        {
-            self.engine.machine_mut().arm_crash(CrashPoint::AtSite {
-                site: FaultSite::Recovery,
-                hits: 1,
-            });
+            .is_some_and(|s| s.crash_during_recovery);
+        let (service, elapsed_accum) = (&mut self.service, &mut self.elapsed_accum);
+        let mut recovered = 0;
+        let torn = self.engine.resolve_cut(cut_recovery, |engine, cost, cut| {
+            engine.machine_mut().add_cycles(SHARD_CORE, cost.cycles_est);
+            service.unavailability_cycles += cost.cycles_est;
+            recovered = engine.machine().cycles(SHARD_CORE);
+            if cut {
+                *elapsed_accum += recovered;
+            }
+        });
+        let group_kept = torn == Torn::Kept;
+        match torn {
+            Torn::Dropped => self.service.torn_dropped += u64::from(!batch.is_empty()),
+            Torn::Kept => self.service.torn_kept += u64::from(!batch.is_empty()),
+            Torn::Lost => self.service.lost += 1,
         }
-        self.service.unavailability_cycles += self.run_recovery();
-        if self.engine.machine().power_lost() {
-            // Recovery itself was cut; a second, clean pass must succeed
-            // from the same NVRAM image. Both spans are unavailability,
-            // and both count in service time.
-            self.elapsed_accum += self.engine.machine().cycles(SHARD_CORE);
-            self.engine.crash();
-            self.service.unavailability_cycles += self.run_recovery();
-        }
-        let recovered = self.engine.machine().cycles(SHARD_CORE);
-
-        let group_kept = if dropped.verify(&mut self.engine, SHARD_CORE).is_ok() {
-            self.service.torn_dropped += u64::from(!batch.is_empty());
-            self.engine.set_oracle(dropped);
-            false
-        } else if kept.verify(&mut self.engine, SHARD_CORE).is_ok() {
-            self.service.torn_kept += u64::from(!batch.is_empty());
-            self.engine.set_oracle(kept);
-            true
-        } else {
-            self.service.lost += 1;
-            self.engine.set_oracle(dropped);
-            false
-        };
         // Oracle verification is harness bookkeeping: exclude its loads
         // from service time by re-basing the segment so `now()` resumes
         // at the post-recovery instant.
@@ -732,45 +695,18 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
         self.sample_curve();
     }
 
-    /// Replays recovery and returns its estimated latency in cycles
-    /// (NVRAM reads and writes at the configured device latencies, like
-    /// the crash-storm driver's recovery metric). The estimate is
-    /// charged to the shard clock — `recover()` itself does not advance
-    /// the core clock — so arrivals keep accruing through the outage.
-    fn run_recovery(&mut self) -> u64 {
-        let before = self.engine.machine().stats().clone();
-        self.engine.recover();
-        let est = {
-            let d = self.engine.machine().stats().diff(&before);
-            let cfg = self.engine.machine().config();
-            d.nvram_reads * cfg.ns_to_cycles(cfg.nvram.read_ns)
-                + d.nvram_writes_total() * cfg.ns_to_cycles(cfg.nvram.write_ns)
-        };
-        self.engine.machine_mut().add_cycles(SHARD_CORE, est);
-        est
-    }
-
     /// Final quiesce after the drain: snapshot the measured counters,
     /// then power off, fingerprint the durable image, recover, and
     /// verify the oracle one last time.
-    fn finish(mut self, base: (MachineStats, TxnStats, u64)) -> ServiceShardRun<E> {
+    fn finish(mut self, base: ShardBase) -> ServiceShardRun<E> {
         debug_assert!(self.queue.is_empty() && self.retryq.is_empty());
         self.service.in_queue = self.depth();
         let elapsed_cycles = self.now();
-        let (stats_base, txn_base, _) = base;
-        let stats = self.engine.machine().stats().diff(&stats_base);
-        let txn_stats = self.engine.txn_stats().diff(&txn_base);
+        let (stats, txn_stats) = base.measured(&self.engine);
         self.sample_curve();
 
-        self.engine.machine_mut().disarm_crash();
-        self.engine.crash();
-        self.engine.oracle_mut().on_crash();
-        let fingerprint = self.engine.machine().nvram_fingerprint();
-        self.engine.recover();
-        let oracle = self.engine.oracle().clone();
-        if oracle.verify(&mut self.engine, SHARD_CORE).is_err() {
-            self.service.lost += 1;
-        }
+        let (fingerprint, _, intact) = self.engine.quiesce();
+        self.service.lost += u64::from(!intact);
         self.engine.machine_mut().discard_mem_events();
         ServiceShardRun {
             worker: self.w,
@@ -784,48 +720,6 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
             fingerprint,
             engine: self.engine.into_inner(),
         }
-    }
-}
-
-type ShardBase = (MachineStats, TxnStats, u64);
-
-fn assemble<E: TxnEngine>(
-    shards: Vec<ServiceShardRun<E>>,
-    workload_name: &'static str,
-    host_elapsed: Duration,
-) -> ServiceRun<E> {
-    let mut stats = MachineStats::new();
-    let mut txn_stats = TxnStats::default();
-    let mut latency = LatencyStats::default();
-    let mut service = ServiceStats::default();
-    for shard in &shards {
-        stats.merge(&shard.stats);
-        txn_stats.merge(&shard.txn_stats);
-        latency.merge(&shard.latency);
-        service.merge(&shard.service);
-    }
-    let elapsed = shards.iter().map(|s| s.elapsed_cycles).max().unwrap_or(0);
-    let freq_hz = shards[0].engine.machine().config().freq_ghz * 1e9;
-    let tps = if elapsed == 0 {
-        0.0
-    } else {
-        service.served as f64 / (elapsed as f64 / freq_hz)
-    };
-    let result = RunResult {
-        engine: shards[0].engine.name().to_string(),
-        workload: workload_name.to_string(),
-        txns: service.served,
-        elapsed_cycles: elapsed,
-        tps,
-        stats,
-        txn_stats,
-        latency,
-    };
-    ServiceRun {
-        result,
-        service,
-        shards,
-        host_elapsed,
     }
 }
 
@@ -850,75 +744,41 @@ where
     W: Workload,
 {
     assert!(cfg.threads >= 1, "at least one worker");
-    let build = |w: usize| {
-        let worker = ServiceWorker::new(mk_engine(w), mk_workload(w), cfg, svc, w);
+    let prepare = |w: usize, ()| {
+        let mut worker = ServiceWorker::new(mk_engine(w), mk_workload(w), cfg, svc, w);
         assert!(
             !worker.engine.machine().config().interconnect.enabled,
             "run_service requires the interconnect disabled"
         );
-        worker
+        let base = worker.prepare(worker_share(cfg.warmup, cfg.threads, w));
+        (worker, base)
     };
-    let workload_name = mk_workload(0).name();
-    match cfg.mode {
-        ExecMode::Threaded => {
-            let threads = cfg.threads;
-            let start = PoisonBarrier::new(threads + 1);
-            let end = PoisonBarrier::new(threads + 1);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let build = &build;
-                        let (start, end) = (&start, &end);
-                        scope.spawn(move || {
-                            let _poison = PoisonOnPanic(vec![start, end]);
-                            let mut worker = build(w);
-                            let base = worker.prepare(worker_share(cfg.warmup, threads, w));
-                            start.wait();
-                            while worker.step() {}
-                            end.wait();
-                            worker.finish(base)
-                        })
-                    })
-                    .collect();
-                start.wait();
-                let t0 = Instant::now();
-                end.wait();
-                let host_elapsed = t0.elapsed();
-                let shards = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("service worker panicked"))
-                    .collect();
-                assemble(shards, workload_name, host_elapsed)
-            })
-        }
-        ExecMode::Sequential => {
-            // The reference schedule: one scheduling step per worker per
-            // round. Workers are independent, so this replays the
-            // identical per-shard decision sequences the threaded mode
-            // runs.
-            let mut workers: Vec<ServiceWorker<E, W>> = (0..cfg.threads).map(build).collect();
-            let bases: Vec<ShardBase> = workers
-                .iter_mut()
-                .enumerate()
-                .map(|(w, worker)| worker.prepare(worker_share(cfg.warmup, cfg.threads, w)))
-                .collect();
-            let t0 = Instant::now();
-            let mut live: Vec<bool> = vec![true; cfg.threads];
-            while live.iter().any(|&l| l) {
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    if live[w] {
-                        live[w] = worker.step();
-                    }
-                }
-            }
-            let host_elapsed = t0.elapsed();
-            let shards = workers
-                .into_iter()
-                .zip(bases)
-                .map(|(worker, base)| worker.finish(base))
-                .collect();
-            assemble(shards, workload_name, host_elapsed)
-        }
+    // Workers are independent: each drains its own arrival schedule, one
+    // scheduling step after the other, to the end.
+    let drain =
+        Solo(|_, (worker, _): &mut (ServiceWorker<E, W>, ShardBase)| while worker.step() {});
+    let seeds = vec![(); cfg.threads];
+    let (workers, host_elapsed) = drive(cfg.mode, seeds, prepare, &drain, &mut ());
+
+    let workload_name = workers[0].0.workload.name();
+    let shards = map_each(cfg.mode, workers, |_, (worker, base)| worker.finish(base));
+    let mut service = ServiceStats::default();
+    for shard in &shards {
+        service.merge(&shard.service);
+    }
+    let result = RunResult::merged(
+        &shards[0].engine,
+        workload_name,
+        service.served,
+        shards
+            .iter()
+            .map(|s| (s.elapsed_cycles, &s.stats, &s.txn_stats, &s.latency)),
+    );
+    ServiceRun {
+        result,
+        service,
+        shards,
+        host_elapsed,
     }
 }
 
@@ -926,6 +786,7 @@ where
 mod tests {
     use super::*;
     use crate::dist::KeyDist;
+    use crate::runner::ExecMode;
     use crate::sps::Sps;
     use ssp_core::engine::Ssp;
     use ssp_core::SspConfig;

@@ -50,17 +50,15 @@
 //! conflict-dial workload for this driver.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fxhash::FxHashMap;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ssp_simulator::addr::{VirtAddr, Vpn, LINE_SIZE};
 use ssp_simulator::cache::CoreId;
-use ssp_simulator::config::MachineConfig;
 use ssp_simulator::fault::{CrashPoint, FaultSite};
-use ssp_simulator::interconnect::{EpochCharge, Interconnect, LlcEvent, MemEvent};
+use ssp_simulator::interconnect::EpochCharge;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::{LatencyStats, ObsKind};
 use ssp_simulator::stats::MachineStats;
@@ -69,11 +67,11 @@ use ssp_txn::occ::{
     validate_epoch, BackoffPolicy, CommitIntent, LineWrite, SpecTxn, Verdict, VersionedHeap,
 };
 
+use crate::kernel::{drive, map_each, Epoch, Protocol};
 use crate::runner::{
-    worker_seed, worker_share, ExecMode, PoisonBarrier, PoisonOnPanic, RunConfig, RunResult,
-    Workload, SHARD_CORE,
+    worker_seed, worker_share, EpochBoard, RunConfig, RunResult, ShardBase, Workload, SHARD_CORE,
 };
-use crate::storm::OracleEngine;
+use crate::storm::{OracleEngine, Torn};
 
 /// Knobs of the shared-heap mode (the conflict *rate* is a workload
 /// knob — see [`ConflictSps`](crate::conflict::ConflictSps)).
@@ -308,46 +306,60 @@ impl<E: TxnEngine> TxnEngine for CaptureView<'_, E> {
     }
 }
 
-/// Rendezvous state for the shared-heap epoch protocol (the commit
-/// intents ride the same boundary as the interconnect streams).
-struct SharedSync {
-    barrier: PoisonBarrier,
-    state: Mutex<SharedState>,
-}
-
-struct SharedState {
+/// What the shards of a shared-heap run exchange at the epoch boundary:
+/// the canonical heap, and the commit intents riding the same rendezvous
+/// as the interconnect streams.
+struct SharedBoard {
     heap: VersionedHeap,
-    interconnect: Option<Interconnect>,
-    streams: Vec<Vec<MemEvent>>,
-    llc_streams: Vec<Vec<LlcEvent>>,
+    /// Made by the first deposit, together with the heap's seed: the
+    /// shards are built inside the drive, so there is no worker to take
+    /// a machine config from before that.
+    ic: Option<EpochBoard>,
     intents: Vec<Vec<CommitIntent>>,
-    verdicts: Vec<Vec<Verdict>>,
-    outstanding: Vec<u64>,
-    charges: Vec<EpochCharge>,
-    done: bool,
+    /// The run is still in its warm-up phase: when it drains, the
+    /// measured phase starts instead of the run ending.
+    warming: bool,
 }
 
-impl SharedSync {
-    fn new(workers: usize) -> Self {
+impl SharedBoard {
+    fn new(workers: usize, warming: bool) -> Self {
         Self {
-            barrier: PoisonBarrier::new(workers),
-            state: Mutex::new(SharedState {
-                heap: VersionedHeap::new(),
-                interconnect: None,
-                streams: vec![Vec::new(); workers],
-                llc_streams: vec![Vec::new(); workers],
-                intents: vec![Vec::new(); workers],
-                verdicts: vec![Vec::new(); workers],
-                outstanding: vec![u64::MAX; workers],
-                charges: vec![EpochCharge::default(); workers],
-                done: false,
-            }),
+            heap: VersionedHeap::new(),
+            ic: None,
+            intents: vec![Vec::new(); workers],
+            warming,
         }
     }
 }
 
+/// One shard's share of an epoch's outcome.
+#[derive(Default)]
+struct EpochOutcome {
+    charge: Option<EpochCharge>,
+    verdicts: Vec<Verdict>,
+    /// The shard's own intents back, aligned with `verdicts`.
+    intents: Vec<CommitIntent>,
+    /// The heap version the epoch published (the next snapshot).
+    heap: VersionedHeap,
+    /// This epoch drained the warm-up phase.
+    warmed: bool,
+}
+
+/// What follows each winning intent's publication replay. Returns `true`
+/// if the shard lost power and was recovered (its clock restarted).
+trait AfterPublish<E> {
+    fn published(&mut self, engine: &mut E) -> bool;
+}
+
+/// Plain runs arm no cuts: nothing to do.
+impl<E> AfterPublish<E> for () {
+    fn published(&mut self, _engine: &mut E) -> bool {
+        false
+    }
+}
+
 /// Per-worker driver state.
-struct SharedWorker<E, W> {
+struct SharedWorker<E, W, H = ()> {
     engine: E,
     workload: W,
     rng: SmallRng,
@@ -365,22 +377,38 @@ struct SharedWorker<E, W> {
     retries: VecDeque<(SmallRng, u32)>,
     /// Fresh transactions not yet started.
     fresh: u64,
+    /// Fresh transactions of the measured phase, while warming up.
+    measured_share: u64,
+    /// Measurement baselines, snapshotted where the warm-up ends.
+    base: Option<ShardBase>,
+    /// Local virtual time of the next epoch boundary, and the epoch
+    /// length: an enabled interconnect's (so commit intents and memory
+    /// streams share one rendezvous), else the shared-heap config's own.
+    target: u64,
+    epoch_cycles: u64,
     shared: SharedStats,
     backoff: BackoffPolicy,
-    /// Epoch length when the interconnect is disabled.
-    epoch_fallback: u64,
+    after_publish: H,
     w: usize,
 }
 
-impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
-    fn new(
+impl<E: TxnEngine, W: Workload, H: AfterPublish<E>> SharedWorker<E, W, H> {
+    /// Builds shard `w`, runs workload setup through the capture view —
+    /// the local shard gets its real persistent state (identical on
+    /// every worker) and the heap snapshot gets the seed bytes — and
+    /// starts the first phase of `fresh` transactions.
+    fn set_up(
         engine: E,
         workload: W,
         cfg: &RunConfig,
         shared_cfg: &SharedHeapConfig,
+        after_publish: H,
         w: usize,
+        fresh: u64,
     ) -> Self {
-        Self {
+        let epoch_cycles =
+            EpochBoard::epoch_cycles(engine.machine().config(), shared_cfg.epoch_cycles);
+        let mut worker = Self {
             engine,
             workload,
             rng: SmallRng::seed_from_u64(worker_seed(cfg.seed, w)),
@@ -392,40 +420,42 @@ impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
             pending_meta: Vec::new(),
             retries: VecDeque::new(),
             fresh: 0,
+            measured_share: 0,
+            base: None,
+            target: 0,
+            epoch_cycles,
             shared: SharedStats::default(),
             backoff: shared_cfg.backoff,
-            epoch_fallback: shared_cfg.epoch_cycles,
+            after_publish,
             w,
-        }
+        };
+        let mut view = CaptureView {
+            inner: &mut worker.engine,
+            heap: &mut worker.heap,
+        };
+        worker.workload.setup(&mut view, SHARD_CORE);
+        worker.engine.machine_mut().discard_mem_events();
+        worker.begin_phase(fresh);
+        worker
     }
 
-    /// Runs workload setup through the capture view: the local shard
-    /// gets its real persistent state (identical on every worker) and
-    /// the heap gets the seed bytes.
-    fn setup_capture(&mut self) {
-        let mut heap = VersionedHeap::new();
-        {
-            let mut view = CaptureView {
-                inner: &mut self.engine,
-                heap: &mut heap,
-            };
-            self.workload.setup(&mut view, SHARD_CORE);
-        }
-        self.engine.machine_mut().discard_mem_events();
-        self.heap = heap;
+    /// Starts a phase of `fresh` transactions with a new epoch ladder.
+    fn begin_phase(&mut self, fresh: u64) {
+        self.fresh = fresh;
+        self.target = self.engine.machine().cycles(SHARD_CORE) + self.epoch_cycles;
     }
 
     fn outstanding(&self) -> u64 {
         self.fresh + self.retries.len() as u64
     }
 
-    /// Speculates until the local clock reaches `target` or no work is
-    /// left: retries first (after their backoff charge), then fresh
+    /// Speculates until the local clock reaches the boundary or no work
+    /// is left: retries first (after their backoff charge), then fresh
     /// transactions off the main RNG stream.
-    fn run_epoch(&mut self, target: u64) {
+    fn run_epoch(&mut self) {
         debug_assert!(self.pending_intents.is_empty());
         self.overlay.clear();
-        while self.engine.machine().cycles(SHARD_CORE) < target {
+        while self.engine.machine().cycles(SHARD_CORE) < self.target {
             let (mut run_rng, attempt) = if let Some((rng, attempt)) = self.retries.pop_front() {
                 let delay = self.backoff.delay(attempt);
                 self.engine.machine_mut().add_cycles(SHARD_CORE, delay);
@@ -490,10 +520,13 @@ impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
     }
 
     /// Applies one epoch's verdicts: replay winners in submission order,
-    /// queue losers for retry.
-    fn resolve(&mut self, verdicts: &[Verdict], intents: Vec<CommitIntent>) {
+    /// queue losers for retry. Returns `true` if a publication replay
+    /// lost power (the shard's epoch ladder must restart from the
+    /// recovered clock).
+    fn resolve(&mut self, verdicts: &[Verdict], intents: Vec<CommitIntent>) -> bool {
         let meta = std::mem::take(&mut self.pending_meta);
         debug_assert_eq!(verdicts.len(), intents.len());
+        let mut tripped = false;
         for ((verdict, intent), (rng_before, attempt)) in verdicts.iter().zip(intents).zip(meta) {
             self.shared.validated += 1;
             match verdict {
@@ -504,6 +537,7 @@ impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
                         .machine_mut()
                         .obs_record(ObsKind::OccValidate, attempt as u64);
                     self.replay(&intent);
+                    tripped |= self.after_publish.published(&mut self.engine);
                 }
                 Verdict::Conflict | Verdict::Cascade => {
                     self.shared.aborted += 1;
@@ -519,82 +553,25 @@ impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
                 }
             }
         }
+        tripped
     }
 
-    /// One complete phase (all workers drain `fresh` + retries) of the
-    /// threaded epoch protocol. Mirrors
-    /// `Worker::run_measured_epochs`, with commit intents riding the
-    /// same rendezvous as the interconnect streams.
-    fn run_phase_threaded(&mut self, sync: &SharedSync, arbiter_cfg: &MachineConfig) {
-        let ic_enabled = arbiter_cfg.interconnect.enabled;
-        let epoch_cycles = phase_epoch_cycles(arbiter_cfg, self.epoch_fallback);
-        let w = self.w;
-        let mut target = self.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
-        loop {
-            self.run_epoch(target);
-            {
-                let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                if ic_enabled {
-                    self.engine
-                        .machine_mut()
-                        .take_mem_events_into(&mut st.streams[w]);
-                    self.engine
-                        .machine_mut()
-                        .take_llc_events_into(&mut st.llc_streams[w]);
-                } else {
-                    self.engine.machine_mut().discard_mem_events();
-                }
-                st.intents[w] = std::mem::take(&mut self.pending_intents);
-                st.outstanding[w] = self.outstanding();
-            }
-            if sync.barrier.wait() {
-                let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                let st = &mut *st;
-                if ic_enabled {
-                    let shards = st.streams.len();
-                    let ic = st
-                        .interconnect
-                        .get_or_insert_with(|| Interconnect::new(arbiter_cfg, shards));
-                    st.charges = ic.arbitrate_epoch(&st.streams, &st.llc_streams);
-                }
-                st.verdicts = validate_epoch(&mut st.heap, &st.intents);
-                st.done = st.outstanding.iter().all(|&r| r == 0)
-                    && st.verdicts.iter().flatten().all(|v| *v == Verdict::Won);
-            }
-            sync.barrier.wait();
-            let (charge, done, verdicts, intents, heap) = {
-                let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                let st = &mut *st;
-                (
-                    st.charges[w],
-                    st.done,
-                    std::mem::take(&mut st.verdicts[w]),
-                    std::mem::take(&mut st.intents[w]),
-                    st.heap.clone(),
-                )
-            };
-            if ic_enabled {
-                self.engine
-                    .machine_mut()
-                    .apply_epoch_charge(SHARD_CORE, &charge);
-            }
-            self.heap = heap;
-            self.resolve(&verdicts, intents);
-            if done {
-                break;
-            }
-            target += epoch_cycles;
-        }
+    /// Warm-up drained: snapshot clean baselines and start the measured
+    /// phase on a new epoch ladder.
+    fn start_measuring(&mut self) {
+        self.base = Some(ShardBase::snapshot(&self.engine));
+        self.lat.reset();
+        self.shared = SharedStats::default();
+        self.begin_phase(self.measured_share);
     }
 
-    fn finish(mut self, base: (MachineStats, TxnStats, u64)) -> SharedShardRun<E> {
-        let (stats_base, txn_base, cycles_base) = base;
-        let stats = self.engine.machine().stats().diff(&stats_base);
-        let mut txn_stats = self.engine.txn_stats().diff(&txn_base);
+    fn finish(mut self) -> SharedShardRun<E> {
+        let base = self.base.take().expect("the warm-up phase ended");
+        let (stats, mut txn_stats) = base.measured(&self.engine);
+        let elapsed_cycles = base.elapsed_cycles(&self.engine);
         // The engine only ever sees winning replays; OCC aborts are the
         // shared-heap mode's aborts and fold into the same counter.
         txn_stats.aborted += self.shared.aborted;
-        let elapsed_cycles = self.engine.machine().cycles(SHARD_CORE) - cycles_base;
         self.engine.machine_mut().discard_mem_events();
         SharedShardRun {
             worker: self.w,
@@ -609,14 +586,80 @@ impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
     }
 }
 
-/// Epoch length of the shared-heap protocol: an enabled interconnect's
-/// boundary (so commit intents and memory streams share one rendezvous),
-/// else the shared-heap config's own.
-fn phase_epoch_cycles(cfg: &MachineConfig, fallback: u64) -> u64 {
-    if cfg.interconnect.enabled {
-        cfg.interconnect.epoch_cycles.max(1)
-    } else {
-        fallback.max(1)
+/// The shared-heap epoch exchange as a kernel protocol: speculate to the
+/// boundary, deposit intents beside the interconnect streams, one merge
+/// arbitrates the memory system *and* validates conflicts, every shard
+/// publishes its winners and queues its losers.
+struct SharedEpochs;
+
+impl<E, W, H> Protocol<SharedWorker<E, W, H>> for SharedEpochs
+where
+    E: TxnEngine,
+    W: Workload,
+    H: AfterPublish<E> + Send,
+{
+    type Board = SharedBoard;
+    type Verdict = EpochOutcome;
+
+    fn local(&self, _w: usize, worker: &mut SharedWorker<E, W, H>) {
+        worker.run_epoch();
+    }
+
+    fn deposit(&self, w: usize, worker: &mut SharedWorker<E, W, H>, board: &mut SharedBoard) {
+        if board.ic.is_none() {
+            // Setups are identical on every worker, so whichever shard
+            // deposits first holds *the* seed (and the arbiter's config).
+            board.heap = worker.heap.clone();
+            let cfg = worker.engine.machine().config();
+            board.ic = Some(EpochBoard::new(cfg, board.intents.len()));
+        }
+        let outstanding = worker.outstanding();
+        let ic = board.ic.as_mut().expect("just made");
+        ic.deposit(w, worker.engine.machine_mut(), outstanding);
+        board.intents[w] = std::mem::take(&mut worker.pending_intents);
+    }
+
+    /// A pure function of the deposited streams and intents, so threaded
+    /// and sequential execution resolve bit-identically. Outstanding
+    /// counts are deposit-time: the retries this epoch's losers become
+    /// show up as non-`Won` verdicts instead.
+    fn merge(&self, board: &mut SharedBoard, outcomes: &mut [EpochOutcome]) -> Epoch {
+        let ic = board.ic.as_mut().expect("every shard deposited");
+        let charges = ic.arbitrate();
+        let verdicts = validate_epoch(&mut board.heap, &board.intents);
+        let drained = ic.drained() && verdicts.iter().flatten().all(|v| *v == Verdict::Won);
+        let warmed = drained && std::mem::take(&mut board.warming);
+        for (w, (outcome, verdicts)) in outcomes.iter_mut().zip(verdicts).enumerate() {
+            *outcome = EpochOutcome {
+                charge: charges.as_ref().map(|c| c[w]),
+                verdicts,
+                intents: std::mem::take(&mut board.intents[w]),
+                heap: board.heap.clone(),
+                warmed,
+            };
+        }
+        match (drained, warmed) {
+            (true, true) => Epoch::Lap,
+            (true, false) => Epoch::Last,
+            _ => Epoch::Next,
+        }
+    }
+
+    fn apply(&self, _w: usize, worker: &mut SharedWorker<E, W, H>, outcome: EpochOutcome) {
+        if let Some(charge) = outcome.charge {
+            worker
+                .engine
+                .machine_mut()
+                .apply_epoch_charge(SHARD_CORE, &charge);
+        }
+        worker.heap = outcome.heap;
+        if worker.resolve(&outcome.verdicts, outcome.intents) {
+            worker.target = worker.engine.machine().cycles(SHARD_CORE);
+        }
+        worker.target += worker.epoch_cycles;
+        if outcome.warmed {
+            worker.start_measuring();
+        }
     }
 }
 
@@ -637,229 +680,45 @@ where
     W: Workload,
 {
     assert!(cfg.threads >= 1, "at least one worker");
-    match cfg.mode {
-        ExecMode::Threaded => run_shared_threaded(mk_engine, mk_workload, cfg, shared_cfg),
-        ExecMode::Sequential => run_shared_sequential(mk_engine, mk_workload, cfg, shared_cfg),
-    }
-}
+    let threads = cfg.threads;
+    // Construction, setup, the warm-up phase and the measured phase (from
+    // clean baselines) all inside each worker's one thread: both phases
+    // are the full epoch protocol, back to back in one drive.
+    let set_up = |w: usize, ()| {
+        let warmup = worker_share(cfg.warmup, threads, w);
+        let mut worker =
+            SharedWorker::set_up(mk_engine(w), mk_workload(w), cfg, shared_cfg, (), w, warmup);
+        worker.measured_share = worker_share(cfg.txns, threads, w);
+        worker
+    };
+    let mut board = SharedBoard::new(threads, true);
+    let (workers, host_elapsed) = drive(
+        cfg.mode,
+        vec![(); threads],
+        set_up,
+        &SharedEpochs,
+        &mut board,
+    );
 
-type ShardBase = (MachineStats, TxnStats, u64);
-
-fn snapshot_base<E: TxnEngine, W: Workload>(worker: &SharedWorker<E, W>) -> ShardBase {
-    (
-        worker.engine.machine().stats().clone(),
-        worker.engine.txn_stats().clone(),
-        worker.engine.machine().cycles(SHARD_CORE),
-    )
-}
-
-fn assemble<E: TxnEngine, W: Workload>(
-    workers: Vec<SharedWorker<E, W>>,
-    bases: Vec<ShardBase>,
-    txns_total: u64,
-    host_elapsed: Duration,
-) -> SharedRun<E> {
     let workload_name = workers[0].workload.name();
-    let shards: Vec<SharedShardRun<E>> = workers
-        .into_iter()
-        .zip(bases)
-        .map(|(worker, base)| worker.finish(base))
-        .collect();
-    let mut stats = MachineStats::new();
-    let mut txn_stats = TxnStats::default();
-    let mut latency = LatencyStats::default();
+    let shards: Vec<SharedShardRun<E>> = workers.into_iter().map(SharedWorker::finish).collect();
     let mut shared = SharedStats::default();
     for shard in &shards {
-        stats.merge(&shard.stats);
-        txn_stats.merge(&shard.txn_stats);
-        latency.merge(&shard.latency);
         shared.merge(&shard.shared);
     }
-    let elapsed = shards.iter().map(|s| s.elapsed_cycles).max().unwrap_or(0);
-    let freq_hz = shards[0].engine.machine().config().freq_ghz * 1e9;
-    let tps = if elapsed == 0 {
-        0.0
-    } else {
-        txns_total as f64 / (elapsed as f64 / freq_hz)
-    };
-    let result = RunResult {
-        engine: shards[0].engine.name().to_string(),
-        workload: workload_name.to_string(),
-        txns: txns_total,
-        elapsed_cycles: elapsed,
-        tps,
-        stats,
-        txn_stats,
-        latency,
-    };
+    let result = RunResult::merged(
+        &shards[0].engine,
+        workload_name,
+        cfg.txns,
+        shards
+            .iter()
+            .map(|s| (s.elapsed_cycles, &s.stats, &s.txn_stats, &s.latency)),
+    );
     SharedRun {
         result,
         shared,
         shards,
         host_elapsed,
-    }
-}
-
-fn run_shared_threaded<E, W>(
-    mk_engine: impl Fn(usize) -> E + Sync,
-    mk_workload: impl Fn(usize) -> W + Sync,
-    cfg: &RunConfig,
-    shared_cfg: &SharedHeapConfig,
-) -> SharedRun<E>
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let threads = cfg.threads;
-    let sync = SharedSync::new(threads);
-    let start = PoisonBarrier::new(threads + 1);
-    let end = PoisonBarrier::new(threads + 1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let (mk_engine, mk_workload) = (&mk_engine, &mk_workload);
-                let (sync, start, end) = (&sync, &start, &end);
-                scope.spawn(move || {
-                    let _poison = PoisonOnPanic(vec![start, end, &sync.barrier]);
-                    let mut worker =
-                        SharedWorker::new(mk_engine(w), mk_workload(w), cfg, shared_cfg, w);
-                    worker.setup_capture();
-                    // Seed the canonical heap once; setups are identical
-                    // on every worker, so any leader's copy is *the*
-                    // copy.
-                    if sync.barrier.wait() {
-                        let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                        st.heap = worker.heap.clone();
-                    }
-                    sync.barrier.wait();
-                    let arbiter_cfg = worker.engine.machine().config().clone();
-                    // Warm-up phase: full epoch protocol, measured from
-                    // clean baselines afterwards.
-                    worker.fresh = worker_share(cfg.warmup, threads, w);
-                    worker.run_phase_threaded(sync, &arbiter_cfg);
-                    let base = snapshot_base(&worker);
-                    worker.lat.reset();
-                    worker.shared = SharedStats::default();
-                    start.wait();
-                    worker.fresh = worker_share(cfg.txns, threads, w);
-                    worker.run_phase_threaded(sync, &arbiter_cfg);
-                    end.wait();
-                    (worker, base)
-                })
-            })
-            .collect();
-        start.wait();
-        let t0 = Instant::now();
-        end.wait();
-        let host_elapsed = t0.elapsed();
-        let (workers, bases): (Vec<_>, Vec<_>) = handles
-            .into_iter()
-            .map(|h| h.join().expect("shared-heap worker thread panicked"))
-            .unzip();
-        assemble(workers, bases, cfg.txns, host_elapsed)
-    })
-}
-
-fn run_shared_sequential<E, W>(
-    mk_engine: impl Fn(usize) -> E + Sync,
-    mk_workload: impl Fn(usize) -> W + Sync,
-    cfg: &RunConfig,
-    shared_cfg: &SharedHeapConfig,
-) -> SharedRun<E>
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let threads = cfg.threads;
-    let mut workers: Vec<SharedWorker<E, W>> = (0..threads)
-        .map(|w| {
-            let mut worker = SharedWorker::new(mk_engine(w), mk_workload(w), cfg, shared_cfg, w);
-            worker.setup_capture();
-            worker
-        })
-        .collect();
-    let mut heap = workers[0].heap.clone();
-    let mut ic: Option<Interconnect> = None;
-    let arbiter_cfg = workers[0].engine.machine().config().clone();
-    for (w, worker) in workers.iter_mut().enumerate() {
-        worker.fresh = worker_share(cfg.warmup, threads, w);
-    }
-    run_phase_sequential(&mut workers, &mut heap, &mut ic, &arbiter_cfg);
-    let bases: Vec<ShardBase> = workers.iter().map(snapshot_base).collect();
-    for worker in workers.iter_mut() {
-        worker.lat.reset();
-        worker.shared = SharedStats::default();
-    }
-    let t0 = Instant::now();
-    for (w, worker) in workers.iter_mut().enumerate() {
-        worker.fresh = worker_share(cfg.txns, threads, w);
-    }
-    run_phase_sequential(&mut workers, &mut heap, &mut ic, &arbiter_cfg);
-    let host_elapsed = t0.elapsed();
-    assemble(workers, bases, cfg.txns, host_elapsed)
-}
-
-/// The sequential analogue of [`SharedWorker::run_phase_threaded`]:
-/// identical per-epoch arithmetic, one worker at a time, so a threaded
-/// run must match it bit-for-bit.
-fn run_phase_sequential<E: TxnEngine, W: Workload>(
-    workers: &mut [SharedWorker<E, W>],
-    heap: &mut VersionedHeap,
-    ic_slot: &mut Option<Interconnect>,
-    arbiter_cfg: &MachineConfig,
-) {
-    let ic_enabled = arbiter_cfg.interconnect.enabled;
-    let epoch_cycles = phase_epoch_cycles(arbiter_cfg, workers[0].epoch_fallback);
-    let n = workers.len();
-    let mut targets: Vec<u64> = workers
-        .iter()
-        .map(|wk| wk.engine.machine().cycles(SHARD_CORE) + epoch_cycles)
-        .collect();
-    let mut streams: Vec<Vec<MemEvent>> = vec![Vec::new(); n];
-    let mut llc_streams: Vec<Vec<LlcEvent>> = vec![Vec::new(); n];
-    loop {
-        let mut intents: Vec<Vec<CommitIntent>> = Vec::with_capacity(n);
-        for (w, worker) in workers.iter_mut().enumerate() {
-            worker.run_epoch(targets[w]);
-            if ic_enabled {
-                worker
-                    .engine
-                    .machine_mut()
-                    .take_mem_events_into(&mut streams[w]);
-                worker
-                    .engine
-                    .machine_mut()
-                    .take_llc_events_into(&mut llc_streams[w]);
-            } else {
-                worker.engine.machine_mut().discard_mem_events();
-            }
-            intents.push(std::mem::take(&mut worker.pending_intents));
-        }
-        let charges: Vec<EpochCharge> = if ic_enabled {
-            let ic = ic_slot.get_or_insert_with(|| Interconnect::new(arbiter_cfg, n));
-            ic.arbitrate_epoch(&streams, &llc_streams)
-        } else {
-            vec![EpochCharge::default(); n]
-        };
-        let verdicts = validate_epoch(heap, &intents);
-        // Deposit-time outstanding counts, exactly like the threaded
-        // leader sees them (resolve below pushes new retries).
-        let done = workers.iter().all(|wk| wk.outstanding() == 0)
-            && verdicts.iter().flatten().all(|v| *v == Verdict::Won);
-        for ((w, worker), intents_w) in workers.iter_mut().enumerate().zip(intents) {
-            if ic_enabled {
-                worker
-                    .engine
-                    .machine_mut()
-                    .apply_epoch_charge(SHARD_CORE, &charges[w]);
-            }
-            worker.heap = heap.clone();
-            worker.resolve(&verdicts[w], intents_w);
-            targets[w] += epoch_cycles;
-        }
-        if done {
-            break;
-        }
     }
 }
 
@@ -901,68 +760,23 @@ pub struct SharedCrashReport {
     pub aborted: u64,
 }
 
-impl<E: TxnEngine, W: Workload> SharedWorker<OracleEngine<E>, W> {
-    /// Inline `resolve` for the crash probe: replay winners with the
-    /// oracle fold and the storm dance after every publication replay,
-    /// queue losers for retry. Returns `true` if a power cut tripped
-    /// (the caller must restart the shard's epoch ladder from the
-    /// recovered clock).
-    fn probe_resolve(
-        &mut self,
-        verdicts: &[Verdict],
-        intents: Vec<CommitIntent>,
-        report: &mut SharedCrashReport,
-    ) -> bool {
-        let meta = std::mem::take(&mut self.pending_meta);
-        let mut tripped = false;
-        for ((verdict, intent), (rng_before, attempt)) in verdicts.iter().zip(intents).zip(meta) {
-            self.shared.validated += 1;
-            match verdict {
-                Verdict::Won => {
-                    self.shared.committed += 1;
-                    self.replay(&intent);
-                    if self.engine.machine().power_lost() {
-                        probe_storm(&mut self.engine, report);
-                        tripped = true;
-                    } else {
-                        self.engine.oracle_mut().on_commit(SHARD_CORE);
-                    }
-                }
-                Verdict::Conflict | Verdict::Cascade => {
-                    self.shared.aborted += 1;
-                    self.retries.push_back((rng_before, attempt + 1));
-                }
-            }
+/// The crash probe's publication hook: fold the commit into the oracle,
+/// or — if the replay lost power — run the storm sequence, mirroring the
+/// crash-storm driver: the cut transaction is legal dropped or kept;
+/// anything else is data loss.
+impl<E: TxnEngine> AfterPublish<OracleEngine<E>> for SharedCrashReport {
+    fn published(&mut self, engine: &mut OracleEngine<E>) -> bool {
+        if !engine.machine().power_lost() {
+            engine.oracle_mut().on_commit(SHARD_CORE);
+            return false;
         }
-        tripped
-    }
-
-    /// Final quiesce of one probe shard: power off, recover, and check
-    /// the durable state against the oracle; fold the shard's outcome
-    /// counters into the report.
-    fn probe_finish(&mut self, report: &mut SharedCrashReport) {
-        self.engine.machine_mut().disarm_crash();
-        self.engine.crash();
-        self.engine.oracle_mut().on_crash();
-        self.engine.recover();
-        let oracle = self.engine.oracle().clone();
-        if oracle.verify(&mut self.engine, SHARD_CORE).is_err() {
-            report.lost += 1;
+        self.storms += 1;
+        match engine.resolve_cut(false, |_, _, _| {}) {
+            Torn::Dropped => self.torn_dropped += 1,
+            Torn::Kept => self.torn_kept += 1,
+            Torn::Lost => self.lost += 1,
         }
-        report.committed += self.shared.committed;
-        report.aborted += self.shared.aborted;
-    }
-}
-
-impl SharedCrashReport {
-    /// Folds another shard's probe report in (all counters are sums).
-    fn merge(&mut self, o: &SharedCrashReport) {
-        self.storms += o.storms;
-        self.torn_dropped += o.torn_dropped;
-        self.torn_kept += o.torn_kept;
-        self.lost += o.lost;
-        self.committed += o.committed;
-        self.aborted += o.aborted;
+        true
     }
 }
 
@@ -976,10 +790,9 @@ impl SharedCrashReport {
 /// other committed transaction may be disturbed — the same zero-loss
 /// contract the crash-storm harness enforces.
 ///
-/// Runs in both execution modes with bit-identical reports: the
-/// threaded mode puts each shard on a real thread with the usual
-/// shared-heap rendezvous; the sequential mode replays the identical
-/// epoch arithmetic round-robin. Requires the interconnect disabled.
+/// This is [`run_shared`]'s protocol with oracle-wrapped engines and a
+/// publication hook, so it runs in both execution modes with
+/// bit-identical reports. Requires the interconnect disabled.
 ///
 /// # Panics
 ///
@@ -998,204 +811,50 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
     assert!(victim < cfg.threads, "victim worker out of range");
-    if cfg.mode == ExecMode::Threaded {
-        return probe_threaded(mk_engine, mk_workload, cfg, shared_cfg, victim, site, hits);
-    }
-    let threads = cfg.threads;
-    let mut workers: Vec<SharedWorker<OracleEngine<E>, W>> = (0..threads)
-        .map(|w| {
-            let mut worker = SharedWorker::new(
-                OracleEngine::new(mk_engine(w)),
-                mk_workload(w),
-                cfg,
-                shared_cfg,
-                w,
-            );
-            worker.setup_capture();
-            worker.engine.set_recording(true);
+    let set_up = |w: usize, ()| {
+        let mut worker = SharedWorker::set_up(
+            OracleEngine::new(mk_engine(w)),
+            mk_workload(w),
+            cfg,
+            shared_cfg,
+            SharedCrashReport::default(),
+            w,
+            worker_share(cfg.warmup + cfg.txns, cfg.threads, w),
+        );
+        assert!(
+            !worker.engine.machine().config().interconnect.enabled,
+            "the crash probe requires the interconnect disabled"
+        );
+        worker.engine.set_recording(true);
+        if w == victim {
             worker
-        })
-        .collect();
-    assert!(
-        !workers[0].engine.machine().config().interconnect.enabled,
-        "the crash probe requires the interconnect disabled"
-    );
-    let mut heap = workers[0].heap.clone();
-    workers[victim]
-        .engine
-        .machine_mut()
-        .arm_crash(CrashPoint::AtSite { site, hits });
-    let mut report = SharedCrashReport::default();
-    let epoch_cycles = shared_cfg.epoch_cycles.max(1);
-    let mut targets: Vec<u64> = workers
-        .iter()
-        .map(|wk| wk.engine.machine().cycles(SHARD_CORE) + epoch_cycles)
-        .collect();
-    for (w, worker) in workers.iter_mut().enumerate() {
-        worker.fresh = worker_share(cfg.warmup + cfg.txns, threads, w);
-    }
-    loop {
-        let mut intents: Vec<Vec<CommitIntent>> = Vec::with_capacity(threads);
-        for (w, worker) in workers.iter_mut().enumerate() {
-            worker.run_epoch(targets[w]);
-            worker.engine.machine_mut().discard_mem_events();
-            intents.push(std::mem::take(&mut worker.pending_intents));
+                .engine
+                .machine_mut()
+                .arm_crash(CrashPoint::AtSite { site, hits });
         }
-        let verdicts = validate_epoch(&mut heap, &intents);
-        let done = workers.iter().all(|wk| wk.outstanding() == 0)
-            && verdicts.iter().flatten().all(|v| *v == Verdict::Won);
-        for ((w, worker), intents_w) in workers.iter_mut().enumerate().zip(intents) {
-            worker.heap = heap.clone();
-            if worker.probe_resolve(&verdicts[w], intents_w, &mut report) {
-                // The crash reset the shard's clock; restart its epoch
-                // ladder from the recovered state.
-                targets[w] = worker.engine.machine().cycles(SHARD_CORE);
-            }
-            targets[w] += epoch_cycles;
-        }
-        if done {
-            break;
-        }
-    }
-    // Final quiesce: fingerprint-style oracle check of every shard's
-    // durable state.
-    for worker in workers.iter_mut() {
-        worker.probe_finish(&mut report);
-    }
-    report
-}
-
-/// The threaded crash probe: each shard on a real thread, commit intents
-/// and verdicts riding the [`SharedSync`] rendezvous exactly like
-/// [`run_shared`]'s threaded phase, with the probe's inline resolve
-/// (publication replays polled for power loss, storm dance + oracle
-/// check on the victim). Per-shard decision sequences are identical to
-/// the sequential probe, so the merged report is bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn probe_threaded<E, W>(
-    mk_engine: impl Fn(usize) -> E + Sync,
-    mk_workload: impl Fn(usize) -> W + Sync,
-    cfg: &RunConfig,
-    shared_cfg: &SharedHeapConfig,
-    victim: usize,
-    site: FaultSite,
-    hits: u32,
-) -> SharedCrashReport
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let threads = cfg.threads;
-    let sync = SharedSync::new(threads);
-    let epoch_cycles = shared_cfg.epoch_cycles.max(1);
-    let reports: Vec<SharedCrashReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let (mk_engine, mk_workload) = (&mk_engine, &mk_workload);
-                let sync = &sync;
-                scope.spawn(move || {
-                    let _poison = PoisonOnPanic(vec![&sync.barrier]);
-                    let mut worker = SharedWorker::new(
-                        OracleEngine::new(mk_engine(w)),
-                        mk_workload(w),
-                        cfg,
-                        shared_cfg,
-                        w,
-                    );
-                    worker.setup_capture();
-                    worker.engine.set_recording(true);
-                    assert!(
-                        !worker.engine.machine().config().interconnect.enabled,
-                        "the crash probe requires the interconnect disabled"
-                    );
-                    if sync.barrier.wait() {
-                        let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                        st.heap = worker.heap.clone();
-                    }
-                    sync.barrier.wait();
-                    if w == victim {
-                        worker
-                            .engine
-                            .machine_mut()
-                            .arm_crash(CrashPoint::AtSite { site, hits });
-                    }
-                    worker.fresh = worker_share(cfg.warmup + cfg.txns, threads, w);
-                    let mut report = SharedCrashReport::default();
-                    let mut target = worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
-                    loop {
-                        worker.run_epoch(target);
-                        worker.engine.machine_mut().discard_mem_events();
-                        {
-                            let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                            st.intents[w] = std::mem::take(&mut worker.pending_intents);
-                            st.outstanding[w] = worker.outstanding();
-                        }
-                        if sync.barrier.wait() {
-                            let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                            let st = &mut *st;
-                            st.verdicts = validate_epoch(&mut st.heap, &st.intents);
-                            st.done = st.outstanding.iter().all(|&r| r == 0)
-                                && st.verdicts.iter().flatten().all(|v| *v == Verdict::Won);
-                        }
-                        sync.barrier.wait();
-                        let (done, verdicts, intents, heap) = {
-                            let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                            let st = &mut *st;
-                            (
-                                st.done,
-                                std::mem::take(&mut st.verdicts[w]),
-                                std::mem::take(&mut st.intents[w]),
-                                st.heap.clone(),
-                            )
-                        };
-                        worker.heap = heap;
-                        if worker.probe_resolve(&verdicts, intents, &mut report) {
-                            target = worker.engine.machine().cycles(SHARD_CORE);
-                        }
-                        if done {
-                            break;
-                        }
-                        target += epoch_cycles;
-                    }
-                    worker.probe_finish(&mut report);
-                    report
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("crash-probe worker thread panicked"))
-            .collect()
+        worker
+    };
+    let mut board = SharedBoard::new(cfg.threads, false);
+    let seeds = vec![(); cfg.threads];
+    let (workers, _) = drive(cfg.mode, seeds, set_up, &SharedEpochs, &mut board);
+    // Final quiesce: every shard's durable state against its oracle.
+    let reports = map_each(cfg.mode, workers, |_, mut worker| {
+        let mut report = worker.after_publish;
+        let (_, _, intact) = worker.engine.quiesce();
+        report.lost += u64::from(!intact);
+        report.committed += worker.shared.committed;
+        report.aborted += worker.shared.aborted;
+        report
     });
     let mut total = SharedCrashReport::default();
     for r in &reports {
-        total.merge(r);
+        total.storms += r.storms;
+        total.torn_dropped += r.torn_dropped;
+        total.torn_kept += r.torn_kept;
+        total.lost += r.lost;
+        total.committed += r.committed;
+        total.aborted += r.aborted;
     }
     total
-}
-
-/// The dual-candidate resolution after a power cut inside a publication
-/// replay, mirroring the crash-storm driver: the cut transaction is
-/// legal dropped or kept; anything else is data loss.
-fn probe_storm<E: TxnEngine>(engine: &mut OracleEngine<E>, report: &mut SharedCrashReport) {
-    report.storms += 1;
-    let mut dropped = engine.oracle().clone();
-    dropped.on_crash();
-    let mut kept = engine.oracle().clone();
-    kept.on_commit(SHARD_CORE);
-    kept.on_crash();
-    engine.crash();
-    engine.recover();
-    if dropped.verify(engine, SHARD_CORE).is_ok() {
-        report.torn_dropped += 1;
-        engine.set_oracle(dropped);
-    } else if kept.verify(engine, SHARD_CORE).is_ok() {
-        report.torn_kept += 1;
-        engine.set_oracle(kept);
-    } else {
-        report.lost += 1;
-        engine.set_oracle(dropped);
-    }
 }

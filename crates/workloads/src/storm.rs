@@ -45,21 +45,22 @@
 //! interconnect model.
 //!
 //! [`Machine::power_lost`]: ssp_simulator::machine::Machine::power_lost
+//! [`ExecMode::Threaded`]: crate::runner::ExecMode::Threaded
+//! [`ExecMode::Sequential`]: crate::runner::ExecMode::Sequential
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ssp_simulator::addr::{VirtAddr, Vpn};
 use ssp_simulator::cache::CoreId;
 use ssp_simulator::fault::{CrashPoint, FaultSite};
-use ssp_simulator::interconnect::Interconnect;
+use ssp_simulator::interconnect::EpochCharge;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::ObsEvent;
 use ssp_txn::engine::{TxnEngine, TxnStats};
 use ssp_txn::history::Oracle;
 
-use crate::runner::{
-    worker_seed, worker_share, EpochSync, ExecMode, PoisonOnPanic, RunConfig, Workload, SHARD_CORE,
-};
+use crate::kernel::{drive, map_each, spawn_each, Epoch, Protocol, Solo};
+use crate::runner::{worker_seed, worker_share, EpochBoard, RunConfig, Workload, SHARD_CORE};
 
 /// One scheduled cut, relative to the moment it is armed.
 ///
@@ -165,6 +166,12 @@ pub struct StormShardReport {
 }
 
 impl StormShardReport {
+    fn add_recovery(&mut self, cost: RecoveryCost) {
+        self.recovery_nvram_reads += cost.nvram_reads;
+        self.recovery_nvram_writes += cost.nvram_writes;
+        self.recovery_cycles_est += cost.cycles_est;
+    }
+
     fn merge(&mut self, o: &StormShardReport) {
         self.txns += o.txns;
         self.storms += o.storms;
@@ -311,6 +318,131 @@ impl<E: TxnEngine> TxnEngine for OracleEngine<E> {
     }
 }
 
+/// NVRAM traffic of one `recover()` pass and the latency it implies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecoveryCost {
+    pub(crate) nvram_reads: u64,
+    pub(crate) nvram_writes: u64,
+    /// NVRAM reads and writes at the configured device latencies.
+    pub(crate) cycles_est: u64,
+}
+
+/// How a power cut resolved against the oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Torn {
+    /// The cut transaction was rolled back (or its effect is
+    /// indistinguishable, e.g. it rewrote identical bytes).
+    Dropped,
+    /// The cut transaction's commit mark beat the freeze.
+    Kept,
+    /// Neither candidate matches: a committed transaction is gone or
+    /// corrupted.
+    Lost,
+}
+
+impl<E: TxnEngine> OracleEngine<E> {
+    /// Runs `recover()` inside the stats window the recovery metrics
+    /// need.
+    fn recover_costed(&mut self) -> RecoveryCost {
+        let before = self.machine().stats().clone();
+        self.recover();
+        let d = self.machine().stats().diff(&before);
+        let cfg = self.machine().config();
+        RecoveryCost {
+            nvram_reads: d.nvram_reads,
+            nvram_writes: d.nvram_writes_total(),
+            cycles_est: d.nvram_reads * cfg.ns_to_cycles(cfg.nvram.read_ns)
+                + d.nvram_writes_total() * cfg.ns_to_cycles(cfg.nvram.write_ns),
+        }
+    }
+
+    /// The full sequence a tripped power cut forces: crash, recover, and
+    /// resolve whatever transaction the cut landed in against the oracle.
+    ///
+    /// Two candidates for the post-recovery state are built first: the
+    /// cut transaction rolled back, or kept (its commit mark beat the
+    /// freeze). The engines guarantee one of them; the accepted one
+    /// becomes the oracle. On [`Torn::Lost`] the run continues from the
+    /// conservative (dropped) candidate so it still completes.
+    ///
+    /// With `cut_recovery`, a [`FaultSite::Recovery`] cut is armed between
+    /// `crash()` and `recover()`: that first recovery is itself cut short
+    /// (its writes are dropped) and a second, clean pass must succeed from
+    /// the same NVRAM image. `pass` sees every recovery pass — its cost
+    /// and whether it was cut — before the next crash resets the clock.
+    pub(crate) fn resolve_cut(
+        &mut self,
+        cut_recovery: bool,
+        mut pass: impl FnMut(&mut Self, RecoveryCost, bool),
+    ) -> Torn {
+        let mut dropped = self.oracle.clone();
+        dropped.on_crash();
+        let mut kept = self.oracle.clone();
+        kept.on_commit(SHARD_CORE);
+        kept.on_crash();
+
+        self.crash();
+        if cut_recovery {
+            self.machine_mut().arm_crash(CrashPoint::AtSite {
+                site: FaultSite::Recovery,
+                hits: 1,
+            });
+        }
+        loop {
+            let cost = self.recover_costed();
+            let cut = self.machine().power_lost();
+            pass(self, cost, cut);
+            if !cut {
+                break;
+            }
+            self.crash();
+        }
+
+        let (torn, accepted) = if dropped.verify(self, SHARD_CORE).is_ok() {
+            (Torn::Dropped, dropped)
+        } else if kept.verify(self, SHARD_CORE).is_ok() {
+            (Torn::Kept, kept)
+        } else {
+            (Torn::Lost, dropped)
+        };
+        self.oracle = accepted;
+        torn
+    }
+
+    /// Final quiesce of a shard: disarm, power off, fingerprint the
+    /// durable image, recover, and verify one last time. Returns the
+    /// fingerprint, the recovery's cost, and whether the durable state
+    /// still matches the oracle.
+    pub(crate) fn quiesce(&mut self) -> (u64, RecoveryCost, bool) {
+        self.machine_mut().disarm_crash();
+        self.crash();
+        self.oracle.on_crash();
+        let fingerprint = self.machine().nvram_fingerprint();
+        let cost = self.recover_costed();
+        let intact = self.oracle.clone().verify(self, SHARD_CORE).is_ok();
+        (fingerprint, cost, intact)
+    }
+}
+
+impl StormSchedule {
+    /// Arms point number `next` (counted over the whole run) on
+    /// `machine`, translating cycle deltas against its current clock.
+    /// Consumed points come around again only with
+    /// [`rearm`](StormSchedule::rearm).
+    pub(crate) fn arm(&self, next: usize, machine: &mut Machine) {
+        let n = self.points.len();
+        if n == 0 || (!self.rearm && next >= n) {
+            return;
+        }
+        machine.arm_crash(match self.points[next % n] {
+            StormPoint::AfterCycles(delta) => {
+                CrashPoint::AtCycle(machine.cycles(SHARD_CORE) + delta)
+            }
+            StormPoint::AtSite { site, hits } => CrashPoint::AtSite { site, hits },
+        });
+    }
+}
+
 /// One shard of a storm run: engine (oracle-wrapped), workload, RNG,
 /// schedule cursor, and the accumulating report.
 struct StormWorker<E, W> {
@@ -323,90 +455,83 @@ struct StormWorker<E, W> {
     /// Cycle count at the start of the current power segment (the clock
     /// resets at each crash; elapsed accumulates segments).
     seg_base: u64,
+    /// Transactions still to run, and the local virtual time of the next
+    /// epoch boundary (never reached outside epoch storms).
+    remaining: u64,
+    target: u64,
+    /// An epoch-boundary cut tripped since this shard's last deposit.
+    tripped: bool,
     report: StormShardReport,
 }
 
 impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
-    fn new(engine: E, workload: W, cfg: &RunConfig, schedule: &StormSchedule, w: usize) -> Self {
-        Self {
+    /// Builds shard `w` and runs its workload setup (not oracle-checked,
+    /// no cuts armed), then arms the first point.
+    fn prepare(
+        engine: E,
+        workload: W,
+        cfg: &RunConfig,
+        schedule: &StormSchedule,
+        w: usize,
+    ) -> Self {
+        let mut worker = Self {
             engine: OracleEngine::new(engine),
             workload,
             rng: SmallRng::seed_from_u64(worker_seed(cfg.seed, w)),
             schedule: schedule.clone(),
             next_point: 0,
             seg_base: 0,
+            remaining: worker_share(cfg.txns, cfg.threads, w),
+            target: u64::MAX,
+            tripped: false,
             report: StormShardReport {
                 worker: w,
                 ..StormShardReport::default()
             },
-        }
+        };
+        worker.workload.setup(&mut worker.engine, SHARD_CORE);
+        worker.engine.set_recording(true);
+        worker.seg_base = worker.engine.machine().cycles(SHARD_CORE);
+        worker.arm_next();
+        worker
     }
 
-    /// Workload setup (not oracle-checked, no cuts armed), then arm the
-    /// first point.
-    fn prepare(&mut self) {
-        self.workload.setup(&mut self.engine, SHARD_CORE);
-        self.engine.set_recording(true);
-        self.seg_base = self.engine.machine().cycles(SHARD_CORE);
-        self.arm_next();
-    }
-
-    /// Arms the next schedule point, translating cycle deltas against the
-    /// current clock. Consumed points re-arm only with
-    /// [`StormSchedule::rearm`].
     fn arm_next(&mut self) {
-        let n = self.schedule.points.len();
-        if n == 0 {
-            return;
-        }
-        let idx = if self.schedule.rearm {
-            self.next_point % n
-        } else if self.next_point < n {
-            self.next_point
-        } else {
-            return;
-        };
-        let point = match self.schedule.points[idx] {
-            StormPoint::AfterCycles(delta) => {
-                CrashPoint::AtCycle(self.engine.machine().cycles(SHARD_CORE) + delta)
+        self.schedule
+            .arm(self.next_point, self.engine.machine_mut());
+    }
+
+    /// Runs transactions until the local clock reaches the boundary or
+    /// the share is exhausted. Each is followed, if the power failed
+    /// inside it, by the full storm sequence.
+    fn run_to_boundary(&mut self) {
+        while self.remaining > 0 && self.engine.machine().cycles(SHARD_CORE) < self.target {
+            self.engine.begin(SHARD_CORE);
+            self.workload
+                .run_txn(&mut self.engine, SHARD_CORE, &mut self.rng);
+            self.engine.commit(SHARD_CORE);
+            self.report.txns += 1;
+            self.remaining -= 1;
+            if self.engine.machine().power_lost() {
+                self.storm_recover(true);
+            } else {
+                self.engine.oracle_mut().on_commit(SHARD_CORE);
             }
-            StormPoint::AtSite { site, hits } => CrashPoint::AtSite { site, hits },
-        };
-        self.engine.machine_mut().arm_crash(point);
-    }
-
-    /// Runs one transaction and, if the power failed inside it, the full
-    /// storm sequence (crash, recovery — possibly itself cut —, oracle
-    /// verification, re-arm).
-    fn storm_txn(&mut self) {
-        self.engine.begin(SHARD_CORE);
-        self.workload
-            .run_txn(&mut self.engine, SHARD_CORE, &mut self.rng);
-        self.engine.commit(SHARD_CORE);
-        self.report.txns += 1;
-        if self.engine.machine().power_lost() {
-            self.storm_recover(true);
-        } else {
-            self.engine.oracle_mut().on_commit(SHARD_CORE);
         }
     }
 
-    /// Crash + recover + verify after a power cut. `torn_txn` says a
-    /// transaction was in flight when the cut landed (false for
-    /// epoch-boundary cuts, which land between transactions).
+    /// Closes the current power segment's share of the elapsed time.
+    fn close_segment(&mut self) {
+        let now = self.engine.machine().cycles(SHARD_CORE);
+        self.report.elapsed_cycles += now - self.seg_base.min(now);
+    }
+
+    /// Crash + recover + verify after a power cut, then re-arm.
+    /// `torn_txn` says a transaction was in flight when the cut landed
+    /// (false for epoch-boundary cuts, which land between transactions).
     fn storm_recover(&mut self, torn_txn: bool) {
         self.report.storms += 1;
-        // Two candidates for the post-recovery state: the cut transaction
-        // rolled back, or kept (its commit mark beat the freeze). The
-        // engines guarantee one of them — anything else is data loss.
-        let mut dropped = self.engine.oracle().clone();
-        dropped.on_crash();
-        let mut kept = self.engine.oracle().clone();
-        kept.on_commit(SHARD_CORE);
-        kept.on_crash();
-
-        self.report.elapsed_cycles += self.engine.machine().cycles(SHARD_CORE)
-            - self.seg_base.min(self.engine.machine().cycles(SHARD_CORE));
+        self.close_segment();
         // Flight recorder: drain the tail of the event ring at the cut
         // instant. Replace-latest semantics — the report carries the tail
         // of the *most recent* storm on this shard.
@@ -414,78 +539,31 @@ impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
             let n = self.engine.machine().config().obs.flight_tail;
             self.report.flight_tail = self.engine.machine().obs().tail(n);
         }
-        self.engine.crash();
-        if self.schedule.crash_during_recovery {
-            self.engine.machine_mut().arm_crash(CrashPoint::AtSite {
-                site: FaultSite::Recovery,
-                hits: 1,
+        let report = &mut self.report;
+        let torn = self
+            .engine
+            .resolve_cut(self.schedule.crash_during_recovery, |_, cost, cut| {
+                report.add_recovery(cost);
+                report.torn_recoveries += u64::from(cut);
             });
+        match torn {
+            Torn::Dropped => report.torn_txns += u64::from(torn_txn),
+            Torn::Kept => report.kept_torn_txns += u64::from(torn_txn),
+            Torn::Lost => report.lost_txns += 1,
         }
-        self.run_recovery();
-        if self.engine.machine().power_lost() {
-            // The recovery itself was cut short; its writes were dropped.
-            // A second, clean pass must succeed from the same NVRAM image.
-            self.report.torn_recoveries += 1;
-            self.engine.crash();
-            self.run_recovery();
-        }
-
-        let drop_ok = dropped.verify(&mut self.engine, SHARD_CORE).is_ok();
-        let accepted = if drop_ok {
-            // Both candidates passing means the cut transaction's effect
-            // is indistinguishable (e.g. it rewrote identical bytes);
-            // treat as dropped.
-            if torn_txn {
-                self.report.torn_txns += 1;
-            }
-            dropped
-        } else if kept.verify(&mut self.engine, SHARD_CORE).is_ok() {
-            if torn_txn {
-                self.report.kept_torn_txns += 1;
-            }
-            kept
-        } else {
-            // Neither candidate matches: a committed transaction is gone
-            // or corrupted. Record the loss and continue from the
-            // conservative candidate so the run still completes.
-            self.report.lost_txns += 1;
-            dropped
-        };
-        self.engine.set_oracle(accepted);
         self.seg_base = self.engine.machine().cycles(SHARD_CORE);
         self.next_point += 1;
         self.arm_next();
     }
 
-    /// Runs `recover()` with the stats window needed for the recovery
-    /// metrics (NVRAM traffic and the latency estimate).
-    fn run_recovery(&mut self) {
-        let before = self.engine.machine().stats().clone();
-        self.engine.recover();
-        let d = self.engine.machine().stats().diff(&before);
-        let cfg = self.engine.machine().config();
-        let est = d.nvram_reads * cfg.ns_to_cycles(cfg.nvram.read_ns)
-            + d.nvram_writes_total() * cfg.ns_to_cycles(cfg.nvram.write_ns);
-        self.report.recovery_nvram_reads += d.nvram_reads;
-        self.report.recovery_nvram_writes += d.nvram_writes_total();
-        self.report.recovery_cycles_est += est;
-    }
-
-    /// Final quiesce: disarm, power off, fingerprint the durable image,
-    /// recover, and verify one last time.
-    fn finish(mut self) -> StormShardReport {
-        self.engine.machine_mut().disarm_crash();
-        let now = self.engine.machine().cycles(SHARD_CORE);
-        self.report.elapsed_cycles += now - self.seg_base.min(now);
-        self.engine.crash();
-        self.engine.oracle_mut().on_crash();
-        self.report.fingerprint = self.engine.machine().nvram_fingerprint();
-        self.run_recovery();
-        let oracle = self.engine.oracle().clone();
-        if oracle.verify(&mut self.engine, SHARD_CORE).is_err() {
-            self.report.lost_txns += 1;
-        }
-        self.report
+    /// Final quiesce, completing the report; a durable state the oracle
+    /// rejects is data loss.
+    fn finish(&mut self) {
+        self.close_segment();
+        let (fingerprint, cost, intact) = self.engine.quiesce();
+        self.report.fingerprint = fingerprint;
+        self.report.add_recovery(cost);
+        self.report.lost_txns += u64::from(!intact);
     }
 }
 
@@ -493,9 +571,12 @@ impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
 /// the given workload and schedule. Shards interact with nothing (the
 /// interconnect must be disabled — see [`run_epoch_storm`] for the
 /// epoch-boundary variant), so [`ExecMode::Threaded`] runs them on real
-/// threads and [`ExecMode::Sequential`] interleaves the identical
-/// per-shard schedules round-robin on the calling thread, with
+/// threads and [`ExecMode::Sequential`] runs the identical per-shard
+/// schedules one after the other on the calling thread, with
 /// bit-identical results.
+///
+/// [`ExecMode::Threaded`]: crate::runner::ExecMode::Threaded
+/// [`ExecMode::Sequential`]: crate::runner::ExecMode::Sequential
 ///
 /// # Panics
 ///
@@ -511,59 +592,40 @@ where
     E: TxnEngine,
     W: Workload,
 {
+    let prepare = storm_shard(mk_engine, mk_workload, cfg, schedule, false);
+    // One thread lifetime per shard: build, the whole share, the final
+    // quiesce.
+    let whole_run = Solo(|_, worker: &mut StormWorker<E, W>| {
+        worker.run_to_boundary();
+        worker.finish();
+    });
+    let seeds = vec![(); cfg.threads];
+    let (workers, _) = drive(cfg.mode, seeds, |w, ()| prepare(w), &whole_run, &mut ());
+    StormRun {
+        shards: workers.into_iter().map(|worker| worker.report).collect(),
+    }
+}
+
+/// The builder of a storm run's shards: constructs and prepares shard
+/// `w`; `interconnect` says which way the shards' machine configs must
+/// have the interconnect.
+fn storm_shard<'a, E: TxnEngine, W: Workload>(
+    mk_engine: impl Fn(usize) -> E + Sync + 'a,
+    mk_workload: impl Fn(usize) -> W + Sync + 'a,
+    cfg: &'a RunConfig,
+    schedule: &'a StormSchedule,
+    interconnect: bool,
+) -> impl Fn(usize) -> StormWorker<E, W> + Sync + 'a {
     assert!(cfg.threads >= 1, "at least one worker");
-    let build = |w: usize| {
-        let worker = StormWorker::new(mk_engine(w), mk_workload(w), cfg, schedule, w);
-        assert!(
-            !worker.engine.machine().config().interconnect.enabled,
-            "run_storm requires the interconnect disabled; use run_epoch_storm"
+    move |w| {
+        let engine = mk_engine(w);
+        assert_eq!(
+            engine.machine().config().interconnect.enabled,
+            interconnect,
+            "run_storm requires the interconnect disabled, run_epoch_storm enabled"
         );
-        worker
-    };
-    let shards = match cfg.mode {
-        ExecMode::Threaded => std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..cfg.threads)
-                .map(|w| {
-                    let build = &build;
-                    scope.spawn(move || {
-                        let mut worker = build(w);
-                        worker.prepare();
-                        for _ in 0..worker_share(cfg.txns, cfg.threads, w) {
-                            worker.storm_txn();
-                        }
-                        worker.finish()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("storm worker panicked"))
-                .collect()
-        }),
-        ExecMode::Sequential => {
-            // The reference schedule: round-robin at transaction
-            // granularity, like the runner's sequential mode. Shards are
-            // independent, so this replays the identical per-shard
-            // operation sequences the threaded mode runs.
-            let mut workers: Vec<StormWorker<E, W>> = (0..cfg.threads).map(build).collect();
-            for worker in &mut workers {
-                worker.prepare();
-            }
-            let mut remaining: Vec<u64> = (0..cfg.threads)
-                .map(|w| worker_share(cfg.txns, cfg.threads, w))
-                .collect();
-            while remaining.iter().any(|&r| r > 0) {
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    if remaining[w] > 0 {
-                        worker.storm_txn();
-                        remaining[w] -= 1;
-                    }
-                }
-            }
-            workers.into_iter().map(StormWorker::finish).collect()
-        }
-    };
-    StormRun { shards }
+        StormWorker::prepare(engine, mk_workload(w), cfg, schedule, w)
+    }
 }
 
 /// Runs a crash storm under the cross-shard interconnect, with cuts at
@@ -590,7 +652,6 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
     assert!(
         schedule.points.iter().all(|p| matches!(
             p,
@@ -601,167 +662,70 @@ where
         )),
         "epoch storms cut at epoch boundaries only"
     );
-    let build = |w: usize| {
-        let worker = StormWorker::new(mk_engine(w), mk_workload(w), cfg, schedule, w);
-        assert!(
-            worker.engine.machine().config().interconnect.enabled,
-            "run_epoch_storm requires the interconnect enabled"
-        );
+    let prepare = storm_shard(mk_engine, mk_workload, cfg, schedule, true);
+    let workers = spawn_each(cfg.mode, cfg.threads, prepare);
+    let arbiter_cfg = workers[0].engine.machine().config();
+    let epoch_cycles = EpochBoard::epoch_cycles(arbiter_cfg, u64::MAX);
+    let mut board = EpochBoard::new(arbiter_cfg, cfg.threads);
+    let first_boundary = |_, mut worker: StormWorker<E, W>| {
+        worker.target = worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
         worker
     };
-    let epoch_cycles = {
-        let probe = mk_engine(0);
-        probe.machine().config().interconnect.epoch_cycles.max(1)
-    };
-    let shards = match cfg.mode {
-        ExecMode::Threaded => {
-            let sync = EpochSync::new(cfg.threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..cfg.threads)
-                    .map(|w| {
-                        let (build, sync) = (&build, &sync);
-                        scope.spawn(move || {
-                            let _poison = PoisonOnPanic(vec![&sync.barrier]);
-                            let mut worker = build(w);
-                            worker.prepare();
-                            let mut remaining = worker_share(cfg.txns, cfg.threads, w);
-                            let mut target =
-                                worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
-                            loop {
-                                remaining = worker.run_epoch(remaining, target);
-                                {
-                                    let mut st = sync.state.lock().expect("epoch state poisoned");
-                                    worker
-                                        .engine
-                                        .machine_mut()
-                                        .take_mem_events_into(&mut st.streams[w]);
-                                    st.remaining[w] = remaining;
-                                }
-                                if sync.barrier.wait() {
-                                    let mut st = sync.state.lock().expect("epoch state poisoned");
-                                    let st = &mut *st;
-                                    let shards = st.streams.len();
-                                    let ic = st.interconnect.get_or_insert_with(|| {
-                                        Interconnect::new(worker.engine.machine().config(), shards)
-                                    });
-                                    st.charges = ic.arbitrate(&st.streams);
-                                    st.done = st.remaining.iter().all(|&r| r == 0);
-                                }
-                                sync.barrier.wait();
-                                let (charge, done) = {
-                                    let st = sync.state.lock().expect("epoch state poisoned");
-                                    (st.charges[w], st.done)
-                                };
-                                worker
-                                    .engine
-                                    .machine_mut()
-                                    .apply_epoch_charge(SHARD_CORE, &charge);
-                                // Identical schedules + one charge per epoch
-                                // per shard: either every shard tripped at
-                                // this boundary or none did.
-                                let tripped = worker.engine.machine().power_lost();
-                                if tripped {
-                                    worker.storm_recover(false);
-                                    worker.engine.machine_mut().discard_mem_events();
-                                }
-                                if sync.barrier.wait() && tripped {
-                                    // Power cycled machine-wide: the shared
-                                    // controller's queues are gone too.
-                                    let mut st = sync.state.lock().expect("epoch state poisoned");
-                                    st.interconnect = None;
-                                }
-                                sync.barrier.wait();
-                                if done {
-                                    break;
-                                }
-                                target = if tripped {
-                                    worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles
-                                } else {
-                                    target + epoch_cycles
-                                };
-                            }
-                            worker.finish()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("storm worker panicked"))
-                    .collect()
-            })
-        }
-        ExecMode::Sequential => {
-            let mut workers: Vec<StormWorker<E, W>> = (0..cfg.threads).map(build).collect();
-            for worker in &mut workers {
-                worker.prepare();
-            }
-            let mut remaining: Vec<u64> = (0..cfg.threads)
-                .map(|w| worker_share(cfg.txns, cfg.threads, w))
-                .collect();
-            let mut targets: Vec<u64> = workers
-                .iter()
-                .map(|wk| wk.engine.machine().cycles(SHARD_CORE) + epoch_cycles)
-                .collect();
-            let mut ic: Option<Interconnect> = None;
-            let mut streams = vec![Vec::new(); cfg.threads];
-            loop {
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    remaining[w] = worker.run_epoch(remaining[w], targets[w]);
-                    worker
-                        .engine
-                        .machine_mut()
-                        .take_mem_events_into(&mut streams[w]);
-                }
-                let charges = {
-                    let ic = ic.get_or_insert_with(|| {
-                        Interconnect::new(workers[0].engine.machine().config(), cfg.threads)
-                    });
-                    ic.arbitrate(&streams)
-                };
-                let done = remaining.iter().all(|&r| r == 0);
-                let mut tripped = false;
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    worker
-                        .engine
-                        .machine_mut()
-                        .apply_epoch_charge(SHARD_CORE, &charges[w]);
-                    if worker.engine.machine().power_lost() {
-                        worker.storm_recover(false);
-                        worker.engine.machine_mut().discard_mem_events();
-                        tripped = true;
-                    }
-                }
-                if tripped {
-                    ic = None;
-                }
-                if done {
-                    break;
-                }
-                for (w, worker) in workers.iter().enumerate() {
-                    targets[w] = if tripped {
-                        worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles
-                    } else {
-                        targets[w] + epoch_cycles
-                    };
-                }
-            }
-            workers.into_iter().map(StormWorker::finish).collect()
-        }
-    };
-    StormRun { shards }
+    let protocol = EpochStorm { epoch_cycles };
+    let (workers, _) = drive(cfg.mode, workers, first_boundary, &protocol, &mut board);
+    StormRun {
+        shards: map_each(cfg.mode, workers, |_, mut worker| {
+            worker.finish();
+            worker.report
+        }),
+    }
 }
 
-impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
-    /// Runs transactions until the local clock reaches `target` or the
-    /// share is exhausted (the epoch protocol's inner loop). Epoch cuts
-    /// land only at boundaries, so no transaction here can be torn.
-    fn run_epoch(&mut self, remaining: u64, target: u64) -> u64 {
-        let mut remaining = remaining;
-        while remaining > 0 && self.engine.machine().cycles(SHARD_CORE) < target {
-            self.storm_txn();
-            remaining -= 1;
+/// [`run_epoch_storm`] as a kernel protocol: `run_parallel`'s epoch
+/// exchange, plus the machine-wide cut when the charge trips it.
+struct EpochStorm {
+    epoch_cycles: u64,
+}
+
+impl<E: TxnEngine, W: Workload> Protocol<StormWorker<E, W>> for EpochStorm {
+    type Board = EpochBoard;
+    type Verdict = Option<EpochCharge>;
+
+    /// Epoch cuts land only at boundaries, so no transaction in here can
+    /// be torn.
+    fn local(&self, _w: usize, worker: &mut StormWorker<E, W>) {
+        worker.run_to_boundary();
+    }
+
+    /// A shard that lost power at the last boundary says so with its
+    /// next streams, so the merge they feed starts from a rebuilt
+    /// controller.
+    fn deposit(&self, w: usize, worker: &mut StormWorker<E, W>, board: &mut EpochBoard) {
+        if std::mem::take(&mut worker.tripped) {
+            board.power_cycle();
         }
-        remaining
+        board.deposit(w, worker.engine.machine_mut(), worker.remaining);
+    }
+
+    fn merge(&self, board: &mut EpochBoard, verdicts: &mut [Option<EpochCharge>]) -> Epoch {
+        board.merge(verdicts)
+    }
+
+    fn apply(&self, _w: usize, worker: &mut StormWorker<E, W>, charge: Option<EpochCharge>) {
+        let charge = charge.expect("epoch storms run with the interconnect enabled");
+        worker
+            .engine
+            .machine_mut()
+            .apply_epoch_charge(SHARD_CORE, &charge);
+        // Identical schedules + one charge per epoch per shard: either
+        // every shard tripped at this boundary or none did.
+        if worker.engine.machine().power_lost() {
+            worker.storm_recover(false);
+            worker.engine.machine_mut().discard_mem_events();
+            worker.tripped = true;
+            worker.target = worker.engine.machine().cycles(SHARD_CORE);
+        }
+        worker.target += self.epoch_cycles;
     }
 }
 
@@ -769,6 +733,7 @@ impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
 mod tests {
     use super::*;
     use crate::dist::KeyDist;
+    use crate::runner::ExecMode;
     use crate::sps::Sps;
     use ssp_core::engine::Ssp;
     use ssp_core::SspConfig;
@@ -875,6 +840,43 @@ mod tests {
             &schedule,
         );
         assert_eq!(a.shards, b.shards, "flight tails must be mode-invariant");
+    }
+
+    /// Epoch storms ride the same interconnect board as `run_parallel`:
+    /// with the shared-LLC/coherence actors on and an LLC too small for
+    /// two shards, the probe streams must be drained and charged, so the
+    /// run is slower than under bank arbitration alone.
+    #[test]
+    fn epoch_storm_charges_the_shared_llc_actors() {
+        use ssp_simulator::config::InterconnectConfig;
+        let schedule = StormSchedule {
+            rearm: true,
+            ..StormSchedule::once_at(FaultSite::EpochBoundary, 3)
+        };
+        let run = |mode, mut interconnect: InterconnectConfig| {
+            interconnect.epoch_cycles = 10_000;
+            interconnect.llc_sets = 8;
+            interconnect.llc_ways = 2;
+            let mut shard = MachineConfig::default().shard_slice(2);
+            shard.interconnect = interconnect;
+            run_epoch_storm(
+                |_| Ssp::new(shard.clone(), SspConfig::default()),
+                |_| Sps::new(256, KeyDist::uniform(256)),
+                &small_cfg(mode, 2),
+                &schedule,
+            )
+        };
+        let fair = run(ExecMode::Threaded, InterconnectConfig::shared_fair());
+        let full = run(ExecMode::Threaded, InterconnectConfig::shared_hierarchy());
+        assert!(full.totals().storms > 0 && full.totals().lost_txns == 0);
+        assert!(
+            full.totals().elapsed_cycles > fair.totals().elapsed_cycles,
+            "LLC shortfalls and coherence went uncharged: {} vs {}",
+            full.totals().elapsed_cycles,
+            fair.totals().elapsed_cycles
+        );
+        let sequential = run(ExecMode::Sequential, InterconnectConfig::shared_hierarchy());
+        assert_eq!(full.shards, sequential.shards);
     }
 
     #[test]

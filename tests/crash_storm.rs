@@ -54,8 +54,8 @@ fn repeated_storms_never_lose_committed_data() {
     assert_eq!(t.lost_txns, 0, "{t:?}");
 }
 
-/// The determinism contract: threaded == sequential == every repeat,
-/// down to each shard's counters and NVRAM fingerprint.
+/// The determinism contract, for every engine: threaded == sequential ==
+/// every repeat, down to each shard's counters and NVRAM fingerprint.
 #[test]
 fn storm_reports_identical_across_modes_and_repeats() {
     let schedule = StormSchedule {
@@ -73,15 +73,52 @@ fn storm_reports_identical_across_modes_and_repeats() {
         crash_during_recovery: true,
         rearm: true,
     };
-    let reference = storm_ssp(ExecMode::Threaded, &schedule);
-    assert!(reference.totals().storms > 0);
-    for _ in 0..5 {
-        let repeat = storm_ssp(ExecMode::Threaded, &schedule);
-        assert_eq!(reference.shards, repeat.shards, "threaded repeat drifted");
-    }
-    for _ in 0..5 {
-        let seq = storm_ssp(ExecMode::Sequential, &schedule);
-        assert_eq!(reference.shards, seq.shards, "sequential run drifted");
+    let mk_workload = |_| Sps::new(256, KeyDist::uniform(256));
+    let mcfg = || MachineConfig::default().shard_slice(THREADS);
+    type Storm<'a> = Box<dyn Fn(ExecMode) -> StormRun + 'a>;
+    let engines: [(&str, Storm); 4] = [
+        ("SSP", Box::new(|mode| storm_ssp(mode, &schedule))),
+        (
+            "UNDO",
+            Box::new(|mode| {
+                run_storm(|_| UndoLog::new(mcfg()), mk_workload, &cfg(mode), &schedule)
+            }),
+        ),
+        (
+            "REDO",
+            Box::new(|mode| {
+                run_storm(|_| RedoLog::new(mcfg()), mk_workload, &cfg(mode), &schedule)
+            }),
+        ),
+        (
+            "SHADOW",
+            Box::new(|mode| {
+                run_storm(
+                    |_| ShadowPaging::new(mcfg()),
+                    mk_workload,
+                    &cfg(mode),
+                    &schedule,
+                )
+            }),
+        ),
+    ];
+    for (name, storm) in &engines {
+        let reference = storm(ExecMode::Threaded);
+        assert!(reference.totals().storms > 0, "{name}");
+        for _ in 0..5 {
+            let repeat = storm(ExecMode::Threaded);
+            assert_eq!(
+                reference.shards, repeat.shards,
+                "{name}: threaded repeat drifted"
+            );
+        }
+        for _ in 0..5 {
+            let seq = storm(ExecMode::Sequential);
+            assert_eq!(
+                reference.shards, seq.shards,
+                "{name}: sequential run drifted"
+            );
+        }
     }
 }
 
