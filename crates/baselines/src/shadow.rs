@@ -17,9 +17,14 @@ use ssp_simulator::obs::ObsKind;
 use ssp_simulator::stats::WriteClass;
 use ssp_simulator::tlb::Tlb;
 use ssp_txn::engine::{line_spans, sorted_scratch, TxnEngine, TxnStats, WriteSetTracker};
-use ssp_txn::vm::{NvLayout, VmManager, SHADOW_PAGES};
+use ssp_txn::vm::{NvLayout, VmManager, HEAP_BASE_VPN, SHADOW_PAGES};
 
 use crate::common::{CommitRegister, CoreLog, LogEntry};
+
+/// Frames this engine allocates from: the first `POOL_FRAMES` pages of
+/// the layout's shadow region.
+const POOL_FRAMES: u64 = 16384;
+const _: () = assert!(POOL_FRAMES <= SHADOW_PAGES);
 
 /// Per-core open-transaction marker. The shadow map, dirty-line list and
 /// tracker live in per-core engine fields, reused across transactions so
@@ -79,11 +84,7 @@ impl ShadowPaging {
     pub fn new(cfg: MachineConfig) -> Self {
         let layout = NvLayout::default();
         let cores = cfg.cores;
-        let free_frames = (0..SHADOW_PAGES.min(16384))
-            .rev()
-            .map(|i| layout.shadow_page(i))
-            .collect();
-        Self {
+        let mut engine = Self {
             machine: Machine::new(cfg.clone()),
             vm: VmManager::new(layout),
             tlbs: (0..cores).map(|_| Tlb::new(cfg.dtlb_entries)).collect(),
@@ -94,10 +95,37 @@ impl ShadowPaging {
             dirty_lines: (0..cores).map(|_| Vec::new()).collect(),
             trackers: (0..cores).map(|_| WriteSetTracker::new()).collect(),
             scratch_remaps: Vec::new(),
-            free_frames,
+            free_frames: Vec::new(),
             stats: TxnStats::default(),
             next_tid: 1,
+        };
+        engine.rebuild_pool();
+        engine
+    }
+
+    /// Refills the free-frame pool with every pool frame the page table
+    /// does not reference, lowest frame on top (popped first).
+    fn rebuild_pool(&mut self) {
+        let layout = *self.vm.layout();
+        let pool_base = layout.shadow_page(0).raw();
+        let mut mapped = [0u64; (POOL_FRAMES / 64) as usize];
+        for i in 0..self.vm.mapped_pages() {
+            if let Some(ppn) = self.vm.translate(Vpn::new(HEAP_BASE_VPN + i)) {
+                // A page never CoW'd still sits in its home frame,
+                // outside the pool.
+                let index = ppn.raw().wrapping_sub(pool_base);
+                if index < POOL_FRAMES {
+                    mapped[(index / 64) as usize] |= 1 << (index % 64);
+                }
+            }
         }
+        self.free_frames.clear();
+        self.free_frames.extend(
+            (0..POOL_FRAMES)
+                .rev()
+                .filter(|i| mapped[(i / 64) as usize] >> (i % 64) & 1 == 0)
+                .map(|i| layout.shadow_page(i)),
+        );
     }
 
     fn translate(&mut self, core: CoreId, vpn: Vpn) -> Ppn {
@@ -365,21 +393,7 @@ impl TxnEngine for ShadowPaging {
             }
             self.logs[c].truncate();
         }
-        // Rebuild the frame pool: everything not referenced by the page
-        // table is free.
-        let layout = NvLayout::default();
-        let used: std::collections::HashSet<u64> = (0..self.vm.mapped_pages())
-            .filter_map(|i| {
-                self.vm
-                    .translate(Vpn::new(ssp_txn::vm::HEAP_BASE_VPN + i))
-                    .map(|p| p.raw())
-            })
-            .collect();
-        self.free_frames = (0..SHADOW_PAGES.min(16384))
-            .rev()
-            .map(|i| layout.shadow_page(i))
-            .filter(|p| !used.contains(&p.raw()))
-            .collect();
+        self.rebuild_pool();
         self.next_tid = max_tid + 1;
     }
 
@@ -499,6 +513,75 @@ mod tests {
         }
         e.crash_and_recover();
         assert_eq!(read_u64(&mut e, addr), 4);
+    }
+
+    /// The pool rebuild `rebuild_pool` replaced, kept as its reference:
+    /// every pool frame, filtered through a hash set of the mapped ones.
+    fn pool_by_hash_set(e: &ShadowPaging) -> Vec<Ppn> {
+        let layout = NvLayout::default();
+        let used: std::collections::HashSet<u64> = (0..e.vm.mapped_pages())
+            .filter_map(|i| e.vm.translate(Vpn::new(HEAP_BASE_VPN + i)).map(|p| p.raw()))
+            .collect();
+        (0..SHADOW_PAGES.min(16384))
+            .rev()
+            .map(|i| layout.shadow_page(i))
+            .filter(|p| !used.contains(&p.raw()))
+            .collect()
+    }
+
+    #[test]
+    fn recovered_pool_equals_the_hash_set_filter() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        assert_eq!(engine().free_frames, pool_by_hash_set(&engine()));
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut e = engine();
+            let pages: Vec<VirtAddr> = (0..12).map(|_| e.map_new_page(C0).base()).collect();
+            for round in 0..40u64 {
+                e.begin(C0);
+                for _ in 0..rng.gen_range(1..5u32) {
+                    let page = pages[rng.gen_range(0..pages.len())];
+                    e.store(
+                        C0,
+                        page.add(rng.gen_range(0..512u64) * 8),
+                        &round.to_le_bytes(),
+                    );
+                }
+                match rng.gen_range(0..8u32) {
+                    0 => e.abort(C0),
+                    // Torn: power fails with the transaction open, or cut
+                    // inside its commit on either side of the mark.
+                    1 => e.crash_and_recover(),
+                    2 | 3 => {
+                        let site = if rng.gen_bool(0.5) {
+                            FaultSite::CommitData
+                        } else {
+                            FaultSite::CommitMark
+                        };
+                        e.machine_mut()
+                            .arm_crash(ssp_simulator::fault::CrashPoint::AtSite { site, hits: 1 });
+                        e.commit(C0);
+                        assert!(e.machine().power_lost());
+                        e.crash_and_recover();
+                    }
+                    _ => e.commit(C0),
+                }
+                if round % 8 != 7 {
+                    continue;
+                }
+                e.crash_and_recover();
+                assert_eq!(e.free_frames, pool_by_hash_set(&e), "seed {seed}");
+                for page in &pages {
+                    let backing = e.vm.translate(page.vpn()).unwrap();
+                    assert!(!e.free_frames.contains(&backing), "seed {seed}");
+                }
+            }
+            assert!(
+                (e.free_frames.len() as u64) < POOL_FRAMES,
+                "no page was ever remapped"
+            );
+        }
     }
 
     #[test]

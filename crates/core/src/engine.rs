@@ -789,14 +789,13 @@ impl TxnEngine for Ssp {
             let persisted = u64::from_le_bytes(buf);
             self.next_fresh_spare = persisted.max(self.cache.slot_count() as u64);
         }
-        self.journal.recover(&self.machine);
+        let records = self.journal.recover(&self.machine);
         self.fallback.recover(&self.machine);
         let slot_count = self.cache.slot_count();
         self.cache.recover(&self.machine, slot_count);
 
         // 2. Replay the journal: first find committed transactions, then
         //    apply records in order (controller records always apply).
-        let records = self.journal.read_live(&self.machine);
         self.last_recovery_replayed = records.len() as u64;
         self.last_recovery_replayed_bytes = records.iter().map(|r| r.encoded_len() as u64).sum();
         // Fault site: persistent state read, nothing written back yet — a

@@ -27,7 +27,7 @@
 //! Checkpointing folds records into the persistent slot area, rewinds the
 //! journal to offset zero and bumps the persisted epoch.
 
-use ssp_simulator::addr::{PhysAddr, Ppn, Vpn};
+use ssp_simulator::addr::{PhysAddr, Ppn, Vpn, PAGE_SIZE};
 use ssp_simulator::cache::CoreId;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::stats::WriteClass;
@@ -90,6 +90,9 @@ pub enum Record {
 }
 
 impl Record {
+    /// Largest [`encoded_len`](Record::encoded_len) of any record kind.
+    const MAX_ENCODED_LEN: usize = 32;
+
     /// Serialised size in bytes.
     pub fn encoded_len(&self) -> usize {
         match self {
@@ -305,35 +308,44 @@ impl MetaJournal {
 
     /// Reads the valid records back from NVRAM (recovery): scans from the
     /// start of the journal area and accepts records carrying the current
-    /// epoch, stopping at the first stale or invalid record.
+    /// epoch, stopping at the first stale or invalid record. The area is
+    /// read a page at a time, only as far as the live records reach.
     pub fn read_live(&self, machine: &Machine) -> Vec<Record> {
+        let capacity = self.capacity as usize;
         let mut records = Vec::new();
-        let mut raw = vec![0u8; self.capacity as usize];
-        let mut off = 0usize;
-        // Region reads must not span pages.
-        while off < raw.len() {
-            let addr = self.addr(off as u64);
-            let page_left = 4096 - addr.page_offset();
-            let chunk = page_left.min(raw.len() - off);
-            machine.read_bytes_uncached(addr, &mut raw[off..off + chunk]);
-            off += chunk;
-        }
+        // Region bytes `fetched - window.len()..fetched`; the next record
+        // starts at `window[cursor]`.
+        let mut window = Vec::with_capacity(PAGE_SIZE + Record::MAX_ENCODED_LEN);
+        let mut fetched = 0usize;
         let mut cursor = 0usize;
-        while cursor < raw.len() {
-            match Record::decode(&raw[cursor..]) {
+        loop {
+            // Keep one maximal record of look-ahead, so a record that
+            // straddles a page boundary decodes whole.
+            while window.len() - cursor < Record::MAX_ENCODED_LEN && fetched < capacity {
+                window.drain(..cursor);
+                cursor = 0;
+                let addr = self.addr(fetched as u64);
+                // Region reads must not span pages.
+                let chunk = (PAGE_SIZE - addr.page_offset()).min(capacity - fetched);
+                let at = window.len();
+                window.resize(at + chunk, 0);
+                machine.read_bytes_uncached(addr, &mut window[at..]);
+                fetched += chunk;
+            }
+            match Record::decode(&window[cursor..]) {
                 Some((rec, epoch, n)) if epoch == self.epoch => {
                     records.push(rec);
                     cursor += n;
                 }
-                _ => break,
+                _ => return records,
             }
         }
-        records
     }
 
     /// Re-reads the persisted epoch after a crash, re-derives the head by
-    /// scanning, and drops any unflushed buffer.
-    pub fn recover(&mut self, machine: &Machine) {
+    /// scanning, and drops any unflushed buffer. Returns the live records
+    /// the scan decoded, for the engine to replay.
+    pub fn recover(&mut self, machine: &Machine) -> Vec<Record> {
         let mut buf = [0u8; 1];
         machine.read_bytes_uncached(self.layout.header_addr(HDR_JOURNAL_EPOCH), &mut buf);
         self.epoch = if buf[0] == 0 { 1 } else { buf[0] };
@@ -342,6 +354,7 @@ impl MetaJournal {
         // Derive the head from the valid extent.
         let live = self.read_live(machine);
         self.head = live.iter().map(|r| r.encoded_len() as u64).sum();
+        live
     }
 
     fn addr(&self, offset: u64) -> PhysAddr {
@@ -458,6 +471,125 @@ mod tests {
         j_small.flush(&mut m, None);
         assert_eq!(j_small.read_live(&m), vec![Record::CommitMark { tid: 2 }]);
         let _ = j;
+    }
+
+    impl MetaJournal {
+        /// The scan `read_live` replaced, kept as its reference: copy the
+        /// whole region out of NVRAM, then decode from the front.
+        fn read_live_whole_region(&self, machine: &Machine) -> Vec<Record> {
+            let mut records = Vec::new();
+            let mut raw = vec![0u8; self.capacity as usize];
+            let mut off = 0usize;
+            // Region reads must not span pages.
+            while off < raw.len() {
+                let addr = self.addr(off as u64);
+                let page_left = 4096 - addr.page_offset();
+                let chunk = page_left.min(raw.len() - off);
+                machine.read_bytes_uncached(addr, &mut raw[off..off + chunk]);
+                off += chunk;
+            }
+            let mut cursor = 0usize;
+            while cursor < raw.len() {
+                match Record::decode(&raw[cursor..]) {
+                    Some((rec, epoch, n)) if epoch == self.epoch => {
+                        records.push(rec);
+                        cursor += n;
+                    }
+                    _ => break,
+                }
+            }
+            records
+        }
+    }
+
+    /// Crashes, recovers a fresh journal the way the engine does, and
+    /// returns its live records after checking them against the
+    /// whole-region scan of the same NVRAM image.
+    fn scan_after_crash(m: &mut Machine, capacity: u64) -> Vec<Record> {
+        m.crash();
+        let mut j = MetaJournal::new(NvLayout::default(), capacity);
+        let recovered = j.recover(m);
+        let live = j.read_live(m);
+        assert_eq!(recovered, live, "recover returns what it scanned");
+        assert_eq!(live, j.read_live_whole_region(m));
+        assert_eq!(
+            j.used_bytes(),
+            live.iter().map(|r| r.encoded_len() as u64).sum::<u64>()
+        );
+        live
+    }
+
+    #[test]
+    fn scan_of_an_empty_journal() {
+        let (mut m, _) = setup();
+        let live = scan_after_crash(&mut m, 1024 * 1024);
+        assert!(live.is_empty());
+    }
+
+    #[test]
+    fn scan_of_a_journal_filled_to_capacity() {
+        // Three pages and a partial one: the scan must run into the end
+        // of the region mid-page, with no byte left for a look-ahead.
+        let capacity = 3 * 4096 + 1000;
+        let (mut m, _) = setup();
+        let mut j = MetaJournal::new(NvLayout::default(), capacity);
+        for tid in 0..capacity as u32 / 8 {
+            j.append(Record::CommitMark { tid });
+        }
+        j.flush(&mut m, None);
+        assert_eq!(j.used_bytes(), capacity);
+        let live = scan_after_crash(&mut m, capacity);
+        assert_eq!(live.len() as u64, capacity / 8);
+        assert_eq!(live.last(), Some(&Record::CommitMark { tid: 1660 }));
+    }
+
+    #[test]
+    fn scan_decodes_records_straddling_page_boundaries() {
+        let (mut m, mut j) = setup();
+        // 8 + 127 × 32 = 4072, so the 128th 32-byte record covers
+        // 4072..4104; from there the 256th 16-byte record covers
+        // 8184..8200.
+        j.append(Record::CommitMark { tid: 1 });
+        for i in 0..128u64 {
+            j.append(Record::Assign {
+                sid: i as SlotId,
+                vpn: Vpn::new(0x10_0000 + i),
+                ppn0: Ppn::new(2 * i),
+                ppn1: Ppn::new(2 * i + 1),
+            });
+        }
+        for tid in 0..256u32 {
+            j.append(Record::CommitMeta {
+                sid: 1,
+                tid,
+                committed: LineBitmap::from_raw(u64::from(tid) << 32 | 0xff),
+            });
+        }
+        j.append(sample_records()[3]);
+        j.flush(&mut m, None);
+        assert_eq!(j.used_bytes(), 8200 + 32);
+        let live = scan_after_crash(&mut m, 1024 * 1024);
+        assert_eq!(live.len(), 1 + 128 + 256 + 1);
+        assert_eq!(live.last(), Some(&sample_records()[3]));
+    }
+
+    #[test]
+    fn scan_stops_at_the_stale_epoch_tail() {
+        let (mut m, mut j) = setup();
+        // Two pages of epoch-1 records, truncated; the new epoch's few
+        // records are followed by the old epoch's, still in NVRAM.
+        for tid in 0..1024u32 {
+            j.append(Record::CommitMark { tid });
+        }
+        j.flush(&mut m, None);
+        j.truncate(&mut m);
+        let fresh = sample_records();
+        for rec in &fresh {
+            j.append(*rec);
+        }
+        j.flush(&mut m, None);
+        let live = scan_after_crash(&mut m, 1024 * 1024);
+        assert_eq!(live, fresh);
     }
 
     #[test]

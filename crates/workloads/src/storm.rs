@@ -19,11 +19,14 @@
 //! returned obliviously over frozen memory). Whether that transaction
 //! survived depends on whether the engine's commit mark became durable
 //! before the freeze — the engines guarantee it is all-or-nothing. The
-//! driver therefore builds two oracle candidates, *torn-dropped* and
-//! *torn-kept*, and accepts whichever matches the recovered state. A
-//! transaction matching neither, or any earlier committed transaction
-//! missing, counts as **data loss** ([`StormShardReport::lost_txns`],
-//! which must be zero for every engine).
+//! driver therefore checks two oracle candidates, *torn-dropped* and
+//! *torn-kept*, and accepts whichever matches the recovered state. Both
+//! are the shard's one oracle, not copies of it: dropped is its committed
+//! state as it stands, kept is the cut transaction folded in place and
+//! taken back if it does not match either. A transaction matching
+//! neither, or any earlier committed transaction missing, counts as
+//! **data loss** ([`StormShardReport::lost_txns`], which must be zero for
+//! every engine).
 //!
 //! # Crash during recovery
 //!
@@ -255,12 +258,6 @@ impl<E: TxnEngine> OracleEngine<E> {
         &mut self.oracle
     }
 
-    /// Replaces the oracle (torn-transaction resolution installs the
-    /// accepted candidate).
-    pub fn set_oracle(&mut self, oracle: Oracle) {
-        self.oracle = oracle;
-    }
-
     /// The wrapped engine.
     pub fn inner(&self) -> &E {
         &self.inner
@@ -359,11 +356,13 @@ impl<E: TxnEngine> OracleEngine<E> {
     /// The full sequence a tripped power cut forces: crash, recover, and
     /// resolve whatever transaction the cut landed in against the oracle.
     ///
-    /// Two candidates for the post-recovery state are built first: the
-    /// cut transaction rolled back, or kept (its commit mark beat the
-    /// freeze). The engines guarantee one of them; the accepted one
-    /// becomes the oracle. On [`Torn::Lost`] the run continues from the
-    /// conservative (dropped) candidate so it still completes.
+    /// The engines guarantee one of two post-recovery states: the cut
+    /// transaction rolled back, or kept (its commit mark beat the
+    /// freeze). Neither is a copy of the oracle. Rolled back is the
+    /// committed state as it stands; kept is the cut transaction's
+    /// pending stores folded in place, and taken back again if that does
+    /// not match either. On [`Torn::Lost`] the run therefore continues
+    /// from the conservative (rolled-back) state, so it still completes.
     ///
     /// With `cut_recovery`, a [`FaultSite::Recovery`] cut is armed between
     /// `crash()` and `recover()`: that first recovery is itself cut short
@@ -375,12 +374,6 @@ impl<E: TxnEngine> OracleEngine<E> {
         cut_recovery: bool,
         mut pass: impl FnMut(&mut Self, RecoveryCost, bool),
     ) -> Torn {
-        let mut dropped = self.oracle.clone();
-        dropped.on_crash();
-        let mut kept = self.oracle.clone();
-        kept.on_commit(SHARD_CORE);
-        kept.on_crash();
-
         self.crash();
         if cut_recovery {
             self.machine_mut().arm_crash(CrashPoint::AtSite {
@@ -398,14 +391,18 @@ impl<E: TxnEngine> OracleEngine<E> {
             self.crash();
         }
 
-        let (torn, accepted) = if dropped.verify(self, SHARD_CORE).is_ok() {
-            (Torn::Dropped, dropped)
-        } else if kept.verify(self, SHARD_CORE).is_ok() {
-            (Torn::Kept, kept)
+        let torn = if self.oracle.verify(&mut self.inner, SHARD_CORE).is_ok() {
+            Torn::Dropped
         } else {
-            (Torn::Lost, dropped)
+            let undo = self.oracle.on_commit_undoable(SHARD_CORE);
+            if self.oracle.verify(&mut self.inner, SHARD_CORE).is_ok() {
+                Torn::Kept
+            } else {
+                self.oracle.revert(undo);
+                Torn::Lost
+            }
         };
-        self.oracle = accepted;
+        self.oracle.on_crash();
         torn
     }
 
@@ -419,7 +416,7 @@ impl<E: TxnEngine> OracleEngine<E> {
         self.oracle.on_crash();
         let fingerprint = self.machine().nvram_fingerprint();
         let cost = self.recover_costed();
-        let intact = self.oracle.clone().verify(self, SHARD_CORE).is_ok();
+        let intact = self.oracle.verify(&mut self.inner, SHARD_CORE).is_ok();
         (fingerprint, cost, intact)
     }
 }
@@ -877,6 +874,112 @@ mod tests {
         );
         let sequential = run(ExecMode::Sequential, InterconnectConfig::shared_hierarchy());
         assert_eq!(full.shards, sequential.shards);
+    }
+
+    /// An engine whose first recovery hands back a durable image with
+    /// one committed byte flipped (a committed write the oracle never
+    /// saw), put right again when the next transaction begins.
+    struct CorruptOnce {
+        inner: Ssp,
+        /// Address and first byte of the open transaction's last store,
+        /// and of the last store that committed with the power on.
+        open: Option<(VirtAddr, u8)>,
+        committed: Option<(VirtAddr, u8)>,
+        /// The byte to put back: set by the corrupting recovery.
+        heal: Option<(VirtAddr, u8)>,
+        corrupted: bool,
+    }
+
+    impl CorruptOnce {
+        fn overwrite(&mut self, addr: VirtAddr, byte: u8) {
+            self.inner.begin(SHARD_CORE);
+            self.inner.store(SHARD_CORE, addr, &[byte]);
+            self.inner.commit(SHARD_CORE);
+        }
+    }
+
+    impl TxnEngine for CorruptOnce {
+        fn name(&self) -> &'static str {
+            "CORRUPT-ONCE"
+        }
+        fn machine(&self) -> &Machine {
+            self.inner.machine()
+        }
+        fn machine_mut(&mut self) -> &mut Machine {
+            self.inner.machine_mut()
+        }
+        fn map_new_page(&mut self, core: CoreId) -> Vpn {
+            self.inner.map_new_page(core)
+        }
+        fn begin(&mut self, core: CoreId) {
+            if let Some((addr, byte)) = self.heal.take() {
+                self.overwrite(addr, byte);
+            }
+            self.inner.begin(core);
+        }
+        fn load(&mut self, core: CoreId, addr: VirtAddr, buf: &mut [u8]) {
+            self.inner.load(core, addr, buf);
+        }
+        fn store(&mut self, core: CoreId, addr: VirtAddr, data: &[u8]) {
+            self.open = Some((addr, data[0]));
+            self.inner.store(core, addr, data);
+        }
+        fn commit(&mut self, core: CoreId) {
+            self.inner.commit(core);
+            if !self.machine().power_lost() {
+                self.committed = self.open;
+            }
+        }
+        fn abort(&mut self, core: CoreId) {
+            self.inner.abort(core);
+        }
+        fn crash(&mut self) {
+            self.inner.crash();
+        }
+        fn recover(&mut self) {
+            self.inner.recover();
+            if !std::mem::replace(&mut self.corrupted, true) {
+                let (addr, byte) = self.committed.expect("a transaction committed");
+                self.overwrite(addr, !byte);
+                self.heal = Some((addr, byte));
+            }
+        }
+        fn in_txn(&self, core: CoreId) -> bool {
+            self.inner.in_txn(core)
+        }
+        fn txn_stats(&self) -> &TxnStats {
+            self.inner.txn_stats()
+        }
+    }
+
+    #[test]
+    fn corrupted_committed_byte_is_one_lost_txn_and_the_run_goes_on() {
+        // The cut transaction is rolled back (`CommitData`), but a
+        // committed byte reads back flipped: neither candidate matches.
+        // The oracle must come out of that as the rolled-back candidate —
+        // once the byte is healed, every later transaction and the final
+        // quiesce verify against it, so anything else adds a second loss.
+        let schedule = StormSchedule::once_at(FaultSite::CommitData, 40);
+        let run = run_storm(
+            |_| CorruptOnce {
+                inner: Ssp::new(
+                    MachineConfig::default().shard_slice(1),
+                    SspConfig::default(),
+                ),
+                open: None,
+                committed: None,
+                heal: None,
+                corrupted: false,
+            },
+            |_| Sps::new(256, KeyDist::uniform(256)),
+            &small_cfg(ExecMode::Sequential, 1),
+            &schedule,
+        );
+        let t = run.totals();
+        assert_eq!(t.storms, 1);
+        assert_eq!(t.lost_txns, 1, "{t:?}");
+        assert_eq!((t.torn_txns, t.kept_torn_txns), (0, 0));
+        assert_eq!(t.txns, 120, "the run stopped at the loss");
     }
 
     #[test]
