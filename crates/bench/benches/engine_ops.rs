@@ -97,8 +97,7 @@ fn main() {
     // gate never fails on them (there is no deterministic counter here).
     // `ns_per_iter` keeps the historical mean; `stats` adds the shim's
     // median/min so the tracked numbers resist scheduler noise.
-    let mut report =
-        ssp_bench::BenchReport::new("engine_ops", std::env::var("SSP_BENCH_QUICK").is_ok());
+    let mut report = ssp_bench::BenchReport::new("engine_ops", ssp_bench::targets::quick_mode());
     let mut rows = ssp_bench::json::Json::obj();
     let mut stat_rows = ssp_bench::json::Json::obj();
     for (name, stats) in c.results() {

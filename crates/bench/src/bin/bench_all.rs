@@ -1,7 +1,7 @@
 //! Runs the full evaluation — every ported bench target — in one process
 //! against a single shared [`MatrixRunner`], so the (engine × workload ×
-//! threads) grid fans out over host threads and warm engines / memoized
-//! cells flow *across* targets (Figures 5a, 6, 7 and 9's baseline are
+//! threads) grid fans out over host threads and memoized cells flow
+//! *across* targets (Figures 5a, 6, 7 and 9's baseline are
 //! largely the same cells; standalone binaries re-simulate them, this
 //! does not).
 //!

@@ -2,8 +2,9 @@
 //!
 //! One `harness = false` bench target per table and figure of the paper's
 //! Section 5, so `cargo bench --workspace` regenerates the whole
-//! evaluation. This library holds the shared plumbing: engine and workload
-//! factories, the run matrix, and plain-text table/series printers.
+//! evaluation. This library holds the shared plumbing: the engine factory
+//! ([`AnyEngine::build`]) and workload factory ([`make_workload`]), the
+//! run matrix, and plain-text table/series printers.
 
 #![warn(missing_docs)]
 
@@ -20,14 +21,9 @@ pub use report::{
 };
 pub use ssp_simulator::obs::{LatencyStats, ObsConfig};
 
-use ssp_baselines::{RedoLog, ShadowPaging, UndoLog};
-use ssp_core::engine::Ssp;
 pub use ssp_core::SspConfig;
-use ssp_simulator::config::MachineConfig;
-use ssp_txn::engine::TxnEngine;
 pub use ssp_workloads::runner::{ExecMode, ParallelRun, RunConfig, RunResult, Workload};
 
-use ssp_workloads::runner::{run, run_parallel};
 use ssp_workloads::{
     BTreeWorkload, HashWorkload, KeyDist, MemcachedWorkload, RbTreeWorkload, Sps, VacationWorkload,
 };
@@ -57,19 +53,6 @@ impl EngineKind {
             EngineKind::Ssp => "SSP",
             EngineKind::Shadow => "SHADOW",
         }
-    }
-}
-
-/// A boxed engine (the factories erase the concrete type).
-pub type BoxedEngine = Box<dyn TxnEngine>;
-
-/// Builds an engine over `cfg` (SSP additionally takes `ssp_cfg`).
-pub fn make_engine(kind: EngineKind, cfg: &MachineConfig, ssp_cfg: &SspConfig) -> BoxedEngine {
-    match kind {
-        EngineKind::Undo => Box::new(UndoLog::new(cfg.clone())),
-        EngineKind::Redo => Box::new(RedoLog::new(cfg.clone())),
-        EngineKind::Ssp => Box::new(Ssp::new(cfg.clone(), ssp_cfg.clone())),
-        EngineKind::Shadow => Box::new(ShadowPaging::new(cfg.clone())),
     }
 }
 
@@ -228,181 +211,6 @@ pub fn make_workload(kind: WorkloadKind, scale: Scale) -> Box<dyn Workload> {
     }
 }
 
-/// Caches workload *prototypes* keyed by (kind, scale), so matrix loops
-/// build each workload once and hand out clones per cell — the heavy
-/// per-cell state (engine, machine, persistent layout) is still fresh per
-/// cell, but distributions and layout parameters are derived once and the
-/// construction no longer sits inside the (engines × workloads) product.
-///
-/// Cached and uncached cells produce bit-identical results (prototypes
-/// carry no engine-bound state; clones are [`Workload::reset`] before
-/// use) — `cached_cells_match_uncached_cells` in this crate's tests locks
-/// that in.
-#[derive(Default)]
-pub struct WorkloadCache {
-    map: std::collections::HashMap<(WorkloadKind, Scale), Box<dyn Workload>>,
-}
-
-impl WorkloadCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh (reset) clone of the prototype for `(kind, scale)`,
-    /// building the prototype on first use.
-    pub fn get(&mut self, kind: WorkloadKind, scale: Scale) -> Box<dyn Workload> {
-        let proto = self
-            .map
-            .entry((kind, scale))
-            .or_insert_with(|| make_workload(kind, scale));
-        let mut workload = proto.clone();
-        workload.reset();
-        workload
-    }
-}
-
-/// Runs one (engine, workload) cell of the evaluation matrix.
-///
-/// Single-threaded cells use the legacy single-machine driver; cells with
-/// `run_cfg.threads > 1` run real worker threads via
-/// [`run_cell_parallel`] and return the merged result.
-///
-/// Matrix loops should prefer [`run_cell_cached`], which reuses workload
-/// prototypes across cells.
-pub fn run_cell(
-    engine_kind: EngineKind,
-    workload_kind: WorkloadKind,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    scale: Scale,
-    run_cfg: &RunConfig,
-) -> RunResult {
-    run_cell_cached(
-        &mut WorkloadCache::new(),
-        engine_kind,
-        workload_kind,
-        cfg,
-        ssp_cfg,
-        scale,
-        run_cfg,
-    )
-}
-
-/// [`run_cell`] with a [`WorkloadCache`]: the workload is cloned from the
-/// cache's prototype instead of being rebuilt for every cell.
-pub fn run_cell_cached(
-    cache: &mut WorkloadCache,
-    engine_kind: EngineKind,
-    workload_kind: WorkloadKind,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    scale: Scale,
-    run_cfg: &RunConfig,
-) -> RunResult {
-    // Interconnect-enabled cells always use the sharded driver — only it
-    // drains and arbitrates the event streams (the legacy driver asserts
-    // against such machines), and `run_parallel` handles a single
-    // one-client shard fine.
-    if run_cfg.threads > 1 || cfg.interconnect.enabled {
-        // per_shard(1) is the identity except for its >= 16 floor, which
-        // would silently inflate tiny custom scales — skip it for the
-        // one-worker interconnect path.
-        let shard_scale = if run_cfg.threads > 1 {
-            scale.per_shard(run_cfg.threads)
-        } else {
-            scale
-        };
-        let proto = cache.get(workload_kind, shard_scale);
-        return run_parallel_cell(engine_kind, proto, cfg, ssp_cfg, run_cfg).result;
-    }
-    let mut workload = cache.get(workload_kind, scale);
-    run_shared_cell(engine_kind, workload.as_mut(), cfg, ssp_cfg, run_cfg)
-}
-
-/// Runs one cell on the **legacy shared-machine driver** regardless of
-/// `run_cfg.threads`: all simulated cores drive *one* machine and *one*
-/// workload instance, round-robin on the calling thread. Table 4/5 use
-/// this — the paper's "four clients" hit one shared Memcached cache /
-/// reservation database, which disjoint shards cannot model.
-pub fn run_cell_shared(
-    engine_kind: EngineKind,
-    workload_kind: WorkloadKind,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    scale: Scale,
-    run_cfg: &RunConfig,
-) -> RunResult {
-    let mut workload = make_workload(workload_kind, scale);
-    run_shared_cell(engine_kind, workload.as_mut(), cfg, ssp_cfg, run_cfg)
-}
-
-/// The legacy shared-machine driver over an already-built workload.
-fn run_shared_cell(
-    engine_kind: EngineKind,
-    workload: &mut dyn Workload,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    run_cfg: &RunConfig,
-) -> RunResult {
-    match engine_kind {
-        EngineKind::Undo => {
-            let mut e = UndoLog::new(cfg.clone());
-            run(&mut e, workload, run_cfg)
-        }
-        EngineKind::Redo => {
-            let mut e = RedoLog::new(cfg.clone());
-            run(&mut e, workload, run_cfg)
-        }
-        EngineKind::Ssp => {
-            let mut e = Ssp::new(cfg.clone(), ssp_cfg.clone());
-            run(&mut e, workload, run_cfg)
-        }
-        EngineKind::Shadow => {
-            let mut e = ShadowPaging::new(cfg.clone());
-            run(&mut e, workload, run_cfg)
-        }
-    }
-}
-
-/// Runs one cell of the matrix on `run_cfg.threads` real worker threads:
-/// worker `w` owns a [`MachineConfig::shard_slice_for`] slice of `cfg`
-/// (remainders of the shared L3/banks distributed so the slices sum to
-/// the parent machine), a [`Scale::per_shard`] partition of the workload,
-/// and its own deterministic RNG stream (see the `ssp-workloads` runner
-/// docs for the determinism contract).
-pub fn run_cell_parallel(
-    engine_kind: EngineKind,
-    workload_kind: WorkloadKind,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    scale: Scale,
-    run_cfg: &RunConfig,
-) -> ParallelRun<BoxedEngine> {
-    let shard_scale = scale.per_shard(run_cfg.threads);
-    let proto = make_workload(workload_kind, shard_scale);
-    run_parallel_cell(engine_kind, proto, cfg, ssp_cfg, run_cfg)
-}
-
-/// The sharded driver over a workload prototype (cloned per worker).
-fn run_parallel_cell(
-    engine_kind: EngineKind,
-    proto: Box<dyn Workload>,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    run_cfg: &RunConfig,
-) -> ParallelRun<BoxedEngine> {
-    let shard_cfgs: Vec<MachineConfig> = (0..run_cfg.threads)
-        .map(|w| cfg.shard_slice_for(run_cfg.threads, w))
-        .collect();
-    let ssp_cfg = ssp_cfg.clone();
-    run_parallel(
-        move |w| make_engine(engine_kind, &shard_cfgs[w], &ssp_cfg),
-        move |_w| proto.clone(),
-        run_cfg,
-    )
-}
-
 /// Default transaction counts for the measured phase.
 pub fn default_run_cfg(threads: usize) -> RunConfig {
     RunConfig {
@@ -428,7 +236,7 @@ pub fn quick_run_cfg(threads: usize) -> RunConfig {
 /// Selects run parameters and scale from the environment: quick mode
 /// shrinks everything for CI smoke runs.
 pub fn env_setup(threads: usize) -> (RunConfig, Scale) {
-    if std::env::var("SSP_BENCH_QUICK").is_ok() {
+    if targets::quick_mode() {
         (quick_run_cfg(threads), Scale::SMOKE)
     } else {
         (default_run_cfg(threads), Scale::DEFAULT)
@@ -497,11 +305,27 @@ pub fn latency_rows<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssp_simulator::config::MachineConfig;
+
+    /// One cell, simulated on the calling thread.
+    fn run_one(ekind: EngineKind, wkind: WorkloadKind, run_cfg: &RunConfig) -> RunResult {
+        let cfg = MachineConfig::default().with_cores(1);
+        let spec = CellSpec::new(
+            ekind,
+            wkind,
+            &cfg,
+            &SspConfig::default(),
+            Scale::SMOKE,
+            run_cfg,
+        );
+        MatrixRunner::with_pool(1)
+            .without_cache()
+            .run(&[spec])
+            .remove(0)
+    }
 
     #[test]
     fn factories_produce_every_cell() {
-        let cfg = MachineConfig::default().with_cores(1);
-        let ssp_cfg = SspConfig::default();
         let run_cfg = RunConfig {
             txns: 20,
             warmup: 5,
@@ -510,14 +334,7 @@ mod tests {
             mode: ExecMode::Threaded,
         };
         for ekind in EngineKind::PAPER {
-            let r = run_cell(
-                ekind,
-                WorkloadKind::Sps,
-                &cfg,
-                &ssp_cfg,
-                Scale::SMOKE,
-                &run_cfg,
-            );
+            let r = run_one(ekind, WorkloadKind::Sps, &run_cfg);
             assert_eq!(r.txn_stats.committed, 20, "{}", ekind.name());
             assert!(r.tps > 0.0);
         }
@@ -525,8 +342,6 @@ mod tests {
 
     #[test]
     fn all_workloads_run_under_ssp() {
-        let cfg = MachineConfig::default().with_cores(1);
-        let ssp_cfg = SspConfig::default();
         let run_cfg = RunConfig {
             txns: 10,
             warmup: 2,
@@ -535,59 +350,8 @@ mod tests {
             mode: ExecMode::Threaded,
         };
         for wkind in WorkloadKind::ALL {
-            let r = run_cell(
-                EngineKind::Ssp,
-                wkind,
-                &cfg,
-                &ssp_cfg,
-                Scale::SMOKE,
-                &run_cfg,
-            );
+            let r = run_one(EngineKind::Ssp, wkind, &run_cfg);
             assert_eq!(r.txn_stats.committed, 10, "{}", wkind.name());
-        }
-    }
-
-    #[test]
-    fn cached_cells_match_uncached_cells() {
-        // The prototype cache must be invisible in the results: same
-        // seeds, same streams, bit-identical counters — single-threaded
-        // and sharded.
-        let cfg = MachineConfig::default().with_cores(2);
-        let ssp_cfg = SspConfig::default();
-        let mut cache = WorkloadCache::new();
-        for threads in [1usize, 2] {
-            let run_cfg = RunConfig {
-                txns: 40,
-                warmup: 8,
-                threads,
-                seed: 3,
-                mode: ExecMode::Threaded,
-            };
-            for wkind in [WorkloadKind::Sps, WorkloadKind::BTreeZipf] {
-                for ekind in [EngineKind::Ssp, EngineKind::Undo] {
-                    let uncached = run_cell(ekind, wkind, &cfg, &ssp_cfg, Scale::SMOKE, &run_cfg);
-                    // Twice from the cache: the second clone exercises the
-                    // reuse path on a warm prototype.
-                    for _ in 0..2 {
-                        let cached = run_cell_cached(
-                            &mut cache,
-                            ekind,
-                            wkind,
-                            &cfg,
-                            &ssp_cfg,
-                            Scale::SMOKE,
-                            &run_cfg,
-                        );
-                        assert_eq!(
-                            cached,
-                            uncached,
-                            "{} {} x{threads}",
-                            ekind.name(),
-                            wkind.name()
-                        );
-                    }
-                }
-            }
         }
     }
 

@@ -1,30 +1,22 @@
 //! The parallel bench-matrix runner.
 //!
 //! [`MatrixRunner`] executes a grid of [`CellSpec`]s — (engine × workload
-//! × machine config × run config) cells — over a pool of host threads,
-//! with two deterministic caches layered underneath:
-//!
-//! * a **result memo**: two cells with the same full key are one
-//!   simulation; the second returns the memoized [`RunResult`] (the
-//!   Figure 5a / 6 / 7 matrices are literally the same 21 cells printed
-//!   three ways);
-//! * an **engine cache**: cells sharing the same *warm prefix* (engine
-//!   kind, machine + SSP config, workload, scale, warm-up, seed, thread
-//!   count) restore a cloned warm-state snapshot
-//!   ([`WarmSingle`]/[`WarmParallel`]) instead of re-running setup and
-//!   warm-up from scratch. Interest counting keeps memory bounded: a
-//!   snapshot is only stored while later cells in the submitted batches
-//!   still want it, and is dropped with its last consumer.
+//! × machine config × run config) cells — over a pool of host threads.
+//! Every cell takes the same straight-line path: result-memo lookup →
+//! build engine + workload → warm-up → measured phase → memoize. The
+//! **result memo** is the runner's only cache: two cells with the same
+//! full key are one simulation, and the second returns the memoized
+//! [`RunResult`] (the Figure 5a / 6 / 7 matrices are literally the same
+//! 21 cells printed three ways).
 //!
 //! # Determinism contract
 //!
-//! Pool scheduling, memo hits and warm-cache hits are **invisible in the
-//! results**: a pooled run over any number of host threads, with caches
-//! on or off, is bit-identical to executing every cell one at a time on
-//! the calling thread with cold engines — the same discipline
-//! `run_parallel` applies to its shards, locked in by
-//! `tests/matrix_equivalence.rs`. Only host wall-clock measurements are
-//! outside the contract.
+//! Pool scheduling and memo hits are **invisible in the results**: a
+//! pooled run over any number of host threads, with the memo on or off,
+//! is bit-identical to executing every cell one at a time on the calling
+//! thread — the same discipline `run_parallel` applies to its shards,
+//! locked in by `tests/matrix_equivalence.rs`. Only host wall-clock
+//! measurements are outside the contract.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -39,17 +31,15 @@ use ssp_simulator::cache::CoreId;
 use ssp_simulator::config::MachineConfig;
 use ssp_simulator::machine::Machine;
 use ssp_txn::engine::{TxnEngine, TxnStats};
-use ssp_workloads::runner::{
-    warm_parallel, warm_single, RunConfig, RunResult, SingleRun, WarmParallel, WarmSingle, Workload,
-};
+use ssp_workloads::runner::{run_parallel, warm_single, RunConfig, RunResult, SingleRun};
 
-use crate::{EngineKind, Scale, WorkloadCache, WorkloadKind};
+use crate::{make_workload, EngineKind, Scale, WorkloadKind};
 
-/// A concrete, cloneable engine — the snapshot unit of the engine cache.
-/// (Boxed `dyn TxnEngine` cannot be cloned; the matrix runner knows the
-/// four kinds anyway.)
+/// A concrete engine of any of the four kinds — the one engine factory
+/// of the harness. Statically dispatched, and SSP-specific probes can
+/// reach the engine inside ([`AnyEngine::as_ssp`]).
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // one per cell; cloneability, not size, is the point
+#[allow(clippy::large_enum_variant)] // one per cell or shard, never stored in bulk
 pub enum AnyEngine {
     /// Hardware undo logging.
     Undo(UndoLog),
@@ -146,9 +136,9 @@ impl TxnEngine for AnyEngine {
 /// Which driver a cell runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellDriver {
-    /// Route like [`crate::run_cell_cached`]: `threads > 1` or an enabled
-    /// interconnect selects the sharded driver, everything else the
-    /// legacy single-machine driver.
+    /// `threads > 1` or an enabled interconnect selects the sharded
+    /// driver (only it drains and arbitrates the interconnect's event
+    /// streams), everything else the legacy single-machine driver.
     Auto,
     /// Force the legacy shared-machine driver with `run_cfg.threads`
     /// simulated cores on *one* machine and *one* workload instance
@@ -171,7 +161,7 @@ pub struct CellSpec {
     /// Machine configuration (the *parent* machine; the sharded driver
     /// slices it per worker).
     pub cfg: MachineConfig,
-    /// SSP configuration (ignored — and excluded from the cache keys — by
+    /// SSP configuration (ignored — and excluded from the memo key — by
     /// non-SSP engines).
     pub ssp_cfg: SspConfig,
     /// Workload scale.
@@ -239,46 +229,41 @@ impl CellSpec {
         self
     }
 
-    fn resolved(&self) -> Resolved {
+    /// Whether the cell runs on the sharded driver (else: the legacy
+    /// single-machine driver).
+    fn is_sharded(&self) -> bool {
         match self.driver {
-            CellDriver::SharedMachine => Resolved::Shared,
-            CellDriver::Sharded => Resolved::Sharded,
-            CellDriver::Auto => {
-                if self.run_cfg.threads > 1 || self.cfg.interconnect.enabled {
-                    Resolved::Sharded
-                } else {
-                    Resolved::Single
-                }
-            }
+            CellDriver::SharedMachine => false,
+            CellDriver::Sharded => true,
+            CellDriver::Auto => self.run_cfg.threads > 1 || self.cfg.interconnect.enabled,
         }
     }
 
     /// The scale each engine/workload instance actually runs at.
     fn effective_scale(&self) -> Scale {
-        if self.resolved() == Resolved::Sharded
-            && !self.scale_is_per_worker
-            && self.run_cfg.threads > 1
-        {
+        // `per_shard(1)` is the identity except for its >= 16 floor, which
+        // would silently inflate tiny custom scales: one-worker sharded
+        // cells keep the scale as given.
+        if self.is_sharded() && !self.scale_is_per_worker && self.run_cfg.threads > 1 {
             self.scale.per_shard(self.run_cfg.threads)
         } else {
             self.scale
         }
     }
 
-    /// Cache key of the warm prefix (everything that determines the
-    /// snapshotted state: driver, engine kind + configs, workload +
-    /// effective scale, warm-up count, seed, thread count — but *not* the
-    /// measured transaction count or the execution mode, which only shape
-    /// the measured phase). Configs are folded in via their `Debug` form:
-    /// derived `Debug` covers every field, and equal keys therefore mean
-    /// equal warm state under the determinism contract.
-    fn warm_key(&self) -> String {
+    /// Memo key of the cell: everything that determines its result —
+    /// driver, engine kind + configs, workload + effective scale, warm-up
+    /// and measured counts, seed, thread count — but *not* the execution
+    /// mode, which the determinism contract makes invisible. Configs are
+    /// folded in via their `Debug` form: derived `Debug` covers every
+    /// field, so equal keys mean equal results.
+    fn cell_key(&self) -> String {
         // Non-SSP engines never read the SSP config, so cells differing
-        // only there share one warm state (Figure 9's REDO baseline).
+        // only there are one simulation (Figure 9's REDO baseline).
         let ssp_gate = (self.engine == EngineKind::Ssp).then_some(&self.ssp_cfg);
         format!(
-            "{:?}|{:?}|{:?}|cfg{:?}|percfg{}|ssp{:?}|scale{:?}|warmup{}|seed{:#x}|threads{}",
-            self.resolved(),
+            "sharded{}|{:?}|{:?}|cfg{:?}|percfg{}|ssp{:?}|scale{:?}|warmup{}|seed{:#x}|threads{}|txns{}",
+            self.is_sharded(),
             self.engine,
             self.workload,
             self.cfg,
@@ -288,20 +273,9 @@ impl CellSpec {
             self.run_cfg.warmup,
             self.run_cfg.seed,
             self.run_cfg.threads,
+            self.run_cfg.txns,
         )
     }
-
-    /// Cache key of the full cell (warm prefix + measured length).
-    fn cell_key(&self) -> String {
-        format!("{}|txns{}", self.warm_key(), self.run_cfg.txns)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolved {
-    Single,
-    Sharded,
-    Shared,
 }
 
 /// One executed cell: the deterministic result plus the engines (one per
@@ -317,38 +291,12 @@ pub struct CellOut {
     pub host_elapsed: Duration,
 }
 
-#[allow(clippy::large_enum_variant)]
-enum WarmAny {
-    Single(WarmSingle<AnyEngine>),
-    Parallel(WarmParallel<AnyEngine, Box<dyn Workload>>),
-}
-
-impl Clone for WarmAny {
-    fn clone(&self) -> Self {
-        match self {
-            WarmAny::Single(w) => WarmAny::Single(w.clone()),
-            WarmAny::Parallel(w) => WarmAny::Parallel(w.clone()),
-        }
-    }
-}
-
-#[derive(Default)]
-struct WarmStore {
-    /// Outstanding requests per warm key, registered batch-wide up front.
-    interest: HashMap<String, usize>,
-    /// Warm snapshots kept only while interest remains.
-    snapshots: HashMap<String, WarmAny>,
-}
-
 /// The pooled matrix executor. See the module docs.
 pub struct MatrixRunner {
     pool: usize,
-    cache_enabled: bool,
-    protos: Mutex<WorkloadCache>,
+    memo_enabled: bool,
     results: Mutex<HashMap<String, RunResult>>,
-    warm: Mutex<WarmStore>,
     memo_hits: AtomicU64,
-    warm_hits: AtomicU64,
     cold_builds: AtomicU64,
 }
 
@@ -379,20 +327,17 @@ impl MatrixRunner {
         assert!(pool >= 1, "at least one pool thread");
         Self {
             pool,
-            cache_enabled: true,
-            protos: Mutex::new(WorkloadCache::new()),
+            memo_enabled: true,
             results: Mutex::new(HashMap::new()),
-            warm: Mutex::new(WarmStore::default()),
             memo_hits: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
             cold_builds: AtomicU64::new(0),
         }
     }
 
-    /// Disables the engine cache and the result memo (every cell runs
-    /// cold) — the reference configuration of the determinism tests.
+    /// Disables the result memo (every cell is simulated) — the
+    /// reference configuration of the determinism tests.
     pub fn without_cache(mut self) -> Self {
-        self.cache_enabled = false;
+        self.memo_enabled = false;
         self
     }
 
@@ -401,27 +346,29 @@ impl MatrixRunner {
         self.pool
     }
 
-    /// `(result-memo hits, warm-snapshot hits, cold warm-ups)` so far.
+    /// `(result-memo hits, 0, cells simulated)` so far. The middle value
+    /// is 0 by construction: the runner has no second cache to hit, and
+    /// the 3-tuple stays only because `benchmark/` destructures it.
     pub fn cache_stats(&self) -> (u64, u64, u64) {
         (
             self.memo_hits.load(Ordering::Relaxed),
-            self.warm_hits.load(Ordering::Relaxed),
+            0,
             self.cold_builds.load(Ordering::Relaxed),
         )
     }
 
-    /// One line for bench footers: pool size and cache effectiveness.
+    /// One line for bench footers: pool size and memo effectiveness.
     pub fn stats_line(&self) -> String {
-        let (memo, warm, cold) = self.cache_stats();
+        let (memo, _, cold) = self.cache_stats();
         format!(
-            "host pool: {} thread(s); cells memoized: {memo}, warm restores: {warm}, cold warm-ups: {cold}",
+            "host pool: {} thread(s); cells memoized: {memo}, cold warm-ups: {cold}",
             self.pool
         )
     }
 
-    /// Runs every cell and returns the results in spec order. Pooled,
-    /// memoized, warm-cached — and bit-identical to cold sequential
-    /// per-cell execution (the determinism contract above).
+    /// Runs every cell and returns the results in spec order. Pooled and
+    /// memoized — and bit-identical to sequential per-cell execution
+    /// (the determinism contract above).
     pub fn run(&self, specs: &[CellSpec]) -> Vec<RunResult> {
         self.run_pooled(specs, false)
             .into_iter()
@@ -431,7 +378,8 @@ impl MatrixRunner {
 
     /// [`MatrixRunner::run`], returning the post-run engines and host
     /// timing per cell. Skips the result memo (a memoized result has no
-    /// engines to hand back) but still restores warm snapshots.
+    /// engines to hand back): every cell, duplicates included, is
+    /// simulated.
     pub fn run_full(&self, specs: &[CellSpec]) -> Vec<CellOut> {
         self.run_pooled(specs, true)
     }
@@ -441,22 +389,10 @@ impl MatrixRunner {
     /// measurement (thread-scaling curves, recovery latency): cells must
     /// not compete with pool neighbours for cores.
     pub fn run_exclusive(&self, specs: &[CellSpec]) -> Vec<CellOut> {
-        self.register_interest(specs);
         specs.iter().map(|s| self.exec(s, true)).collect()
     }
 
-    fn register_interest(&self, specs: &[CellSpec]) {
-        if !self.cache_enabled {
-            return;
-        }
-        let mut store = self.warm.lock().expect("warm store");
-        for spec in specs {
-            *store.interest.entry(spec.warm_key()).or_default() += 1;
-        }
-    }
-
     fn run_pooled(&self, specs: &[CellSpec], want_engines: bool) -> Vec<CellOut> {
-        self.register_interest(specs);
         let workers = self.pool.min(specs.len());
         if workers <= 1 {
             return specs.iter().map(|s| self.exec(s, want_engines)).collect();
@@ -487,7 +423,7 @@ impl MatrixRunner {
 
     fn exec(&self, spec: &CellSpec, want_engines: bool) -> CellOut {
         let cell_key = spec.cell_key();
-        if self.cache_enabled && !want_engines {
+        if self.memo_enabled && !want_engines {
             let memoized = self
                 .results
                 .lock()
@@ -496,7 +432,6 @@ impl MatrixRunner {
                 .cloned();
             if let Some(result) = memoized {
                 self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                self.release_interest(&spec.warm_key());
                 return CellOut {
                     result,
                     engines: Vec::new(),
@@ -504,31 +439,9 @@ impl MatrixRunner {
                 };
             }
         }
-
-        let warm = self.obtain_warm(spec);
-        let out = match warm {
-            WarmAny::Single(w) => {
-                let SingleRun {
-                    result,
-                    engine,
-                    host_elapsed,
-                } = w.run_measured(spec.run_cfg.txns);
-                CellOut {
-                    result,
-                    engines: vec![engine],
-                    host_elapsed,
-                }
-            }
-            WarmAny::Parallel(w) => {
-                let p = w.run_measured(spec.run_cfg.txns, spec.run_cfg.mode);
-                CellOut {
-                    result: p.result,
-                    engines: p.shards.into_iter().map(|s| s.engine).collect(),
-                    host_elapsed: p.host_elapsed,
-                }
-            }
-        };
-        if self.cache_enabled {
+        self.cold_builds.fetch_add(1, Ordering::Relaxed);
+        let out = simulate(spec);
+        if self.memo_enabled {
             self.results
                 .lock()
                 .expect("result memo")
@@ -536,92 +449,43 @@ impl MatrixRunner {
         }
         out
     }
+}
 
-    /// Hands out warm state for `spec`: a restored snapshot when the
-    /// engine cache holds one, a cold warm-up otherwise. The snapshot is
-    /// stored only while other registered cells still share the warm key
-    /// (interest counting), so the cache never outgrows the batch.
-    fn obtain_warm(&self, spec: &CellSpec) -> WarmAny {
-        let warm_key = spec.warm_key();
-        if self.cache_enabled {
-            let store = self.warm.lock().expect("warm store");
-            if let Some(snapshot) = store.snapshots.get(&warm_key) {
-                let restored = snapshot.clone();
-                drop(store);
-                self.warm_hits.fetch_add(1, Ordering::Relaxed);
-                self.release_interest(&warm_key);
-                return restored;
-            }
-        }
-        self.cold_builds.fetch_add(1, Ordering::Relaxed);
-        let built = self.build_warm(spec);
-        if self.cache_enabled {
-            let mut store = self.warm.lock().expect("warm store");
-            let remaining = match store.interest.get_mut(&warm_key) {
-                Some(n) => {
-                    *n = n.saturating_sub(1);
-                    *n
-                }
-                None => 0,
-            };
-            if remaining > 0 {
-                store.snapshots.insert(warm_key, built.clone());
-            } else {
-                // Concurrent cold builds of the same key race the hit
-                // check above: an earlier racer may have stored a
-                // snapshot after this cell's interest was already the
-                // last one. The final decrementer sweeps it out so no
-                // zero-interest snapshot outlives the batch.
-                store.snapshots.remove(&warm_key);
-            }
-        }
-        built
+/// Simulates one cell from scratch on its driver: build engine +
+/// workload, warm up, run the measured phase.
+fn simulate(spec: &CellSpec) -> CellOut {
+    let scale = spec.effective_scale();
+    if !spec.is_sharded() {
+        let engine = AnyEngine::build(spec.engine, &spec.cfg, &spec.ssp_cfg);
+        let workload = make_workload(spec.workload, scale);
+        let SingleRun {
+            result,
+            engine,
+            host_elapsed,
+        } = warm_single(engine, workload, &spec.run_cfg).run_measured(spec.run_cfg.txns);
+        return CellOut {
+            result,
+            engines: vec![engine],
+            host_elapsed,
+        };
     }
-
-    fn release_interest(&self, warm_key: &str) {
-        if !self.cache_enabled {
-            return;
-        }
-        let mut store = self.warm.lock().expect("warm store");
-        if let Some(n) = store.interest.get_mut(warm_key) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                store.snapshots.remove(warm_key);
-            }
-        }
-    }
-
-    /// Cold warm-up of one cell, replicating [`crate::run_cell_cached`]'s
-    /// routing exactly.
-    fn build_warm(&self, spec: &CellSpec) -> WarmAny {
-        let scale = spec.effective_scale();
-        let proto = self
-            .protos
-            .lock()
-            .expect("workload prototypes")
-            .get(spec.workload, scale);
-        match spec.resolved() {
-            Resolved::Single | Resolved::Shared => {
-                let engine = AnyEngine::build(spec.engine, &spec.cfg, &spec.ssp_cfg);
-                WarmAny::Single(warm_single(engine, proto, &spec.run_cfg))
-            }
-            Resolved::Sharded => {
-                let threads = spec.run_cfg.threads;
-                let shard_cfgs: Vec<MachineConfig> = if spec.cfg_is_per_worker {
-                    vec![spec.cfg.clone(); threads]
-                } else {
-                    (0..threads)
-                        .map(|w| spec.cfg.shard_slice_for(threads, w))
-                        .collect()
-                };
-                let (engine, ssp_cfg) = (spec.engine, spec.ssp_cfg.clone());
-                WarmAny::Parallel(warm_parallel(
-                    move |w| AnyEngine::build(engine, &shard_cfgs[w], &ssp_cfg),
-                    move |_w| proto.clone(),
-                    &spec.run_cfg,
-                ))
-            }
-        }
+    let threads = spec.run_cfg.threads;
+    let shard_cfgs: Vec<MachineConfig> = if spec.cfg_is_per_worker {
+        vec![spec.cfg.clone(); threads]
+    } else {
+        (0..threads)
+            .map(|w| spec.cfg.shard_slice_for(threads, w))
+            .collect()
+    };
+    let p = run_parallel(
+        |w| AnyEngine::build(spec.engine, &shard_cfgs[w], &spec.ssp_cfg),
+        |_w| make_workload(spec.workload, scale),
+        &spec.run_cfg,
+    );
+    CellOut {
+        result: p.result,
+        engines: p.shards.into_iter().map(|s| s.engine).collect(),
+        host_elapsed: p.host_elapsed,
     }
 }
 
@@ -634,7 +498,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{env_setup, run_cell};
+    use crate::env_setup;
     use ssp_workloads::runner::ExecMode;
 
     fn small_run(threads: usize) -> RunConfig {
@@ -673,17 +537,10 @@ mod tests {
         let specs = grid();
         let runner = MatrixRunner::with_pool(4);
         let pooled = runner.run(&specs);
-        for (spec, got) in specs.iter().zip(&pooled) {
-            let direct = run_cell(
-                spec.engine,
-                spec.workload,
-                &spec.cfg,
-                &spec.ssp_cfg,
-                spec.scale,
-                &spec.run_cfg,
-            );
-            assert_eq!(got, &direct);
-        }
+        // Pool 1 without the memo simulates every cell, one at a time, on
+        // the calling thread.
+        let direct = MatrixRunner::with_pool(1).without_cache().run(&specs);
+        assert_eq!(pooled, direct);
         // A second pass over the same grid is served from the result memo
         // (the first pass may race its duplicate cell across pool
         // threads, so only the re-run is a deterministic memo assertion).
@@ -693,18 +550,6 @@ mod tests {
         assert!(
             memo >= specs.len() as u64,
             "the second pass must hit the memo"
-        );
-    }
-
-    #[test]
-    fn warm_cache_interest_is_bounded() {
-        let specs = grid();
-        let runner = MatrixRunner::with_pool(1);
-        let _ = runner.run(&specs);
-        let store = runner.warm.lock().unwrap();
-        assert!(
-            store.snapshots.is_empty(),
-            "all snapshots dropped once their last consumer ran"
         );
     }
 

@@ -13,9 +13,9 @@
 //!   smaller TLB cost, more write amplification.
 //!
 //! All five sections submit one combined [`MatrixRunner::run_full`] batch
-//! (the probes need engines back, so the result memo cannot serve them) —
-//! cells repeated across sections, like SSP-at-defaults on SPS, restore
-//! one warm snapshot instead of re-warming per section.
+//! (the probes need engines back, so the result memo cannot serve them):
+//! the three repeats across sections (SSP-at-defaults on SPS once, on
+//! Hash-Rand twice) are simulated again.
 
 use std::time::Instant;
 

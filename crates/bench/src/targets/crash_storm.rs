@@ -24,7 +24,7 @@ use ssp_workloads::storm::{run_storm, StormSchedule};
 use super::quick_mode;
 use crate::json::Json;
 use crate::{
-    env_setup, make_engine, make_workload, print_matrix, BenchReport, EngineKind, MatrixRunner,
+    env_setup, make_workload, print_matrix, AnyEngine, BenchReport, EngineKind, MatrixRunner,
     SspConfig, WorkloadKind,
 };
 
@@ -69,7 +69,7 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
                     .map(|w| cfg.shard_slice_for(threads, w))
                     .collect();
                 let storm = run_storm(
-                    |w| make_engine(engine, &shard_cfgs[w], &ssp_cfg),
+                    |w| AnyEngine::build(engine, &shard_cfgs[w], &ssp_cfg),
                     |_w| make_workload(WorkloadKind::Sps, shard_scale),
                     &run_cfg,
                     &schedule,
@@ -162,7 +162,7 @@ fn flight_recorder_cell() -> Json {
         })
         .collect();
     let storm = run_storm(
-        |w| make_engine(EngineKind::Ssp, &shard_cfgs[w], &ssp_cfg),
+        |w| AnyEngine::build(EngineKind::Ssp, &shard_cfgs[w], &ssp_cfg),
         |_w| make_workload(WorkloadKind::Sps, shard_scale),
         &run_cfg,
         &schedule,

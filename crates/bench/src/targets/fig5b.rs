@@ -25,7 +25,7 @@ use std::time::Instant;
 use ssp_simulator::config::{InterconnectConfig, MachineConfig};
 use ssp_workloads::runner::{ExecMode, RunConfig};
 
-use super::quick_mode;
+use super::{quick_mode, row_is, row_u64};
 use crate::json::Json;
 use crate::{
     attach_latency, latency_rows, print_matrix, BenchReport, CellSpec, EngineKind, MatrixRunner,
@@ -127,6 +127,29 @@ fn json_series(mode: &str, points: &[Point]) -> Vec<Json> {
         .collect()
 }
 
+/// The saturation gate over the emitted `sim.series` rows: fair, bounded
+/// arbitration must keep the most-contended shared point within an order
+/// of magnitude of the uncontended one (the unfair FIFO controller it
+/// guards against collapsed ~16x over the 4 → 8 step alone).
+pub fn gate(series: &[Json]) -> Result<(), String> {
+    let mut shared = Vec::new();
+    for row in series.iter().filter(|r| row_is(r, "mode", "shared")) {
+        shared.push((row_u64(row, "clients")?, row_u64(row, "cycles_per_txn")?));
+    }
+    let (&(least, one), &(most, top)) = shared
+        .iter()
+        .min()
+        .zip(shared.iter().max())
+        .ok_or("no shared-mode rows")?;
+    if top > 10 * one {
+        return Err(format!(
+            "saturation collapse: {most}-client shared point {top} exceeds 10x \
+             the {least}-client point {one}"
+        ));
+    }
+    Ok(())
+}
+
 /// Runs the target and returns its report.
 pub fn run(runner: &MatrixRunner) -> BenchReport {
     let t0 = Instant::now();
@@ -157,18 +180,6 @@ pub fn run(runner: &MatrixRunner) -> BenchReport {
     let results = runner.run(&specs);
     let shared = points(&results[..CLIENTS.len()], txns_per_client);
     let partitioned = points(&results[CLIENTS.len()..], txns_per_client);
-
-    // The saturation gate CI's bench-smoke job rides on: fair, bounded
-    // arbitration must keep the most-contended point within an order of
-    // magnitude of the uncontended one (the old FIFO grants let it blow
-    // past 15x of the 4-client point, let alone the 1-client one).
-    assert!(
-        shared[CLIENTS.len() - 1].cycles_per_txn <= 10 * shared[0].cycles_per_txn,
-        "fig5b saturation collapse: 8-client shared point {} exceeds 10x \
-         the 1-client point {}",
-        shared[CLIENTS.len() - 1].cycles_per_txn,
-        shared[0].cycles_per_txn,
-    );
 
     let fmt_row = |points: &[Point], f: &dyn Fn(&Point) -> String| -> Vec<String> {
         points.iter().map(f).collect()
@@ -218,6 +229,7 @@ pub fn run(runner: &MatrixRunner) -> BenchReport {
     report.sim("txns_per_client", Json::U64(txns_per_client));
     let mut series = json_series("shared", &shared);
     series.extend(json_series("partitioned", &partitioned));
+    gate(&series).unwrap_or_else(|e| panic!("fig5b gate: {e}"));
     report.sim("series", Json::Arr(series));
     attach_latency(
         &mut report,
@@ -226,4 +238,24 @@ pub fn run(runner: &MatrixRunner) -> BenchReport {
     );
     report.host_wall(t0.elapsed());
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::gate_fixtures::{baseline_rows, broken};
+    use super::*;
+
+    #[test]
+    fn gate_passes_the_baseline_and_fails_on_saturation_collapse() {
+        let series = baseline_rows(
+            include_str!("../../benches/baselines/BENCH_fig5b_contention.json"),
+            "series",
+        );
+        assert_eq!(gate(&series), Ok(()));
+
+        let top = |r: &Json| row_is(r, "mode", "shared") && row_u64(r, "clients") == Ok(8);
+        let cpt = row_u64(series.iter().find(|r| top(r)).unwrap(), "cycles_per_txn").unwrap();
+        let err = broken(gate, series, top, ("cycles_per_txn", cpt * 20));
+        assert!(err.contains("saturation collapse"), "{err}");
+    }
 }

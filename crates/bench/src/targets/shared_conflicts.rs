@@ -10,23 +10,27 @@
 //! records, per cell, the committed throughput and the OCC outcome
 //! counters.
 //!
-//! Three properties are asserted *in the target*, so CI fails loudly
-//! rather than baking a bad number into a baseline:
+//! Four properties of the sweep are its [`gate`], checked before the
+//! target returns so CI fails loudly rather than baking a bad number
+//! into a baseline:
 //!
 //! 1. **No false conflicts** — at dial 0 the working sets are
 //!    line-disjoint by construction and the abort count must be exactly
 //!    zero at every client count.
-//! 2. **Real conflicts** — at the high-dial, 8-client corner the abort
-//!    count must be nonzero (the validator actually fires).
-//! 3. **Bounded shared-mode overhead** — at dial 0 the shared driver's
+//! 2. **Bounded shared-mode overhead** — at dial 0 the shared driver's
 //!    cycles/txn must stay within 1.5× of the partitioned
 //!    (`run_parallel`) driver on the *same* workload: speculation +
 //!    epoch validation may not silently wreck the uncontended path.
+//! 3. **Real conflicts** — at the high-dial, 8-client corner the abort
+//!    count must be nonzero (the validator actually fires), under the
+//!    uniform and the skewed key distribution alike.
+//! 4. **Monotone contention** — at the high dial the abort rate never
+//!    drops as clients are added.
 //!
-//! Every cell is additionally run threaded twice and sequentially once
-//! and all three must match bit-for-bit (the shared-heap determinism
-//! contract). Everything under `sim` is integer, deterministic
-//! simulated state, exact-gated by `bench_diff`.
+//! Every cell runs once, threaded; threaded == sequential == repeats
+//! (the shared-heap determinism contract) is pinned for all four engines
+//! by `tests/shared_heap_equivalence.rs`. Everything under `sim` is
+//! integer, deterministic simulated state, exact-gated by `bench_diff`.
 
 use std::time::Instant;
 
@@ -39,7 +43,7 @@ use ssp_workloads::dist::KeyDist;
 use ssp_workloads::runner::{run_parallel, ExecMode, RunConfig};
 use ssp_workloads::shared::{run_shared, SharedHeapConfig, SharedRun};
 
-use super::quick_mode;
+use super::{quick_mode, row_is, row_u64};
 use crate::json::Json;
 use crate::{print_matrix, BenchReport, MatrixRunner};
 
@@ -88,17 +92,10 @@ impl SweepDist {
     }
 }
 
-fn shared_cell(
-    clients: usize,
-    dial_bp: u64,
-    dist: SweepDist,
-    mode: ExecMode,
-    quick: bool,
-) -> SharedRun<Ssp> {
+fn shared_cell(clients: usize, dial_bp: u64, dist: SweepDist, quick: bool) -> SharedRun<Ssp> {
     let shard = MachineConfig::default().shard_slice(clients.max(2));
     let dial = dial_bp as f64 / 10_000.0;
-    let mut cfg = run_cfg(clients, quick);
-    cfg.mode = mode;
+    let cfg = run_cfg(clients, quick);
     run_shared(
         move |_| Ssp::new(shard.clone(), SspConfig::default()),
         move |w| {
@@ -142,6 +139,77 @@ fn combined_fingerprint(run: &mut SharedRun<Ssp>) -> u64 {
         .fold(0u64, |acc, f| acc.rotate_left(17) ^ f)
 }
 
+/// `(clients, aborted, abort_rate_bp)` of `family`'s rows at its highest
+/// dial, in client order — the last entry is the most-contended corner.
+fn high_dial_curve(family: &[&Json]) -> Result<Vec<(u64, u64, u64)>, String> {
+    let mut cells = Vec::new();
+    for row in family {
+        cells.push((
+            row_u64(row, "conflict_bp")?,
+            row_u64(row, "clients")?,
+            row_u64(row, "aborted")?,
+            row_u64(row, "abort_rate_bp")?,
+        ));
+    }
+    let high = cells
+        .iter()
+        .map(|c| c.0)
+        .max()
+        .ok_or("empty sweep family")?;
+    cells.retain(|c| c.0 == high);
+    cells.sort_unstable();
+    Ok(cells.into_iter().map(|(_, c, a, r)| (c, a, r)).collect())
+}
+
+/// The conflict-sweep gate over the emitted `sim.rows` (see the module
+/// docs for the four properties). Uniform rows carry no `dist` field;
+/// the skewed family is tagged `paper_zipf`.
+pub fn gate(rows: &[Json]) -> Result<(), String> {
+    let (zipf, uniform): (Vec<&Json>, Vec<&Json>) =
+        rows.iter().partition(|r| row_is(r, "dist", "paper_zipf"));
+    for row in &uniform {
+        if row_u64(row, "conflict_bp")? != 0 {
+            continue;
+        }
+        let clients = row_u64(row, "clients")?;
+        let aborted = row_u64(row, "aborted")?;
+        if aborted != 0 {
+            return Err(format!(
+                "dial 0 must never abort: {clients} clients aborted {aborted}"
+            ));
+        }
+        let cpt = row_u64(row, "cycles_per_txn")?;
+        let partitioned = row_u64(row, "partitioned_cycles_per_txn")?;
+        if clients > 1 && cpt > partitioned + partitioned / 2 {
+            return Err(format!(
+                "shared-mode overhead at dial 0, {clients} clients: {cpt} cyc/txn \
+                 exceeds 1.5x partitioned ({partitioned})"
+            ));
+        }
+    }
+    let top = high_dial_curve(&uniform)?;
+    if let Some(&(clients, 0, _)) = top.last() {
+        return Err(format!(
+            "{clients} clients at the high dial aborted nothing: the conflict \
+             validator never fired"
+        ));
+    }
+    let rates: Vec<u64> = top.iter().map(|c| c.2).collect();
+    if rates.windows(2).any(|w| w[0] > w[1]) {
+        return Err(format!(
+            "abort rate not monotone in client count at the high dial: {rates:?} bp"
+        ));
+    }
+    // The 80/15 skew concentrates contention on hot lines: its corner
+    // must conflict too.
+    if let Some(&(clients, 0, _)) = high_dial_curve(&zipf)?.last() {
+        return Err(format!(
+            "zipf corner ({clients} clients at the high dial) aborted nothing"
+        ));
+    }
+    Ok(())
+}
+
 /// Runs the target and returns its report.
 pub fn run(_runner: &MatrixRunner) -> BenchReport {
     let t0 = Instant::now();
@@ -149,178 +217,80 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
 
     let mut rows = Vec::new();
     let mut sim_rows = Vec::new();
-    let mut high_dial_aborts = 0u64;
-    for clients in CLIENTS {
-        let partitioned_cpt = partitioned_cell(clients, quick);
-        for dial_bp in DIALS_BP {
-            let dist = SweepDist::Uniform;
-            let mut threaded = shared_cell(clients, dial_bp, dist, ExecMode::Threaded, quick);
-            let repeat = shared_cell(clients, dial_bp, dist, ExecMode::Threaded, quick);
-            let sequential = shared_cell(clients, dial_bp, dist, ExecMode::Sequential, quick);
-            assert_eq!(
-                threaded.result, repeat.result,
-                "x{clients} d{dial_bp}: threaded repeat drifted"
-            );
-            assert_eq!(
-                threaded.shared, repeat.shared,
-                "x{clients} d{dial_bp}: threaded repeat OCC counters drifted"
-            );
-            assert_eq!(
-                threaded.result, sequential.result,
-                "x{clients} d{dial_bp}: threaded vs sequential diverged"
-            );
-            assert_eq!(
-                threaded.shared, sequential.shared,
-                "x{clients} d{dial_bp}: threaded vs sequential OCC counters diverged"
-            );
-
-            let s = threaded.shared;
-            assert_eq!(
-                s.committed, threaded.result.txns,
-                "x{clients} d{dial_bp}: committed != requested"
-            );
-            if dial_bp == 0 {
+    // The skewed family (the paper's 80/15 hot-spot distribution) sweeps
+    // nonzero dials only: dial 0 never touches the shared region, so skew
+    // is moot there. Its rows follow the uniform family's.
+    let families = [
+        (SweepDist::Uniform, &DIALS_BP[..]),
+        (SweepDist::PaperZipf, &DIALS_BP[1..]),
+    ];
+    for (dist, dials) in families {
+        let zipf = dist == SweepDist::PaperZipf;
+        for clients in CLIENTS {
+            // Only the uniform family is read against the partitioned
+            // driver (the dial-0 overhead bound).
+            let partitioned_cpt = (!zipf).then(|| partitioned_cell(clients, quick));
+            for &dial_bp in dials {
+                let mut run = shared_cell(clients, dial_bp, dist, quick);
+                let s = run.shared;
                 assert_eq!(
-                    s.aborted, 0,
-                    "x{clients} d0: partitioned working sets may never abort"
+                    s.committed,
+                    run.result.txns,
+                    "{} x{clients} d{dial_bp}: committed != requested",
+                    dist.name()
                 );
-            }
-            if dial_bp == *DIALS_BP.last().unwrap() && clients == *CLIENTS.last().unwrap() {
-                high_dial_aborts = s.aborted;
-            }
 
-            let txns = threaded.result.txns.max(1);
-            let cycles_per_txn = threaded.result.elapsed_cycles / txns;
-            if dial_bp == 0 && clients > 1 {
-                assert!(
-                    cycles_per_txn <= partitioned_cpt + partitioned_cpt / 2,
-                    "x{clients} d0: shared-mode overhead blew past 1.5x the \
-                     partitioned driver ({cycles_per_txn} vs {partitioned_cpt} cycles/txn)"
-                );
-            }
-            // Basis points of validated intents that aborted: integer,
-            // exact, and scale-free for the CI gate.
-            let abort_rate_bp = (s.aborted * 10_000).checked_div(s.validated).unwrap_or(0);
-            let tps_milli = (threaded.result.tps * 1_000.0) as u64;
-            let fingerprint = combined_fingerprint(&mut threaded);
+                let txns = run.result.txns.max(1);
+                let cycles_per_txn = run.result.elapsed_cycles / txns;
+                // Basis points of validated intents that aborted: integer,
+                // exact, and scale-free for the gate.
+                let abort_rate_bp = (s.aborted * 10_000).checked_div(s.validated).unwrap_or(0);
+                let tps_milli = (run.result.tps * 1_000.0) as u64;
+                let fingerprint = combined_fingerprint(&mut run);
 
-            rows.push((
-                format!("x{clients} dial {:.2}", dial_bp as f64 / 10_000.0),
-                vec![
-                    format!("{}", s.committed),
-                    format!("{}", s.aborted),
-                    format!("{:.1}%", abort_rate_bp as f64 / 100.0),
-                    format!("{}", s.retries),
-                    format!("{}", s.max_attempt),
-                    format!("{cycles_per_txn}"),
-                ],
-            ));
-            let mut sim = Json::obj();
-            sim.set("clients", Json::U64(clients as u64));
-            sim.set("conflict_bp", Json::U64(dial_bp));
-            sim.set("txns", Json::U64(threaded.result.txns));
-            sim.set("committed", Json::U64(s.committed));
-            sim.set("aborted", Json::U64(s.aborted));
-            sim.set("validated", Json::U64(s.validated));
-            sim.set("conflicts", Json::U64(s.conflicts));
-            sim.set("cascades", Json::U64(s.cascades));
-            sim.set("retries", Json::U64(s.retries));
-            sim.set("backoff_cycles", Json::U64(s.backoff_cycles));
-            sim.set("max_attempt", Json::U64(s.max_attempt));
-            sim.set("abort_rate_bp", Json::U64(abort_rate_bp));
-            sim.set("elapsed_cycles", Json::U64(threaded.result.elapsed_cycles));
-            sim.set("cycles_per_txn", Json::U64(cycles_per_txn));
-            sim.set("tps_milli", Json::U64(tps_milli));
-            sim.set("partitioned_cycles_per_txn", Json::U64(partitioned_cpt));
-            sim.set("fingerprint", Json::U64(fingerprint));
-            sim_rows.push(sim);
+                rows.push((
+                    format!(
+                        "x{clients} dial {:.2}{}",
+                        dial_bp as f64 / 10_000.0,
+                        if zipf { " zipf" } else { "" }
+                    ),
+                    vec![
+                        format!("{}", s.committed),
+                        format!("{}", s.aborted),
+                        format!("{:.1}%", abort_rate_bp as f64 / 100.0),
+                        format!("{}", s.retries),
+                        format!("{}", s.max_attempt),
+                        format!("{cycles_per_txn}"),
+                    ],
+                ));
+                let mut sim = Json::obj();
+                sim.set("clients", Json::U64(clients as u64));
+                sim.set("conflict_bp", Json::U64(dial_bp));
+                if zipf {
+                    sim.set("dist", Json::Str(dist.name().to_string()));
+                }
+                sim.set("txns", Json::U64(run.result.txns));
+                sim.set("committed", Json::U64(s.committed));
+                sim.set("aborted", Json::U64(s.aborted));
+                sim.set("validated", Json::U64(s.validated));
+                sim.set("conflicts", Json::U64(s.conflicts));
+                sim.set("cascades", Json::U64(s.cascades));
+                sim.set("retries", Json::U64(s.retries));
+                sim.set("backoff_cycles", Json::U64(s.backoff_cycles));
+                sim.set("max_attempt", Json::U64(s.max_attempt));
+                sim.set("abort_rate_bp", Json::U64(abort_rate_bp));
+                sim.set("elapsed_cycles", Json::U64(run.result.elapsed_cycles));
+                sim.set("cycles_per_txn", Json::U64(cycles_per_txn));
+                sim.set("tps_milli", Json::U64(tps_milli));
+                if let Some(cpt) = partitioned_cpt {
+                    sim.set("partitioned_cycles_per_txn", Json::U64(cpt));
+                }
+                sim.set("fingerprint", Json::U64(fingerprint));
+                sim_rows.push(sim);
+            }
         }
     }
-    assert!(
-        high_dial_aborts > 0,
-        "8 clients at dial 0.9 must produce real conflicts"
-    );
-
-    // The skewed family (PR-9 follow-up): the same clients × dial sweep
-    // under the paper's 80/15 hot-spot distribution, nonzero dials only
-    // (dial 0 never touches the shared region, so skew is moot there).
-    // Rows are appended after the uniform family so the pre-existing
-    // cells keep their exact JSON shape and values.
-    let mut zipf_high_corner_aborts = 0u64;
-    for clients in CLIENTS {
-        for dial_bp in DIALS_BP.iter().copied().filter(|&d| d > 0) {
-            let dist = SweepDist::PaperZipf;
-            let mut threaded = shared_cell(clients, dial_bp, dist, ExecMode::Threaded, quick);
-            let repeat = shared_cell(clients, dial_bp, dist, ExecMode::Threaded, quick);
-            let sequential = shared_cell(clients, dial_bp, dist, ExecMode::Sequential, quick);
-            assert_eq!(
-                threaded.result, repeat.result,
-                "zipf x{clients} d{dial_bp}: threaded repeat drifted"
-            );
-            assert_eq!(
-                threaded.shared, repeat.shared,
-                "zipf x{clients} d{dial_bp}: threaded repeat OCC counters drifted"
-            );
-            assert_eq!(
-                threaded.result, sequential.result,
-                "zipf x{clients} d{dial_bp}: threaded vs sequential diverged"
-            );
-            assert_eq!(
-                threaded.shared, sequential.shared,
-                "zipf x{clients} d{dial_bp}: threaded vs sequential OCC counters diverged"
-            );
-
-            let s = threaded.shared;
-            assert_eq!(
-                s.committed, threaded.result.txns,
-                "zipf x{clients} d{dial_bp}: committed != requested"
-            );
-            if dial_bp == *DIALS_BP.last().unwrap() && clients == *CLIENTS.last().unwrap() {
-                zipf_high_corner_aborts = s.aborted;
-            }
-
-            let txns = threaded.result.txns.max(1);
-            let cycles_per_txn = threaded.result.elapsed_cycles / txns;
-            let abort_rate_bp = (s.aborted * 10_000).checked_div(s.validated).unwrap_or(0);
-            let tps_milli = (threaded.result.tps * 1_000.0) as u64;
-            let fingerprint = combined_fingerprint(&mut threaded);
-
-            rows.push((
-                format!("x{clients} dial {:.2} zipf", dial_bp as f64 / 10_000.0),
-                vec![
-                    format!("{}", s.committed),
-                    format!("{}", s.aborted),
-                    format!("{:.1}%", abort_rate_bp as f64 / 100.0),
-                    format!("{}", s.retries),
-                    format!("{}", s.max_attempt),
-                    format!("{cycles_per_txn}"),
-                ],
-            ));
-            let mut sim = Json::obj();
-            sim.set("clients", Json::U64(clients as u64));
-            sim.set("conflict_bp", Json::U64(dial_bp));
-            sim.set("dist", Json::Str(dist.name().to_string()));
-            sim.set("txns", Json::U64(threaded.result.txns));
-            sim.set("committed", Json::U64(s.committed));
-            sim.set("aborted", Json::U64(s.aborted));
-            sim.set("validated", Json::U64(s.validated));
-            sim.set("conflicts", Json::U64(s.conflicts));
-            sim.set("cascades", Json::U64(s.cascades));
-            sim.set("retries", Json::U64(s.retries));
-            sim.set("backoff_cycles", Json::U64(s.backoff_cycles));
-            sim.set("max_attempt", Json::U64(s.max_attempt));
-            sim.set("abort_rate_bp", Json::U64(abort_rate_bp));
-            sim.set("elapsed_cycles", Json::U64(threaded.result.elapsed_cycles));
-            sim.set("cycles_per_txn", Json::U64(cycles_per_txn));
-            sim.set("tps_milli", Json::U64(tps_milli));
-            sim.set("fingerprint", Json::U64(fingerprint));
-            sim_rows.push(sim);
-        }
-    }
-    assert!(
-        zipf_high_corner_aborts > 0,
-        "8 clients at dial 0.9 under the 80/15 skew must produce real conflicts"
-    );
+    gate(&sim_rows).unwrap_or_else(|e| panic!("shared_conflicts gate: {e}"));
 
     print_matrix(
         "Shared-heap conflicts (ConflictSPS, SSP): clients x dial",
@@ -334,12 +304,48 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
         ],
         &rows,
     );
-    println!("\nevery cell is run threaded twice and sequentially once; all three");
-    println!("runs must match bit-for-bit including abort counts; dial 0 must");
-    println!("abort nothing and stay within 1.5x of the partitioned driver");
+    println!("\ngated: dial 0 aborts nothing and stays within 1.5x of the partitioned");
+    println!("driver; the 8-client high-dial corners abort; abort rate is monotone in");
+    println!("clients at the high dial");
 
     let mut report = BenchReport::new("shared_conflicts", quick);
     report.sim("rows", Json::Arr(sim_rows));
     report.host_wall(t0.elapsed());
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::gate_fixtures::{baseline_rows, broken};
+    use super::*;
+
+    #[test]
+    fn gate_passes_the_baseline_and_fails_each_broken_sweep() {
+        let baseline = baseline_rows(
+            include_str!("../../benches/baselines/BENCH_shared_conflicts.json"),
+            "rows",
+        );
+        assert_eq!(gate(&baseline), Ok(()));
+
+        // Breaks the (family, clients, dial) row's `field` and returns
+        // the gate's error.
+        let break_cell = |zipf: bool, clients: u64, bp: u64, field: (&str, u64)| {
+            let pick = |r: &Json| {
+                r.get("dist").is_some() == zipf
+                    && row_u64(r, "clients") == Ok(clients)
+                    && row_u64(r, "conflict_bp") == Ok(bp)
+            };
+            broken(gate, baseline.clone(), pick, field)
+        };
+        let err = break_cell(false, 2, 0, ("aborted", 1));
+        assert!(err.contains("dial 0 must never abort"), "{err}");
+        let err = break_cell(false, 2, 0, ("cycles_per_txn", u64::MAX));
+        assert!(err.contains("exceeds 1.5x partitioned"), "{err}");
+        let err = break_cell(false, 8, 9_000, ("aborted", 0));
+        assert!(err.contains("validator never fired"), "{err}");
+        let err = break_cell(false, 4, 9_000, ("abort_rate_bp", 10_000));
+        assert!(err.contains("not monotone"), "{err}");
+        let err = break_cell(true, 8, 9_000, ("aborted", 0));
+        assert!(err.contains("zipf corner"), "{err}");
+    }
 }

@@ -24,10 +24,11 @@ use std::path::{Path, PathBuf};
 
 use ssp_simulator::config::{InterconnectConfig, MachineConfig};
 use ssp_simulator::obs::{ObsConfig, ObsKind, ObsRing};
+use ssp_txn::engine::TxnEngine;
 use ssp_workloads::runner::{run_parallel, ExecMode, RunConfig};
 
 use crate::json::Json;
-use crate::{make_engine, make_workload, EngineKind, Scale, SspConfig, WorkloadKind};
+use crate::{make_workload, AnyEngine, EngineKind, Scale, SspConfig, WorkloadKind};
 
 /// Display name of an event kind in the exported trace.
 pub fn kind_name(kind: ObsKind) -> &'static str {
@@ -166,7 +167,7 @@ pub fn write_shared_sweep_trace(path: &Path) -> std::io::Result<PathBuf> {
     };
     let proto = make_workload(WorkloadKind::Sps, scale);
     let run = run_parallel(
-        |w| make_engine(EngineKind::Ssp, &cfgs[w], &ssp_cfg),
+        |w| AnyEngine::build(EngineKind::Ssp, &cfgs[w], &ssp_cfg),
         |_w| proto.clone(),
         &run_cfg,
     );

@@ -1,14 +1,16 @@
 //! The matrix runner's determinism contract: pooled execution over any
-//! number of host threads, with the engine cache and result memo on or
-//! off, is **bit-identical** to per-cell sequential execution with cold
-//! engines — merged counters and per-shard NVRAM fingerprints included.
-//! The same discipline `tests/threaded_equivalence.rs` applies to shards
-//! within one cell, lifted to whole cells within one matrix.
+//! number of host threads, with the result memo on or off, is
+//! **bit-identical** to per-cell sequential execution — merged counters
+//! and per-shard NVRAM fingerprints included. The same discipline
+//! `tests/threaded_equivalence.rs` applies to shards within one cell,
+//! lifted to whole cells within one matrix.
 
-use ssp_bench::{CellSpec, EngineKind, MatrixRunner, Scale, SspConfig, WorkloadKind};
+use ssp_bench::{
+    make_workload, AnyEngine, CellSpec, EngineKind, MatrixRunner, Scale, SspConfig, WorkloadKind,
+};
 use ssp_simulator::config::MachineConfig;
 use ssp_txn::engine::TxnEngine;
-use ssp_workloads::runner::{ExecMode, RunConfig, RunResult};
+use ssp_workloads::runner::{run_parallel, warm_single, ExecMode, RunConfig, RunResult};
 
 fn run_cfg(threads: usize, mode: ExecMode) -> RunConfig {
     RunConfig {
@@ -20,8 +22,8 @@ fn run_cfg(threads: usize, mode: ExecMode) -> RunConfig {
     }
 }
 
-/// A grid covering both drivers, all thread counts under test, duplicate
-/// cells (memo pressure) and warm-prefix sharing (engine-cache pressure).
+/// A grid covering both drivers, all thread counts under test and
+/// duplicate cells (memo pressure).
 fn grid(mode: ExecMode) -> Vec<CellSpec> {
     let cfg = MachineConfig::default().with_cores(4);
     let ssp = SspConfig::default();
@@ -69,7 +71,7 @@ fn grid(mode: ExecMode) -> Vec<CellSpec> {
     specs
 }
 
-/// The reference: every cell cold, sequential, on the calling thread.
+/// The reference: every cell simulated, sequential, on the calling thread.
 fn reference(specs: &[CellSpec]) -> Vec<RunResult> {
     let cold = MatrixRunner::with_pool(1).without_cache();
     cold.run(specs)
@@ -110,16 +112,14 @@ fn sequential_exec_mode_matches_threaded() {
 }
 
 #[test]
-fn warm_restored_engines_match_cold_engines_bitwise() {
-    // Two identical run_full batches: the second restores warm snapshots
-    // where the first warmed cold (within-batch duplicates). Results AND
-    // per-shard NVRAM fingerprints must be bit-identical.
+fn run_full_duplicates_return_identical_engines() {
+    // `run_full` skips the memo, so a within-batch duplicate (the
+    // `ablations` target submits three) is simulated again: results AND
+    // per-shard persistent state must be bit-identical to its twin's.
     let cfg = MachineConfig::default().with_cores(4);
     let ssp = SspConfig::default();
     let mut specs = Vec::new();
     for threads in [1usize, 2, 4] {
-        // Same warm prefix per thread count, twice: the duplicate's warm
-        // state is a restored clone of the first's snapshot.
         for _rep in 0..2 {
             specs.push(CellSpec::new(
                 EngineKind::Ssp,
@@ -131,33 +131,32 @@ fn warm_restored_engines_match_cold_engines_bitwise() {
             ));
         }
     }
-    let cached = MatrixRunner::with_pool(1);
-    let cold = MatrixRunner::with_pool(1).without_cache();
-    let warm_outs = cached.run_full(&specs);
-    let cold_outs = cold.run_full(&specs);
-    let (_, warm_hits, _) = cached.cache_stats();
-    assert!(warm_hits >= 3, "each duplicate restores a snapshot");
-    let (_, cold_hits, _) = cold.cache_stats();
-    assert_eq!(cold_hits, 0);
-
-    for (i, (w, c)) in warm_outs.iter().zip(&cold_outs).enumerate() {
-        assert_eq!(w.result, c.result, "cell {i}");
-        assert_eq!(w.engines.len(), c.engines.len(), "cell {i}");
-        for (shard, (we, ce)) in w.engines.iter().zip(&c.engines).enumerate() {
+    let runner = MatrixRunner::with_pool(2);
+    let outs = runner.run_full(&specs);
+    assert_eq!(runner.cache_stats(), (0, 0, specs.len() as u64));
+    for (i, pair) in outs.chunks(2).enumerate() {
+        let (a, b) = (&pair[0], &pair[1]);
+        assert_eq!(a.result, b.result, "pair {i}");
+        assert_eq!(a.engines.len(), specs[2 * i].run_cfg.threads, "pair {i}");
+        assert_eq!(a.engines.len(), b.engines.len(), "pair {i}");
+        for (shard, (ae, be)) in a.engines.iter().zip(&b.engines).enumerate() {
             assert_eq!(
-                we.machine().nvram_fingerprint(),
-                ce.machine().nvram_fingerprint(),
-                "cell {i} shard {shard}: persistent state must not depend on warm reuse"
+                ae.machine().nvram_fingerprint(),
+                be.machine().nvram_fingerprint(),
+                "pair {i} shard {shard}"
             );
-            assert_eq!(we.txn_stats(), ce.txn_stats(), "cell {i} shard {shard}");
+            assert_eq!(ae.txn_stats(), be.txn_stats(), "pair {i} shard {shard}");
         }
     }
 }
 
 #[test]
 fn matrix_cells_match_direct_driver_calls() {
-    // The runner's routing must reproduce `run_cell` (the pre-matrix API)
-    // exactly for auto-routed cells — the figures may not shift.
+    // The runner's routing must reproduce the public drivers called
+    // directly — legacy single-machine for one thread, sharded (machine
+    // sliced, scale split per shard) otherwise — so the figures may not
+    // shift and the runner is checked against something that is not the
+    // runner.
     let cfg = MachineConfig::default().with_cores(2);
     let ssp = SspConfig::default();
     let mut specs = Vec::new();
@@ -175,53 +174,22 @@ fn matrix_cells_match_direct_driver_calls() {
     }
     let results = MatrixRunner::with_pool(2).run(&specs);
     for (spec, got) in specs.iter().zip(&results) {
-        let direct = ssp_bench::run_cell(
-            spec.engine,
-            spec.workload,
-            &spec.cfg,
-            &spec.ssp_cfg,
-            spec.scale,
-            &spec.run_cfg,
-        );
+        let (rc, threads) = (&spec.run_cfg, spec.run_cfg.threads);
+        let direct = if threads == 1 {
+            let engine = AnyEngine::build(spec.engine, &cfg, &ssp);
+            let workload = make_workload(spec.workload, spec.scale);
+            warm_single(engine, workload, rc)
+                .run_measured(rc.txns)
+                .result
+        } else {
+            run_parallel(
+                |w| AnyEngine::build(spec.engine, &cfg.shard_slice_for(threads, w), &ssp),
+                |_w| make_workload(spec.workload, spec.scale.per_shard(threads)),
+                rc,
+            )
+            .result
+        };
         assert_eq!(got, &direct, "{:?}/{:?}", spec.engine, spec.workload);
-    }
-}
-
-#[test]
-fn warm_reuse_across_different_measured_lengths() {
-    // The warm key deliberately excludes the measured transaction count:
-    // one warm snapshot must serve cells that differ only in measured
-    // length — and each must still run ITS OWN count, not the donor's.
-    let cfg = MachineConfig::default().with_cores(4);
-    let ssp = SspConfig::default();
-    let mut specs = Vec::new();
-    for threads in [1usize, 4] {
-        for txns in [24u64, 96] {
-            specs.push(CellSpec::new(
-                EngineKind::Ssp,
-                WorkloadKind::Sps,
-                &cfg,
-                &ssp,
-                Scale::SMOKE,
-                &RunConfig {
-                    txns,
-                    ..run_cfg(threads, ExecMode::Threaded)
-                },
-            ));
-        }
-    }
-    let cached = MatrixRunner::with_pool(1);
-    let got = cached.run(&specs);
-    let (_, warm_hits, _) = cached.cache_stats();
-    assert!(warm_hits >= 2, "each txns variant restores its warm twin");
-    let expected = reference(&specs);
-    for (spec, (g, e)) in specs.iter().zip(got.iter().zip(&expected)) {
-        assert_eq!(g.txn_stats.committed, spec.run_cfg.txns, "own count runs");
-        assert_eq!(
-            g, e,
-            "threads={} txns={}",
-            spec.run_cfg.threads, spec.run_cfg.txns
-        );
     }
 }
 

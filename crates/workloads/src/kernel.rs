@@ -33,7 +33,7 @@
 //! Shards are built where they run: [`drive`] turns a seed into a worker
 //! inside the worker's own thread before the first epoch, and
 //! [`spawn_each`] / [`map_each`] cover the phases that need no rendezvous
-//! at all — warming a snapshot to keep, the final per-shard quiesce.
+//! at all — warming shards the caller keeps, the final per-shard quiesce.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};

@@ -72,9 +72,8 @@ pub trait Workload: Send + Sync {
     /// `begin`/`commit`).
     fn run_txn(&mut self, engine: &mut dyn TxnEngine, core: CoreId, rng: &mut SmallRng);
 
-    /// Deep-copies the workload. Matrix harnesses build one *prototype*
-    /// per (workload kind, scale) and clone it per cell and per worker, so
-    /// distributions and layout parameters are derived once.
+    /// Deep-copies the workload, so a caller can build one *prototype*
+    /// and hand every worker its own clone.
     fn clone_box(&self) -> Box<dyn Workload>;
 
     /// Forgets all engine-bound state (addresses handed out by an earlier
@@ -360,7 +359,6 @@ impl EpochBoard {
 
 /// Measurement baselines of one shard, snapshotted where its measured
 /// phase starts.
-#[derive(Clone)]
 pub(crate) struct ShardBase {
     stats: MachineStats,
     txn: TxnStats,
@@ -445,7 +443,6 @@ impl RunResult {
 }
 
 /// Per-worker driver state for the sharded run.
-#[derive(Clone)]
 struct Worker<E, W> {
     engine: E,
     workload: W,
@@ -569,28 +566,17 @@ impl<E: TxnEngine, W: Workload> Protocol<Worker<E, W>> for MeasuredEpochs {
     }
 }
 
-/// A warmed sharded run, snapshotted right before the measured phase:
-/// every worker holds its engine after workload setup + warm-up, its RNG
+/// A warmed sharded run, held right before the measured phase: every
+/// worker holds its engine after workload setup + warm-up, its RNG
 /// mid-stream, and its measurement baselines.
 ///
-/// This is the unit the bench harness's engine cache stores: cloning a
-/// `WarmParallel` yields an independent replica, and running the measured
-/// phase on a restored clone is **bit-identical** to a from-scratch
-/// [`run_parallel`] with the same `RunConfig` — warm state is a pure
-/// function of (factories, seed, warm-up count, thread count), never of
-/// host scheduling or of how many clones ran before.
+/// The warm/measure split lets a caller time set-up (engine construction,
+/// [`Workload::setup`], warm-up) apart from the measured phase. Warm state
+/// is a pure function of (factories, seed, warm-up count, thread count),
+/// never of host scheduling.
 pub struct WarmParallel<E, W> {
     workers: Vec<Worker<E, W>>,
     bases: Vec<ShardBase>,
-}
-
-impl<E: TxnEngine + Clone, W: Workload + Clone> Clone for WarmParallel<E, W> {
-    fn clone(&self) -> Self {
-        Self {
-            workers: self.workers.clone(),
-            bases: self.bases.clone(),
-        }
-    }
 }
 
 /// Builds and warms `cfg.threads` workers: each constructs its engine and
@@ -628,11 +614,8 @@ impl<E: TxnEngine, W: Workload> WarmParallel<E, W> {
     /// Runs `txns` measured transactions ([`worker_share`]-split across
     /// the workers, like [`run_parallel`]) on this warm state and merges
     /// the per-worker measurements deterministically (see the module docs
-    /// for the threading model and determinism contract). Taking the
-    /// count here — rather than freezing it at warm time — is what lets
-    /// one warm snapshot serve cells that differ only in measured length.
-    /// Consumes the warm state; clone first to keep a restorable
-    /// snapshot.
+    /// for the threading model and determinism contract). Consumes the
+    /// warm state.
     pub fn run_measured(self, txns: u64, mode: ExecMode) -> ParallelRun<E> {
         let WarmParallel { workers, bases } = self;
         let threads = workers.len();
@@ -677,8 +660,8 @@ impl<E: TxnEngine, W: Workload> WarmParallel<E, W> {
 /// worker index, and merges the per-worker measurements deterministically
 /// (see the module docs for the threading model and determinism contract).
 /// Equivalent to [`warm_parallel`] followed by
-/// [`WarmParallel::run_measured`] — the warm/measure split exists so the
-/// bench harness can snapshot and restore warm state across matrix cells.
+/// [`WarmParallel::run_measured`] — the warm/measure split exists so a
+/// caller can time set-up apart from the measured phase.
 ///
 /// `mk_engine(w)`/`mk_workload(w)` are called once per worker, *inside*
 /// that worker's thread in [`ExecMode::Threaded`], so construction cost is
@@ -726,7 +709,6 @@ pub fn run<E: TxnEngine>(
 }
 
 /// Measurement baselines of the legacy driver, snapshotted after warm-up.
-#[derive(Debug, Clone)]
 struct SingleBase {
     stats: MachineStats,
     txn: TxnStats,
@@ -816,30 +798,19 @@ fn single_measured<E: TxnEngine>(
     )
 }
 
-/// A warmed legacy-driver cell, snapshotted right before the measured
-/// phase: the engine after workload setup + warm-up, the RNG mid-stream,
-/// and the measurement baselines. The single-machine counterpart of
-/// [`WarmParallel`] — cloning yields an independent replica, and a
-/// restored clone's measured phase is bit-identical to a from-scratch
-/// [`run`] with the same `RunConfig`.
+/// A warmed legacy-driver cell, held right before the measured phase:
+/// the engine after workload setup + warm-up, the RNG mid-stream, and the
+/// measurement baselines. The single-machine counterpart of
+/// [`WarmParallel`]: set-up is timed apart from the measured phase, and
+/// [`WarmSingle::run_measured`] hands the engine back for post-run
+/// probes. Its measured phase is bit-identical to [`run`]'s with the same
+/// `RunConfig`.
 pub struct WarmSingle<E> {
     engine: E,
     workload: Box<dyn Workload>,
     rng: SmallRng,
     threads: usize,
     base: SingleBase,
-}
-
-impl<E: TxnEngine + Clone> Clone for WarmSingle<E> {
-    fn clone(&self) -> Self {
-        Self {
-            engine: self.engine.clone(),
-            workload: self.workload.clone(),
-            rng: self.rng.clone(),
-            threads: self.threads,
-            base: self.base.clone(),
-        }
-    }
 }
 
 /// One finished legacy-driver cell: the merged measurements plus the
@@ -875,8 +846,7 @@ pub fn warm_single<E: TxnEngine>(
 }
 
 impl<E: TxnEngine> WarmSingle<E> {
-    /// Runs `txns` measured transactions on this warm state. Consumes the
-    /// warm state; clone first to keep a restorable snapshot.
+    /// Runs `txns` measured transactions on this warm state, consuming it.
     pub fn run_measured(mut self, txns: u64) -> SingleRun<E> {
         let t0 = Instant::now();
         let result = single_measured(
