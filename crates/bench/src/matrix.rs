@@ -285,7 +285,7 @@ pub struct CellOut {
     /// Merged measurements (deterministic).
     pub result: RunResult,
     /// Post-run engines in worker order — empty on a result-memo hit
-    /// ([`MatrixRunner::run`] never returns engines).
+    /// ([`MatrixRunner::run`] drops them with the cell).
     pub engines: Vec<AnyEngine>,
     /// Host wall-clock of the measured phase (zero on a memo hit).
     pub host_elapsed: Duration,
@@ -368,12 +368,11 @@ impl MatrixRunner {
 
     /// Runs every cell and returns the results in spec order. Pooled and
     /// memoized — and bit-identical to sequential per-cell execution
-    /// (the determinism contract above).
+    /// (the determinism contract above). A cell's engines are dropped on
+    /// the pool thread that ran it, so at most `pool` machines are alive
+    /// however large the grid.
     pub fn run(&self, specs: &[CellSpec]) -> Vec<RunResult> {
-        self.run_pooled(specs, false)
-            .into_iter()
-            .map(|c| c.result)
-            .collect()
+        self.run_pooled(specs, |spec| self.exec(spec, false).result)
     }
 
     /// [`MatrixRunner::run`], returning the post-run engines and host
@@ -381,7 +380,7 @@ impl MatrixRunner {
     /// engines to hand back): every cell, duplicates included, is
     /// simulated.
     pub fn run_full(&self, specs: &[CellSpec]) -> Vec<CellOut> {
-        self.run_pooled(specs, true)
+        self.run_pooled(specs, |spec| self.exec(spec, true))
     }
 
     /// Runs cells one at a time on the calling thread, bypassing the pool
@@ -392,13 +391,19 @@ impl MatrixRunner {
         specs.iter().map(|s| self.exec(s, true)).collect()
     }
 
-    fn run_pooled(&self, specs: &[CellSpec], want_engines: bool) -> Vec<CellOut> {
+    /// Maps `cell` over the specs on the pool, results in spec order.
+    /// Only what `cell` returns outlives the cell.
+    fn run_pooled<T: Send>(
+        &self,
+        specs: &[CellSpec],
+        cell: impl Fn(&CellSpec) -> T + Sync,
+    ) -> Vec<T> {
         let workers = self.pool.min(specs.len());
         if workers <= 1 {
-            return specs.iter().map(|s| self.exec(s, want_engines)).collect();
+            return specs.iter().map(cell).collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellOut>>> = specs.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<T>>> = specs.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -406,7 +411,7 @@ impl MatrixRunner {
                     if i >= specs.len() {
                         break;
                     }
-                    let out = self.exec(&specs[i], want_engines);
+                    let out = cell(&specs[i]);
                     *slots[i].lock().expect("result slot") = Some(out);
                 });
             }
@@ -551,6 +556,53 @@ mod tests {
             memo >= specs.len() as u64,
             "the second pass must hit the memo"
         );
+    }
+
+    /// Counts itself alive from construction to drop, and remembers the
+    /// most that ever were.
+    struct Probe<'a>(&'a Gauge);
+
+    #[derive(Default)]
+    struct Gauge {
+        live: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl<'a> Probe<'a> {
+        fn new(gauge: &'a Gauge) -> Self {
+            let live = gauge.live.fetch_add(1, Ordering::SeqCst) + 1;
+            gauge.peak.fetch_max(live, Ordering::SeqCst);
+            Self(gauge)
+        }
+    }
+
+    impl Drop for Probe<'_> {
+        fn drop(&mut self) {
+            self.0.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_grid_never_has_more_than_pool_cells_engines_alive() {
+        const POOL: usize = 2;
+        let specs: Vec<CellSpec> = (0..4).flat_map(|_| grid()).collect();
+        let runner = MatrixRunner::with_pool(POOL).without_cache();
+        // What `run` does per cell, with a probe that outlives the cell's
+        // engines: they are born inside `exec` and die with its `CellOut`
+        // at the end of the expression, before `_probe` does.
+        let gauge = Gauge::default();
+        let probed = runner.run_pooled(&specs, |spec| {
+            let _probe = Probe::new(&gauge);
+            runner.exec(spec, false).result
+        });
+        assert_eq!(gauge.live.load(Ordering::SeqCst), 0);
+        let peak = gauge.peak.load(Ordering::SeqCst);
+        assert!((1..=POOL).contains(&peak), "{peak} cells alive at once");
+        assert_eq!(probed, runner.run(&specs));
+        // Engines leave a cell only when asked for, one per shard.
+        for (spec, out) in specs.iter().zip(runner.run_full(&specs[..4])) {
+            assert_eq!(out.engines.len(), spec.run_cfg.threads);
+        }
     }
 
     #[test]

@@ -9,32 +9,37 @@
 //! loop {
 //!     local(w)            every shard, no shared state: run to the boundary
 //!     deposit(w, board)   every shard hands its epoch output to the board
-//!     ── rendezvous ──
-//!     merge(board)        exactly once: resolve the epoch, fill the verdicts
-//!     ── rendezvous ──
+//!     ── rendezvous ──    the last shard to arrive runs, before it releases:
+//!       merge(board)      exactly once: resolve the epoch, fill the verdicts
 //!     apply(w, verdict)   every shard, no shared state: take the verdict
 //! }                       until merge says the epoch was the last
 //! ```
 //!
 //! [`ExecMode::Threaded`] runs `local`/`deposit`/`apply` on one real
-//! thread per shard, with two barrier crossings per epoch and an
-//! arbitrary barrier leader running `merge`; [`ExecMode::Sequential`]
-//! calls the *same four functions* in worker-index order on the calling
-//! thread. `merge` sees nothing but the board, and `local`/`apply` see
-//! nothing but their own worker, so as long as a protocol's `merge` is a
-//! pure function of what was deposited the two modes are bit-identical —
-//! the sequential mode is the reference schedule the equivalence suites
-//! compare against, not a second copy of any driver's arithmetic.
+//! thread per shard with **one** [`Rendezvous`] crossing per epoch: the
+//! last shard to arrive — an arbitrary leader, and the only thread not
+//! waiting, so it owns the board — runs `merge`, puts each shard's verdict
+//! in that shard's own slot and only then releases the others, who spin
+//! on one word for as long as a short epoch's stragglers take and park
+//! only past that. [`ExecMode::Sequential`] calls the *same four
+//! functions* in worker-index order on the calling thread. `merge` sees
+//! nothing but the board, and `local`/`apply` see nothing but their own
+//! worker, so as long as a protocol's `merge` is a pure function of what
+//! was deposited the two modes are bit-identical — the sequential mode is
+//! the reference schedule the equivalence suites compare against, not a
+//! second copy of any driver's arithmetic.
 //!
-//! Every barrier [poisons](PoisonBarrier) on a panic: a failing `local`,
-//! `merge` or `apply` wakes every parked peer and the coordinator, so the
-//! run fails loudly instead of deadlocking the remaining rendezvous.
+//! Every rendezvous [poisons](Rendezvous::poison) on a panic: a failing
+//! `local`, `merge` or `apply` wakes every spinning or parked peer and
+//! the coordinator, so the run fails loudly instead of deadlocking the
+//! remaining rendezvous.
 //!
 //! Shards are built where they run: [`drive`] turns a seed into a worker
 //! inside the worker's own thread before the first epoch, and
 //! [`spawn_each`] / [`map_each`] cover the phases that need no rendezvous
 //! at all — warming shards the caller keeps, the final per-shard quiesce.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -64,9 +69,10 @@ pub(crate) trait Protocol<T>: Sync {
 }
 
 /// What a merge says about the epoch it resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Epoch {
     /// More epochs follow.
+    #[default]
     Next,
     /// More epochs follow, and the span [`drive`] times restarts here: a
     /// protocol ends its unmeasured phase (warm-up) this way, so both
@@ -94,13 +100,27 @@ impl<T, F: Fn(usize, &mut T) + Sync> Protocol<T> for Solo<F> {
     fn apply(&self, _w: usize, _worker: &mut T, _verdict: ()) {}
 }
 
-/// What the shards share during one [`drive`]: the protocol's board plus
-/// the kernel's own per-epoch hand-back slots.
+/// What the shards share during one [`drive`]: the protocol's board,
+/// the verdict slice `merge` fills, and where the timed span restarted.
 struct Exchange<'a, B, V> {
     board: &'a mut B,
     verdicts: Vec<V>,
-    epoch: Epoch,
     lap: Option<Instant>,
+}
+
+/// One shard's hand-back from the epoch's leader: its verdict and what
+/// the merge said about the epoch. A slot (and a cache line) of its own
+/// per shard, so the `n` shards a release lets go at the same instant
+/// each take an uncontended lock instead of queueing on the board's.
+#[derive(Default)]
+#[repr(align(64))]
+struct Slot<V>(Mutex<(V, Epoch)>);
+
+impl<V> Slot<V> {
+    fn lock(&self) -> MutexGuard<'_, (V, Epoch)> {
+        // No protocol code ever runs under a slot's lock.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// Turns each seed into its shard's worker with `enter` — *inside* the
@@ -153,53 +173,55 @@ pub(crate) fn drive<S: Send, T: Send, P: Protocol<T>>(
         }
         ExecMode::Threaded => {
             // The coordinator joins the start/end rendezvous to time the
-            // span; the epoch rendezvous is workers only.
-            let (start, end) = (PoisonBarrier::new(n + 1), PoisonBarrier::new(n + 1));
-            let rendezvous = PoisonBarrier::new(n);
+            // span, and must sleep through it; the epoch rendezvous is
+            // workers only, and may spin.
+            let (start, end) = (Rendezvous::parking(n + 1), Rendezvous::parking(n + 1));
+            let rendezvous = Rendezvous::spinning(n);
+            let slots: Vec<Slot<P::Verdict>> = (0..n).map(|_| Slot::default()).collect();
             let exchange = Mutex::new(Exchange {
                 board,
                 verdicts,
-                epoch: Epoch::Next,
                 lap: None,
             });
             let lock = || exchange.lock().expect("a peer panicked holding the board");
+            // Run by each epoch's last arriver while every peer waits.
+            let lead = || {
+                let ex = &mut *lock();
+                let epoch = protocol.merge(ex.board, &mut ex.verdicts);
+                if epoch == Epoch::Lap {
+                    ex.lap = Some(Instant::now());
+                }
+                for (slot, verdict) in slots.iter().zip(&mut ex.verdicts) {
+                    *slot.lock() = (std::mem::take(verdict), epoch);
+                }
+            };
             std::thread::scope(|scope| {
                 let handles: Vec<_> = seeds
                     .map(|(w, seed)| {
                         let (start, end, rendezvous) = (&start, &end, &rendezvous);
-                        let (enter, lock) = (&enter, &lock);
+                        let (enter, lock, lead, slot) = (&enter, &lock, &lead, &slots[w]);
                         scope.spawn(move || {
                             let _poison = PoisonOnPanic([start, end, rendezvous]);
                             let mut worker = enter(w, seed);
-                            start.wait();
+                            start.wait(|| ());
                             loop {
                                 protocol.local(w, &mut worker);
                                 protocol.deposit(w, &mut worker, lock().board);
-                                if rendezvous.wait() {
-                                    let ex = &mut *lock();
-                                    ex.epoch = protocol.merge(ex.board, &mut ex.verdicts);
-                                    if ex.epoch == Epoch::Lap {
-                                        ex.lap = Some(Instant::now());
-                                    }
-                                }
-                                rendezvous.wait();
-                                let (verdict, epoch) = {
-                                    let mut ex = lock();
-                                    (std::mem::take(&mut ex.verdicts[w]), ex.epoch)
-                                };
+                                rendezvous.wait(lead);
+                                let (verdict, epoch) = std::mem::take(&mut *slot.lock());
                                 protocol.apply(w, &mut worker, verdict);
                                 if epoch == Epoch::Last {
                                     break;
                                 }
                             }
-                            end.wait();
+                            end.wait(|| ());
                             worker
                         })
                     })
                     .collect();
-                start.wait();
+                start.wait(|| ());
                 let t0 = Instant::now();
-                end.wait();
+                end.wait(|| ());
                 let host_elapsed = lock().lap.unwrap_or(t0).elapsed();
                 let workers = handles
                     .into_iter()
@@ -254,84 +276,169 @@ pub(crate) fn spawn_each<R: Send>(
     map_each(mode, vec![(); n], |w, ()| f(w))
 }
 
-/// A reusable rendezvous like [`std::sync::Barrier`], except that a
-/// panicking participant can [`poison`](PoisonBarrier::poison) it: every
-/// parked or future waiter panics instead of staying parked forever. The
-/// epoch protocol rendezvouses hundreds of times per run, so without
-/// poisoning a single engine panic inside one worker would deadlock the
-/// other workers (and the coordinator) into an indefinite hang — in CI
-/// that is a job timeout with the original panic message never surfaced.
-struct PoisonBarrier {
+/// A reusable combining rendezvous: like [`std::sync::Barrier`], except
+/// that the last participant to arrive runs a closure *before* anyone is
+/// released (so what would be arrive → leader works → arrive again is
+/// one crossing), waiters spin before they park, and a panicking
+/// participant can [`poison`](Rendezvous::poison) it.
+///
+/// **Waiting policy.** Waiters watch one word, [`Self::generation`]. A
+/// `spinning` rendezvous whose participants all fit on the host's cores
+/// polls it for a bounded stretch — the epoch protocol rendezvouses
+/// thousands of times per run and its stragglers are microseconds
+/// behind, far less than a futex sleep and wake-up cost — and then
+/// parks on the condvar like a `parking` one does from the start. With
+/// more participants than cores a spinner would only burn the time
+/// slice the thread it waits for needs, so those park at once. The
+/// releaser counts the parked waiters and skips `notify_all` (a futex
+/// syscall in std even with nobody to wake) when there are none, so an
+/// epoch nobody slept through costs no sleep and no wake-up either.
+///
+/// **Ordering.** The releaser's `Release` add to `generation` pairs with
+/// the waiters' `Acquire` loads of it: what the leader wrote, and the
+/// reset of `arrived`, happen before any waiter returns. The `AcqRel`
+/// increments of `arrived` chain the arrivals, so the last arriver — the
+/// leader — sees what every earlier one wrote before it arrived.
+///
+/// **Poisoning.** Every spinning, parked or future waiter of a poisoned
+/// rendezvous panics instead of waiting forever: without it a single
+/// engine panic inside one worker would deadlock the other workers (and
+/// the coordinator) into an indefinite hang — in CI that is a job timeout
+/// with the original panic message never surfaced.
+struct Rendezvous {
     n: usize,
-    state: Mutex<PoisonBarrierState>,
+    /// How many polls of the generation a waiter makes before parking.
+    spins: u32,
+    arrived: AtomicUsize,
+    /// Generations completed, counted in steps of two; [`POISONED`] is
+    /// bit 0, so a spinner learns of a release and of a poisoning from
+    /// the same load.
+    generation: AtomicUsize,
+    /// Waiters that are on (or on their way to or from) the condvar.
+    parked: Mutex<usize>,
     cv: Condvar,
 }
 
-struct PoisonBarrierState {
-    count: usize,
-    generation: u64,
-    poisoned: bool,
-}
+const POISONED: usize = 1;
 
-impl PoisonBarrier {
-    fn new(n: usize) -> Self {
+/// Polls of the generation word before a waiter parks: the first
+/// [`HOT_SPINS`] back to back (a few microseconds — an empty epoch's
+/// straggler), the rest with a `yield_now` between them (half a
+/// millisecond on an idle core — an epoch whose shard had work). The hot
+/// stretch is short because the waiter cannot know that the thread it
+/// waits for has a core of its own: a wake-up tends to leave the woken
+/// thread on its waker's core, and there every hot poll only delays the
+/// release it polls for, whereas a yield hands that peer (or another
+/// test's, another process's) the core. With 2 048 hot polls a
+/// 2-shard, 1 158-epoch debug run took 56 ms or 192 ms depending on
+/// where the scheduler had put the shards; with 256 it takes 58 ms.
+const SPINS: u32 = 2_048;
+const HOT_SPINS: u32 = 256;
+
+impl Rendezvous {
+    /// A rendezvous of `n` whose waiters poll `spins` times, then park.
+    fn new(n: usize, spins: u32) -> Self {
         Self {
             n,
-            state: Mutex::new(PoisonBarrierState {
-                count: 0,
-                generation: 0,
-                poisoned: false,
-            }),
+            spins,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            parked: Mutex::new(0),
             cv: Condvar::new(),
         }
     }
 
-    /// Recovers the state even if a panic inside `wait` poisoned the
-    /// mutex — the barrier's own `poisoned` flag is the source of truth.
-    fn lock(&self) -> MutexGuard<'_, PoisonBarrierState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    /// A rendezvous of `n` whose waiters park at once.
+    fn parking(n: usize) -> Self {
+        Self::new(n, 0)
     }
 
-    /// Blocks until `n` participants arrive; returns `true` for exactly
-    /// one of them (the leader).
+    /// A rendezvous of `n` whose waiters spin before they park, if the
+    /// host has a core for each of them. `available_parallelism` is a
+    /// `sched_getaffinity` call: asked here, once per drive, never per
+    /// wait.
+    fn spinning(n: usize) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        Self::new(n, if n <= cores { SPINS } else { 0 })
+    }
+
+    /// Recovers the count even if a panic poisoned the mutex — the
+    /// generation's `POISONED` bit is the source of truth.
+    fn parked(&self) -> MutexGuard<'_, usize> {
+        self.parked.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Blocks until `n` participants arrive. The last to arrive runs
+    /// `lead` while the others still wait, then releases them: everything
+    /// `lead` wrote is visible to every participant when its `wait`
+    /// returns.
     ///
     /// # Panics
     ///
-    /// Panics if the barrier was poisoned (before or while waiting).
-    fn wait(&self) -> bool {
-        let mut st = self.lock();
-        assert!(!st.poisoned, "a peer worker thread panicked");
-        let generation = st.generation;
-        st.count += 1;
-        if st.count == self.n {
-            st.count = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-            return true;
+    /// Panics if the rendezvous was poisoned (before or while waiting),
+    /// and if `lead` does — without releasing anyone: the caller's
+    /// [`PoisonOnPanic`] does that.
+    fn wait(&self, lead: impl FnOnce()) {
+        // Read before arriving: the generation cannot advance until this
+        // participant has arrived too.
+        let generation = self.generation.load(Ordering::Acquire);
+        assert!(generation & POISONED == 0, "a peer worker thread panicked");
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            // Nobody can arrive for the next generation before the
+            // release below, which is also what publishes this reset.
+            self.arrived.store(0, Ordering::Relaxed);
+            lead();
+            // An add, not a store: a concurrent poisoning must survive.
+            self.generation.fetch_add(2, Ordering::Release);
+            // A waiter checks the generation under the lock before it
+            // sleeps, so it either sees the release or is counted here.
+            if *self.parked() > 0 {
+                self.cv.notify_all();
+            }
+            return;
         }
-        while st.generation == generation && !st.poisoned {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        let released = || self.generation.load(Ordering::Acquire) != generation;
+        for spin in 0..self.spins {
+            if released() {
+                break;
+            }
+            if spin < HOT_SPINS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
-        assert!(!st.poisoned, "a peer worker thread panicked");
-        false
+        if !released() {
+            let mut parked = self.parked();
+            *parked += 1;
+            while !released() {
+                parked = self.cv.wait(parked).unwrap_or_else(|e| e.into_inner());
+            }
+            *parked -= 1;
+        }
+        let poisoned = self.generation.load(Ordering::Acquire) & POISONED != 0;
+        assert!(!poisoned, "a peer worker thread panicked");
     }
 
     fn poison(&self) {
-        self.lock().poisoned = true;
+        self.generation.fetch_or(POISONED, Ordering::Release);
+        // Under the lock, so a waiter between its check and its sleep is
+        // not missed.
+        let _parked = self.parked();
         self.cv.notify_all();
     }
 }
 
-/// Poisons every barrier of the run if the owning thread unwinds, so a
+/// Poisons every rendezvous of the run if the owning thread unwinds, so a
 /// panic anywhere in a worker fails the whole run loudly instead of
 /// deadlocking the remaining rendezvous.
-struct PoisonOnPanic<'a>([&'a PoisonBarrier; 3]);
+struct PoisonOnPanic<'a>([&'a Rendezvous; 3]);
 
 impl Drop for PoisonOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            for barrier in self.0 {
-                barrier.poison();
+            for rendezvous in self.0 {
+                rendezvous.poison();
             }
         }
     }
@@ -389,7 +496,7 @@ mod tests {
         fn local(&self, w: usize, worker: &mut ToyWorker) {
             assert!(self.bomb_local != Some(w) || worker.epoch < 2, "local boom");
             self.record(("local", w, worker.epoch, worker.value));
-            worker.value += w as u64 + 1;
+            worker.value = worker.value.wrapping_add(w as u64 + 1);
         }
         fn deposit(&self, w: usize, worker: &mut ToyWorker, board: &mut ToyBoard) {
             self.record(("deposit", w, worker.epoch, worker.value));
@@ -397,10 +504,13 @@ mod tests {
         }
         fn merge(&self, board: &mut ToyBoard, verdicts: &mut [u64]) -> Epoch {
             assert!(!self.bomb_merge || board.epoch < 2, "merge boom");
-            let sum: u64 = board.deposits.iter().sum();
+            let sum = board
+                .deposits
+                .iter()
+                .fold(0u64, |sum, d| sum.wrapping_add(*d));
             self.record(("merge", usize::MAX, board.epoch, sum));
             for (w, v) in verdicts.iter_mut().enumerate() {
-                *v = sum + w as u64;
+                *v = sum.wrapping_add(w as u64);
             }
             board.epoch += 1;
             if board.epoch == self.epochs {
@@ -527,6 +637,82 @@ mod tests {
             ..Toy::new(10)
         };
         toy_run(ExecMode::Threaded, &toy, 3);
+    }
+
+    #[test]
+    fn one_worker_and_oversubscribed_workers_match_sequential_call_for_call() {
+        // One worker is always its own leader; eight workers outnumber any
+        // CI host's cores, so every one of the 10 000 rendezvous parks.
+        for (n, epochs) in [(1, 100), (8, 10_000)] {
+            let (seq_values, seq_log) = toy_run(ExecMode::Sequential, &Toy::new(epochs), n);
+            let (thr_values, thr_log) = toy_run(ExecMode::Threaded, &Toy::new(epochs), n);
+            assert_eq!(seq_values, thr_values, "{n} workers");
+            assert!(seq_log == thr_log, "{n} workers: call logs differ");
+            assert_eq!(seq_log.len() as u64, epochs * (3 * n as u64 + 1));
+        }
+    }
+
+    #[test]
+    fn the_leader_runs_once_per_generation_before_any_waiter_returns() {
+        const N: usize = 4;
+        const GENERATIONS: usize = 2_000;
+        for spins in [0, SPINS] {
+            let rendezvous = Rendezvous::new(N, spins);
+            let led = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..N {
+                    scope.spawn(|| {
+                        for generation in 0..GENERATIONS {
+                            rendezvous.wait(|| {
+                                led.fetch_add(1, Ordering::Relaxed);
+                            });
+                            // This generation's leader ran, and the next
+                            // one's cannot before this thread arrives again.
+                            assert_eq!(led.load(Ordering::Relaxed), generation + 1);
+                        }
+                    });
+                }
+            });
+            assert_eq!(led.load(Ordering::Relaxed), GENERATIONS);
+        }
+    }
+
+    #[test]
+    fn a_rendezvous_of_one_leads_every_generation_itself() {
+        let rendezvous = Rendezvous::spinning(1);
+        let mut led = 0;
+        for _ in 0..3 {
+            rendezvous.wait(|| led += 1);
+        }
+        assert_eq!(led, 3);
+    }
+
+    #[test]
+    fn poison_wakes_a_spinning_waiter_and_a_parked_one() {
+        // `u32::MAX` polls outlast the test: that waiter never parks.
+        for (spins, parks) in [(u32::MAX, 0), (0, 1)] {
+            let rendezvous = Rendezvous::new(2, spins);
+            let waiter_panicked = std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| rendezvous.wait(|| ()));
+                while rendezvous.arrived.load(Ordering::Acquire) == 0
+                    || *rendezvous.parked() < parks
+                {
+                    std::thread::yield_now();
+                }
+                assert_eq!(*rendezvous.parked(), parks);
+                rendezvous.poison();
+                waiter.join().is_err()
+            });
+            assert!(waiter_panicked, "spins = {spins}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a peer worker thread panicked")]
+    fn a_poisoned_rendezvous_refuses_new_waiters() {
+        let rendezvous = Rendezvous::parking(2);
+        rendezvous.poison();
+        rendezvous.wait(|| ());
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! epoch boundary, `deposit` hands the epoch's output to a shared board,
 //! exactly one `merge` per epoch resolves it, `apply` takes each shard's
 //! verdict. [`runner::ExecMode::Threaded`] schedules those four
-//! functions on one real thread per shard with two barrier crossings per
-//! epoch; [`runner::ExecMode::Sequential`] calls the same four functions
+//! functions on one real thread per shard with one rendezvous per epoch
+//! (the last shard to arrive runs `merge`, then releases the others);
+//! [`runner::ExecMode::Sequential`] calls the same four functions
 //! in worker-index order on the calling thread, which is why the two
 //! modes are bit-identical for every driver.
 //!

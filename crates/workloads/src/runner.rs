@@ -1152,7 +1152,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn panicking_worker_fails_the_run_instead_of_hanging() {
-        // Worker 1 blows up mid-epoch; the poisoning barriers must wake
+        // Worker 1 blows up mid-epoch; the poisoned rendezvous must wake
         // everyone (including the coordinator) so the panic propagates
         // out of run_parallel rather than deadlocking the rendezvous.
         let mut shard = MachineConfig::default().shard_slice(3);

@@ -79,15 +79,24 @@ fn assert_engine_equivalence_with<E: TxnEngine>(
     mk: impl Fn(MachineConfig) -> E + Sync,
     interconnect: InterconnectConfig,
 ) {
-    let mut reference = sps_run_with(&mk, ExecMode::Sequential, interconnect);
+    assert_runs_equivalent(|mode| sps_run_with(&mk, mode, interconnect), REPEATS);
+}
+
+/// `run(Threaded)`, `repeats` times over, is bit-identical to
+/// `run(Sequential)`; returns that reference run.
+fn assert_runs_equivalent<E: TxnEngine>(
+    run: impl Fn(ExecMode) -> ParallelRun<E>,
+    repeats: usize,
+) -> ParallelRun<E> {
+    let mut reference = run(ExecMode::Sequential);
     assert!(
         reference.result.stats.bankq_row_hits + reference.result.stats.bankq_row_misses > 0,
         "the controller must have arbitrated the measured phase"
     );
     let ref_prints = committed_fingerprints(&mut reference);
 
-    for rep in 0..REPEATS {
-        let mut threaded = sps_run_with(&mk, ExecMode::Threaded, interconnect);
+    for rep in 0..repeats {
+        let mut threaded = run(ExecMode::Threaded);
         assert_eq!(
             threaded.result, reference.result,
             "merged counters diverged from the sequential reference (rep {rep})"
@@ -110,6 +119,7 @@ fn assert_engine_equivalence_with<E: TxnEngine>(
             "committed persistent state diverged (rep {rep})"
         );
     }
+    reference
 }
 
 fn assert_engine_equivalence<E: TxnEngine>(mk: impl Fn(MachineConfig) -> E + Sync) {
@@ -150,6 +160,35 @@ fn undo_hierarchy_threaded_equals_sequential_and_repeats() {
 #[test]
 fn redo_hierarchy_threaded_equals_sequential_and_repeats() {
     assert_engine_equivalence_with(RedoLog::new, InterconnectConfig::shared_hierarchy());
+}
+
+/// The same contract when the run is mostly rendezvous: 500-cycle epochs
+/// put five hundred and more arbitration rounds in each run (the runs
+/// above have a few dozen), at every worker count.
+#[test]
+fn short_epochs_stay_deterministic_at_every_worker_count() {
+    const EPOCH_CYCLES: u64 = 500;
+    // Contention stretches a transaction as clients are added, so fewer
+    // of them per shard fill as many epochs.
+    for (threads, txns) in [(1, 400), (2, 800), (4, 800), (8, 1_200)] {
+        let run = |mode| {
+            let mut shard = shard_with(threads.max(2), InterconnectConfig::shared_hierarchy());
+            shard.interconnect.epoch_cycles = EPOCH_CYCLES;
+            let run_cfg = RunConfig {
+                txns,
+                threads,
+                ..cfg(mode)
+            };
+            run_parallel(
+                move |_| Ssp::new(shard.clone(), SspConfig::default()),
+                |_| Sps::new(2048, KeyDist::uniform(2048)),
+                &run_cfg,
+            )
+        };
+        let reference = assert_runs_equivalent(run, 2);
+        let epochs = reference.shards[0].elapsed_cycles / EPOCH_CYCLES;
+        assert!(epochs >= 500, "{threads} workers: only {epochs} epochs");
+    }
 }
 
 /// Runs `clients` SSP shards of constant size and workload through the

@@ -70,11 +70,20 @@ fn committed_fingerprints<E: TxnEngine>(run: &mut SharedRun<E>) -> Vec<u64> {
 /// (`REPEATS` runs), for one engine factory, with the conflict dial up.
 fn assert_engine_equivalence<E: TxnEngine>(mk: impl Fn(MachineConfig) -> E + Sync) {
     let threads = threads();
-    let mut reference = conflict_run(&mk, ExecMode::Sequential, threads, DIAL);
+    assert_runs_equivalent(|mode| conflict_run(&mk, mode, threads, DIAL), REPEATS);
+}
+
+/// `run(Threaded)`, `repeats` times over, is bit-identical to
+/// `run(Sequential)`; returns that reference run.
+fn assert_runs_equivalent<E: TxnEngine>(
+    run: impl Fn(ExecMode) -> SharedRun<E>,
+    repeats: usize,
+) -> SharedRun<E> {
+    let mut reference = run(ExecMode::Sequential);
     let ref_prints = committed_fingerprints(&mut reference);
 
-    for rep in 0..REPEATS {
-        let mut threaded = conflict_run(&mk, ExecMode::Threaded, threads, DIAL);
+    for rep in 0..repeats {
+        let mut threaded = run(ExecMode::Threaded);
         assert_eq!(
             threaded.result, reference.result,
             "merged counters diverged from the sequential reference (rep {rep})"
@@ -116,6 +125,7 @@ fn assert_engine_equivalence<E: TxnEngine>(mk: impl Fn(MachineConfig) -> E + Syn
             "committed persistent state diverged (rep {rep})"
         );
     }
+    reference
 }
 
 #[test]
@@ -213,6 +223,39 @@ fn shared_heap_with_interconnect_stays_deterministic() {
         committed_fingerprints(&mut a),
         committed_fingerprints(&mut b)
     );
+}
+
+/// Short epochs make the run mostly rendezvous — five hundred and more
+/// per run, where the default 50 000-cycle epoch has a handful — so a lost
+/// wake-up, a leader that merges twice or a verdict handed to the wrong
+/// shard shows here first: threaded == sequential == repeat at every
+/// worker count.
+#[test]
+fn short_epochs_stay_deterministic_at_every_worker_count() {
+    const EPOCH_CYCLES: u64 = 500;
+    let heap = SharedHeapConfig {
+        epoch_cycles: EPOCH_CYCLES,
+        ..SharedHeapConfig::default()
+    };
+    for threads in [1, 2, 4, 8] {
+        let run = |mode| {
+            let shard = MachineConfig::default().shard_slice(threads.max(2));
+            let run_cfg = RunConfig {
+                txns: 375 * threads as u64,
+                warmup: 80,
+                ..cfg(mode, threads)
+            };
+            run_shared(
+                |_| Ssp::new(shard.clone(), SspConfig::default()),
+                |w| ConflictSps::uniform(256, 256, threads, w, DIAL),
+                &run_cfg,
+                &heap,
+            )
+        };
+        let reference = assert_runs_equivalent(run, 2);
+        let epochs = reference.shards[0].elapsed_cycles / EPOCH_CYCLES;
+        assert!(epochs >= 500, "{threads} workers: only {epochs} epochs");
+    }
 }
 
 /// Contention must actually happen at a high dial with several clients
