@@ -10,7 +10,7 @@ use ssp_simulator::addr::{PhysAddr, VirtAddr, LINE_SIZE};
 use ssp_simulator::cache::CoreId;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::stats::WriteClass;
-use ssp_simulator::timing::MemKind;
+use ssp_simulator::timing::{AccessKind, MemKind};
 use ssp_txn::vm::NvLayout;
 
 /// Bytes of log area per core.
@@ -107,9 +107,7 @@ impl CoreLog {
         if cycles == 0 {
             // Entirely coalesced into an already-counted line; charge the
             // buffered-write cost only.
-            cycles = machine
-                .config()
-                .ns_to_cycles(machine.config().nvram.write_ns)
+            cycles = machine.array_cycles(MemKind::Nvram, AccessKind::Write)
                 / machine.config().persist_mlp.max(1) as u64;
         }
         cycles
@@ -243,9 +241,7 @@ impl MachineLogExt for Machine {
 
 /// One entry's worth of blocking persist latency (undo logging's stall).
 pub fn blocking_persist_cycles(machine: &Machine) -> u64 {
-    machine
-        .config()
-        .ns_to_cycles(machine.config().nvram.write_ns)
+    machine.array_cycles(MemKind::Nvram, AccessKind::Write)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use ssp_simulator::fault::FaultSite;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::ObsKind;
 use ssp_simulator::stats::WriteClass;
+use ssp_simulator::timing::{AccessKind, MemKind};
 use ssp_simulator::tlb::Tlb;
 use ssp_txn::engine::{line_spans, sorted_scratch, TxnEngine, TxnStats, WriteSetTracker};
 use ssp_txn::vm::{NvLayout, VmManager};
@@ -106,15 +107,17 @@ impl RedoLog {
     }
 
     fn translate(&mut self, core: CoreId, vpn: Vpn) -> PhysAddr {
-        let hit = self.tlbs[core.index()].lookup(vpn).is_some();
+        // Mappings never change under this engine, so a TLB entry is
+        // always current.
+        if let Some(entry) = self.tlbs[core.index()].lookup(vpn) {
+            return entry.ppn.base();
+        }
         let ppn = self
             .vm
             .translate(vpn)
             .unwrap_or_else(|| panic!("access to unmapped page {vpn}"));
-        if !hit {
-            self.machine.record_tlb_miss(core);
-            let _ = self.tlbs[core.index()].insert(vpn, ppn, ());
-        }
+        self.machine.record_tlb_miss(core);
+        let _ = self.tlbs[core.index()].insert(vpn, ppn, ());
         ppn.base()
     }
 
@@ -301,11 +304,7 @@ impl TxnEngine for RedoLog {
             }
             self.machine.clear_tx(line);
             if self.machine.flush(None, line, WriteClass::Data) {
-                drain_cycles += self
-                    .machine
-                    .config()
-                    .ns_to_cycles(self.machine.config().nvram.write_ns)
-                    / mlp;
+                drain_cycles += self.machine.array_cycles(MemKind::Nvram, AccessKind::Write) / mlp;
             }
         }
         let start = self.drain_until[core.index()].max(self.machine.cycles(core));

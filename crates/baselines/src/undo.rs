@@ -10,7 +10,6 @@
 //! Recovery: entries of the (single, per-core) uncommitted transaction are
 //! applied in reverse.
 
-use fxhash::FxHashSet;
 use ssp_simulator::addr::{PhysAddr, VirtAddr, Vpn, LINE_SIZE};
 use ssp_simulator::cache::{CoreId, TxEviction};
 use ssp_simulator::config::MachineConfig;
@@ -19,7 +18,7 @@ use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::ObsKind;
 use ssp_simulator::stats::WriteClass;
 use ssp_simulator::tlb::Tlb;
-use ssp_txn::engine::{line_spans, sorted_scratch, TxnEngine, TxnStats, WriteSetTracker};
+use ssp_txn::engine::{line_spans, PageBitmaps, TxnEngine, TxnStats, WriteSetTracker};
 use ssp_txn::vm::{NvLayout, VmManager};
 
 use crate::common::{blocking_persist_cycles, CommitRegister, CoreLog, LogEntry};
@@ -61,13 +60,12 @@ pub struct UndoLog {
     logs: Vec<CoreLog>,
     commits: Vec<CommitRegister>,
     open: Vec<Option<OpenTxn>>,
-    /// Per-core line base addresses already logged this transaction
-    /// (cleared, capacity kept, at commit/abort).
-    logged: Vec<FxHashSet<u64>>,
+    /// Per-core physical lines already logged this transaction (cleared,
+    /// capacity kept, at commit/abort); iterates in address order, which
+    /// is the order commit flushes them in.
+    logged: Vec<PageBitmaps>,
     /// Per-core write-set trackers, reused across transactions.
     trackers: Vec<WriteSetTracker>,
-    /// Reusable commit scratch: the logged lines sorted for flushing.
-    scratch_lines: Vec<u64>,
     stats: TxnStats,
     next_tid: u64,
 }
@@ -84,9 +82,8 @@ impl UndoLog {
             logs: (0..cores).map(|c| CoreLog::new(layout, c)).collect(),
             commits: (0..cores).map(|c| CommitRegister::new(layout, c)).collect(),
             open: (0..cores).map(|_| None).collect(),
-            logged: (0..cores).map(|_| FxHashSet::default()).collect(),
+            logged: (0..cores).map(|_| PageBitmaps::new()).collect(),
             trackers: (0..cores).map(|_| WriteSetTracker::new()).collect(),
-            scratch_lines: Vec::new(),
             stats: TxnStats::default(),
             next_tid: 1,
         }
@@ -98,15 +95,17 @@ impl UndoLog {
     }
 
     fn translate(&mut self, core: CoreId, vpn: Vpn) -> PhysAddr {
-        let hit = self.tlbs[core.index()].lookup(vpn).is_some();
+        // Mappings never change under this engine, so a TLB entry is
+        // always current.
+        if let Some(entry) = self.tlbs[core.index()].lookup(vpn) {
+            return entry.ppn.base();
+        }
         let ppn = self
             .vm
             .translate(vpn)
             .unwrap_or_else(|| panic!("access to unmapped page {vpn}"));
-        if !hit {
-            self.machine.record_tlb_miss(core);
-            let _ = self.tlbs[core.index()].insert(vpn, ppn, ());
-        }
+        self.machine.record_tlb_miss(core);
+        let _ = self.tlbs[core.index()].insert(vpn, ppn, ());
         ppn.base()
     }
 
@@ -128,7 +127,8 @@ impl UndoLog {
         let paddr = self.paddr_of(core, addr);
         let line_base = paddr.line_base();
         let tid = self.open[core.index()].as_ref().expect("open txn").tid;
-        let needs_log = !self.logged[core.index()].contains(&line_base.raw());
+        let needs_log =
+            self.logged[core.index()].insert(line_base.ppn().raw(), line_base.line_index().raw());
         if needs_log {
             // Read the pre-image (through the cache: it may be dirty).
             let mut old = [0u8; LINE_SIZE];
@@ -148,7 +148,6 @@ impl UndoLog {
             // (un-overlapped) persist latency.
             let stall = blocking_persist_cycles(&self.machine);
             self.machine.add_cycles(core, stall);
-            self.logged[core.index()].insert(line_base.raw());
         }
         let r = self.machine.write(core, paddr, data, false);
         self.handle_tx_evictions(r.tx_evictions);
@@ -220,21 +219,14 @@ impl TxnEngine for UndoLog {
             .take()
             .unwrap_or_else(|| panic!("commit without an open transaction on {core}"));
         self.machine.obs_record(ObsKind::Validate, txn.tid);
-        // Flush the write set so the new values are durable. Sorted: the
-        // set's hash order varies per instance, and flush order reaches
-        // the row-buffer model (determinism contract of `TxnEngine`).
-        // The sort runs in an engine-owned scratch vector (no per-commit
-        // allocation).
-        let lines = sorted_scratch(
-            &mut self.scratch_lines,
-            self.logged[core.index()].drain(),
-            |&l| l,
-        );
-        for &line in &lines {
+        // Flush the write set so the new values are durable, in address
+        // order: flush order reaches the row-buffer model (determinism
+        // contract of `TxnEngine`).
+        for line in self.logged[core.index()].line_addrs() {
             self.machine
                 .flush(Some(core), PhysAddr::new(line), WriteClass::Data);
         }
-        self.scratch_lines = lines;
+        self.logged[core.index()].clear();
         // Fault site: data durable, commit register not yet bumped — a
         // cut here must roll the transaction back on recovery.
         self.machine.fault_point(FaultSite::CommitData);

@@ -211,7 +211,7 @@ mod tests {
         let layout = NvLayout::default();
         Rig {
             machine,
-            cache: SspCache::new(layout, 8, &SspConfig::default()),
+            cache: SspCache::new(layout, 8, &SspConfig::default(), &MachineConfig::default()),
             vm: VmManager::new(layout),
             journal: MetaJournal::new(layout, 1024 * 1024),
             consolidator: Consolidator::new(),
@@ -224,7 +224,7 @@ mod tests {
     fn prepare_page(rig: &mut Rig, committed: LineBitmap) -> (SlotId, u64) {
         let vpn = rig.vm.map_new_page(&mut rig.machine, CoreId::new(0));
         let ppn0 = rig.vm.translate(vpn).unwrap();
-        let holders = fxhash::FxHashMap::default();
+        let holders = ssp_txn::vm::VpnMap::new();
         let (sid, ppn1) = rig.cache.allocate(vpn, ppn0, &holders);
         for line in LineIdx::all() {
             if committed.get(line) {

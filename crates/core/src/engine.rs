@@ -18,7 +18,7 @@
 //! * **Fall-back** (Section 3.5): write-set-buffer overflow diverts further
 //!   updates to a software undo log, still cut by the same `CommitMark`.
 
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashSet;
 use ssp_simulator::addr::{LineIdx, PhysAddr, VirtAddr, Vpn, LINE_SIZE};
 use ssp_simulator::cache::{CoreId, TxEviction};
 use ssp_simulator::config::MachineConfig;
@@ -28,7 +28,7 @@ use ssp_simulator::obs::ObsKind;
 use ssp_simulator::stats::WriteClass;
 use ssp_simulator::tlb::Tlb;
 use ssp_txn::engine::{line_spans, sorted_scratch, TxnEngine, TxnStats, WriteSetTracker};
-use ssp_txn::vm::{NvLayout, VmManager};
+use ssp_txn::vm::{NvLayout, VmManager, VpnMap};
 
 use crate::bitmap::LineBitmap;
 use crate::config::SspConfig;
@@ -84,9 +84,9 @@ pub struct Ssp {
     fallback: FallbackLog,
     consolidator: Consolidator,
     tlbs: Vec<Tlb<()>>,
-    /// vpn → bitmask of cores whose TLB maps it (the TLB reference counts).
-    /// Fast-hashed and never iterated.
-    tlb_holders: FxHashMap<u64, u64>,
+    /// vpn → bitmask of cores whose TLB maps it (the TLB reference counts);
+    /// a page no TLB maps has no entry.
+    tlb_holders: VpnMap<u64>,
     /// Per-core pages with in-flight fall-back (in-place) updates; they
     /// must not be consolidated until the transaction resolves.
     fallback_pages: Vec<FxHashSet<u64>>,
@@ -130,15 +130,15 @@ impl Ssp {
         let fallback_pages = (0..cfg.cores).map(|_| Default::default()).collect();
         let journal = MetaJournal::new(layout, ssp_cfg.journal_capacity_bytes);
         Self {
+            cache: SspCache::new(layout, slots, &ssp_cfg, &cfg),
             machine: Machine::new(cfg),
-            cache: SspCache::new(layout, slots, &ssp_cfg),
             journal,
             fallback: FallbackLog::new(layout),
             consolidator: Consolidator::with_subpage(ssp_cfg.lines_per_subpage),
             vm: VmManager::new(layout),
             ssp_cfg,
             tlbs,
-            tlb_holders: FxHashMap::default(),
+            tlb_holders: VpnMap::new(),
             fallback_pages,
             wsets,
             open,
@@ -208,13 +208,14 @@ impl Ssp {
     }
 
     fn holders(&self, vpn: Vpn) -> u64 {
-        self.tlb_holders.get(&vpn.raw()).copied().unwrap_or(0)
+        self.tlb_holders.get(vpn).unwrap_or(0)
     }
 
     /// The bitmap bit tracking `line` (identity for 64 B sub-pages; a
     /// group index for the coarser Section 4.3 variants).
     fn subpage_bit(&self, line: LineIdx) -> LineIdx {
-        LineIdx::new(line.raw() / self.ssp_cfg.lines_per_subpage as u8)
+        // `lines_per_subpage` is a validated power of two.
+        LineIdx::new(line.raw() >> self.ssp_cfg.lines_per_subpage.trailing_zeros())
     }
 
     /// All cache lines tracked by bitmap bit `bit` under
@@ -251,23 +252,22 @@ impl Ssp {
             .unwrap_or_else(|| panic!("access to unmapped page {vpn}"));
         // Fetch SSP metadata from the controller if the page has a slot.
         if let Some(sid) = self.cache.sid_of(vpn) {
-            let cycles = self.cache.access_cycles(sid, self.machine.config());
+            let cycles = self.cache.access_cycles(sid);
             self.machine.add_cycles(core, cycles);
         }
         let evicted = self.tlbs[core.index()].insert(vpn, ppn, ());
-        *self.tlb_holders.entry(vpn.raw()).or_insert(0) |= 1 << core.index();
+        self.tlb_holders
+            .insert(vpn, self.holders(vpn) | 1 << core.index());
         if let Some(old) = evicted {
             self.on_tlb_evict(core, old.vpn);
         }
     }
 
     fn on_tlb_evict(&mut self, core: CoreId, vpn: Vpn) {
-        if let Some(mask) = self.tlb_holders.get_mut(&vpn.raw()) {
-            *mask &= !(1 << core.index());
-            if *mask == 0 {
-                self.tlb_holders.remove(&vpn.raw());
-            }
-        }
+        match self.holders(vpn) & !(1 << core.index()) {
+            0 => self.tlb_holders.remove(vpn),
+            mask => self.tlb_holders.insert(vpn, mask),
+        };
         self.maybe_consolidate(vpn);
     }
 
@@ -344,7 +344,7 @@ impl Ssp {
         let ppn0 = self.vm.translate(vpn).expect("mapped page");
         let (sid, ppn1) = self.cache.allocate(vpn, ppn0, &self.tlb_holders);
         // Controller-side metadata fetch/insert latency.
-        let cycles = self.cache.access_cycles(sid, self.machine.config());
+        let cycles = self.cache.access_cycles(sid);
         self.machine.add_cycles(core, cycles);
         self.journal.append(Record::Assign {
             sid,
@@ -581,10 +581,8 @@ impl TxnEngine for Ssp {
         for span in line_spans(addr, buf.len()) {
             let vpn = span.addr.vpn();
             self.translate(core, vpn);
-            if self.cache.sid_of(vpn).is_some() {
-                // Charge nothing extra: current-bitmap lookup rides on the
-                // TLB entry. Reads are redirected per line.
-            }
+            // The current-bitmap lookup rides on the TLB entry (nothing
+            // extra is charged); reads are redirected per line.
             let paddr_line = self.current_line_addr(vpn, span.addr.line_index());
             let paddr = PhysAddr::new(paddr_line.raw() + span.addr.line_offset() as u64);
             let r = self.machine.read(
@@ -623,16 +621,14 @@ impl TxnEngine for Ssp {
 
         // 1. Data persistence: flush every write-set line at its current
         //    (speculative-side) location; never overwrites committed data.
-        //    Sorted by VPN: the write-set buffer's hash order varies per
-        //    instance, and flush/journal order reaches the machine
-        //    (determinism contract of `TxnEngine`). The sort runs in a
-        //    scratch vector owned by the engine so steady-state commits
-        //    allocate nothing.
-        let pages = sorted_scratch(
-            &mut self.scratch_pages,
-            self.wsets[core.index()].iter(),
-            |&(v, _)| v.raw(),
-        );
+        //    In VPN order, which is how the write-set buffer iterates:
+        //    flush/journal order reaches the machine (determinism
+        //    contract of `TxnEngine`). Copied into a scratch vector owned
+        //    by the engine (the loops below need `&mut self`), so
+        //    steady-state commits allocate nothing.
+        let mut pages = std::mem::take(&mut self.scratch_pages);
+        pages.clear();
+        pages.extend(self.wsets[core.index()].iter());
         for &(vpn, updated) in &pages {
             for bit in updated.iter_ones() {
                 for line in Self::subpage_lines(lps, bit) {
@@ -705,13 +701,11 @@ impl TxnEngine for Ssp {
         self.machine.obs_record(ObsKind::Abort, u64::from(txn.tid));
         let lps = self.ssp_cfg.lines_per_subpage as u8;
 
-        // Discard speculative copies and flip current bits back (sorted
-        // by VPN; see the commit path).
-        let pages = sorted_scratch(
-            &mut self.scratch_pages,
-            self.wsets[core.index()].iter(),
-            |&(v, _)| v.raw(),
-        );
+        // Discard speculative copies and flip current bits back (in VPN
+        // order; see the commit path).
+        let mut pages = std::mem::take(&mut self.scratch_pages);
+        pages.clear();
+        pages.extend(self.wsets[core.index()].iter());
         for &(vpn, updated) in &pages {
             for bit in updated.iter_ones() {
                 for line in Self::subpage_lines(lps, bit) {

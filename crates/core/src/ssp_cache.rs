@@ -16,12 +16,11 @@
 //! `l3_entries` slots hit at L3 latency, everything else pays a DRAM
 //! access; Figure 9's sweep overrides this with a fixed latency.
 
-use fxhash::{FxHashMap, FxHashSet};
 use ssp_simulator::addr::{PhysAddr, Ppn, Vpn};
 use ssp_simulator::config::MachineConfig;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::stats::WriteClass;
-use ssp_txn::vm::NvLayout;
+use ssp_txn::vm::{NvLayout, VpnMap};
 
 use crate::bitmap::LineBitmap;
 use crate::config::SspConfig;
@@ -84,25 +83,36 @@ struct Slot {
 pub struct SspCache {
     layout: NvLayout,
     slots: Vec<Slot>,
-    /// Fast-hashed: `sid_of` runs on every transactional load/store and
-    /// the map is never iterated.
-    by_vpn: FxHashMap<u64, SlotId>,
+    /// `sid_of` runs on every transactional load/store: a dense table
+    /// indexed by heap page (see [`VpnMap`]).
+    by_vpn: VpnMap<SlotId>,
     /// MRU-first recency order of slot ids, for the L3-slice latency model.
     recency: Vec<SlotId>,
     l3_entries: usize,
-    meta_latency_override: Option<u64>,
-    /// Slots whose persistent image is stale (need checkpointing).
-    dirty: FxHashSet<SlotId>,
-    /// Reusable checkpoint scratch (the sorted drain of `dirty`).
-    checkpoint_scratch: Vec<SlotId>,
+    /// An access that hits the L3-resident window (or the Figure 9
+    /// override), in core cycles.
+    hit_cycles: u64,
+    /// An access that goes to DRAM (or the override), in core cycles —
+    /// converted from nanoseconds once, at construction.
+    miss_cycles: u64,
+    /// Slots whose persistent image is stale (need checkpointing): one
+    /// bit per slot, so marking is a shift and an OR, and a checkpoint
+    /// walks `slots / 64` words in ascending slot order.
+    dirty: Vec<u64>,
     /// Slots that grew beyond the initial sizing (capacity pressure stat).
     grown: usize,
 }
 
 impl SspCache {
     /// Creates the cache with `slots` slots, each pre-associated with a
-    /// spare page from the shadow pool.
-    pub fn new(layout: NvLayout, slots: usize, ssp_cfg: &SspConfig) -> Self {
+    /// spare page from the shadow pool. `machine` supplies the L3 and DRAM
+    /// latencies an access is charged.
+    pub fn new(
+        layout: NvLayout,
+        slots: usize,
+        ssp_cfg: &SspConfig,
+        machine: &MachineConfig,
+    ) -> Self {
         let slots_vec = (0..slots)
             .map(|i| Slot {
                 spare: layout.shadow_page(i as u64),
@@ -112,12 +122,16 @@ impl SspCache {
         Self {
             layout,
             slots: slots_vec,
-            by_vpn: FxHashMap::default(),
+            by_vpn: VpnMap::new(),
             recency: Vec::new(),
             l3_entries: ssp_cfg.ssp_cache_l3_entries,
-            meta_latency_override: ssp_cfg.meta_latency_override,
-            dirty: FxHashSet::default(),
-            checkpoint_scratch: Vec::new(),
+            hit_cycles: ssp_cfg
+                .meta_latency_override
+                .unwrap_or(machine.l3.latency_cycles),
+            miss_cycles: ssp_cfg
+                .meta_latency_override
+                .unwrap_or_else(|| machine.ns_to_cycles(machine.dram.read_ns)),
+            dirty: Vec::new(),
             grown: 0,
         }
     }
@@ -133,8 +147,9 @@ impl SspCache {
     }
 
     /// Looks up the slot serving `vpn`.
+    #[inline]
     pub fn sid_of(&self, vpn: Vpn) -> Option<SlotId> {
-        self.by_vpn.get(&vpn.raw()).copied()
+        self.by_vpn.get(vpn)
     }
 
     /// The entry in slot `sid`, if active.
@@ -144,8 +159,16 @@ impl SspCache {
 
     /// Mutable entry in slot `sid`; marks the slot's persistent image stale.
     pub fn entry_mut(&mut self, sid: SlotId) -> Option<&mut SspEntry> {
-        self.dirty.insert(sid);
+        self.mark_dirty(sid);
         self.slots[sid as usize].entry.as_mut()
+    }
+
+    fn mark_dirty(&mut self, sid: SlotId) {
+        let word = sid as usize / 64;
+        if word >= self.dirty.len() {
+            self.dirty.resize(word + 1, 0);
+        }
+        self.dirty[word] |= 1 << (sid % 64);
     }
 
     /// The entry serving `vpn`, if any.
@@ -156,28 +179,22 @@ impl SspCache {
 
     /// Charges one SSP-cache access for `sid`: L3 latency if the slot is
     /// within the L3-resident recency window, DRAM latency otherwise
-    /// (or the Figure 9 override).
-    pub fn access_cycles(&mut self, sid: SlotId, cfg: &MachineConfig) -> u64 {
-        if let Some(fixed) = self.meta_latency_override {
-            self.touch(sid);
-            return fixed;
-        }
-        let pos = self.recency.iter().position(|&s| s == sid);
-        let hit = pos.is_some_and(|p| p < self.l3_entries);
-        self.touch(sid);
-        if hit {
-            cfg.l3.latency_cycles
-        } else {
-            cfg.ns_to_cycles(cfg.dram.read_ns)
-        }
-    }
-
-    fn touch(&mut self, sid: SlotId) {
+    /// (or the Figure 9 override), and makes the slot most recent.
+    pub fn access_cycles(&mut self, sid: SlotId) -> u64 {
         match self.recency.iter().position(|&s| s == sid) {
-            // One rotate instead of remove + insert: same order, no shift
-            // of the whole tail twice.
-            Some(pos) => self.recency[..=pos].rotate_right(1),
-            None => self.recency.insert(0, sid),
+            Some(pos) => {
+                self.recency.copy_within(0..pos, 1);
+                self.recency[0] = sid;
+                if pos < self.l3_entries {
+                    self.hit_cycles
+                } else {
+                    self.miss_cycles
+                }
+            }
+            None => {
+                self.recency.insert(0, sid);
+                self.miss_cycles
+            }
         }
     }
 
@@ -186,12 +203,7 @@ impl SspCache {
     /// grows the cache as a last resort (the paper's "resize and request
     /// more pages from the OS"). Returns the slot id and the shadow page
     /// the new entry must use.
-    pub fn allocate(
-        &mut self,
-        vpn: Vpn,
-        ppn0: Ppn,
-        tlb_holders: &FxHashMap<u64, u64>,
-    ) -> (SlotId, Ppn) {
+    pub fn allocate(&mut self, vpn: Vpn, ppn0: Ppn, tlb_holders: &VpnMap<u64>) -> (SlotId, Ppn) {
         debug_assert!(self.sid_of(vpn).is_none(), "page already has a slot");
         let sid = self
             .slots
@@ -203,7 +215,7 @@ impl SspCache {
                         e.committed.is_zero()
                             && e.core_refs == 0
                             && !e.consolidating
-                            && tlb_holders.get(&e.vpn.raw()).copied().unwrap_or(0) == 0
+                            && tlb_holders.get(e.vpn).unwrap_or(0) == 0
                     })
                 })
             })
@@ -217,8 +229,7 @@ impl SspCache {
                 i
             });
         if let Some(old) = self.slots[sid].entry.take() {
-            self.by_vpn.remove(&old.vpn.raw());
-            self.dirty.insert(sid as SlotId);
+            self.by_vpn.remove(old.vpn);
         }
         let spare = self.slots[sid].spare;
         let entry = SspEntry {
@@ -231,8 +242,8 @@ impl SspCache {
             consolidating: false,
         };
         self.slots[sid].entry = Some(entry);
-        self.by_vpn.insert(vpn.raw(), sid as SlotId);
-        self.dirty.insert(sid as SlotId);
+        self.by_vpn.insert(vpn, sid as SlotId);
+        self.mark_dirty(sid as SlotId);
         (sid as SlotId, spare)
     }
 
@@ -240,7 +251,7 @@ impl SspCache {
     /// the spare becomes `new_spare`.
     pub fn set_spare(&mut self, sid: SlotId, new_spare: Ppn) {
         self.slots[sid as usize].spare = new_spare;
-        self.dirty.insert(sid);
+        self.mark_dirty(sid);
     }
 
     /// The spare page currently associated with slot `sid`.
@@ -281,7 +292,7 @@ impl SspCache {
         }
         let old = slot.spare;
         slot.spare = fresh;
-        self.dirty.insert(sid);
+        self.mark_dirty(sid);
         old
     }
 
@@ -296,15 +307,15 @@ impl SspCache {
             });
         }
         if let Some(old) = self.slots[idx].entry.take() {
-            self.by_vpn.remove(&old.vpn.raw());
+            self.by_vpn.remove(old.vpn);
         }
         self.slots[idx].spare = entry.ppn1;
-        self.by_vpn.insert(entry.vpn.raw(), sid);
+        self.by_vpn.insert(entry.vpn, sid);
         self.slots[idx].entry = Some(entry);
         // The persistent image is stale until the next checkpoint folds
         // this in — without this, a recovery followed by a journal
         // truncation would destroy the only durable copy of the mapping.
-        self.dirty.insert(sid);
+        self.mark_dirty(sid);
     }
 
     /// Drops the entry in slot `sid` (after consolidation made it
@@ -315,29 +326,28 @@ impl SspCache {
                 entry.committed.is_zero() && entry.core_refs == 0,
                 "evicting a live SSP cache entry"
             );
-            self.by_vpn.remove(&entry.vpn.raw());
-            self.dirty.insert(sid);
+            self.by_vpn.remove(entry.vpn);
+            self.mark_dirty(sid);
         }
     }
 
     /// Writes every stale slot's persistent image (checkpointing's fold
     /// step) and returns how many slots were written.
     pub fn checkpoint(&mut self, machine: &mut Machine) -> usize {
-        // Sorted: the set's hash order varies per instance, and the
-        // checkpoint's persist order reaches the row-buffer model. The
-        // drain goes through a reusable scratch vector so periodic
-        // checkpoints stop allocating.
-        let mut dirty = std::mem::take(&mut self.checkpoint_scratch);
-        dirty.clear();
-        dirty.extend(self.dirty.drain());
-        dirty.sort_unstable();
-        let count = dirty.len();
-        for &sid in &dirty {
-            let addr = self.slot_addr(sid);
-            let image = self.encode_slot(sid);
-            machine.persist_bytes(None, addr, &image, WriteClass::Checkpoint);
+        // Ascending slot order: the checkpoint's persist order reaches
+        // the row-buffer model.
+        let mut count = 0;
+        for word in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[word]);
+            while bits != 0 {
+                let sid = (word * 64) as SlotId + bits.trailing_zeros() as SlotId;
+                bits &= bits - 1;
+                let addr = self.slot_addr(sid);
+                let image = self.encode_slot(sid);
+                machine.persist_bytes(None, addr, &image, WriteClass::Checkpoint);
+                count += 1;
+            }
         }
-        self.checkpoint_scratch = dirty;
         count
     }
 
@@ -346,7 +356,7 @@ impl SspCache {
     pub fn recover(&mut self, machine: &Machine, slot_count: usize) {
         self.by_vpn.clear();
         self.recency.clear();
-        self.dirty.clear();
+        self.dirty.fill(0);
         self.slots.clear();
         for i in 0..slot_count {
             let mut image = [0u8; SLOT_BYTES as usize];
@@ -361,7 +371,7 @@ impl SspCache {
                 self.layout.shadow_page(i as u64)
             };
             let entry = if vpn != 0 {
-                self.by_vpn.insert(vpn, i as SlotId);
+                self.by_vpn.insert(Vpn::new(vpn), i as SlotId);
                 Some(SspEntry {
                     vpn: Vpn::new(vpn),
                     ppn0: Ppn::new(ppn0),
@@ -419,7 +429,12 @@ mod tests {
 
     fn setup(slots: usize) -> (Machine, SspCache) {
         let machine = Machine::new(MachineConfig::default());
-        let cache = SspCache::new(NvLayout::default(), slots, &SspConfig::default());
+        let cache = SspCache::new(
+            NvLayout::default(),
+            slots,
+            &SspConfig::default(),
+            &MachineConfig::default(),
+        );
         (machine, cache)
     }
 
@@ -430,7 +445,7 @@ mod tests {
     #[test]
     fn allocate_assigns_distinct_spares() {
         let (_, mut cache) = setup(4);
-        let holders = FxHashMap::default();
+        let holders = VpnMap::new();
         let (s1, p1) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
         let (s2, p2) = cache.allocate(vpn(2), Ppn::new(1001), &holders);
         assert_ne!(s1, s2);
@@ -442,7 +457,7 @@ mod tests {
     #[test]
     fn allocate_evicts_consolidated_entries() {
         let (_, mut cache) = setup(1);
-        let holders = FxHashMap::default();
+        let holders = VpnMap::new();
         let (s1, _) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
         // Entry is consolidated (committed == 0) and unreferenced, so it can
         // be replaced.
@@ -455,7 +470,7 @@ mod tests {
     #[test]
     fn allocate_grows_when_entries_are_live() {
         let (_, mut cache) = setup(1);
-        let holders = FxHashMap::default();
+        let holders = VpnMap::new();
         let (s1, _) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
         cache.entry_mut(s1).unwrap().committed = LineBitmap::from_raw(1);
         let (s2, _) = cache.allocate(vpn(2), Ppn::new(1001), &holders);
@@ -467,9 +482,9 @@ mod tests {
     #[test]
     fn tlb_held_entries_are_not_evicted() {
         let (_, mut cache) = setup(1);
-        let mut holders = FxHashMap::default();
+        let mut holders = VpnMap::new();
         let (_, _) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
-        holders.insert(vpn(1).raw(), 0b1); // core 0 still maps it
+        holders.insert(vpn(1), 0b1); // core 0 still maps it
         let (s2, _) = cache.allocate(vpn(2), Ppn::new(1001), &holders);
         assert_eq!(cache.sid_of(vpn(1)), Some(0));
         assert_ne!(s2, 0);
@@ -482,17 +497,17 @@ mod tests {
             ssp_cache_l3_entries: 1,
             ..SspConfig::default()
         };
-        let mut cache = SspCache::new(NvLayout::default(), 4, &ssp_cfg);
-        let holders = FxHashMap::default();
+        let mut cache = SspCache::new(NvLayout::default(), 4, &ssp_cfg, &cfg);
+        let holders = VpnMap::new();
         let (s1, _) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
         let (s2, _) = cache.allocate(vpn(2), Ppn::new(1001), &holders);
         // First access: cold (not in recency window) -> DRAM.
-        assert_eq!(cache.access_cycles(s1, &cfg), cfg.ns_to_cycles(50.0));
+        assert_eq!(cache.access_cycles(s1), cfg.ns_to_cycles(50.0));
         // Immediately again: MRU position 0 < 1 -> L3.
-        assert_eq!(cache.access_cycles(s1, &cfg), cfg.l3.latency_cycles);
+        assert_eq!(cache.access_cycles(s1), cfg.l3.latency_cycles);
         // s2 pushes s1 out of the single-entry window.
-        let _ = cache.access_cycles(s2, &cfg);
-        assert_eq!(cache.access_cycles(s1, &cfg), cfg.ns_to_cycles(50.0));
+        let _ = cache.access_cycles(s2);
+        assert_eq!(cache.access_cycles(s1), cfg.ns_to_cycles(50.0));
     }
 
     #[test]
@@ -502,17 +517,17 @@ mod tests {
             meta_latency_override: Some(140),
             ..SspConfig::default()
         };
-        let mut cache = SspCache::new(NvLayout::default(), 4, &ssp_cfg);
-        let holders = FxHashMap::default();
+        let mut cache = SspCache::new(NvLayout::default(), 4, &ssp_cfg, &cfg);
+        let holders = VpnMap::new();
         let (s1, _) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
-        assert_eq!(cache.access_cycles(s1, &cfg), 140);
-        assert_eq!(cache.access_cycles(s1, &cfg), 140);
+        assert_eq!(cache.access_cycles(s1), 140);
+        assert_eq!(cache.access_cycles(s1), 140);
     }
 
     #[test]
     fn checkpoint_and_recover_round_trip() {
         let (mut m, mut cache) = setup(4);
-        let holders = FxHashMap::default();
+        let holders = VpnMap::new();
         let (s1, _) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
         cache.entry_mut(s1).unwrap().committed = LineBitmap::from_raw(0xdead);
         cache.entry_mut(s1).unwrap().current = LineBitmap::from_raw(0xffff);
@@ -520,7 +535,12 @@ mod tests {
         assert!(written >= 1);
         m.crash();
 
-        let mut cache2 = SspCache::new(NvLayout::default(), 4, &SspConfig::default());
+        let mut cache2 = SspCache::new(
+            NvLayout::default(),
+            4,
+            &SspConfig::default(),
+            &MachineConfig::default(),
+        );
         cache2.recover(&m, 4);
         let (e, sid) = cache2.entry_by_vpn(vpn(1)).unwrap();
         assert_eq!(sid, s1);
@@ -534,7 +554,7 @@ mod tests {
     #[test]
     fn checkpoint_writes_are_counted() {
         let (mut m, mut cache) = setup(2);
-        let holders = FxHashMap::default();
+        let holders = VpnMap::new();
         let (_, _) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
         cache.checkpoint(&mut m);
         assert!(m.stats().nvram_writes(WriteClass::Checkpoint) >= 1);
@@ -543,14 +563,19 @@ mod tests {
     #[test]
     fn spare_page_survives_eviction() {
         let (mut m, mut cache) = setup(1);
-        let holders = FxHashMap::default();
+        let holders = VpnMap::new();
         let (s1, spare1) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
         cache.evict(s1);
         cache.checkpoint(&mut m);
         m.crash();
-        let mut cache2 = SspCache::new(NvLayout::default(), 1, &SspConfig::default());
+        let mut cache2 = SspCache::new(
+            NvLayout::default(),
+            1,
+            &SspConfig::default(),
+            &MachineConfig::default(),
+        );
         cache2.recover(&m, 1);
-        let holders = FxHashMap::default();
+        let holders = VpnMap::new();
         let (_, spare2) = cache2.allocate(vpn(2), Ppn::new(1001), &holders);
         assert_eq!(spare1, spare2);
     }
@@ -559,7 +584,7 @@ mod tests {
     #[should_panic(expected = "live SSP cache entry")]
     fn evicting_live_entry_panics() {
         let (_, mut cache) = setup(1);
-        let holders = FxHashMap::default();
+        let holders = VpnMap::new();
         let (s1, _) = cache.allocate(vpn(1), Ppn::new(1000), &holders);
         cache.entry_mut(s1).unwrap().committed = LineBitmap::from_raw(2);
         cache.evict(s1);

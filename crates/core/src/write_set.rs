@@ -7,8 +7,8 @@
 //! Bit positions are *tracking units*: individual cache lines in the base
 //! design, sub-page groups under the Section 4.3 coarser granularities.
 
-use fxhash::FxHashMap;
 use ssp_simulator::addr::{LineIdx, Vpn};
+use ssp_txn::engine::PageBitmaps;
 
 use crate::bitmap::LineBitmap;
 
@@ -24,15 +24,15 @@ pub enum WriteSetInsert {
     Overflow,
 }
 
-/// A fixed-capacity map from virtual page to updated-lines bitmap.
-///
-/// Fast-hashed: `record`/`contains` run once per `ATOMIC_STORE`, and every
-/// consumer of [`iter`](Self::iter) sorts before the data can reach the
-/// machine, so the hasher never shows up in simulated behavior.
+/// A fixed-capacity map from virtual page to updated-lines bitmap: a
+/// [`PageBitmaps`] that refuses a page beyond its capacity. `record` and
+/// `contains` run once per `ATOMIC_STORE` and usually repeat the page of
+/// the store before (one compare); the worst case is a binary search over
+/// at most `capacity` (64) pages.
 #[derive(Debug, Clone)]
 pub struct WriteSetBuffer {
     capacity: usize,
-    pages: FxHashMap<u64, LineBitmap>,
+    pages: PageBitmaps,
 }
 
 impl WriteSetBuffer {
@@ -45,7 +45,7 @@ impl WriteSetBuffer {
         assert!(capacity > 0, "write-set buffer capacity must be positive");
         Self {
             capacity,
-            pages: FxHashMap::default(),
+            pages: PageBitmaps::new(),
         }
     }
 
@@ -56,7 +56,7 @@ impl WriteSetBuffer {
 
     /// Number of pages currently tracked.
     pub fn len(&self) -> usize {
-        self.pages.len()
+        self.pages.pages()
     }
 
     /// Whether no page is tracked.
@@ -66,35 +66,36 @@ impl WriteSetBuffer {
 
     /// The updated bitmap for `vpn`, if tracked.
     pub fn updated(&self, vpn: Vpn) -> Option<LineBitmap> {
-        self.pages.get(&vpn.raw()).copied()
+        match self.pages.bits(vpn.raw()) {
+            0 => None,
+            bits => Some(LineBitmap::from_raw(bits)),
+        }
     }
 
     /// Whether `line` of `vpn` is in the write set.
+    #[inline]
     pub fn contains(&self, vpn: Vpn, line: LineIdx) -> bool {
-        self.pages.get(&vpn.raw()).is_some_and(|b| b.get(line))
+        self.pages.bits(vpn.raw()) >> line.raw() & 1 == 1
     }
 
     /// Records a write to `line` of `vpn`.
     pub fn record(&mut self, vpn: Vpn, line: LineIdx) -> WriteSetInsert {
-        if let Some(bitmap) = self.pages.get_mut(&vpn.raw()) {
-            if bitmap.get(line) {
-                return WriteSetInsert::AlreadyPresent;
-            }
-            bitmap.set(line);
-            return WriteSetInsert::Inserted;
-        }
-        if self.pages.len() >= self.capacity {
+        // A tracked page always has a line set, so zero means untracked.
+        if self.pages.bits(vpn.raw()) == 0 && self.pages.pages() >= self.capacity {
             return WriteSetInsert::Overflow;
         }
-        let mut bitmap = LineBitmap::ZERO;
-        bitmap.set(line);
-        self.pages.insert(vpn.raw(), bitmap);
-        WriteSetInsert::Inserted
+        if self.pages.insert(vpn.raw(), line.raw()) {
+            WriteSetInsert::Inserted
+        } else {
+            WriteSetInsert::AlreadyPresent
+        }
     }
 
-    /// Iterates over `(vpn, updated)` pairs in unspecified order.
+    /// Iterates over `(vpn, updated)` pairs, ascending by page.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, LineBitmap)> + '_ {
-        self.pages.iter().map(|(&v, &b)| (Vpn::new(v), b))
+        self.pages
+            .iter()
+            .map(|(v, b)| (Vpn::new(v), LineBitmap::from_raw(b)))
     }
 
     /// Clears the buffer (commit or abort).

@@ -23,20 +23,44 @@
 //! MRU order is a byte permutation of the way indices
 //! (`order[set*ways..][..len]`, MRU first; initialised lazily per set),
 //! and the 64-byte payloads sit in per-set blocks materialised on first
-//! use. A lookup scans at most `ways` order bytes against the contiguous
-//! tags, and an MRU promotion rotates those bytes instead of memmoving
-//! whole 80-byte slots as the previous `Vec<Vec<Slot>>` layout did.
-//! Replacement decisions read the same MRU-first sequence the old layout
-//! stored physically, so hit/miss/victim streams are bit-identical
-//! (`soa_layout_matches_reference_model_on_random_streams` below drives
-//! both models in lockstep to prove it).
+//! use (never, for the tag-only L2). A probe computes the set index by
+//! mask or precomputed reciprocal (`fastmod::Modulus`), scans at most `ways`
+//! order bytes against the contiguous tags and yields a `(set, pos)`
+//! pair; everything after it addresses the slot by `Loc` — set, way and
+//! flat index together — so nothing is divided back out of a flat index.
+//! Replacement decisions read the same MRU-first sequence the original
+//! `Vec<Vec<Slot>>` layout stored physically, so hit/miss/victim streams
+//! are bit-identical (`soa_layout_matches_reference_model_on_random_streams`
+//! below drives both models in lockstep to prove it).
+//!
+//! # Where the directory lives
+//!
+//! The MSI directory — which L1s hold a line, and whether one of them
+//! holds it dirty — is two more struct-of-arrays columns of the **L3**:
+//! a sharer mask per slot and an `OWNED` flag bit (the owner is then the
+//! mask's only set bit, the single-writer rule). That is sound because
+//! the L3 is inclusive *by construction*: a line enters an L1 only from
+//! its L3 slot (`access`, `retag`), and every way a line leaves the L3 —
+//! capacity eviction, `retag`, `install_line_l3`, `discard_line` — first
+//! removes it from every L1 named in its sharer mask. So a line with
+//! directory state always has an L3 slot to keep it in, the state is
+//! found by the L3 probe the miss, flush and retag paths make anyway,
+//! and it leaves with the slot when the line is evicted. An L1 hit needs
+//! no directory at all unless it is the first write to a clean line: a
+//! line dirty in an L1 is owned by that L1 and shared with nobody.
+//! `directory_in_l3_matches_the_hash_map_model_on_random_streams` drives
+//! this hierarchy beside the previous hash-map directory
+//! (`cache/reference.rs`) over random multi-core streams.
 
 use crate::addr::{PhysAddr, LINE_SIZE};
 use crate::config::MachineConfig;
+use crate::fastmod::Modulus;
 use crate::phys::PhysMem;
 use crate::stats::{MachineStats, WriteClass};
-use crate::timing::{AccessKind, MemTiming};
-use fxhash::FxHashMap;
+use crate::timing::{AccessKind, MemKind, MemTiming};
+
+#[cfg(test)]
+mod reference;
 
 /// Identifier of a simulated core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,11 +91,86 @@ struct Slot {
     line: u64,
     dirty: bool,
     tx: bool,
+    /// Directory state travelling with an L3 slot: bitmask of cores whose
+    /// L1 holds the line. Always zero in L1/L2 slots.
+    sharers: u64,
+    /// Directory state: the single sharer holds the line dirty.
+    owned: bool,
     data: [u8; LINE_SIZE],
+}
+
+impl Slot {
+    /// A line no L1 holds (and every L1/L2 slot).
+    fn new(line: u64, dirty: bool, tx: bool, data: [u8; LINE_SIZE]) -> Self {
+        Self {
+            line,
+            dirty,
+            tx,
+            sharers: 0,
+            owned: false,
+            data,
+        }
+    }
 }
 
 const FLAG_DIRTY: u8 = 1 << 0;
 const FLAG_TX: u8 = 1 << 1;
+/// L3 only: the slot's single sharer holds the line dirty in its L1.
+const FLAG_OWNED: u8 = 1 << 2;
+
+/// What a [`SetAssoc`] stores per slot besides tag, flags and MRU order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Line payloads (an L1).
+    Data,
+    /// Nothing: a timing-only tag array (an L2). No payload block is ever
+    /// materialised; slots moving out read as zeroes.
+    Tags,
+    /// Line payloads and the directory's sharer masks for this many
+    /// cores (the L3).
+    Directory(usize),
+}
+
+/// The directory's sharer-mask column: one bit per core per slot, in
+/// bytes while the machine has at most eight cores (every machine the
+/// bench targets build; a sharded run's slices have one) — the column is
+/// touched wherever the L3 is, so its width is resident memory.
+#[derive(Debug, Clone)]
+enum SharerMasks {
+    /// Not a directory.
+    Absent,
+    Narrow(Vec<u8>),
+    Wide(Vec<u64>),
+}
+
+impl SharerMasks {
+    #[inline]
+    fn get(&self, idx: usize) -> u64 {
+        match self {
+            SharerMasks::Absent => 0,
+            SharerMasks::Narrow(masks) => masks[idx] as u64,
+            SharerMasks::Wide(masks) => masks[idx],
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, idx: usize, mask: u64) {
+        match self {
+            SharerMasks::Absent => debug_assert_eq!(mask, 0, "sharers outside the directory"),
+            SharerMasks::Narrow(masks) => masks[idx] = mask as u8,
+            SharerMasks::Wide(masks) => masks[idx] = mask,
+        }
+    }
+}
+
+/// The address of one slot: set, way and the flat `set * ways + way`
+/// index of the tag/flag/sharer columns, computed once by the probe.
+#[derive(Debug, Clone, Copy)]
+struct Loc {
+    set: usize,
+    way: usize,
+    idx: usize,
+}
 
 /// A set-associative array with MRU-first ordering per set, stored
 /// struct-of-arrays (see the module docs). The derived `Clone` is
@@ -80,17 +179,23 @@ const FLAG_TX: u8 = 1 << 1;
 struct SetAssoc {
     ways: usize,
     nsets: usize,
+    /// `line number % nsets` without the division.
+    index: Modulus,
     /// Line base address per slot (`set * ways + way`); valid only for
     /// occupied ways.
     tags: Vec<u64>,
-    /// `FLAG_DIRTY` / `FLAG_TX` per slot.
+    /// `FLAG_*` bits per slot.
     flags: Vec<u8>,
+    /// Directory sharer mask per slot ([`Role::Directory`] only).
+    /// Zero-mapped like the other columns until a set is used.
+    sharers: SharerMasks,
     /// Line payloads, one `ways`-sized block per set, materialised on the
-    /// set's first insert. The payloads are ~98% of a cache's bytes;
-    /// keeping them per-set means constructing or cloning a 12 MiB L3
-    /// whose working set touches 2% of its sets costs 2% of 12 MiB — and
-    /// sidesteps glibc's adaptive mmap threshold, which silently turns
-    /// repeated huge zeroed allocations into full memsets.
+    /// set's first insert (empty for [`Role::Tags`]). The payloads are
+    /// ~98% of a cache's bytes; keeping them per-set means constructing
+    /// or cloning a 12 MiB L3 whose working set touches 2% of its sets
+    /// costs 2% of 12 MiB — and sidesteps glibc's adaptive mmap
+    /// threshold, which silently turns repeated huge zeroed allocations
+    /// into full memsets.
     data: Vec<Option<Box<[[u8; LINE_SIZE]]>>>,
     /// Per-set permutation of way indices: `order[set*ways..][..len[set]]`
     /// are the occupied ways MRU-first, the tail holds the free ways.
@@ -103,21 +208,27 @@ struct SetAssoc {
 }
 
 impl SetAssoc {
-    fn new(sets: usize, ways: usize) -> Self {
+    fn new(sets: usize, ways: usize, role: Role) -> Self {
         assert!(ways >= 1 && ways <= u8::MAX as usize, "unsupported ways");
         let nsets = sets.max(1);
         let slots = nsets * ways;
         // The metadata vectors are all-zero allocations that are never
         // written here (`order` initialises per set on first insert) and
         // the payload blocks start unmaterialised, so building even a
-        // 12 MiB L3 costs ~2 MiB of zero-mapped metadata and no payload
+        // 12 MiB L3 costs ~3 MiB of zero-mapped metadata and no payload
         // memory — machines are constructed per shard per bench cell.
         Self {
             ways,
             nsets,
+            index: Modulus::new(nsets as u64),
             tags: vec![0; slots],
             flags: vec![0; slots],
-            data: vec![None; nsets],
+            sharers: match role {
+                Role::Directory(cores) if cores <= 8 => SharerMasks::Narrow(vec![0; slots]),
+                Role::Directory(_) => SharerMasks::Wide(vec![0; slots]),
+                Role::Data | Role::Tags => SharerMasks::Absent,
+            },
+            data: vec![None; if role == Role::Tags { 0 } else { nsets }],
             order: vec![0; slots],
             len: vec![0; nsets],
         }
@@ -125,122 +236,153 @@ impl SetAssoc {
 
     #[inline]
     fn set_index(&self, line: u64) -> usize {
-        ((line / LINE_SIZE as u64) % self.nsets as u64) as usize
+        self.index.of(line / LINE_SIZE as u64) as usize
     }
 
     /// Finds `line` in its set without touching MRU order. Returns the set
     /// index and the position within the MRU order.
-    #[inline]
+    #[inline(always)]
     fn probe(&self, line: u64) -> Option<(usize, usize)> {
         let set = self.set_index(line);
         let base = set * self.ways;
         let n = self.len[set] as usize;
         let order = &self.order[base..base + n];
+        let tags = &self.tags[base..base + self.ways];
         for (pos, &way) in order.iter().enumerate() {
-            if self.tags[base + way as usize] == line {
+            if tags[way as usize] == line {
                 return Some((set, pos));
             }
         }
         None
     }
 
-    /// Moves the entry at MRU position `pos` of `set` to the MRU front and
-    /// returns its flat slot index.
-    #[inline]
-    fn promote(&mut self, set: usize, pos: usize) -> usize {
+    /// The slot at MRU position `pos` of `set`.
+    #[inline(always)]
+    fn loc_at(&self, set: usize, pos: usize) -> Loc {
         let base = set * self.ways;
-        self.order[base..=base + pos].rotate_right(1);
-        base + self.order[base] as usize
+        let way = self.order[base + pos] as usize;
+        Loc {
+            set,
+            way,
+            idx: base + way,
+        }
     }
 
-    /// Looks a line up and promotes it to MRU, returning its slot index.
+    /// Moves the entry at MRU position `pos` of `set` to the MRU front and
+    /// returns its slot.
+    #[inline(always)]
+    fn promote(&mut self, set: usize, pos: usize) -> Loc {
+        let loc = self.loc_at(set, pos);
+        let base = set * self.ways;
+        match pos {
+            0 => {}
+            // Two lines of one set taking turns: a swap, not a `memmove`.
+            1 => self.order.swap(base, base + 1),
+            _ => {
+                self.order.copy_within(base..base + pos, base + 1);
+                self.order[base] = loc.way as u8;
+            }
+        }
+        loc
+    }
+
+    /// Looks a line up and promotes it to MRU, returning its slot.
     #[inline]
-    fn find_promote(&mut self, line: u64) -> Option<usize> {
+    fn find_promote(&mut self, line: u64) -> Option<Loc> {
         let (set, pos) = self.probe(line)?;
         Some(self.promote(set, pos))
     }
 
-    /// Looks a line up without promoting it, returning its slot index.
+    /// Looks a line up without promoting it, returning its slot.
     #[inline]
-    fn peek_slot(&self, line: u64) -> Option<usize> {
+    fn peek(&self, line: u64) -> Option<Loc> {
         let (set, pos) = self.probe(line)?;
-        let base = set * self.ways;
-        Some(base + self.order[base + pos] as usize)
+        Some(self.loc_at(set, pos))
     }
 
     #[inline]
-    fn is_dirty(&self, idx: usize) -> bool {
-        self.flags[idx] & FLAG_DIRTY != 0
+    fn is_dirty(&self, at: Loc) -> bool {
+        self.flags[at.idx] & FLAG_DIRTY != 0
     }
 
     #[inline]
-    fn is_tx(&self, idx: usize) -> bool {
-        self.flags[idx] & FLAG_TX != 0
+    fn is_tx(&self, at: Loc) -> bool {
+        self.flags[at.idx] & FLAG_TX != 0
     }
 
     #[inline]
-    fn set_dirty(&mut self, idx: usize, dirty: bool) {
-        if dirty {
-            self.flags[idx] |= FLAG_DIRTY;
+    fn is_owned(&self, at: Loc) -> bool {
+        self.flags[at.idx] & FLAG_OWNED != 0
+    }
+
+    #[inline]
+    fn set_flag(&mut self, at: Loc, flag: u8, on: bool) {
+        if on {
+            self.flags[at.idx] |= flag;
         } else {
-            self.flags[idx] &= !FLAG_DIRTY;
+            self.flags[at.idx] &= !flag;
         }
     }
 
     #[inline]
-    fn set_tx(&mut self, idx: usize, tx: bool) {
-        if tx {
-            self.flags[idx] |= FLAG_TX;
-        } else {
-            self.flags[idx] &= !FLAG_TX;
-        }
+    fn line(&self, at: Loc) -> &[u8; LINE_SIZE] {
+        &self.data[at.set].as_ref().expect("occupied set")[at.way]
     }
 
     #[inline]
-    fn data(&self, idx: usize) -> &[u8; LINE_SIZE] {
-        &self.data[idx / self.ways].as_ref().expect("occupied set")[idx % self.ways]
+    fn line_mut(&mut self, at: Loc) -> &mut [u8; LINE_SIZE] {
+        &mut self.data[at.set].as_mut().expect("occupied set")[at.way]
     }
 
+    /// Overwrites the slot's payload and flags with a dirty L1 copy
+    /// arriving from above (eviction merge, cache-to-cache recall).
     #[inline]
-    fn set_data(&mut self, idx: usize, data: &[u8; LINE_SIZE]) {
-        self.data[idx / self.ways].as_mut().expect("occupied set")[idx % self.ways] = *data;
+    fn merge_dirty(&mut self, at: Loc, from: &Slot) {
+        *self.line_mut(at) = from.data;
+        self.set_flag(at, FLAG_DIRTY, true);
+        self.set_flag(at, FLAG_TX, from.tx);
     }
 
     /// Copies the slot out as an owned [`Slot`].
     #[inline]
-    fn slot(&self, idx: usize) -> Slot {
+    fn slot(&self, at: Loc) -> Slot {
         Slot {
-            line: self.tags[idx],
-            dirty: self.is_dirty(idx),
-            tx: self.is_tx(idx),
-            data: *self.data(idx),
+            line: self.tags[at.idx],
+            dirty: self.is_dirty(at),
+            tx: self.is_tx(at),
+            sharers: self.sharers.get(at.idx),
+            owned: self.is_owned(at),
+            data: match self.data.get(at.set) {
+                Some(block) => block.as_ref().expect("occupied set")[at.way],
+                None => [0u8; LINE_SIZE],
+            },
         }
     }
 
-    /// Overwrites the slot's contents with `slot` (tag, flags and data).
-    /// The set's payload block must already be materialised.
+    /// Overwrites the slot's contents with `slot` (tag, flags, directory
+    /// state and data). The set's payload block must already be
+    /// materialised.
     #[inline]
-    fn write_slot(&mut self, idx: usize, slot: &Slot) {
-        self.tags[idx] = slot.line;
-        self.flags[idx] =
-            (if slot.dirty { FLAG_DIRTY } else { 0 }) | (if slot.tx { FLAG_TX } else { 0 });
-        self.set_data(idx, &slot.data);
+    fn write_slot(&mut self, at: Loc, slot: &Slot) {
+        self.tags[at.idx] = slot.line;
+        self.flags[at.idx] = (if slot.dirty { FLAG_DIRTY } else { 0 })
+            | (if slot.tx { FLAG_TX } else { 0 })
+            | (if slot.owned { FLAG_OWNED } else { 0 });
+        self.sharers.set(at.idx, slot.sharers);
+        if let Some(block) = self.data.get_mut(at.set) {
+            block.as_mut().expect("occupied set")[at.way] = slot.data;
+        }
     }
 
     /// Applies a line operation to the slot, mirroring [`apply_op`].
-    fn apply(&mut self, idx: usize, op: &mut LineOp<'_>, tx: bool, is_write: bool) {
-        let line = &mut self.data[idx / self.ways].as_mut().expect("occupied set")[idx % self.ways];
+    #[inline(always)]
+    fn apply(&mut self, at: Loc, op: LineOp<'_>, tx: bool) {
+        let line = &mut self.data[at.set].as_mut().expect("occupied set")[at.way];
         match op {
-            LineOp::Read(buf) => buf.copy_from_slice(line),
+            LineOp::Read { offset, buf } => copy_small(buf, &line[offset..offset + buf.len()]),
             LineOp::Write { offset, data } => {
-                assert!(*offset + data.len() <= LINE_SIZE, "write crosses line end");
-                line[*offset..*offset + data.len()].copy_from_slice(data);
-            }
-        }
-        if is_write {
-            self.flags[idx] |= FLAG_DIRTY;
-            if tx {
-                self.flags[idx] |= FLAG_TX;
+                copy_small(&mut line[offset..offset + data.len()], data);
+                self.flags[at.idx] |= if tx { FLAG_DIRTY | FLAG_TX } else { FLAG_DIRTY };
             }
         }
     }
@@ -249,8 +391,7 @@ impl SetAssoc {
         let (set, pos) = self.probe(line)?;
         let base = set * self.ways;
         let n = self.len[set] as usize;
-        let idx = base + self.order[base + pos] as usize;
-        let slot = self.slot(idx);
+        let slot = self.slot(self.loc_at(set, pos));
         // Shift the MRU order up over the removed position; the freed way
         // byte lands at the head of the free region, keeping `order` a
         // permutation of the way indices.
@@ -259,14 +400,15 @@ impl SetAssoc {
         Some(slot)
     }
 
-    /// Inserts a slot as MRU; returns the victim if the set was full.
-    /// Non-TX lines are preferred as victims (LRU among them); a TX line is
-    /// only evicted when the whole set is transactional. Reproduces the
-    /// reference semantics exactly: conceptually the new slot is placed at
-    /// MRU and the victim is the *last* non-TX entry of the grown set —
-    /// which can be the incoming slot itself when every resident line is
-    /// TX (the caller sees its own slot bounce back).
-    fn insert(&mut self, slot: Slot) -> Option<Slot> {
+    /// Inserts a slot as MRU; returns where it landed and the victim if
+    /// the set was full. Non-TX lines are preferred as victims (LRU among
+    /// them); a TX line is only evicted when the whole set is
+    /// transactional. Reproduces the reference semantics exactly:
+    /// conceptually the new slot is placed at MRU and the victim is the
+    /// *last* non-TX entry of the grown set — which can be the incoming
+    /// slot itself when every resident line is TX (the caller sees its own
+    /// slot bounce back, and no location).
+    fn insert(&mut self, slot: Slot) -> (Option<Loc>, Option<Slot>) {
         let set = self.set_index(slot.line);
         let base = set * self.ways;
         let n = self.len[set] as usize;
@@ -285,42 +427,33 @@ impl SetAssoc {
                 *slot_order = way as u8;
             }
             // Materialise the payload block on the set's first-ever use.
-            if self.data[set].is_none() {
-                self.data[set] = Some(vec![[0u8; LINE_SIZE]; self.ways].into_boxed_slice());
+            if let Some(block @ None) = self.data.get_mut(set) {
+                *block = Some(vec![[0u8; LINE_SIZE]; self.ways].into_boxed_slice());
             }
         }
-        if n < self.ways {
-            let way = self.order[base + n];
-            self.write_slot(base + way as usize, &slot);
-            self.order[base..=base + n].rotate_right(1);
+        // The MRU position the incoming slot takes over: the first free
+        // way, or the LRU-most non-TX resident of a full set.
+        let pos = if n < self.ways {
             self.len[set] = (n + 1) as u8;
-            return None;
-        }
-        // Full set: pick the LRU-most non-TX resident as the victim.
-        let victim_pos = (0..self.ways)
-            .rev()
-            .find(|&pos| !self.is_tx(base + self.order[base + pos] as usize));
-        match victim_pos {
-            Some(pos) => {
-                let idx = base + self.order[base + pos] as usize;
-                let victim = self.slot(idx);
-                self.write_slot(idx, &slot);
-                self.order[base..=base + pos].rotate_right(1);
-                Some(victim)
+            n
+        } else {
+            let victim_pos = (0..self.ways)
+                .rev()
+                .find(|&pos| self.flags[base + self.order[base + pos] as usize] & FLAG_TX == 0);
+            match victim_pos {
+                Some(pos) => pos,
+                // Every resident line is TX. A non-TX incoming slot is then
+                // the last non-TX entry of the conceptual grown set (it
+                // sits at MRU) and bounces straight back; an all-TX set
+                // with a TX insert falls through to plain LRU.
+                None if !slot.tx => return (None, Some(slot)),
+                None => self.ways - 1,
             }
-            // Every resident line is TX. A non-TX incoming slot is then the
-            // last non-TX entry of the conceptual grown set (it sits at
-            // MRU) and bounces straight back; an all-TX set with a TX
-            // insert falls through to plain LRU.
-            None if !slot.tx => Some(slot),
-            None => {
-                let idx = base + self.order[base + self.ways - 1] as usize;
-                let victim = self.slot(idx);
-                self.write_slot(idx, &slot);
-                self.order[base..base + self.ways].rotate_right(1);
-                Some(victim)
-            }
-        }
+        };
+        let at = self.loc_at(set, pos);
+        let victim = (n == self.ways).then(|| self.slot(at));
+        self.write_slot(at, &slot);
+        (Some(self.promote(set, pos)), victim)
     }
 
     fn clear(&mut self) {
@@ -341,15 +474,6 @@ impl SetAssoc {
                 })
         })
     }
-}
-
-/// Directory entry tracking L1 residency of one line.
-#[derive(Debug, Clone, Default)]
-struct DirEntry {
-    /// Bitmask of cores whose L1 holds the line.
-    sharers: u64,
-    /// Core holding the line dirty, if any (then `sharers` == that one bit).
-    dirty_owner: Option<usize>,
 }
 
 /// A dirty transactional line that left the hierarchy and was **not**
@@ -374,8 +498,13 @@ pub struct AccessResult {
 /// The operation an access performs on the target line.
 #[derive(Debug)]
 pub enum LineOp<'a> {
-    /// Copy the full line out.
-    Read(&'a mut [u8; LINE_SIZE]),
+    /// Copy `buf.len()` bytes at `offset` within the line out.
+    Read {
+        /// Byte offset within the line.
+        offset: usize,
+        /// Where the bytes go.
+        buf: &'a mut [u8],
+    },
     /// Patch `data.len()` bytes at `offset` within the line.
     Write {
         /// Byte offset within the line.
@@ -389,31 +518,39 @@ impl LineOp<'_> {
     fn is_write(&self) -> bool {
         matches!(self, LineOp::Write { .. })
     }
+
+    /// One past the last line byte the operation touches.
+    fn end(&self) -> usize {
+        match self {
+            LineOp::Read { offset, buf } => offset + buf.len(),
+            LineOp::Write { offset, data } => offset + data.len(),
+        }
+    }
 }
 
-/// The full cache hierarchy shared by all cores.
+/// The full cache hierarchy shared by all cores. The coherence directory
+/// is part of `l3` (see the module docs).
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     l1: Vec<SetAssoc>,
     l2: Vec<SetAssoc>,
     l3: SetAssoc,
-    dir: FxHashMap<u64, DirEntry>,
 }
 
 impl CacheHierarchy {
     /// Builds the hierarchy for `cfg.cores` cores.
     pub fn new(cfg: &MachineConfig) -> Self {
+        assert!(cfg.cores <= 64, "the sharer mask holds 64 cores");
         let l1 = (0..cfg.cores)
-            .map(|_| SetAssoc::new(cfg.l1.sets(), cfg.l1.ways))
+            .map(|_| SetAssoc::new(cfg.l1.sets(), cfg.l1.ways, Role::Data))
             .collect();
         let l2 = (0..cfg.cores)
-            .map(|_| SetAssoc::new(cfg.l2.sets(), cfg.l2.ways))
+            .map(|_| SetAssoc::new(cfg.l2.sets(), cfg.l2.ways, Role::Tags))
             .collect();
         Self {
             l1,
             l2,
-            l3: SetAssoc::new(cfg.l3.sets(), cfg.l3.ways),
-            dir: FxHashMap::default(),
+            l3: SetAssoc::new(cfg.l3.sets(), cfg.l3.ways, Role::Directory(cfg.cores)),
         }
     }
 
@@ -421,247 +558,261 @@ impl CacheHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if a `Write` patch crosses the end of the line.
+    /// Panics, before anything is touched, if the operation crosses the
+    /// end of the line.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub fn access(
         &mut self,
         core: CoreId,
         addr: PhysAddr,
-        mut op: LineOp<'_>,
+        op: LineOp<'_>,
         tx: bool,
         cfg: &MachineConfig,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
     ) -> AccessResult {
+        assert!(op.end() <= LINE_SIZE, "access crosses line end");
         let line = addr.line_base().raw();
+        let c = core.index();
         let mut result = AccessResult {
             cycles: cfg.l1.latency_cycles,
             ..Default::default()
         };
         let is_write = op.is_write();
 
-        // Fast path: L1 hit — one probe finds the way; the coherence check
-        // below only touches *other* cores' arrays, so the position stays
-        // valid and the MRU promotion happens after it, exactly as the
-        // old peek + lookup_mut pair ordered things.
-        if let Some((set, pos)) = self.l1[core.index()].probe(line) {
+        // Fast path: L1 hit — one probe finds the way. Only the first
+        // write to a clean line consults the directory: a line already
+        // dirty here is owned by this core and shared with nobody, so
+        // there is no one to invalidate and nothing to record.
+        if let Some((set, pos)) = self.l1[c].probe(line) {
             stats.l1_hits += 1;
-            if is_write {
-                self.ensure_exclusive(core, line, cfg, stats, &mut result);
+            if is_write && !self.l1[c].is_dirty(self.l1[c].loc_at(set, pos)) {
+                let home = self
+                    .l3
+                    .peek(line)
+                    .expect("inclusive L3 holds every L1 line");
+                self.ensure_exclusive(core, line, home, cfg, stats, &mut result);
+                self.l3.set_flag(home, FLAG_OWNED, true);
             }
-            let l1 = &mut self.l1[core.index()];
-            let idx = l1.promote(set, pos);
-            l1.apply(idx, &mut op, tx, is_write);
-            if is_write {
-                self.dir.entry(line).or_default().dirty_owner = Some(core.index());
-            }
+            let l1 = &mut self.l1[c];
+            let at = l1.promote(set, pos);
+            l1.apply(at, op, tx);
             return result;
         }
+        self.access_miss(core, addr, op, tx, cfg, mem, timing, stats, result)
+    }
 
-        // L1 miss: if another core owns the line dirty, pull the fresh data
-        // into L3 first (cache-to-cache transfer).
-        self.recall_dirty_owner(core, line, cfg, stats, &mut result);
+    /// The rest of [`access`](Self::access) after the L1 probe missed —
+    /// out of line, so the hit path stays a leaf-sized function.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn access_miss(
+        &mut self,
+        core: CoreId,
+        addr: PhysAddr,
+        op: LineOp<'_>,
+        tx: bool,
+        cfg: &MachineConfig,
+        mem: &mut PhysMem,
+        timing: &mut MemTiming,
+        stats: &mut MachineStats,
+        mut result: AccessResult,
+    ) -> AccessResult {
+        let line = addr.line_base().raw();
+        let c = core.index();
+        let is_write = op.is_write();
+
+        // One L3 probe serves the directory check, the demand
+        // lookup and the fill. If another core owns the line dirty, pull
+        // the fresh data into L3 first (cache-to-cache transfer), which
+        // leaves the line at the MRU front.
+        let mut l3_hit = self.l3.probe(line);
+        if let Some((set, pos)) = l3_hit {
+            if self.recall_dirty_owner(core, line, set, pos, cfg, stats, &mut result) {
+                l3_hit = Some((set, 0));
+            }
+        }
 
         // L2 (timing only).
         result.cycles += cfg.l2.latency_cycles;
-        let l2_hit = self.l2[core.index()].find_promote(line).is_some();
-        if l2_hit {
+        let home = if self.l2[c].find_promote(line).is_some() {
             stats.l2_hits += 1;
+            // Non-inclusive L2 tags can go stale: the line may have
+            // fallen out of L3 since.
+            l3_hit.map(|(set, pos)| self.l3.loc_at(set, pos))
         } else {
             // L3. Demand probes are what the shared-LLC/coherence actors
             // replay against the shared set space at epoch boundaries
             // (retag/install/flush/refill paths stay private-slice-only).
             result.cycles += cfg.l3.latency_cycles;
             let kind = PhysMem::kind_of_addr(addr);
-            if self.l3.find_promote(line).is_some() {
-                stats.l3_hits += 1;
-                timing.record_llc_probe(line / LINE_SIZE as u64, kind, is_write, true);
-            } else {
-                // Memory fill.
+            let home = match l3_hit {
+                Some((set, pos)) => {
+                    stats.l3_hits += 1;
+                    timing.record_llc_probe(line / LINE_SIZE as u64, kind, is_write, true);
+                    Some(self.l3.promote(set, pos))
+                }
+                None => {
+                    stats.mem_accesses += 1;
+                    timing.record_llc_probe(line / LINE_SIZE as u64, kind, is_write, false);
+                    match kind {
+                        MemKind::Dram => stats.dram_reads += 1,
+                        MemKind::Nvram => stats.nvram_reads += 1,
+                    }
+                    self.fill_l3(addr, mem, timing, stats, &mut result)
+                }
+            };
+            // Fill the L2 tag array (the lookup above just missed).
+            let _ = self.l2[c].insert(Slot::new(line, false, false, [0u8; LINE_SIZE]));
+            home
+        };
+        // A stale L2 tag (or a fill that bounced off an all-TX set): make
+        // sure L3 has the line so the directory has a slot to live in.
+        let home = match home {
+            Some(home) => home,
+            None => {
                 stats.mem_accesses += 1;
-                timing.record_llc_probe(line / LINE_SIZE as u64, kind, is_write, false);
-                result.cycles +=
-                    timing.access_cycles(cfg, stats, kind, addr.line_base(), AccessKind::Read);
-                match kind {
-                    crate::timing::MemKind::Dram => stats.dram_reads += 1,
-                    crate::timing::MemKind::Nvram => stats.nvram_reads += 1,
-                }
-                let data = mem.read_line(addr.ppn(), addr.line_index());
-                let victim = self.l3.insert(Slot {
-                    line,
-                    dirty: false,
-                    tx: false,
-                    data,
-                });
-                if let Some(v) = victim {
-                    self.evict_from_l3(v, cfg, mem, timing, stats, &mut result);
-                }
+                self.fill_l3(addr, mem, timing, stats, &mut result)
+                    .expect("line resident in L3")
             }
-            // Fill the L2 tag array.
-            if self.l2[core.index()].peek_slot(line).is_none() {
-                let _ = self.l2[core.index()].insert(Slot {
-                    line,
-                    dirty: false,
-                    tx: false,
-                    data: [0u8; LINE_SIZE],
-                });
-            }
-        }
-
-        // If L2 hit but the line fell out of L3 (non-inclusive L2 tags can
-        // go stale), make sure L3 has it again so the directory invariant
-        // holds.
-        if self.l3.peek_slot(line).is_none() {
-            stats.mem_accesses += 1;
-            let kind = PhysMem::kind_of_addr(addr);
-            result.cycles +=
-                timing.access_cycles(cfg, stats, kind, addr.line_base(), AccessKind::Read);
-            let data = mem.read_line(addr.ppn(), addr.line_index());
-            let victim = self.l3.insert(Slot {
-                line,
-                dirty: false,
-                tx: false,
-                data,
-            });
-            if let Some(v) = victim {
-                self.evict_from_l3(v, cfg, mem, timing, stats, &mut result);
-            }
-        }
+        };
 
         if is_write {
-            self.ensure_exclusive(core, line, cfg, stats, &mut result);
+            self.ensure_exclusive(core, line, home, cfg, stats, &mut result);
         }
 
         // Fill into L1 from L3.
-        let l3_idx = self.l3.peek_slot(line).expect("line resident in L3");
-        let mut slot = Slot {
-            line,
-            dirty: false,
-            tx: self.l3.is_tx(l3_idx),
-            data: *self.l3.data(l3_idx),
-        };
-        apply_op(&mut slot, &mut op, tx, is_write);
-        let entry = self.dir.entry(line).or_default();
-        entry.sharers |= 1 << core.index();
+        let mut slot = Slot::new(line, false, self.l3.is_tx(home), *self.l3.line(home));
+        apply_op(&mut slot, op, tx);
+        self.l3
+            .sharers
+            .set(home.idx, self.l3.sharers.get(home.idx) | 1 << c);
         if is_write {
-            entry.dirty_owner = Some(core.index());
+            self.l3.set_flag(home, FLAG_OWNED, true);
         }
-        if let Some(victim) = self.l1[core.index()].insert(slot) {
-            self.evict_from_l1(core, victim, cfg, mem, timing, stats, &mut result);
+        if let (_, Some(victim)) = self.l1[c].insert(slot) {
+            self.evict_from_l1(core, victim, mem, timing, stats, &mut result);
         }
         result
     }
 
-    /// Invalidate every other sharer so `core` can write the line.
+    /// Reads `addr`'s line from memory into L3 (charging the read to
+    /// `result`) and handles the displaced victim. Returns where the line
+    /// landed — `None` if it bounced off a set full of TX lines.
+    fn fill_l3(
+        &mut self,
+        addr: PhysAddr,
+        mem: &mut PhysMem,
+        timing: &mut MemTiming,
+        stats: &mut MachineStats,
+        result: &mut AccessResult,
+    ) -> Option<Loc> {
+        let kind = PhysMem::kind_of_addr(addr);
+        result.cycles += timing.access_cycles(stats, kind, addr.line_base(), AccessKind::Read);
+        let data = mem.read_line(addr.ppn(), addr.line_index());
+        let (home, victim) = self
+            .l3
+            .insert(Slot::new(addr.line_base().raw(), false, false, data));
+        if let Some(v) = victim {
+            self.evict_from_l3(v, mem, timing, stats, result);
+        }
+        home
+    }
+
+    /// Invalidate every other sharer so `core` can write the line whose
+    /// L3 slot is `home`.
     fn ensure_exclusive(
         &mut self,
         core: CoreId,
         line: u64,
+        home: Loc,
         cfg: &MachineConfig,
         stats: &mut MachineStats,
         result: &mut AccessResult,
     ) {
-        let Some(entry) = self.dir.get_mut(&line) else {
-            return;
-        };
-        let others = entry.sharers & !(1 << core.index());
+        let me = 1u64 << core.index();
+        let sharers = self.l3.sharers.get(home.idx);
+        let mut others = sharers & !me;
         if others == 0 {
             return;
         }
-        for other in 0..self.l1.len() {
-            if other != core.index() && (others >> other) & 1 == 1 {
-                // Sharers other than a dirty owner are clean by invariant.
-                let _ = self.l1[other].remove(line);
-                let _ = self.l2[other].remove(line);
-                stats.coherence_invalidations += 1;
-            }
-        }
-        entry.sharers &= 1 << core.index();
-        if entry.dirty_owner.is_some_and(|o| o != core.index()) {
-            entry.dirty_owner = None;
+        self.l3.sharers.set(home.idx, sharers & me);
+        // An owner is the only sharer, so an owner among `others` is not
+        // `core`: its claim ends with its copy.
+        self.l3.set_flag(home, FLAG_OWNED, false);
+        while others != 0 {
+            let other = others.trailing_zeros() as usize;
+            others &= others - 1;
+            // Sharers other than a dirty owner are clean by invariant.
+            let _ = self.l1[other].remove(line);
+            let _ = self.l2[other].remove(line);
+            stats.coherence_invalidations += 1;
         }
         result.cycles += cfg.coherence_broadcast_cycles;
     }
 
-    /// If another core holds the line dirty, write its copy into L3 and
-    /// invalidate it there.
+    /// If another core holds the line (found at MRU position `pos` of L3
+    /// set `set`) dirty, write its copy into L3, invalidate it there and
+    /// promote the L3 line. Returns whether the recall happened.
+    #[allow(clippy::too_many_arguments)]
     fn recall_dirty_owner(
         &mut self,
         core: CoreId,
         line: u64,
+        set: usize,
+        pos: usize,
         cfg: &MachineConfig,
         stats: &mut MachineStats,
         result: &mut AccessResult,
-    ) {
-        let Some(entry) = self.dir.get_mut(&line) else {
-            return;
-        };
-        let Some(owner) = entry.dirty_owner else {
-            return;
-        };
-        if owner == core.index() {
-            return;
+    ) -> bool {
+        let home = self.l3.loc_at(set, pos);
+        if !self.l3.is_owned(home) {
+            return false;
         }
+        let sharers = self.l3.sharers.get(home.idx);
+        let owner = sharers.trailing_zeros() as usize;
+        if owner == core.index() {
+            return false;
+        }
+        self.l3.set_flag(home, FLAG_OWNED, false);
         let Some(slot) = self.l1[owner].remove(line) else {
-            entry.dirty_owner = None;
-            return;
+            return false;
         };
         let _ = self.l2[owner].remove(line);
-        entry.sharers &= !(1 << owner);
-        entry.dirty_owner = None;
+        self.l3.sharers.set(home.idx, sharers & !(1 << owner));
         stats.coherence_invalidations += 1;
         result.cycles += cfg.l3.latency_cycles; // cache-to-cache transfer
-        match self.l3.find_promote(line) {
-            Some(idx) => {
-                self.l3.set_data(idx, &slot.data);
-                self.l3.set_dirty(idx, true);
-                self.l3.set_tx(idx, slot.tx);
-            }
-            None => {
-                // Inclusive invariant normally guarantees an L3 copy; if it
-                // was lost, reinsert.
-                if let Some(v) = self.l3.insert(Slot {
-                    dirty: true,
-                    ..slot
-                }) {
-                    // Cannot recurse into evict helper here without extra
-                    // state; handle the victim inline below.
-                    self.handle_l3_victim_basic(v, result);
-                }
-            }
-        }
+        let home = self.l3.promote(set, pos);
+        self.l3.merge_dirty(home, &slot);
+        true
     }
 
-    /// Minimal L3 victim handling that defers memory traffic to the caller
-    /// via `tx_evictions` (used only on the rare reinsert path).
-    fn handle_l3_victim_basic(&mut self, victim: Slot, result: &mut AccessResult) {
-        self.back_invalidate(victim.line);
-        if victim.dirty {
-            result.tx_evictions.push(TxEviction {
-                line: PhysAddr::new(victim.line),
-                data: victim.data,
-            });
-        }
-    }
-
-    /// Removes a line from every L1/L2 (inclusive-L3 back-invalidation),
+    /// Removes `line` from the L1/L2 of every core in `sharers`
+    /// (inclusive-L3 back-invalidation of a slot that is leaving the L3),
     /// returning the freshest data if an L1 held it dirty.
-    fn back_invalidate(&mut self, line: u64) -> Option<Slot> {
+    fn back_invalidate(&mut self, line: u64, mut sharers: u64) -> Option<Slot> {
         let mut fresh = None;
-        if let Some(entry) = self.dir.remove(&line) {
-            for c in 0..self.l1.len() {
-                if (entry.sharers >> c) & 1 == 1 {
-                    if let Some(slot) = self.l1[c].remove(line) {
-                        if slot.dirty {
-                            fresh = Some(slot);
-                        }
-                    }
-                    let _ = self.l2[c].remove(line);
+        while sharers != 0 {
+            let c = sharers.trailing_zeros() as usize;
+            sharers &= sharers - 1;
+            if let Some(slot) = self.l1[c].remove(line) {
+                if slot.dirty {
+                    fresh = Some(slot);
                 }
             }
+            let _ = self.l2[c].remove(line);
         }
         fresh
+    }
+
+    /// Drops `line` from the L3 and, through its sharer mask, from every
+    /// L1/L2 above it. Nothing is written back.
+    fn purge(&mut self, line: u64) {
+        if let Some(slot) = self.l3.remove(line) {
+            self.back_invalidate(line, slot.sharers);
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -669,63 +820,58 @@ impl CacheHierarchy {
         &mut self,
         core: CoreId,
         victim: Slot,
-        cfg: &MachineConfig,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
         result: &mut AccessResult,
     ) {
-        if let Some(entry) = self.dir.get_mut(&victim.line) {
-            entry.sharers &= !(1 << core.index());
-            if entry.dirty_owner == Some(core.index()) {
-                entry.dirty_owner = None;
-            }
-            if entry.sharers == 0 {
-                self.dir.remove(&victim.line);
-            }
-        }
-        if !victim.dirty {
-            return;
-        }
-        // Dirty L1 victim merges into its (inclusive) L3 copy.
-        match self.l3.find_promote(victim.line) {
-            Some(idx) => {
-                self.l3.set_data(idx, &victim.data);
-                self.l3.set_dirty(idx, true);
-                self.l3.set_tx(idx, victim.tx);
-            }
-            None => {
+        let Some((set, pos)) = self.l3.probe(victim.line) else {
+            // Unreachable while the L3 is inclusive (module docs); kept so
+            // that a dirty line is never dropped silently if it is not.
+            debug_assert!(false, "L1 victim without an L3 copy");
+            if victim.dirty {
                 let line = victim.line;
-                if let Some(v) = self.l3.insert(Slot { ..victim }) {
+                if let (_, Some(v)) = self.l3.insert(victim) {
                     if v.line == line {
-                        // The victim itself could not be placed: fall through
-                        // to memory.
-                        self.write_back(v, cfg, mem, timing, stats, result);
+                        // The victim itself could not be placed: fall
+                        // through to memory.
+                        self.write_back(v, mem, timing, stats, result);
                     } else {
-                        self.evict_from_l3(v, cfg, mem, timing, stats, result);
+                        self.evict_from_l3(v, mem, timing, stats, result);
                     }
                 }
             }
+            return;
+        };
+        let home = self.l3.loc_at(set, pos);
+        let sharers = self.l3.sharers.get(home.idx) & !(1 << core.index());
+        self.l3.sharers.set(home.idx, sharers);
+        if sharers == 0 {
+            self.l3.set_flag(home, FLAG_OWNED, false);
+        }
+        if victim.dirty {
+            // Dirty L1 victim merges into its (inclusive) L3 copy.
+            let home = self.l3.promote(set, pos);
+            self.l3.merge_dirty(home, &victim);
         }
     }
 
     fn evict_from_l3(
         &mut self,
         victim: Slot,
-        cfg: &MachineConfig,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
         result: &mut AccessResult,
     ) {
         let mut victim = victim;
-        if let Some(fresh) = self.back_invalidate(victim.line) {
+        if let Some(fresh) = self.back_invalidate(victim.line, victim.sharers) {
             victim.data = fresh.data;
             victim.dirty = true;
             victim.tx = fresh.tx;
         }
         if victim.dirty {
-            self.write_back(victim, cfg, mem, timing, stats, result);
+            self.write_back(victim, mem, timing, stats, result);
         }
     }
 
@@ -734,7 +880,6 @@ impl CacheHierarchy {
     fn write_back(
         &mut self,
         victim: Slot,
-        cfg: &MachineConfig,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
@@ -751,10 +896,10 @@ impl CacheHierarchy {
         let kind = PhysMem::kind_of_addr(addr);
         // Write-back latency is absorbed by write buffers, not charged to
         // the core; traffic is still counted.
-        let _ = timing.access_cycles(cfg, stats, kind, addr, AccessKind::Write);
+        let _ = timing.access_cycles(stats, kind, addr, AccessKind::Write);
         match kind {
-            crate::timing::MemKind::Dram => stats.dram_writes += 1,
-            crate::timing::MemKind::Nvram => stats.record_nvram_write(WriteClass::Data),
+            MemKind::Dram => stats.dram_writes += 1,
+            MemKind::Nvram => stats.record_nvram_write(WriteClass::Data),
         }
         stats.writebacks += 1;
         mem.write_line(addr.ppn(), addr.line_index(), &victim.data);
@@ -767,50 +912,46 @@ impl CacheHierarchy {
         &mut self,
         line: PhysAddr,
         class: WriteClass,
-        cfg: &MachineConfig,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
     ) -> Option<u64> {
         let key = line.line_base().raw();
+        // Every cached copy sits at or above the line's L3 slot, which
+        // also names the one L1 that can hold it dirty.
+        let (set, pos) = self.l3.probe(key)?;
         let mut fresh: Option<[u8; LINE_SIZE]> = None;
-        if let Some(entry) = self.dir.get(&key) {
-            if let Some(owner) = entry.dirty_owner {
-                if let Some(idx) = self.l1[owner].find_promote(key) {
-                    let l1 = &mut self.l1[owner];
-                    if l1.is_dirty(idx) {
-                        fresh = Some(*l1.data(idx));
-                        l1.set_dirty(idx, false);
-                        l1.set_tx(idx, false);
-                    }
+        let home = self.l3.loc_at(set, pos);
+        if self.l3.is_owned(home) {
+            let owner = self.l3.sharers.get(home.idx).trailing_zeros() as usize;
+            let l1 = &mut self.l1[owner];
+            if let Some(at) = l1.find_promote(key) {
+                if l1.is_dirty(at) {
+                    fresh = Some(*l1.line(at));
+                    l1.set_flag(at, FLAG_DIRTY | FLAG_TX, false);
                 }
             }
         }
-        if let Some(idx) = self.l3.find_promote(key) {
-            match fresh {
-                Some(data) => {
-                    self.l3.set_data(idx, &data);
-                    self.l3.set_dirty(idx, false);
-                    self.l3.set_tx(idx, false);
-                }
-                None => {
-                    if self.l3.is_dirty(idx) {
-                        fresh = Some(*self.l3.data(idx));
-                        self.l3.set_dirty(idx, false);
-                        self.l3.set_tx(idx, false);
-                    }
+        let home = self.l3.promote(set, pos);
+        match fresh {
+            Some(data) => {
+                *self.l3.line_mut(home) = data;
+                self.l3.set_flag(home, FLAG_DIRTY | FLAG_TX, false);
+            }
+            None => {
+                if self.l3.is_dirty(home) {
+                    fresh = Some(*self.l3.line(home));
+                    self.l3.set_flag(home, FLAG_DIRTY | FLAG_TX, false);
                 }
             }
         }
         let data = fresh?;
-        if let Some(entry) = self.dir.get_mut(&key) {
-            entry.dirty_owner = None;
-        }
+        self.l3.set_flag(home, FLAG_OWNED, false);
         let kind = PhysMem::kind_of_addr(line);
-        let cycles = timing.access_cycles(cfg, stats, kind, line.line_base(), AccessKind::Write);
+        let cycles = timing.access_cycles(stats, kind, line.line_base(), AccessKind::Write);
         match kind {
-            crate::timing::MemKind::Dram => stats.dram_writes += 1,
-            crate::timing::MemKind::Nvram => stats.record_nvram_write(class),
+            MemKind::Dram => stats.dram_writes += 1,
+            MemKind::Nvram => stats.record_nvram_write(class),
         }
         mem.write_line(line.ppn(), line.line_index(), &data);
         Some(cycles)
@@ -818,7 +959,7 @@ impl CacheHierarchy {
 
     /// Atomically moves `core`'s cached copy of `old` so it tags `new`
     /// instead — SSP's line-level remap (Figure 4, step iii). The data does
-    /// not move through memory. Returns `false` if `core`'s L1 does not hold
+    /// not move through memory. Returns `None` if `core`'s L1 does not hold
     /// `old` (the caller must fill it first).
     #[allow(clippy::too_many_arguments)]
     pub fn retag(
@@ -826,46 +967,34 @@ impl CacheHierarchy {
         core: CoreId,
         old: PhysAddr,
         new: PhysAddr,
-        cfg: &MachineConfig,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
     ) -> Option<AccessResult> {
         let old_key = old.line_base().raw();
         let new_key = new.line_base().raw();
-        let slot = self.l1[core.index()].remove(old_key)?;
+        let c = core.index();
+        let slot = self.l1[c].remove(old_key)?;
         let mut result = AccessResult::default();
         // Drop every stale trace of the old identity.
-        self.back_invalidate(old_key);
-        let _ = self.l2[core.index()].remove(old_key);
-        if let Some(l3_victim) = self.l3.remove(old_key) {
-            debug_assert_eq!(l3_victim.line, old_key);
-        }
+        self.purge(old_key);
+        let _ = self.l2[c].remove(old_key);
         // Remove any stale copy of the new identity (its committed data is
         // obsolete from this core's perspective — it was flushed earlier).
-        self.back_invalidate(new_key);
-        let _ = self.l3.remove(new_key);
+        self.purge(new_key);
 
-        // Insert under the new identity: dirty + TX in L1, clean copy in L3
-        // to preserve inclusion.
-        if let Some(v) = self.l3.insert(Slot {
-            line: new_key,
-            dirty: false,
-            tx: true,
-            data: slot.data,
-        }) {
-            self.evict_from_l3(v, cfg, mem, timing, stats, &mut result);
+        // Insert under the new identity: dirty + TX in L1, owned by it in
+        // the directory, clean copy in L3 to preserve inclusion.
+        let (_, victim) = self.l3.insert(Slot {
+            sharers: 1 << c,
+            owned: true,
+            ..Slot::new(new_key, false, true, slot.data)
+        });
+        if let Some(v) = victim {
+            self.evict_from_l3(v, mem, timing, stats, &mut result);
         }
-        let entry = self.dir.entry(new_key).or_default();
-        entry.sharers = 1 << core.index();
-        entry.dirty_owner = Some(core.index());
-        if let Some(v) = self.l1[core.index()].insert(Slot {
-            line: new_key,
-            dirty: true,
-            tx: true,
-            data: slot.data,
-        }) {
-            self.evict_from_l1(core, v, cfg, mem, timing, stats, &mut result);
+        if let (_, Some(v)) = self.l1[c].insert(Slot::new(new_key, true, true, slot.data)) {
+            self.evict_from_l1(core, v, mem, timing, stats, &mut result);
         }
         Some(result)
     }
@@ -879,22 +1008,15 @@ impl CacheHierarchy {
         &mut self,
         line: PhysAddr,
         data: [u8; LINE_SIZE],
-        cfg: &MachineConfig,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
     ) -> AccessResult {
         let key = line.line_base().raw();
-        self.back_invalidate(key);
-        let _ = self.l3.remove(key);
+        self.purge(key);
         let mut result = AccessResult::default();
-        if let Some(v) = self.l3.insert(Slot {
-            line: key,
-            dirty: false,
-            tx: false,
-            data,
-        }) {
-            self.evict_from_l3(v, cfg, mem, timing, stats, &mut result);
+        if let (_, Some(v)) = self.l3.insert(Slot::new(key, false, false, data)) {
+            self.evict_from_l3(v, mem, timing, stats, &mut result);
         }
         result
     }
@@ -903,21 +1025,19 @@ impl CacheHierarchy {
     pub fn clear_tx(&mut self, line: PhysAddr) {
         let key = line.line_base().raw();
         for l1 in &mut self.l1 {
-            if let Some(idx) = l1.find_promote(key) {
-                l1.set_tx(idx, false);
+            if let Some(at) = l1.find_promote(key) {
+                l1.set_flag(at, FLAG_TX, false);
             }
         }
-        if let Some(idx) = self.l3.find_promote(key) {
-            self.l3.set_tx(idx, false);
+        if let Some(at) = self.l3.find_promote(key) {
+            self.l3.set_flag(at, FLAG_TX, false);
         }
     }
 
     /// Drops every cached copy of `line` without writing it back (SSP abort
     /// discards speculative data).
     pub fn discard_line(&mut self, line: PhysAddr) {
-        let key = line.line_base().raw();
-        self.back_invalidate(key);
-        let _ = self.l3.remove(key);
+        self.purge(line.line_base().raw());
     }
 
     /// Number of dirty lines currently cached anywhere (diagnostics).
@@ -940,7 +1060,8 @@ impl CacheHierarchy {
         l1_dirty + l3_dirty
     }
 
-    /// Discards all cached state (power failure).
+    /// Discards all cached state (power failure). The directory goes with
+    /// the L3 slots that hold it.
     pub fn crash(&mut self) {
         for c in &mut self.l1 {
             c.clear();
@@ -949,22 +1070,35 @@ impl CacheHierarchy {
             c.clear();
         }
         self.l3.clear();
-        self.dir.clear();
     }
 }
 
-fn apply_op(slot: &mut Slot, op: &mut LineOp<'_>, tx: bool, is_write: bool) {
-    match op {
-        LineOp::Read(buf) => buf.copy_from_slice(&slot.data),
-        LineOp::Write { offset, data } => {
-            assert!(*offset + data.len() <= LINE_SIZE, "write crosses line end");
-            slot.data[*offset..*offset + data.len()].copy_from_slice(data);
-        }
+/// `dst.copy_from_slice(src)` for the sub-line spans accesses carry: the
+/// 8- and 1-byte word accesses that make up nearly all of them become a
+/// single move instead of a `memcpy` call.
+#[inline(always)]
+fn copy_small(dst: &mut [u8], src: &[u8]) {
+    if let (Ok(dst), Ok(src)) = (
+        <&mut [u8; 8]>::try_from(&mut *dst),
+        <&[u8; 8]>::try_from(src),
+    ) {
+        *dst = *src;
+    } else if let ([dst], [src]) = (&mut *dst, src) {
+        *dst = *src;
+    } else {
+        dst.copy_from_slice(src);
     }
-    if is_write {
-        slot.dirty = true;
-        if tx {
-            slot.tx = true;
+}
+
+/// Applies a line operation to a slot on its way into an L1 (the miss
+/// path's counterpart of [`SetAssoc::apply`]).
+fn apply_op(slot: &mut Slot, op: LineOp<'_>, tx: bool) {
+    match op {
+        LineOp::Read { offset, buf } => copy_small(buf, &slot.data[offset..offset + buf.len()]),
+        LineOp::Write { offset, data } => {
+            copy_small(&mut slot.data[offset..offset + data.len()], data);
+            slot.dirty = true;
+            slot.tx |= tx;
         }
     }
 }
@@ -1018,7 +1152,10 @@ mod tests {
             self.cache.access(
                 CoreId::new(core),
                 PhysAddr::new(addr),
-                LineOp::Read(&mut buf),
+                LineOp::Read {
+                    offset: 0,
+                    buf: &mut buf,
+                },
                 false,
                 &self.cfg,
                 &mut self.mem,
@@ -1051,7 +1188,6 @@ mod tests {
         let cycles = rig.cache.flush_line(
             PhysAddr::new(addr),
             WriteClass::Data,
-            &rig.cfg,
             &mut rig.mem,
             &mut rig.timing,
             &mut rig.stats,
@@ -1063,7 +1199,6 @@ mod tests {
         let again = rig.cache.flush_line(
             PhysAddr::new(addr),
             WriteClass::Data,
-            &rig.cfg,
             &mut rig.mem,
             &mut rig.timing,
             &mut rig.stats,
@@ -1129,7 +1264,6 @@ mod tests {
             CoreId::new(0),
             PhysAddr::new(p0),
             PhysAddr::new(p1),
-            &rig.cfg,
             &mut rig.mem,
             &mut rig.timing,
             &mut rig.stats,
@@ -1148,7 +1282,6 @@ mod tests {
             CoreId::new(0),
             PhysAddr::new(nv_addr(7, 0)),
             PhysAddr::new(nv_addr(8, 0)),
-            &rig.cfg,
             &mut rig.mem,
             &mut rig.timing,
             &mut rig.stats,
@@ -1215,7 +1348,6 @@ mod tests {
         let flushed = rig.cache.flush_line(
             PhysAddr::new(addr),
             WriteClass::Data,
-            &rig.cfg,
             &mut rig.mem,
             &mut rig.timing,
             &mut rig.stats,
@@ -1264,7 +1396,7 @@ mod tests {
     /// The PR-4-era `Vec<Vec<Slot>>` set-associative array, kept verbatim
     /// as the reference model: the flat SoA layout must reproduce its
     /// lookup results, MRU order and victim stream exactly.
-    mod reference {
+    mod set_reference {
         use super::super::{Slot, LINE_SIZE};
 
         #[derive(Debug, Clone)]
@@ -1347,12 +1479,16 @@ mod tests {
                     self.order[base..base + self.len[set] as usize]
                         .iter()
                         .map(|&way| {
-                            let idx = base + way as usize;
+                            let at = Loc {
+                                set,
+                                way: way as usize,
+                                idx: base + way as usize,
+                            };
                             (
-                                self.tags[idx],
-                                self.is_dirty(idx),
-                                self.is_tx(idx),
-                                self.data(idx)[0],
+                                self.tags[at.idx],
+                                self.is_dirty(at),
+                                self.is_tx(at),
+                                self.line(at)[0],
                             )
                         })
                         .collect()
@@ -1370,8 +1506,8 @@ mod tests {
         // (sets, ways) shapes including single-way degenerate sets.
         for (sets, ways, seed) in [(4usize, 3usize, 1u64), (2, 1, 2), (1, 8, 3), (8, 2, 4)] {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut soa = SetAssoc::new(sets, ways);
-            let mut reference = reference::RefSetAssoc::new(sets, ways);
+            let mut soa = SetAssoc::new(sets, ways, Role::Data);
+            let mut reference = set_reference::RefSetAssoc::new(sets, ways);
             for step in 0..4000u32 {
                 let line = rng.gen_range(0..(sets as u64 * ways as u64 * 3)) * LINE_SIZE as u64;
                 match rng.gen_range(0..10u32) {
@@ -1381,17 +1517,15 @@ mod tests {
                         let a = soa.find_promote(line);
                         let b = reference.lookup_mut(line);
                         assert_eq!(a.is_some(), b.is_some(), "lookup presence @{step}");
-                        if let (Some(idx), Some(slot)) = (a, b) {
-                            soa.set_dirty(idx, true);
-                            let mut patched = *soa.data(idx);
-                            patched[0] = byte;
-                            soa.set_data(idx, &patched);
+                        if let (Some(at), Some(slot)) = (a, b) {
+                            soa.set_flag(at, FLAG_DIRTY, true);
+                            soa.line_mut(at)[0] = byte;
                             slot.dirty = true;
                             slot.data[0] = byte;
                         }
                     }
                     3 => {
-                        let a = soa.peek_slot(line).map(|i| soa.slot(i).line);
+                        let a = soa.peek(line).map(|at| soa.slot(at).line);
                         let b = reference.peek(line).map(|s| s.line);
                         assert_eq!(a, b, "peek @{step}");
                     }
@@ -1415,13 +1549,17 @@ mod tests {
                         if reference.peek(line).is_some() {
                             continue;
                         }
-                        let slot = Slot {
+                        let slot = Slot::new(
                             line,
-                            dirty: rng.gen_range(0..2u32) == 1,
-                            tx: rng.gen_range(0..3u32) == 1,
-                            data: [(step % 251) as u8; LINE_SIZE],
-                        };
-                        let a = soa.insert(slot.clone());
+                            rng.gen_range(0..2u32) == 1,
+                            rng.gen_range(0..3u32) == 1,
+                            [(step % 251) as u8; LINE_SIZE],
+                        );
+                        let (at, a) = soa.insert(slot.clone());
+                        // A placed slot is reported where a probe finds it.
+                        let bounced = a.as_ref().is_some_and(|v| v.line == line);
+                        assert_eq!(at.map(|at| at.idx), soa.peek(line).map(|at| at.idx));
+                        assert_eq!(at.is_none(), bounced, "location @{step}");
                         let b = reference.insert(slot);
                         assert_eq!(
                             a.as_ref().map(|s| (s.line, s.dirty, s.tx, s.data[0])),
@@ -1439,24 +1577,308 @@ mod tests {
         }
     }
 
+    /// A hierarchy small enough that every level overflows constantly:
+    /// 2×2-line L1s, 4×2 L2 tags and a 3-set (reciprocal-indexed) 8-way
+    /// L3.
+    fn tiny_cfg(cores: usize) -> MachineConfig {
+        use crate::config::CacheConfig;
+        let level = |sets: usize, ways: usize, latency_cycles| CacheConfig {
+            size_bytes: sets * ways * LINE_SIZE,
+            ways,
+            latency_cycles,
+        };
+        MachineConfig {
+            cores,
+            l1: level(2, 2, 4),
+            l2: level(4, 2, 6),
+            l3: level(3, 8, 27),
+            ..MachineConfig::default()
+        }
+    }
+
+    /// One of the two hierarchies with everything an access needs.
+    struct Side<H> {
+        mem: PhysMem,
+        timing: MemTiming,
+        stats: MachineStats,
+        cache: H,
+    }
+
+    impl<H> Side<H> {
+        fn new(cfg: &MachineConfig, cache: H) -> Self {
+            Self {
+                mem: PhysMem::new(),
+                timing: MemTiming::new(cfg),
+                stats: MachineStats::new(),
+                cache,
+            }
+        }
+    }
+
+    fn evictions(r: &AccessResult) -> Vec<(u64, [u8; LINE_SIZE])> {
+        r.tx_evictions
+            .iter()
+            .map(|e| (e.line.raw(), e.data))
+            .collect()
+    }
+
+    /// Where a lockstep step diverged (formatted only on failure).
+    #[derive(Debug)]
+    #[allow(dead_code)] // read through `Debug`
+    struct Context {
+        step: u32,
+        cores: usize,
+        core: CoreId,
+        addr: PhysAddr,
+    }
+
+    #[test]
+    fn directory_in_l3_matches_the_hash_map_model_on_random_streams() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        // 40 lines over both memories; only the first six are ever made
+        // transactional (written TX or retagged *to*), so an 8-way L3 set
+        // can never fill with TX lines — the one state in which both
+        // models panic by design.
+        let addrs: Vec<u64> = (0..40u64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    i * 64
+                } else {
+                    nv_addr(i / 8, i % 8 * 5)
+                }
+            })
+            .collect();
+        const TX_POOL: usize = 6;
+
+        for (cores, seed) in [(1usize, 11u64), (2, 12), (4, 13), (9, 14)] {
+            let cfg = tiny_cfg(cores);
+            let mut new = Side::new(&cfg, CacheHierarchy::new(&cfg));
+            let mut old = Side::new(&cfg, reference::CacheHierarchy::new(&cfg));
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for step in 0..5_000u32 {
+                let core = CoreId::new(rng.gen_range(0..cores));
+                let pick = rng.gen_range(0..addrs.len());
+                let addr = PhysAddr::new(addrs[pick]);
+                let what = Context {
+                    step,
+                    cores,
+                    core,
+                    addr,
+                };
+                match rng.gen_range(0..100u32) {
+                    // Read: any sub-range of the line.
+                    0..=34 => {
+                        let offset = rng.gen_range(0..LINE_SIZE);
+                        let len = rng.gen_range(1..=LINE_SIZE - offset);
+                        let (mut a, mut b) = ([0u8; LINE_SIZE], [0u8; LINE_SIZE]);
+                        let ra = new.cache.access(
+                            core,
+                            addr,
+                            LineOp::Read {
+                                offset,
+                                buf: &mut a[..len],
+                            },
+                            false,
+                            &cfg,
+                            &mut new.mem,
+                            &mut new.timing,
+                            &mut new.stats,
+                        );
+                        let rb = old.cache.access(
+                            core,
+                            addr,
+                            reference::LineOp::Read(&mut b),
+                            false,
+                            &cfg,
+                            &mut old.mem,
+                            &mut old.timing,
+                            &mut old.stats,
+                        );
+                        assert_eq!(a[..len], b[offset..offset + len], "read bytes, {what:?}");
+                        assert_eq!(ra.cycles, rb.cycles, "read cycles, {what:?}");
+                        assert_eq!(evictions(&ra), evictions(&rb), "read evictions, {what:?}");
+                    }
+                    // Write: any sub-range; TX only inside the pool.
+                    35..=69 => {
+                        let offset = rng.gen_range(0..LINE_SIZE);
+                        let len = rng.gen_range(1..=LINE_SIZE - offset);
+                        let data = [(step % 251) as u8; LINE_SIZE];
+                        let tx = pick < TX_POOL && rng.gen_range(0..2u32) == 0;
+                        let ra = new.cache.access(
+                            core,
+                            addr,
+                            LineOp::Write {
+                                offset,
+                                data: &data[..len],
+                            },
+                            tx,
+                            &cfg,
+                            &mut new.mem,
+                            &mut new.timing,
+                            &mut new.stats,
+                        );
+                        let rb = old.cache.access(
+                            core,
+                            addr,
+                            reference::LineOp::Write {
+                                offset,
+                                data: &data[..len],
+                            },
+                            tx,
+                            &cfg,
+                            &mut old.mem,
+                            &mut old.timing,
+                            &mut old.stats,
+                        );
+                        assert_eq!(ra.cycles, rb.cycles, "write cycles, {what:?}");
+                        assert_eq!(evictions(&ra), evictions(&rb), "write evictions, {what:?}");
+                    }
+                    70..=79 => {
+                        let a = new.cache.flush_line(
+                            addr,
+                            WriteClass::Data,
+                            &mut new.mem,
+                            &mut new.timing,
+                            &mut new.stats,
+                        );
+                        let b = old.cache.flush_line(
+                            addr,
+                            WriteClass::Data,
+                            &cfg,
+                            &mut old.mem,
+                            &mut old.timing,
+                            &mut old.stats,
+                        );
+                        assert_eq!(a, b, "flush, {what:?}");
+                    }
+                    80..=86 => {
+                        let to = PhysAddr::new(addrs[rng.gen_range(0..TX_POOL)]);
+                        if to.line_base() == addr.line_base() {
+                            continue;
+                        }
+                        let a = new.cache.retag(
+                            core,
+                            addr,
+                            to,
+                            &mut new.mem,
+                            &mut new.timing,
+                            &mut new.stats,
+                        );
+                        let b = old.cache.retag(
+                            core,
+                            addr,
+                            to,
+                            &cfg,
+                            &mut old.mem,
+                            &mut old.timing,
+                            &mut old.stats,
+                        );
+                        assert_eq!(a.is_some(), b.is_some(), "retag presence, {what:?}");
+                        if let (Some(a), Some(b)) = (a, b) {
+                            assert_eq!(a.cycles, b.cycles, "retag cycles, {what:?}");
+                            assert_eq!(evictions(&a), evictions(&b), "retag evictions, {what:?}");
+                        }
+                    }
+                    87..=90 => {
+                        new.cache.discard_line(addr);
+                        old.cache.discard_line(addr);
+                    }
+                    91..=95 => {
+                        new.cache.clear_tx(addr);
+                        old.cache.clear_tx(addr);
+                    }
+                    96..=98 => {
+                        let data = [(step % 249) as u8; LINE_SIZE];
+                        let a = new.cache.install_line_l3(
+                            addr,
+                            data,
+                            &mut new.mem,
+                            &mut new.timing,
+                            &mut new.stats,
+                        );
+                        let b = old.cache.install_line_l3(
+                            addr,
+                            data,
+                            &cfg,
+                            &mut old.mem,
+                            &mut old.timing,
+                            &mut old.stats,
+                        );
+                        assert_eq!(a.cycles, b.cycles, "install cycles, {what:?}");
+                        assert_eq!(evictions(&a), evictions(&b), "install evictions, {what:?}");
+                    }
+                    _ => {
+                        if step % 7 == 0 {
+                            for side_mem in [&mut new.mem, &mut old.mem] {
+                                side_mem.crash();
+                            }
+                            new.cache.crash();
+                            old.cache.crash();
+                            new.timing.reset();
+                            old.timing.reset();
+                        }
+                    }
+                }
+                assert_eq!(new.stats, old.stats, "stats, {what:?}");
+                assert_eq!(
+                    new.cache.dirty_lines(),
+                    old.cache.dirty_lines(),
+                    "dirty lines, {what:?}"
+                );
+            }
+            // What reached memory is the same, line for line.
+            for &a in &addrs {
+                let a = PhysAddr::new(a);
+                assert_eq!(
+                    new.mem.read_line(a.ppn(), a.line_index()),
+                    old.mem.read_line(a.ppn(), a.line_index()),
+                    "memory at {a:?} (cores {cores})"
+                );
+            }
+            assert!(new.stats.coherence_invalidations > 0 || cores == 1);
+            assert!(new.stats.writebacks > 0 && new.stats.l3_hits > 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "access crosses line end")]
+    fn a_crossing_access_panics_before_the_hierarchy_is_touched() {
+        let mut rig = Rig::new();
+        rig.cache.access(
+            CoreId::new(0),
+            PhysAddr::new(nv_addr(0, 0)),
+            LineOp::Write {
+                offset: 60,
+                data: &[1u8; 8],
+            },
+            false,
+            &rig.cfg,
+            &mut rig.mem,
+            &mut rig.timing,
+            &mut rig.stats,
+        );
+    }
+
     #[test]
     fn soa_sparse_clone_preserves_occupied_state() {
-        let mut sa = SetAssoc::new(4, 3);
+        let mut sa = SetAssoc::new(4, 3, Role::Data);
         for i in 0..7u64 {
-            let _ = sa.insert(Slot {
-                line: i * 64,
-                dirty: i % 2 == 0,
-                tx: i % 3 == 0,
-                data: [i as u8; LINE_SIZE],
-            });
+            let _ = sa.insert(Slot::new(
+                i * 64,
+                i % 2 == 0,
+                i % 3 == 0,
+                [i as u8; LINE_SIZE],
+            ));
         }
         let _ = sa.remove(2 * 64);
         let cloned = sa.clone();
         assert_eq!(cloned.dump(), sa.dump());
         // Full payloads survive, not just the dumped first byte.
         for line in [0u64, 64, 3 * 64] {
-            let a = sa.peek_slot(line).map(|i| *sa.data(i));
-            let b = cloned.peek_slot(line).map(|i| *cloned.data(i));
+            let a = sa.peek(line).map(|at| *sa.line(at));
+            let b = cloned.peek(line).map(|at| *cloned.line(at));
             assert_eq!(a, b, "line {line}");
         }
     }
@@ -1466,37 +1888,22 @@ mod tests {
         // All ways TX + a non-TX insert: the incoming slot itself must
         // bounce back unchanged and the set must be untouched — the exact
         // reference semantics evict_from_l1 relies on (`v.line == line`).
-        let mut sa = SetAssoc::new(1, 2);
+        let mut sa = SetAssoc::new(1, 2, Role::Data);
         for i in 0..2u64 {
-            assert!(sa
-                .insert(Slot {
-                    line: i * 64,
-                    dirty: true,
-                    tx: true,
-                    data: [i as u8; LINE_SIZE],
-                })
-                .is_none());
+            let placed = sa.insert(Slot::new(i * 64, true, true, [i as u8; LINE_SIZE]));
+            assert!(placed.0.is_some() && placed.1.is_none());
         }
-        let bounced = sa
-            .insert(Slot {
-                line: 4 * 64,
-                dirty: true,
-                tx: false,
-                data: [9; LINE_SIZE],
-            })
-            .expect("victim");
-        assert_eq!(bounced.line, 4 * 64);
-        assert!(sa.peek_slot(0).is_some() && sa.peek_slot(64).is_some());
+        let (at, bounced) = sa.insert(Slot::new(4 * 64, true, false, [9; LINE_SIZE]));
+        assert!(at.is_none(), "a bounced slot has no location");
+        assert_eq!(bounced.expect("victim").line, 4 * 64);
+        assert!(sa.peek(0).is_some() && sa.peek(64).is_some());
         // An all-TX insert instead evicts the LRU TX resident.
-        let victim = sa
-            .insert(Slot {
-                line: 6 * 64,
-                dirty: true,
-                tx: true,
-                data: [7; LINE_SIZE],
-            })
-            .expect("victim");
-        assert_eq!(victim.line, 0, "LRU TX resident is the victim");
-        assert!(sa.peek_slot(6 * 64).is_some());
+        let (_, victim) = sa.insert(Slot::new(6 * 64, true, true, [7; LINE_SIZE]));
+        assert_eq!(
+            victim.expect("victim").line,
+            0,
+            "LRU TX resident is the victim"
+        );
+        assert!(sa.peek(6 * 64).is_some());
     }
 }

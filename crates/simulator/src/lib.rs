@@ -61,6 +61,7 @@ pub mod addr;
 pub mod bankq;
 pub mod cache;
 pub mod config;
+mod fastmod;
 pub mod fault;
 pub mod interconnect;
 pub mod machine;

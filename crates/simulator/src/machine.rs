@@ -100,6 +100,15 @@ impl Machine {
         self.core_cycles.iter().copied().max().unwrap_or(0)
     }
 
+    /// The array latency of one `mem` line access in core cycles
+    /// (`ns_to_cycles` of the technology's read/write latency, converted
+    /// once when the machine was built) — what an engine charges for a
+    /// persist it models itself.
+    #[inline]
+    pub fn array_cycles(&self, mem: crate::timing::MemKind, kind: AccessKind) -> u64 {
+        self.timing.array_cycles(mem, kind)
+    }
+
     /// Adds explicit cycles (instruction overhead) to a core.
     pub fn add_cycles(&mut self, core: CoreId, cycles: u64) {
         self.core_cycles[core.index()] += cycles;
@@ -136,6 +145,7 @@ impl Machine {
     /// at every public entry point that can reach the memory controller;
     /// a cheap no-op when the interconnect is disabled and no crash point
     /// is armed.
+    #[inline(always)]
     fn stamp_event_clock(&mut self) {
         self.fault_tick();
         if self.timing.recording() {
@@ -148,6 +158,7 @@ impl Machine {
     /// trips the power cut when it fires. The clock is the maximum
     /// per-core cycle count — the same deterministic quantity in every
     /// execution mode.
+    #[inline(always)]
     fn fault_tick(&mut self) {
         if matches!(self.fault.armed(), Some(CrashPoint::AtCycle(_))) {
             let now = self.core_cycles.iter().copied().max().unwrap_or(0);
@@ -265,34 +276,40 @@ impl Machine {
     /// The range must lie within one cache line.
     pub fn read(&mut self, core: CoreId, addr: PhysAddr, buf: &mut [u8]) -> AccessResult {
         self.stamp_event_clock();
-        let off = addr.line_offset();
-        assert!(off + buf.len() <= LINE_SIZE, "read crosses line boundary");
-        let mut line = [0u8; LINE_SIZE];
+        let offset = addr.line_offset();
+        assert!(
+            offset + buf.len() <= LINE_SIZE,
+            "read crosses line boundary"
+        );
         let result = self.cache.access(
             core,
             addr,
-            LineOp::Read(&mut line),
+            LineOp::Read { offset, buf },
             false,
             &self.cfg,
             &mut self.mem,
             &mut self.timing,
             &mut self.stats,
         );
-        buf.copy_from_slice(&line[off..off + buf.len()]);
         self.core_cycles[core.index()] += result.cycles;
         result
     }
 
     /// Writes `data` at `addr` through the cache hierarchy. `tx` marks the
     /// line transactional (see [`CacheHierarchy`] TX-bit rules). The range
-    /// must lie within one cache line.
+    /// must lie within one cache line; a crossing store panics here,
+    /// before the hierarchy is touched.
     pub fn write(&mut self, core: CoreId, addr: PhysAddr, data: &[u8], tx: bool) -> AccessResult {
         self.stamp_event_clock();
-        let off = addr.line_offset();
+        let offset = addr.line_offset();
+        assert!(
+            offset + data.len() <= LINE_SIZE,
+            "write crosses line boundary"
+        );
         let result = self.cache.access(
             core,
             addr,
-            LineOp::Write { offset: off, data },
+            LineOp::Write { offset, data },
             tx,
             &self.cfg,
             &mut self.mem,
@@ -313,7 +330,6 @@ impl Machine {
         match self.cache.flush_line(
             addr,
             class,
-            &self.cfg,
             &mut self.mem,
             &mut self.timing,
             &mut self.stats,
@@ -337,7 +353,6 @@ impl Machine {
             core,
             old,
             new,
-            &self.cfg,
             &mut self.mem,
             &mut self.timing,
             &mut self.stats,
@@ -385,13 +400,9 @@ impl Machine {
         let kind = PhysMem::kind_of_addr(addr);
         for i in 0..lines {
             let line_addr = PhysAddr::new(first_line + i * LINE_SIZE as u64);
-            let cycles = self.timing.access_cycles(
-                &self.cfg,
-                &mut self.stats,
-                kind,
-                line_addr,
-                AccessKind::Write,
-            );
+            let cycles =
+                self.timing
+                    .access_cycles(&mut self.stats, kind, line_addr, AccessKind::Write);
             match kind {
                 crate::timing::MemKind::Dram => self.stats.dram_writes += 1,
                 crate::timing::MemKind::Nvram => self.stats.record_nvram_write(class),
@@ -426,9 +437,9 @@ impl Machine {
         class: WriteClass,
     ) -> u64 {
         self.stamp_event_clock();
-        let cycles =
-            self.timing
-                .access_cycles(&self.cfg, &mut self.stats, kind, addr, AccessKind::Write);
+        let cycles = self
+            .timing
+            .access_cycles(&mut self.stats, kind, addr, AccessKind::Write);
         match kind {
             crate::timing::MemKind::Dram => self.stats.dram_writes += 1,
             crate::timing::MemKind::Nvram => self.stats.record_nvram_write(class),
@@ -463,22 +474,16 @@ impl Machine {
     ) -> AccessResult {
         self.stamp_event_clock();
         let kind = PhysMem::kind_of_addr(addr);
-        let _ =
-            self.timing
-                .access_cycles(&self.cfg, &mut self.stats, kind, addr, AccessKind::Write);
+        let _ = self
+            .timing
+            .access_cycles(&mut self.stats, kind, addr, AccessKind::Write);
         match kind {
             crate::timing::MemKind::Dram => self.stats.dram_writes += 1,
             crate::timing::MemKind::Nvram => self.stats.record_nvram_write(class),
         }
         self.mem.write_line(addr.ppn(), addr.line_index(), &data);
-        self.cache.install_line_l3(
-            addr,
-            data,
-            &self.cfg,
-            &mut self.mem,
-            &mut self.timing,
-            &mut self.stats,
-        )
+        self.cache
+            .install_line_l3(addr, data, &mut self.mem, &mut self.timing, &mut self.stats)
     }
 
     /// Reads a full line directly from memory (uncached).
@@ -487,7 +492,7 @@ impl Machine {
         let kind = PhysMem::kind_of_addr(addr);
         let _ = self
             .timing
-            .access_cycles(&self.cfg, &mut self.stats, kind, addr, AccessKind::Read);
+            .access_cycles(&mut self.stats, kind, addr, AccessKind::Read);
         if kind == crate::timing::MemKind::Nvram {
             self.stats.nvram_reads += 1;
         } else {
@@ -502,7 +507,6 @@ impl Machine {
         self.stamp_event_clock();
         let data = self.mem.read_line(from.ppn(), from.line_index());
         let _ = self.timing.access_cycles(
-            &self.cfg,
             &mut self.stats,
             PhysMem::kind_of_addr(from),
             from,
@@ -514,7 +518,6 @@ impl Machine {
             self.stats.dram_reads += 1;
         }
         let _ = self.timing.access_cycles(
-            &self.cfg,
             &mut self.stats,
             PhysMem::kind_of_addr(to),
             to,
@@ -536,7 +539,10 @@ impl Machine {
         let r = self.cache.access(
             core,
             addr,
-            LineOp::Read(&mut buf),
+            LineOp::Read {
+                offset: 0,
+                buf: &mut buf,
+            },
             false,
             &self.cfg,
             &mut self.mem,
@@ -631,6 +637,24 @@ mod tests {
         assert_eq!(buf, [9, 8, 7]);
         assert!(m.cycles(c) > 0);
         assert_eq!(m.cycles(CoreId::new(1)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "write crosses line boundary")]
+    fn crossing_write_panics_with_the_hierarchy_untouched() {
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        let mut m = machine();
+        let c = CoreId::new(0);
+        // A cold line: the miss path would fill L3 and L2 before any
+        // byte is patched, so the check has to come first.
+        let crossing = catch_unwind(AssertUnwindSafe(|| {
+            m.write(c, nv(0, 60), &[7u8; 8], false);
+        }));
+        let panic = crossing.expect_err("a store crossing a line end must panic");
+        assert_eq!(*m.stats(), MachineStats::new(), "no counter moved");
+        assert_eq!(m.cycles(c), 0);
+        assert_eq!(m.dirty_cached_lines(), 0);
+        resume_unwind(panic);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::addr::PhysAddr;
 use crate::config::{MachineConfig, MemTechConfig};
+use crate::fastmod::Modulus;
 use crate::interconnect::{LlcEvent, MemEvent};
 use crate::stats::MachineStats;
 
@@ -30,40 +31,57 @@ pub enum AccessKind {
     Write,
 }
 
-/// Per-bank open-row state for one channel.
+/// Per-bank open-row state for one channel, with everything an access
+/// needs derived from the configuration once: the four latencies in core
+/// cycles (read/write × row hit/miss, each through the same
+/// [`MachineConfig::ns_to_cycles`] rounding a per-access conversion would
+/// apply), the row size as a shift when it is a power of two, and the
+/// bank count as a mask or reciprocal.
 #[derive(Debug, Clone)]
 struct Channel {
-    tech: MemTechConfig,
+    /// `cycles[write as usize][row_miss as usize]`.
+    cycles: [[u64; 2]; 2],
+    row_bytes: u64,
+    /// `log2(row_bytes)` when it is a power of two.
+    row_shift: Option<u32>,
+    banks: Modulus,
     open_rows: Vec<Option<u64>>,
 }
 
 impl Channel {
-    fn new(tech: MemTechConfig) -> Self {
+    fn new(tech: MemTechConfig, cfg: &MachineConfig) -> Self {
         let banks = tech.banks.max(1);
+        let row_bytes = tech.row_buffer_bytes.max(1) as u64;
+        let latencies = |base: f64| {
+            [
+                cfg.ns_to_cycles(base),
+                cfg.ns_to_cycles(base + tech.row_miss_penalty_ns),
+            ]
+        };
         Self {
-            tech,
+            cycles: [latencies(tech.read_ns), latencies(tech.write_ns)],
+            row_bytes,
+            row_shift: row_bytes
+                .is_power_of_two()
+                .then(|| row_bytes.trailing_zeros()),
+            banks: Modulus::new(banks as u64),
             open_rows: vec![None; banks],
         }
     }
 
-    /// Returns the latency of the access in nanoseconds, whether the
+    /// Returns the latency of the access in core cycles, whether the
     /// access hit the open row buffer, and the row index it targeted.
-    fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> (f64, bool, u64) {
-        let row_bytes = self.tech.row_buffer_bytes.max(1) as u64;
-        let row = addr.raw() / row_bytes;
-        let bank = (row % self.open_rows.len() as u64) as usize;
+    #[inline]
+    fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> (u64, bool, u64) {
+        let row = match self.row_shift {
+            Some(shift) => addr.raw() >> shift,
+            None => addr.raw() / self.row_bytes,
+        };
+        let bank = self.banks.of(row) as usize;
         let hit = self.open_rows[bank] == Some(row);
         self.open_rows[bank] = Some(row);
-        let base = match kind {
-            AccessKind::Read => self.tech.read_ns,
-            AccessKind::Write => self.tech.write_ns,
-        };
-        let ns = if hit {
-            base
-        } else {
-            base + self.tech.row_miss_penalty_ns
-        };
-        (ns, hit, row)
+        let cycles = self.cycles[(kind == AccessKind::Write) as usize][!hit as usize];
+        (cycles, hit, row)
     }
 
     fn reset_rows(&mut self) {
@@ -87,7 +105,7 @@ impl Channel {
 /// let mut timing = MemTiming::new(&cfg);
 /// let mut stats = MachineStats::new();
 /// let cycles = timing.access_cycles(
-///     &cfg, &mut stats, MemKind::Nvram, PhysAddr::new(0), AccessKind::Write);
+///     &mut stats, MemKind::Nvram, PhysAddr::new(0), AccessKind::Write);
 /// assert!(cycles >= cfg.ns_to_cycles(cfg.nvram.write_ns));
 /// ```
 #[derive(Debug, Clone)]
@@ -120,8 +138,8 @@ impl MemTiming {
     pub fn new(cfg: &MachineConfig) -> Self {
         let icfg = &cfg.interconnect;
         Self {
-            dram: Channel::new(cfg.dram),
-            nvram: Channel::new(cfg.nvram),
+            dram: Channel::new(cfg.dram, cfg),
+            nvram: Channel::new(cfg.nvram, cfg),
             recording: icfg.enabled,
             now: 0,
             cursor: 0,
@@ -133,9 +151,9 @@ impl MemTiming {
 
     /// Performs one line access and returns its latency in core cycles.
     /// Row-buffer hit/miss counters are recorded into `stats`.
+    #[inline]
     pub fn access_cycles(
         &mut self,
-        cfg: &MachineConfig,
         stats: &mut MachineStats,
         mem: MemKind,
         addr: PhysAddr,
@@ -145,13 +163,12 @@ impl MemTiming {
             MemKind::Dram => &mut self.dram,
             MemKind::Nvram => &mut self.nvram,
         };
-        let (ns, hit, row) = channel.access(addr, kind);
+        let (cycles, hit, row) = channel.access(addr, kind);
         if hit {
             stats.row_hits += 1;
         } else {
             stats.row_misses += 1;
         }
-        let cycles = cfg.ns_to_cycles(ns);
         if self.recording {
             let at = self.now.max(self.cursor);
             self.cursor = at + cycles.max(1);
@@ -163,6 +180,18 @@ impl MemTiming {
             });
         }
         cycles
+    }
+
+    /// The row-hit latency of one line access in core cycles —
+    /// `ns_to_cycles(read_ns)` / `ns_to_cycles(write_ns)` of the channel,
+    /// converted once at construction.
+    #[inline]
+    pub fn array_cycles(&self, mem: MemKind, kind: AccessKind) -> u64 {
+        let channel = match mem {
+            MemKind::Dram => &self.dram,
+            MemKind::Nvram => &self.nvram,
+        };
+        channel.cycles[(kind == AccessKind::Write) as usize][0]
     }
 
     /// Whether accesses are being recorded for the interconnect model.
@@ -258,23 +287,136 @@ mod tests {
         (cfg, timing, MachineStats::new())
     }
 
+    /// The per-access-converting channel the precomputed one replaced,
+    /// verbatim: nanoseconds out, `/` and `%` per access.
+    struct RefChannel {
+        tech: MemTechConfig,
+        open_rows: Vec<Option<u64>>,
+    }
+
+    impl RefChannel {
+        fn new(tech: MemTechConfig) -> Self {
+            let banks = tech.banks.max(1);
+            Self {
+                tech,
+                open_rows: vec![None; banks],
+            }
+        }
+
+        fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> (f64, bool, u64) {
+            let row_bytes = self.tech.row_buffer_bytes.max(1) as u64;
+            let row = addr.raw() / row_bytes;
+            let bank = (row % self.open_rows.len() as u64) as usize;
+            let hit = self.open_rows[bank] == Some(row);
+            self.open_rows[bank] = Some(row);
+            let base = match kind {
+                AccessKind::Read => self.tech.read_ns,
+                AccessKind::Write => self.tech.write_ns,
+            };
+            let ns = if hit {
+                base
+            } else {
+                base + self.tech.row_miss_penalty_ns
+            };
+            (ns, hit, row)
+        }
+    }
+
+    #[test]
+    fn precomputed_cycles_match_per_access_conversion_for_every_bench_config() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        // Every machine the bench targets and the repo benchmark build:
+        // the default, each worker's slice of 1-8-way sharded runs
+        // (non-power-of-two bank counts included), the Fig 8 latency
+        // multipliers — and one odd geometry no target uses, for the
+        // division fallbacks.
+        let base = MachineConfig::default();
+        let mut cfgs = vec![base.clone()];
+        for threads in 1..=8 {
+            cfgs.extend((0..threads).map(|w| base.shard_slice_for(threads, w)));
+        }
+        for factor in [1.0, 3.0, 5.0, 7.0, 9.0] {
+            let slow = base.with_nvram_latency_multiplier(factor);
+            cfgs.push(slow.shard_slice_for(2, 0));
+            cfgs.push(slow);
+        }
+        let mut odd = base.clone();
+        odd.freq_ghz = 2.3;
+        odd.nvram.row_buffer_bytes = 1536;
+        odd.dram.banks = 7;
+        cfgs.push(odd);
+
+        let mut rng = SmallRng::seed_from_u64(0x71);
+        for cfg in &cfgs {
+            let mut timing = MemTiming::new(cfg);
+            let mut stats = MachineStats::new();
+            let mut dram = RefChannel::new(cfg.dram);
+            let mut nvram = RefChannel::new(cfg.nvram);
+            for (mem, tech) in [(MemKind::Dram, cfg.dram), (MemKind::Nvram, cfg.nvram)] {
+                assert_eq!(
+                    timing.array_cycles(mem, AccessKind::Read),
+                    cfg.ns_to_cycles(tech.read_ns)
+                );
+                assert_eq!(
+                    timing.array_cycles(mem, AccessKind::Write),
+                    cfg.ns_to_cycles(tech.write_ns)
+                );
+            }
+            let (mut hits, mut misses) = (0u64, 0u64);
+            for _ in 0..4_000 {
+                let mem = if rng.gen_range(0..2u32) == 0 {
+                    MemKind::Dram
+                } else {
+                    MemKind::Nvram
+                };
+                let kind = if rng.gen_range(0..2u32) == 0 {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                };
+                // Clustered so rows re-open, wide so every bank is used.
+                let addr =
+                    PhysAddr::new(rng.gen_range(0..64u64) * 37 * 1024 + rng.gen_range(0..4096u64));
+                let reference = match mem {
+                    MemKind::Dram => &mut dram,
+                    MemKind::Nvram => &mut nvram,
+                };
+                let (ns, hit, _row) = reference.access(addr, kind);
+                if hit {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+                assert_eq!(
+                    timing.access_cycles(&mut stats, mem, addr, kind),
+                    cfg.ns_to_cycles(ns),
+                    "{mem:?} {kind:?} at {addr:?}"
+                );
+                assert_eq!((stats.row_hits, stats.row_misses), (hits, misses));
+            }
+            assert!(hits > 0 && misses > 0);
+        }
+    }
+
     #[test]
     fn nvram_write_slower_than_read() {
-        let (cfg, mut t, mut s) = setup();
+        let (_, mut t, mut s) = setup();
         let addr = PhysAddr::new(0x1000);
         // Prime the row so both accesses are row hits.
-        t.access_cycles(&cfg, &mut s, MemKind::Nvram, addr, AccessKind::Read);
-        let r = t.access_cycles(&cfg, &mut s, MemKind::Nvram, addr, AccessKind::Read);
-        let w = t.access_cycles(&cfg, &mut s, MemKind::Nvram, addr, AccessKind::Write);
+        t.access_cycles(&mut s, MemKind::Nvram, addr, AccessKind::Read);
+        let r = t.access_cycles(&mut s, MemKind::Nvram, addr, AccessKind::Read);
+        let w = t.access_cycles(&mut s, MemKind::Nvram, addr, AccessKind::Write);
         assert!(w > r, "NVRAM write ({w}) should exceed read ({r})");
     }
 
     #[test]
     fn row_buffer_hit_is_cheaper() {
-        let (cfg, mut t, mut s) = setup();
+        let (_, mut t, mut s) = setup();
         let addr = PhysAddr::new(0);
-        let first = t.access_cycles(&cfg, &mut s, MemKind::Dram, addr, AccessKind::Read);
-        let second = t.access_cycles(&cfg, &mut s, MemKind::Dram, addr, AccessKind::Read);
+        let first = t.access_cycles(&mut s, MemKind::Dram, addr, AccessKind::Read);
+        let second = t.access_cycles(&mut s, MemKind::Dram, addr, AccessKind::Read);
         assert!(second < first);
         assert_eq!(s.row_hits, 1);
         assert_eq!(s.row_misses, 1);
@@ -290,8 +432,8 @@ mod tests {
         // alternating accesses never hit the row buffer.
         let b = PhysAddr::new(row_bytes * banks);
         for _ in 0..3 {
-            t.access_cycles(&cfg, &mut s, MemKind::Dram, a, AccessKind::Read);
-            t.access_cycles(&cfg, &mut s, MemKind::Dram, b, AccessKind::Read);
+            t.access_cycles(&mut s, MemKind::Dram, a, AccessKind::Read);
+            t.access_cycles(&mut s, MemKind::Dram, b, AccessKind::Read);
         }
         assert_eq!(s.row_hits, 0);
         assert_eq!(s.row_misses, 6);
@@ -299,11 +441,11 @@ mod tests {
 
     #[test]
     fn reset_clears_open_rows() {
-        let (cfg, mut t, mut s) = setup();
+        let (_, mut t, mut s) = setup();
         let addr = PhysAddr::new(0x40);
-        t.access_cycles(&cfg, &mut s, MemKind::Nvram, addr, AccessKind::Read);
+        t.access_cycles(&mut s, MemKind::Nvram, addr, AccessKind::Read);
         t.reset();
-        t.access_cycles(&cfg, &mut s, MemKind::Nvram, addr, AccessKind::Read);
+        t.access_cycles(&mut s, MemKind::Nvram, addr, AccessKind::Read);
         assert_eq!(s.row_hits, 0);
         assert_eq!(s.row_misses, 2);
     }
@@ -311,13 +453,7 @@ mod tests {
     #[test]
     fn recording_is_off_by_default_and_captures_when_enabled() {
         let (cfg, mut t, mut s) = setup();
-        t.access_cycles(
-            &cfg,
-            &mut s,
-            MemKind::Nvram,
-            PhysAddr::new(0),
-            AccessKind::Write,
-        );
+        t.access_cycles(&mut s, MemKind::Nvram, PhysAddr::new(0), AccessKind::Write);
         assert!(!t.recording());
         assert!(t.take_events().is_empty(), "disabled model records nothing");
 
@@ -327,20 +463,13 @@ mod tests {
         assert!(t.recording());
         t.set_now(500);
         t.access_cycles(
-            &icfg,
             &mut s,
             MemKind::Nvram,
             PhysAddr::new(4096),
             AccessKind::Write,
         );
         t.set_now(5000);
-        t.access_cycles(
-            &icfg,
-            &mut s,
-            MemKind::Dram,
-            PhysAddr::new(64),
-            AccessKind::Read,
-        );
+        t.access_cycles(&mut s, MemKind::Dram, PhysAddr::new(64), AccessKind::Read);
         let events = t.take_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].at, 500);
@@ -366,7 +495,6 @@ mod tests {
         t.set_now(100);
         for i in 0..3u64 {
             t.access_cycles(
-                &cfg,
                 &mut s,
                 MemKind::Nvram,
                 PhysAddr::new(i * 4096),
@@ -389,13 +517,7 @@ mod tests {
         };
         let mut t = MemTiming::new(&cfg);
         let mut s = MachineStats::new();
-        t.access_cycles(
-            &cfg,
-            &mut s,
-            MemKind::Nvram,
-            PhysAddr::new(0),
-            AccessKind::Write,
-        );
+        t.access_cycles(&mut s, MemKind::Nvram, PhysAddr::new(0), AccessKind::Write);
         t.reset();
         assert!(t.take_events().is_empty());
     }
@@ -427,11 +549,11 @@ mod tests {
 
     #[test]
     fn dram_and_nvram_channels_are_independent() {
-        let (cfg, mut t, mut s) = setup();
+        let (_, mut t, mut s) = setup();
         let addr = PhysAddr::new(0);
-        t.access_cycles(&cfg, &mut s, MemKind::Dram, addr, AccessKind::Read);
+        t.access_cycles(&mut s, MemKind::Dram, addr, AccessKind::Read);
         // The NVRAM channel has not opened this row yet.
-        t.access_cycles(&cfg, &mut s, MemKind::Nvram, addr, AccessKind::Read);
+        t.access_cycles(&mut s, MemKind::Nvram, addr, AccessKind::Read);
         assert_eq!(s.row_misses, 2);
     }
 }

@@ -4,6 +4,20 @@
 //! current/updated bitmaps (Section 4.1.1 of the paper). The simulator keeps
 //! the TLB generic over that extension type `E` so the substrate stays free
 //! of SSP knowledge; baseline engines instantiate `Tlb<()>`.
+//!
+//! # Host-side layout
+//!
+//! Every simulated access starts with a lookup here, and most of them
+//! repeat the page of the access before. The virtual page numbers
+//! therefore sit in their own contiguous `u64` array, MRU first and
+//! parallel to the entries: a repeat is one compare against `vpns[0]` and
+//! touches neither array otherwise; any other hit scans eight bytes per
+//! entry instead of a whole `TlbEntry`, then shifts the `pos` leading
+//! elements of both arrays down by one. The MRU-first order is the
+//! replacement state itself — the LRU victim is the last element — so
+//! hit, miss and eviction streams are those of the `Vec<TlbEntry>` this
+//! layout replaced (`parallel_arrays_match_the_entry_vector_model` in the
+//! tests drives both in lockstep).
 
 use crate::addr::{Ppn, Vpn};
 
@@ -37,6 +51,8 @@ pub struct TlbEntry<E> {
 #[derive(Debug, Clone)]
 pub struct Tlb<E> {
     capacity: usize,
+    /// `entries[i].vpn.raw()`, MRU-first — what lookups scan.
+    vpns: Vec<u64>,
     /// MRU-first.
     entries: Vec<TlbEntry<E>>,
 }
@@ -51,7 +67,9 @@ impl<E> Tlb<E> {
         assert!(capacity > 0, "TLB capacity must be positive");
         Self {
             capacity,
-            entries: Vec::with_capacity(capacity),
+            // One spare element: `insert` pushes before it pops the victim.
+            vpns: Vec::with_capacity(capacity + 1),
+            entries: Vec::with_capacity(capacity + 1),
         }
     }
 
@@ -70,30 +88,55 @@ impl<E> Tlb<E> {
         self.entries.is_empty()
     }
 
-    /// Looks up a translation, promoting it to MRU on a hit.
+    /// MRU position of `vpn`, if present.
+    #[inline]
+    fn position(&self, vpn: Vpn) -> Option<usize> {
+        self.vpns.iter().position(|&v| v == vpn.raw())
+    }
+
+    /// Moves the entry at MRU position `pos` to the front of both arrays.
+    #[inline]
+    fn promote(&mut self, pos: usize) {
+        if pos != 0 {
+            let vpn = self.vpns[pos];
+            self.vpns.copy_within(0..pos, 1);
+            self.vpns[0] = vpn;
+            self.entries[..=pos].rotate_right(1);
+        }
+    }
+
+    /// Looks up a translation, promoting it to MRU on a hit. The entry's
+    /// `vpn` is its identity — change `ppn` or `ext` through the returned
+    /// reference, never `vpn`.
+    #[inline]
     pub fn lookup(&mut self, vpn: Vpn) -> Option<&mut TlbEntry<E>> {
-        let pos = self.entries.iter().position(|e| e.vpn == vpn)?;
-        // One rotate instead of remove + insert: same resulting order,
-        // half the moves, no re-borrow of the vector.
-        self.entries[..=pos].rotate_right(1);
-        Some(&mut self.entries[0])
+        // A repeat of the previous page — the common case — is already MRU.
+        if self.vpns.first() != Some(&vpn.raw()) {
+            let pos = self.position(vpn)?;
+            self.promote(pos);
+        }
+        self.entries.first_mut()
     }
 
     /// Looks up a translation without changing LRU order.
     pub fn peek(&self, vpn: Vpn) -> Option<&TlbEntry<E>> {
-        self.entries.iter().find(|e| e.vpn == vpn)
+        self.position(vpn).map(|pos| &self.entries[pos])
     }
 
     /// Inserts a translation, returning the evicted LRU entry if full.
     /// Replaces (and returns `None` for) an existing entry for `vpn`.
     pub fn insert(&mut self, vpn: Vpn, ppn: Ppn, ext: E) -> Option<TlbEntry<E>> {
-        if let Some(pos) = self.entries.iter().position(|e| e.vpn == vpn) {
-            self.entries[..=pos].rotate_right(1);
-            self.entries[0] = TlbEntry { vpn, ppn, ext };
+        let entry = TlbEntry { vpn, ppn, ext };
+        if let Some(pos) = self.position(vpn) {
+            self.promote(pos);
+            self.entries[0] = entry;
             return None;
         }
-        self.entries.insert(0, TlbEntry { vpn, ppn, ext });
+        self.vpns.push(vpn.raw());
+        self.entries.push(entry);
+        self.promote(self.entries.len() - 1);
         if self.entries.len() > self.capacity {
+            self.vpns.pop();
             self.entries.pop()
         } else {
             None
@@ -102,23 +145,21 @@ impl<E> Tlb<E> {
 
     /// Removes and returns the entry for `vpn`, if present.
     pub fn evict(&mut self, vpn: Vpn) -> Option<TlbEntry<E>> {
-        let pos = self.entries.iter().position(|e| e.vpn == vpn)?;
+        let pos = self.position(vpn)?;
+        self.vpns.remove(pos);
         Some(self.entries.remove(pos))
     }
 
-    /// Removes all entries, returning them (power failure or full flush).
+    /// Removes all entries, returning them MRU-first (power failure or
+    /// full flush).
     pub fn drain(&mut self) -> Vec<TlbEntry<E>> {
+        self.vpns.clear();
         std::mem::take(&mut self.entries)
     }
 
     /// Iterates over entries in MRU-first order.
     pub fn iter(&self) -> impl Iterator<Item = &TlbEntry<E>> {
         self.entries.iter()
-    }
-
-    /// Iterates mutably over entries in MRU-first order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut TlbEntry<E>> {
-        self.entries.iter_mut()
     }
 }
 
@@ -194,6 +235,111 @@ mod tests {
         t.insert(Vpn::new(1), Ppn::new(10), 0);
         t.lookup(Vpn::new(1)).unwrap().ext = 99;
         assert_eq!(t.peek(Vpn::new(1)).unwrap().ext, 99);
+    }
+
+    /// The `Vec<TlbEntry>` TLB the parallel arrays replaced, verbatim.
+    #[derive(Debug, Clone)]
+    struct RefTlb<E> {
+        capacity: usize,
+        /// MRU-first.
+        entries: Vec<TlbEntry<E>>,
+    }
+
+    impl<E> RefTlb<E> {
+        fn new(capacity: usize) -> Self {
+            assert!(capacity > 0, "TLB capacity must be positive");
+            Self {
+                capacity,
+                entries: Vec::with_capacity(capacity),
+            }
+        }
+
+        fn lookup(&mut self, vpn: Vpn) -> Option<&mut TlbEntry<E>> {
+            let pos = self.entries.iter().position(|e| e.vpn == vpn)?;
+            self.entries[..=pos].rotate_right(1);
+            Some(&mut self.entries[0])
+        }
+
+        fn peek(&self, vpn: Vpn) -> Option<&TlbEntry<E>> {
+            self.entries.iter().find(|e| e.vpn == vpn)
+        }
+
+        fn insert(&mut self, vpn: Vpn, ppn: Ppn, ext: E) -> Option<TlbEntry<E>> {
+            if let Some(pos) = self.entries.iter().position(|e| e.vpn == vpn) {
+                self.entries[..=pos].rotate_right(1);
+                self.entries[0] = TlbEntry { vpn, ppn, ext };
+                return None;
+            }
+            self.entries.insert(0, TlbEntry { vpn, ppn, ext });
+            if self.entries.len() > self.capacity {
+                self.entries.pop()
+            } else {
+                None
+            }
+        }
+
+        fn evict(&mut self, vpn: Vpn) -> Option<TlbEntry<E>> {
+            let pos = self.entries.iter().position(|e| e.vpn == vpn)?;
+            Some(self.entries.remove(pos))
+        }
+
+        fn drain(&mut self) -> Vec<TlbEntry<E>> {
+            std::mem::take(&mut self.entries)
+        }
+
+        fn iter(&self) -> impl Iterator<Item = &TlbEntry<E>> {
+            self.entries.iter()
+        }
+    }
+
+    #[test]
+    fn parallel_arrays_match_the_entry_vector_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for (capacity, pages, seed) in [(1usize, 3u64, 1u64), (4, 9, 2), (64, 80, 3), (64, 40, 4)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut new: Tlb<u32> = Tlb::new(capacity);
+            let mut old: RefTlb<u32> = RefTlb::new(capacity);
+            for step in 0..20_000u32 {
+                // Half the traffic repeats the previous page, as real
+                // access streams do — the MRU-0 early-out's case.
+                let vpn = match new.iter().next() {
+                    Some(mru) if rng.gen_range(0..2u32) == 0 => mru.vpn,
+                    _ => Vpn::new(rng.gen_range(0..pages)),
+                };
+                match rng.gen_range(0..20u32) {
+                    0..=9 => {
+                        let (a, b) = (new.lookup(vpn), old.lookup(vpn));
+                        assert_eq!(a.as_deref(), b.as_deref(), "lookup @{step}");
+                        if let (Some(a), Some(b)) = (a, b) {
+                            a.ext = step;
+                            b.ext = step;
+                        }
+                    }
+                    10..=12 => assert_eq!(new.peek(vpn), old.peek(vpn), "peek @{step}"),
+                    13..=17 => {
+                        let ppn = Ppn::new(rng.gen_range(0..1000u64));
+                        assert_eq!(
+                            new.insert(vpn, ppn, step),
+                            old.insert(vpn, ppn, step),
+                            "evicted entry @{step}"
+                        );
+                    }
+                    18 => assert_eq!(new.evict(vpn), old.evict(vpn), "evict @{step}"),
+                    _ => {
+                        if step % 50 == 0 {
+                            assert_eq!(new.drain(), old.drain(), "drain order @{step}");
+                            assert!(new.is_empty());
+                        }
+                    }
+                }
+                // The full MRU order, after every operation.
+                assert!(new.iter().eq(old.iter()), "MRU order @{step}");
+                assert_eq!(new.len(), old.entries.len());
+                assert!(new.len() <= capacity);
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,17 @@
 //! the data heap). The page table itself lives in NVRAM and is updated with
 //! 8-byte atomic persists, so virtual-to-physical mappings survive a crash
 //! — the paper relies on the OS for this; we make it explicit.
+//!
+//! # Dense tables
+//!
+//! Heap pages are issued sequentially from [`HEAP_BASE_VPN`] by
+//! [`VmManager::map_new_page`] and never unmapped, so everything keyed by
+//! a heap VPN is a `Vec` indexed by `vpn − HEAP_BASE_VPN`, sized by the
+//! pages actually mapped (never by the address-space span): the volatile
+//! page-table mirror here, and — through [`VpnMap`] — the engines' own
+//! per-page side tables. A lookup is a subtraction, a bounds check and a
+//! load; nothing on the translate path is hashed.
 
-use fxhash::FxHashMap;
 use ssp_simulator::addr::{PhysAddr, Ppn, VirtAddr, Vpn, PAGE_SIZE};
 use ssp_simulator::cache::CoreId;
 use ssp_simulator::machine::Machine;
@@ -100,6 +109,113 @@ impl NvLayout {
     }
 }
 
+/// Heap pages the page-table region can map (one 8-byte entry each).
+pub const MAX_HEAP_PAGES: u64 = PT_PAGES * PAGE_SIZE as u64 / 8;
+
+/// A map from virtual page to a small `Copy` value — the engines'
+/// per-page side tables (SSP-cache slot of a page, TLB-holder mask).
+///
+/// Pages of the persistent heap (`HEAP_BASE_VPN ..
+/// HEAP_BASE_VPN + MAX_HEAP_PAGES`, the only ones an engine can be asked
+/// to map) live in a `Vec` indexed by `vpn − HEAP_BASE_VPN` that grows to
+/// the highest page inserted so far — proportional to the pages in use,
+/// amortised-doubling, and never touched again once the working set is
+/// mapped. Any other VPN (unit tests build entries for arbitrary page
+/// numbers) goes to a short unsorted spill list searched linearly, so
+/// the map stays total over `u64` without a hasher.
+///
+/// # Examples
+///
+/// ```
+/// use ssp_simulator::addr::Vpn;
+/// use ssp_txn::vm::{VpnMap, HEAP_BASE_VPN};
+///
+/// let mut map = VpnMap::new();
+/// let heap = Vpn::new(HEAP_BASE_VPN + 3);
+/// assert_eq!(map.insert(heap, 7u32), None);
+/// assert_eq!(map.insert(Vpn::new(1), 9), None); // outside the heap: spilled
+/// assert_eq!(map.get(heap), Some(7));
+/// assert_eq!(map.remove(Vpn::new(1)), Some(9));
+/// assert_eq!(map.get(Vpn::new(1)), None);
+/// ```
+#[derive(Debug, Clone)]
+pub struct VpnMap<T> {
+    dense: Vec<Option<T>>,
+    spill: Vec<(u64, T)>,
+}
+
+impl<T> Default for VpnMap<T> {
+    fn default() -> Self {
+        Self {
+            dense: Vec::new(),
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> VpnMap<T> {
+    /// Creates an empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The dense index of a heap page, `None` for every other VPN.
+    #[inline]
+    fn heap_index(vpn: Vpn) -> Option<usize> {
+        let index = vpn.raw().wrapping_sub(HEAP_BASE_VPN);
+        (index < MAX_HEAP_PAGES).then_some(index as usize)
+    }
+
+    /// The value stored for `vpn`.
+    #[inline]
+    pub fn get(&self, vpn: Vpn) -> Option<T> {
+        match Self::heap_index(vpn) {
+            Some(index) => self.dense.get(index).copied().flatten(),
+            None => self
+                .spill
+                .iter()
+                .find(|&&(v, _)| v == vpn.raw())
+                .map(|&(_, value)| value),
+        }
+    }
+
+    /// Stores `value` for `vpn`, returning what it replaces.
+    pub fn insert(&mut self, vpn: Vpn, value: T) -> Option<T> {
+        match Self::heap_index(vpn) {
+            Some(index) => {
+                if index >= self.dense.len() {
+                    self.dense.resize(index + 1, None);
+                }
+                self.dense[index].replace(value)
+            }
+            None => match self.spill.iter_mut().find(|(v, _)| *v == vpn.raw()) {
+                Some((_, old)) => Some(std::mem::replace(old, value)),
+                None => {
+                    self.spill.push((vpn.raw(), value));
+                    None
+                }
+            },
+        }
+    }
+
+    /// Forgets `vpn`, returning its value.
+    pub fn remove(&mut self, vpn: Vpn) -> Option<T> {
+        match Self::heap_index(vpn) {
+            Some(index) => self.dense.get_mut(index)?.take(),
+            None => {
+                let at = self.spill.iter().position(|&(v, _)| v == vpn.raw())?;
+                Some(self.spill.swap_remove(at).1)
+            }
+        }
+    }
+
+    /// Forgets every page (capacity is kept).
+    pub fn clear(&mut self) {
+        self.dense.fill(None);
+        self.spill.clear();
+    }
+}
+
 /// Byte offset of the persisted `next_vpn` counter in the header.
 const HDR_NEXT_VPN: u64 = 0;
 
@@ -123,10 +239,10 @@ const HDR_NEXT_VPN: u64 = 0;
 #[derive(Debug, Clone)]
 pub struct VmManager {
     layout: NvLayout,
-    next_index: u64,
-    /// Fast-hashed: `translate` sits on every engine load/store path and
-    /// the table is never iterated, so the hasher is unobservable.
-    table: FxHashMap<u64, Ppn>,
+    /// The volatile mirror of the persistent page table: entry `i` maps
+    /// VPN `HEAP_BASE_VPN + i`, and `table.len()` is the number of pages
+    /// mapped so far (the persisted `next_vpn` counter).
+    table: Vec<Ppn>,
 }
 
 impl VmManager {
@@ -135,8 +251,7 @@ impl VmManager {
     pub fn new(layout: NvLayout) -> Self {
         Self {
             layout,
-            next_index: 0,
-            table: FxHashMap::default(),
+            table: Vec::new(),
         }
     }
 
@@ -147,18 +262,17 @@ impl VmManager {
 
     /// Number of heap pages mapped so far.
     pub fn mapped_pages(&self) -> u64 {
-        self.next_index
+        self.table.len() as u64
     }
 
     /// Maps a fresh heap page: assigns the next VPN, backs it with the next
     /// heap frame, and persists both the page-table entry and the page
     /// counter (8-byte atomic persists).
     pub fn map_new_page(&mut self, machine: &mut Machine, core: CoreId) -> Vpn {
-        let index = self.next_index;
-        self.next_index += 1;
+        let index = self.mapped_pages();
         let vpn = Vpn::new(HEAP_BASE_VPN + index);
         let ppn = Ppn::new(self.layout.heap_base.raw() + index);
-        self.table.insert(vpn.raw(), ppn);
+        self.table.push(ppn);
         machine.persist_bytes(
             Some(core),
             self.layout.pt_entry_addr(index),
@@ -168,15 +282,18 @@ impl VmManager {
         machine.persist_bytes(
             Some(core),
             self.layout.header_addr(HDR_NEXT_VPN),
-            &self.next_index.to_le_bytes(),
+            &self.mapped_pages().to_le_bytes(),
             WriteClass::Other,
         );
         vpn
     }
 
-    /// Translates a heap VPN to its current physical page.
+    /// Translates a heap VPN to its current physical page (`None` for
+    /// anything outside the mapped heap range).
+    #[inline]
     pub fn translate(&self, vpn: Vpn) -> Option<Ppn> {
-        self.table.get(&vpn.raw()).copied()
+        let index = vpn.raw().checked_sub(HEAP_BASE_VPN)?;
+        self.table.get(usize::try_from(index).ok()?).copied()
     }
 
     /// Translates a full virtual address to a physical address.
@@ -193,11 +310,11 @@ impl VmManager {
     /// Panics if `vpn` was never mapped.
     pub fn update_mapping(&mut self, machine: &mut Machine, vpn: Vpn, ppn: Ppn) {
         assert!(
-            vpn.raw() >= HEAP_BASE_VPN && vpn.raw() < HEAP_BASE_VPN + self.next_index,
+            vpn.raw() >= HEAP_BASE_VPN && vpn.raw() < HEAP_BASE_VPN + self.mapped_pages(),
             "update_mapping of unmapped page {vpn}"
         );
         let index = vpn.raw() - HEAP_BASE_VPN;
-        self.table.insert(vpn.raw(), ppn);
+        self.table[index as usize] = ppn;
         machine.persist_bytes(
             None,
             self.layout.pt_entry_addr(index),
@@ -211,12 +328,11 @@ impl VmManager {
     pub fn recover(&mut self, machine: &Machine) {
         let mut buf = [0u8; 8];
         machine.read_bytes_uncached(self.layout.header_addr(HDR_NEXT_VPN), &mut buf);
-        self.next_index = u64::from_le_bytes(buf);
+        let mapped = u64::from_le_bytes(buf);
         self.table.clear();
-        for index in 0..self.next_index {
+        for index in 0..mapped {
             machine.read_bytes_uncached(self.layout.pt_entry_addr(index), &mut buf);
-            self.table
-                .insert(HEAP_BASE_VPN + index, Ppn::new(u64::from_le_bytes(buf)));
+            self.table.push(Ppn::new(u64::from_le_bytes(buf)));
         }
     }
 }
@@ -298,6 +414,50 @@ mod tests {
     fn update_unmapped_panics() {
         let (mut m, mut vm) = setup();
         vm.update_mapping(&mut m, Vpn::new(HEAP_BASE_VPN + 5), Ppn::new(1));
+    }
+
+    #[test]
+    fn vpn_map_agrees_with_a_hash_map_inside_and_outside_the_heap() {
+        use std::collections::HashMap;
+        let mut map: VpnMap<u32> = VpnMap::new();
+        let mut model: HashMap<u64, u32> = HashMap::new();
+        // A deterministic walk over heap pages, pages just outside both
+        // ends of the heap range, and tiny VPNs.
+        let pages = [
+            0u64,
+            1,
+            HEAP_BASE_VPN - 1,
+            HEAP_BASE_VPN,
+            HEAP_BASE_VPN + 1,
+            HEAP_BASE_VPN + 700,
+            HEAP_BASE_VPN + MAX_HEAP_PAGES - 1,
+            HEAP_BASE_VPN + MAX_HEAP_PAGES,
+            u64::MAX,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..4_000u32 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // The last in-heap page would size the dense table at 16 MiB;
+            // it is probed (get/remove) but never inserted.
+            let vpn = pages[(x >> 33) as usize % pages.len()];
+            match (x >> 20) % 4 {
+                0 | 1 if vpn != HEAP_BASE_VPN + MAX_HEAP_PAGES - 1 => {
+                    assert_eq!(map.insert(Vpn::new(vpn), step), model.insert(vpn, step));
+                }
+                2 => assert_eq!(map.remove(Vpn::new(vpn)), model.remove(&vpn)),
+                _ => {
+                    if step % 500 == 499 {
+                        map.clear();
+                        model.clear();
+                    }
+                }
+            }
+            for &p in &pages {
+                assert_eq!(map.get(Vpn::new(p)), model.get(&p).copied(), "page {p:#x}");
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,44 @@ pub struct BTree {
     heap: PersistentHeap,
 }
 
+#[derive(Clone, Copy)]
 struct NodeRef(VirtAddr);
+
+/// Deepest descent the parent stack holds. An internal node splits into
+/// halves of at least 7 children, so a tree this deep would have 7²³
+/// leaves.
+const MAX_DEPTH: usize = 24;
+
+/// The descent path of one insert — `(internal node, child index taken)`
+/// per level, root first — held on the stack so an insert allocates
+/// nothing on the host.
+struct Path {
+    steps: [(NodeRef, usize); MAX_DEPTH],
+    len: usize,
+}
+
+impl Path {
+    fn new() -> Self {
+        Self {
+            steps: [(NodeRef(VirtAddr::new(0)), 0); MAX_DEPTH],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, node: NodeRef, idx: usize) {
+        assert!(
+            self.len < MAX_DEPTH,
+            "B+-tree deeper than {MAX_DEPTH} levels"
+        );
+        self.steps[self.len] = (node, idx);
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<(NodeRef, usize)> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.steps[self.len])
+    }
+}
 
 impl BTree {
     /// Creates an empty tree inside an open transaction.
@@ -152,7 +189,7 @@ impl BTree {
     /// Inserts (or overwrites) a key inside the caller's transaction.
     pub fn insert(&self, engine: &mut dyn TxnEngine, core: CoreId, key: u64, value: u64) {
         // Descend, remembering the path for splits.
-        let mut path: Vec<(NodeRef, usize)> = Vec::new();
+        let mut path = Path::new();
         let mut node = self.root(engine, core);
         loop {
             if self.kind(engine, core, &node) == LEAF {
@@ -167,7 +204,7 @@ impl BTree {
                 }
             }
             let next = self.child(engine, core, &node, idx);
-            path.push((node, idx));
+            path.push(node, idx);
             node = next;
         }
 
@@ -256,7 +293,7 @@ impl BTree {
         &self,
         engine: &mut dyn TxnEngine,
         core: CoreId,
-        mut path: Vec<(NodeRef, usize)>,
+        mut path: Path,
         left: NodeRef,
         sep: u64,
         right: NodeRef,

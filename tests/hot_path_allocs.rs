@@ -9,6 +9,24 @@
 //! allocator so a stray `collect()` on the hot path fails CI instead of
 //! silently costing throughput.
 //!
+//! Three workloads are driven, because they stress different structures:
+//! `Sps` (two stores per transaction), `BTree-Rand` (load-dominated: the
+//! TLB, the dense page tables and the L1 fast path) and a synthetic wide
+//! transaction that stores to 72 distinct lines on 12 pages (the per-page
+//! line bitmaps of the write-set tracker, UNDO's logged set and SSP's
+//! write-set buffer; REDO's write-set map). A dense table or bitmap that
+//! reallocates in the steady state, or a tracker that spills, fails here.
+//!
+//! "Warm" means the simulated memory the working set lives in exists on
+//! the host: `PhysMem` frames and the L3's per-set payload blocks are
+//! materialised on first touch, by design. Each workload therefore warms
+//! up until its working set has stopped growing, and SSP runs with a
+//! small checkpoint threshold so its journal ring has wrapped — and a
+//! checkpoint's dirty-slot walk falls inside the measured window. Shadow
+//! paging sits the B+-tree out: every commit permutes frames among the
+//! tree's pages, so fresh (frame, line) pairs — fresh L3 sets — keep
+//! appearing for tens of thousands of transactions.
+//!
 //! The file intentionally holds a single `#[test]`: the counter is
 //! process-global, and a concurrently running test would perturb it.
 
@@ -17,6 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use ssp::simulator::addr::Vpn;
 use ssp::simulator::cache::CoreId;
 use ssp::simulator::config::MachineConfig;
 use ssp::simulator::obs::ObsConfig;
@@ -24,6 +43,7 @@ use ssp::txn::engine::TxnEngine;
 use ssp::workloads::dist::KeyDist;
 use ssp::workloads::runner::Workload;
 use ssp::workloads::sps::Sps;
+use ssp::workloads::BTreeWorkload;
 use ssp::{RedoLog, ShadowPaging, Ssp, SspConfig, UndoLog};
 
 /// Counts every allocation and reallocation; frees are uncounted (the
@@ -53,7 +73,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const C0: CoreId = CoreId::new(0);
-const WARMUP_TXNS: u64 = 400;
 const MEASURED_TXNS: u64 = 256;
 
 /// Allocations tolerated across the whole measured phase (not per
@@ -63,10 +82,58 @@ const MEASURED_TXNS: u64 = 256;
 /// allocation each would blow this bound 30× over.
 const ALLOWED_ALLOCS: u64 = 8;
 
-/// Runs `txns` warm transactions and returns the allocations the
-/// measured phase performed.
-fn measured_allocs(engine: &mut dyn TxnEngine, workload: &mut Sps, rng: &mut SmallRng) -> u64 {
-    for _ in 0..WARMUP_TXNS {
+/// A transaction far wider than any benchmark workload's: one 8-byte
+/// store to each of `WIDE_LINES_PER_PAGE` lines on each of `WIDE_PAGES`
+/// pages (72 distinct lines, 12 pages — inside SSP's 64-page write-set
+/// buffer, so no fall-back path), the lines rotating with every
+/// transaction so the bitmaps see fresh bits, not repeats.
+#[derive(Debug, Clone, Default)]
+struct WideTxn {
+    pages: Vec<Vpn>,
+    round: u64,
+}
+
+const WIDE_PAGES: u64 = 12;
+const WIDE_LINES_PER_PAGE: u64 = 6;
+
+impl Workload for WideTxn {
+    fn name(&self) -> &'static str {
+        "Wide"
+    }
+
+    fn setup(&mut self, engine: &mut dyn TxnEngine, core: CoreId) {
+        self.pages = (0..WIDE_PAGES).map(|_| engine.map_new_page(core)).collect();
+    }
+
+    fn run_txn(&mut self, engine: &mut dyn TxnEngine, core: CoreId, _rng: &mut SmallRng) {
+        self.round += 1;
+        // Pages in descending order: the worst case for a sorted set.
+        for (p, page) in self.pages.iter().enumerate().rev() {
+            for l in 0..WIDE_LINES_PER_PAGE {
+                let line = (self.round * 7 + p as u64 * 3 + l * 11) % 64;
+                engine.store(core, page.base().add(line * 64), &self.round.to_le_bytes());
+            }
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
+    }
+
+    fn reset(&mut self) {
+        self.pages.clear();
+    }
+}
+
+/// Runs `warmup` transactions, then `MEASURED_TXNS` more, and returns the
+/// allocations the measured phase performed.
+fn measured_allocs(
+    engine: &mut dyn TxnEngine,
+    workload: &mut dyn Workload,
+    warmup: u64,
+    rng: &mut SmallRng,
+) -> u64 {
+    for _ in 0..warmup {
         engine.begin(C0);
         workload.run_txn(engine, C0, rng);
         engine.commit(C0);
@@ -81,26 +148,51 @@ fn measured_allocs(engine: &mut dyn TxnEngine, workload: &mut Sps, rng: &mut Sma
 }
 
 fn engines_with(cfg: fn() -> MachineConfig) -> [(&'static str, Box<dyn TxnEngine>); 4] {
+    // 16 KiB of journal between checkpoints: 80 wide transactions.
+    let ssp_cfg = SspConfig {
+        checkpoint_threshold_bytes: 16 * 1024,
+        ..SspConfig::default()
+    };
     [
-        ("SSP", Box::new(Ssp::new(cfg(), SspConfig::default()))),
+        ("SSP", Box::new(Ssp::new(cfg(), ssp_cfg))),
         ("UNDO-LOG", Box::new(UndoLog::new(cfg()))),
         ("REDO-LOG", Box::new(RedoLog::new(cfg()))),
         ("SHADOW", Box::new(ShadowPaging::new(cfg()))),
     ]
 }
 
-fn assert_warm_budget(label: &str, engines: [(&'static str, Box<dyn TxnEngine>); 4]) {
-    for (name, mut engine) in engines {
-        let mut workload = Sps::new(1024, KeyDist::uniform(1024));
-        workload.setup(engine.as_mut(), C0);
-        let mut rng = SmallRng::seed_from_u64(0x5eed);
-        let allocs = measured_allocs(engine.as_mut(), &mut workload, &mut rng);
-        assert!(
-            allocs <= ALLOWED_ALLOCS,
-            "{name} ({label}): {allocs} heap allocations across {MEASURED_TXNS} warm \
-             transactions (allowed {ALLOWED_ALLOCS} total) — something on the hot path \
-             allocates again"
-        );
+/// Each workload with the warm-up transactions its working set needs
+/// and whether shadow paging runs it (see the module docs).
+fn workloads() -> [(Box<dyn Workload>, u64, bool); 3] {
+    [
+        (Box::new(Sps::new(1024, KeyDist::uniform(1024))), 400, true),
+        (
+            Box::new(BTreeWorkload::new(KeyDist::uniform(1024), 512)),
+            1000,
+            false,
+        ),
+        (Box::new(WideTxn::default()), 100, true),
+    ]
+}
+
+fn assert_warm_budget(label: &str, cfg: fn() -> MachineConfig, workloads: usize) {
+    for (mut workload, warmup, on_shadow) in self::workloads().into_iter().take(workloads) {
+        for (name, mut engine) in engines_with(cfg) {
+            if name == "SHADOW" && !on_shadow {
+                continue;
+            }
+            workload.reset();
+            workload.setup(engine.as_mut(), C0);
+            let mut rng = SmallRng::seed_from_u64(0x5eed);
+            let allocs = measured_allocs(engine.as_mut(), workload.as_mut(), warmup, &mut rng);
+            assert!(
+                allocs <= ALLOWED_ALLOCS,
+                "{name} / {} ({label}): {allocs} heap allocations across {MEASURED_TXNS} \
+                 warm transactions (allowed {ALLOWED_ALLOCS} total) — something on the \
+                 hot path allocates again",
+                workload.name()
+            );
+        }
     }
 }
 
@@ -109,16 +201,17 @@ fn warm_transaction_loop_is_allocation_free_for_every_engine() {
     // Tracing off (the default): the observability layer must not add a
     // single allocation — the ring holds no storage and every record call
     // is a branch on a cold bool.
-    assert_warm_budget("tracing off", engines_with(MachineConfig::default));
+    assert_warm_budget("tracing off", MachineConfig::default, 3);
 
     // Tracing fully on: the event ring is pre-sized at machine
     // construction and overwritten in place, so the warm loop stays
-    // within the same budget — zero allocations per transaction.
+    // within the same budget — zero allocations per transaction. `Sps`
+    // alone: what a record call costs does not depend on the workload.
     fn traced() -> MachineConfig {
         MachineConfig {
             obs: ObsConfig::tracing(),
             ..MachineConfig::default()
         }
     }
-    assert_warm_budget("tracing on", engines_with(traced));
+    assert_warm_budget("tracing on", traced, 1);
 }
