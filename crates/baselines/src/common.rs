@@ -1,5 +1,6 @@
 //! Shared pieces of the logging baselines: per-core log areas with
-//! coalesced line-write accounting, and commit registers.
+//! coalesced line-write accounting, and commit registers — paired, one per
+//! core, as a [`CoreJournal`].
 //!
 //! Hardware logging designs (ATOM, DHTM) append log entries through a
 //! write-combining buffer at the memory controller, so consecutive appends
@@ -90,7 +91,7 @@ impl CoreLog {
         let addr = self.entry_addr(self.head);
         // Store the bytes without the per-call line counting of
         // persist_bytes; count coalesced below.
-        machine.store_bytes_raw(addr, &buf);
+        machine.write_bytes_unaccounted(addr, &buf);
         self.head += ENTRY_BYTES;
         self.entries_appended += 1;
 
@@ -102,7 +103,7 @@ impl CoreLog {
         for i in 0..new_lines {
             let line_addr =
                 self.entry_addr((self.counted_until - new_lines + i) * LINE_SIZE as u64);
-            cycles += machine.account_write(MemKind::Nvram, line_addr, WriteClass::Log);
+            cycles += machine.account_memory_write(MemKind::Nvram, line_addr, WriteClass::Log);
         }
         if cycles == 0 {
             // Entirely coalesced into an already-counted line; charge the
@@ -218,30 +219,99 @@ impl CommitRegister {
     }
 }
 
-/// Extension methods the baselines need on [`Machine`].
-pub trait MachineLogExt {
-    /// Stores bytes to memory without counting line writes (the caller
-    /// accounts for them with coalescing).
-    fn store_bytes_raw(&mut self, addr: PhysAddr, data: &[u8]);
-
-    /// Counts one line write of `class` and returns its latency in cycles
-    /// without charging any core.
-    fn account_write(&mut self, kind: MemKind, addr: PhysAddr, class: WriteClass) -> u64;
+/// One core's durable transaction record: its log area and the commit
+/// register that says which of the log's transactions count.
+#[derive(Debug, Clone)]
+pub struct CoreJournal {
+    /// The log area.
+    pub log: CoreLog,
+    /// The "last committed transaction" register.
+    pub commit: CommitRegister,
 }
 
-impl MachineLogExt for Machine {
-    fn store_bytes_raw(&mut self, addr: PhysAddr, data: &[u8]) {
-        self.write_bytes_unaccounted(addr, data);
+impl CoreJournal {
+    /// One journal per core of a `cores`-core machine.
+    pub fn per_core(layout: NvLayout, cores: usize) -> Vec<Self> {
+        (0..cores)
+            .map(|core| Self {
+                log: CoreLog::new(layout, core),
+                commit: CommitRegister::new(layout, core),
+            })
+            .collect()
     }
 
-    fn account_write(&mut self, kind: MemKind, addr: PhysAddr, class: WriteClass) -> u64 {
-        self.account_memory_write(kind, addr, class)
+    /// The per-core recovery step every logging engine starts from:
+    /// re-reads the persisted head and commit register, and returns the
+    /// last committed transaction id with the entries that were live at
+    /// the crash (oldest first). `max_tid` is raised to the largest id
+    /// either names, and the log is left truncated — what the caller
+    /// replays or rolls back is in the returned entries.
+    pub fn recover(&mut self, machine: &Machine, max_tid: &mut u64) -> (u64, Vec<LogEntry>) {
+        self.log.recover(machine);
+        self.commit.recover(machine);
+        let committed = self.commit.get();
+        let entries = self.log.read_all(machine);
+        self.log.truncate();
+        let seen = entries.iter().map(|e| e.tid).max().unwrap_or(0);
+        *max_tid = (*max_tid).max(committed).max(seen);
+        (committed, entries)
     }
 }
 
-/// One entry's worth of blocking persist latency (undo logging's stall).
-pub fn blocking_persist_cycles(machine: &Machine) -> u64 {
-    machine.array_cycles(MemKind::Nvram, AccessKind::Write)
+/// What the shell's id allocator and [`CoreJournal::recover`] guarantee
+/// together, checked for each logging engine from its own test module
+/// (`open_tid` reads the open transaction's id through the engine's
+/// shell): the first id issued after a recovery exceeds every id issued
+/// before it that left a trace in NVRAM — committed ones through the
+/// commit register, and a transaction torn inside `commit` through the log
+/// records it persisted, which stay in the log area under its id after
+/// the roll-back. (An id that never reached NVRAM — REDO's and SHADOW's
+/// open transaction at a plain power cut — may be issued again: nothing
+/// can confuse it with its first use. SSP's ids restart at 1 after every
+/// recovery, which is not harmless; that is ROADMAP item 1(iii).)
+#[cfg(test)]
+pub(crate) fn assert_tids_resume_above_every_durable_one<E: ssp_txn::engine::TxnEngine>(
+    engine: &mut E,
+    open_tid: impl Fn(&E) -> u64,
+) {
+    use ssp_simulator::fault::{CrashPoint, FaultSite};
+    let core = CoreId::new(0);
+    let addr = engine.map_new_page(core).base();
+    let mut issued = Vec::new();
+    for value in 1..=3u64 {
+        engine.begin(core);
+        issued.push(open_tid(engine));
+        engine.store(core, addr, &value.to_le_bytes());
+        engine.commit(core);
+    }
+    // Cut after the log is durable, before the commit register moves.
+    engine.machine_mut().arm_crash(CrashPoint::AtSite {
+        site: FaultSite::CommitData,
+        hits: 1,
+    });
+    engine.begin(core);
+    issued.push(open_tid(engine));
+    engine.store(core, addr, &4u64.to_le_bytes());
+    engine.commit(core);
+    assert!(engine.machine().power_lost());
+    engine.crash_and_recover();
+
+    engine.begin(core);
+    let first = open_tid(engine);
+    assert!(
+        issued.iter().all(|&tid| tid < first),
+        "{}: id {first} issued after recovery, {issued:?} before it",
+        engine.name()
+    );
+    // The reissue-proof id commits, and the torn transaction stayed out.
+    let mut buf = [0u8; 8];
+    engine.load(core, addr, &mut buf);
+    assert_eq!(u64::from_le_bytes(buf), 3);
+    engine.store(core, addr, &5u64.to_le_bytes());
+    engine.commit(core);
+    engine.crash_and_recover();
+    engine.load(core, addr, &mut buf);
+    assert_eq!(u64::from_le_bytes(buf), 5);
 }
 
 #[cfg(test)]
@@ -329,6 +399,28 @@ mod tests {
         let mut reg2 = CommitRegister::new(NvLayout::default(), 0);
         reg2.recover(&m);
         assert_eq!(reg2.get(), 42);
+    }
+
+    #[test]
+    fn journal_recovery_returns_the_live_entries_and_the_largest_tid() {
+        let mut m = Machine::new(MachineConfig::default());
+        let mut journals = CoreJournal::per_core(NvLayout::default(), 2);
+        let j = &mut journals[1];
+        j.commit.commit(&mut m, None, 7);
+        j.log.append(&mut m, &entry(8, 0x11));
+        j.log.append(&mut m, &entry(9, 0x22));
+        j.log.persist_head(&mut m, None);
+        m.crash();
+        let mut fresh = CoreJournal::per_core(NvLayout::default(), 2);
+        let mut max_tid = 3;
+        let (committed, entries) = fresh[1].recover(&m, &mut max_tid);
+        assert_eq!(committed, 7);
+        assert_eq!(entries, [entry(8, 0x11), entry(9, 0x22)]);
+        assert_eq!(max_tid, 9);
+        assert!(fresh[1].log.is_empty(), "recovery leaves the log truncated");
+        // The other core's journal is untouched and raises nothing.
+        let (committed, entries) = fresh[0].recover(&m, &mut max_tid);
+        assert_eq!((committed, entries.len(), max_tid), (0, 0, 9));
     }
 
     #[test]

@@ -12,26 +12,16 @@
 
 use fxhash::FxHashMap;
 use ssp_simulator::addr::{PhysAddr, VirtAddr, Vpn, LINE_SIZE};
-use ssp_simulator::cache::{CoreId, TxEviction};
+use ssp_simulator::cache::CoreId;
 use ssp_simulator::config::MachineConfig;
 use ssp_simulator::fault::FaultSite;
 use ssp_simulator::machine::Machine;
-use ssp_simulator::obs::ObsKind;
 use ssp_simulator::stats::WriteClass;
 use ssp_simulator::timing::{AccessKind, MemKind};
-use ssp_simulator::tlb::Tlb;
-use ssp_txn::engine::{line_spans, sorted_scratch, TxnEngine, TxnStats, WriteSetTracker};
-use ssp_txn::vm::{NvLayout, VmManager};
+use ssp_txn::engine::{line_spans, sorted_scratch, TxnEngine, TxnStats};
+use ssp_txn::shell::TxnShell;
 
-use crate::common::{CommitRegister, CoreLog, LogEntry};
-
-/// Per-core open-transaction marker. The write-set map, overflow buffer
-/// and tracker live in per-core engine fields, reused across transactions
-/// so the steady state allocates nothing.
-#[derive(Debug, Clone)]
-struct OpenTxn {
-    tid: u64,
-}
+use crate::common::{CoreJournal, LogEntry};
 
 /// The hardware redo-logging engine.
 ///
@@ -56,84 +46,53 @@ struct OpenTxn {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RedoLog {
-    machine: Machine,
-    vm: VmManager,
-    tlbs: Vec<Tlb<()>>,
-    logs: Vec<CoreLog>,
-    commits: Vec<CommitRegister>,
-    open: Vec<Option<OpenTxn>>,
+    shell: TxnShell,
+    journals: Vec<CoreJournal>,
     /// Per-core write-set lines (physical line base → virtual line base),
     /// cleared (capacity kept) at commit/abort.
     lines: Vec<FxHashMap<u64, u64>>,
     /// Per-core TX lines evicted from the cache mid-transaction
     /// (line base → data).
     overflow: Vec<FxHashMap<u64, [u8; LINE_SIZE]>>,
-    /// Per-core write-set trackers, reused across transactions.
-    trackers: Vec<WriteSetTracker>,
     /// Reusable commit scratch: the write-set lines sorted for draining.
     scratch_lines: Vec<(u64, u64)>,
     /// Per-core absolute cycle time until which the post-commit data drain
     /// occupies the persist path.
     drain_until: Vec<u64>,
-    stats: TxnStats,
-    next_tid: u64,
 }
 
 impl RedoLog {
     /// Builds a redo-logging machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        let layout = NvLayout::default();
-        let cores = cfg.cores;
+        let mut shell = TxnShell::new(cfg);
+        // The one engine whose speculative lines must not reach home
+        // before commit: spills wait for `stash_spills`.
+        shell.machine.hold_tx_spills();
+        let cores = shell.cores();
         Self {
-            machine: Machine::new(cfg.clone()),
-            vm: VmManager::new(layout),
-            tlbs: (0..cores).map(|_| Tlb::new(cfg.dtlb_entries)).collect(),
-            logs: (0..cores).map(|c| CoreLog::new(layout, c)).collect(),
-            commits: (0..cores).map(|c| CommitRegister::new(layout, c)).collect(),
-            open: (0..cores).map(|_| None).collect(),
-            lines: (0..cores).map(|_| FxHashMap::default()).collect(),
-            overflow: (0..cores).map(|_| FxHashMap::default()).collect(),
-            trackers: (0..cores).map(|_| WriteSetTracker::new()).collect(),
+            journals: CoreJournal::per_core(shell.layout(), cores),
+            lines: vec![FxHashMap::default(); cores],
+            overflow: vec![FxHashMap::default(); cores],
             scratch_lines: Vec::new(),
             drain_until: vec![0; cores],
-            stats: TxnStats::default(),
-            next_tid: 1,
+            shell,
         }
     }
 
     /// Redo log entries written so far (for Figure 6).
     pub fn log_entries(&self) -> u64 {
-        self.logs.iter().map(CoreLog::entries_appended).sum()
+        self.journals.iter().map(|j| j.log.entries_appended()).sum()
     }
 
-    fn translate(&mut self, core: CoreId, vpn: Vpn) -> PhysAddr {
-        // Mappings never change under this engine, so a TLB entry is
-        // always current.
-        if let Some(entry) = self.tlbs[core.index()].lookup(vpn) {
-            return entry.ppn.base();
-        }
-        let ppn = self
-            .vm
-            .translate(vpn)
-            .unwrap_or_else(|| panic!("access to unmapped page {vpn}"));
-        self.machine.record_tlb_miss(core);
-        let _ = self.tlbs[core.index()].insert(vpn, ppn, ());
-        ppn.base()
-    }
-
-    fn paddr_of(&mut self, core: CoreId, addr: VirtAddr) -> PhysAddr {
-        let base = self.translate(core, addr.vpn());
-        PhysAddr::new(base.raw() + addr.page_offset() as u64)
-    }
-
-    /// An evicted TX line must not reach its home address before commit;
-    /// stash its data in the owning transaction's overflow buffer (DHTM
-    /// spills such lines to the log — the log entry is written at commit
-    /// from the coalesced final value anyway).
-    fn handle_tx_evictions(&mut self, core: CoreId, evictions: Vec<TxEviction>) {
-        for ev in evictions {
+    /// Moves the TX lines `core`'s last access pushed out of the hierarchy
+    /// into its overflow buffer (DHTM spills such lines to the log — the
+    /// log entry is written at commit from the coalesced final value
+    /// anyway). Called after every `read`/`write`; the machine asserts it.
+    #[inline]
+    fn stash_spills(&mut self, core: CoreId) {
+        for ev in self.shell.machine.drain_tx_spills() {
             assert!(
-                self.open[core.index()].is_some(),
+                !self.lines[core.index()].is_empty(),
                 "TX eviction outside a transaction"
             );
             self.overflow[core.index()].insert(ev.line.line_base().raw(), ev.data);
@@ -141,20 +100,19 @@ impl RedoLog {
     }
 
     fn store_line(&mut self, core: CoreId, addr: VirtAddr, data: &[u8]) {
-        let paddr = self.paddr_of(core, addr);
+        let paddr = self.shell.paddr_of(core, addr);
         let line = paddr.line_base();
+        self.lines[core.index()].insert(line.raw(), addr.line_base().raw());
         // If this line previously overflowed, restore it into the cache
         // first so the patch lands on the full speculative image.
-        debug_assert!(self.open[core.index()].is_some(), "open txn");
         let overflowed = self.overflow[core.index()].get(&line.raw()).copied();
         if let Some(image) = overflowed {
-            let r = self.machine.write(core, line, &image, true);
-            self.handle_tx_evictions(core, r.tx_evictions);
+            self.shell.machine.write(core, line, &image, true);
+            self.stash_spills(core);
             self.overflow[core.index()].remove(&line.raw());
         }
-        let r = self.machine.write(core, paddr, data, true);
-        self.handle_tx_evictions(core, r.tx_evictions);
-        self.lines[core.index()].insert(line.raw(), addr.line_base().raw());
+        self.shell.machine.write(core, paddr, data, true);
+        self.stash_spills(core);
     }
 
     /// Reads the current speculative image of a write-set line.
@@ -163,10 +121,10 @@ impl RedoLog {
             return *img;
         }
         let mut buf = [0u8; LINE_SIZE];
-        let r = self.machine.read(core, line, &mut buf);
+        self.shell.machine.read(core, line, &mut buf);
         // A read cannot evict the line it just fetched, but may displace
         // other TX lines.
-        self.handle_tx_evictions(core, r.tx_evictions);
+        self.stash_spills(core);
         buf
     }
 }
@@ -177,76 +135,45 @@ impl TxnEngine for RedoLog {
     }
 
     fn machine(&self) -> &Machine {
-        &self.machine
+        &self.shell.machine
     }
 
     fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+        &mut self.shell.machine
     }
 
     fn map_new_page(&mut self, core: CoreId) -> Vpn {
-        self.vm.map_new_page(&mut self.machine, core)
+        self.shell.map_new_page(core)
     }
 
     fn begin(&mut self, core: CoreId) {
-        assert!(
-            self.open[core.index()].is_none(),
-            "{core} already has an open transaction"
-        );
-        let tid = self.next_tid;
-        self.next_tid += 1;
-        self.open[core.index()] = Some(OpenTxn { tid });
-        self.machine.add_cycles(core, 10);
-        self.machine.obs_record(ObsKind::TxnBegin, tid);
+        self.shell.begin(core);
     }
 
     fn load(&mut self, core: CoreId, addr: VirtAddr, buf: &mut [u8]) {
-        self.stats.loads += 1;
-        self.machine.obs_record(ObsKind::ReadSpan, addr.raw());
+        self.shell.on_load(addr);
         for span in line_spans(addr, buf.len()) {
-            let paddr = self.paddr_of(core, span.addr);
+            let paddr = self.shell.paddr_of(core, span.addr);
             // Serve from the overflow buffer if the line spilled.
-            let spilled = self.overflow[core.index()]
-                .get(&paddr.line_base().raw())
-                .copied();
-            if let Some(img) = spilled {
+            if let Some(img) = self.overflow[core.index()].get(&paddr.line_base().raw()) {
                 let off = paddr.line_offset();
-                buf[span.buf_offset..span.buf_offset + span.len]
-                    .copy_from_slice(&img[off..off + span.len]);
+                span.of_mut(buf).copy_from_slice(&img[off..off + span.len]);
                 continue;
             }
-            let r = self.machine.read(
-                core,
-                paddr,
-                &mut buf[span.buf_offset..span.buf_offset + span.len],
-            );
-            self.handle_tx_evictions(core, r.tx_evictions);
+            self.shell.machine.read(core, paddr, span.of_mut(buf));
+            self.stash_spills(core);
         }
     }
 
     fn store(&mut self, core: CoreId, addr: VirtAddr, data: &[u8]) {
-        assert!(
-            self.open[core.index()].is_some(),
-            "ATOMIC_STORE outside a transaction on {core}"
-        );
-        self.stats.stores += 1;
-        self.machine.obs_record(ObsKind::WriteSpan, addr.raw());
-        self.trackers[core.index()].record(addr, data.len());
+        self.shell.on_store(core, addr, data.len());
         for span in line_spans(addr, data.len()) {
-            self.store_line(
-                core,
-                span.addr,
-                &data[span.buf_offset..span.buf_offset + span.len],
-            );
+            self.store_line(core, span.addr, span.of(data));
         }
     }
 
     fn commit(&mut self, core: CoreId) {
-        let tid = self.open[core.index()]
-            .as_ref()
-            .unwrap_or_else(|| panic!("commit without an open transaction on {core}"))
-            .tid;
-        self.machine.obs_record(ObsKind::Validate, tid);
+        let tid = self.shell.begin_commit(core);
         // Sorted: the map's hash order varies per instance, and drain
         // order reaches the row-buffer model (determinism contract). The
         // sort runs in an engine-owned scratch vector (no per-commit
@@ -259,138 +186,113 @@ impl TxnEngine for RedoLog {
 
         // An earlier transaction's data drain must finish before this
         // commit's log can persist (log order).
-        let now = self.machine.cycles(core);
+        let now = self.shell.machine.cycles(core);
         if self.drain_until[core.index()] > now {
             let wait = self.drain_until[core.index()] - now;
-            self.machine.add_cycles(core, wait);
+            self.shell.machine.add_cycles(core, wait);
         }
 
         // 1. Persist one coalesced redo entry per line (critical path,
         //    MLP-overlapped) plus the head pointer.
-        let mlp = self.machine.config().persist_mlp.max(1) as u64;
+        let mlp = self.shell.machine.config().persist_mlp.max(1) as u64;
         for &(pline, vline) in &lines {
-            let image = self.line_image(core, PhysAddr::new(pline));
             let entry = LogEntry {
                 tid,
                 paddr: PhysAddr::new(pline),
                 vaddr: VirtAddr::new(vline),
-                data: image,
+                data: self.line_image(core, PhysAddr::new(pline)),
             };
-            let cycles = self.logs[core.index()].append(&mut self.machine, &entry);
-            self.machine.add_cycles(core, (cycles / mlp).max(1));
+            let log = &mut self.journals[core.index()].log;
+            let cycles = log.append(&mut self.shell.machine, &entry);
+            self.shell.machine.add_cycles(core, (cycles / mlp).max(1));
         }
-        self.logs[core.index()].persist_head(&mut self.machine, Some(core));
+        let machine = &mut self.shell.machine;
+        let journal = &mut self.journals[core.index()];
+        journal.log.persist_head(machine, Some(core));
         // Fault site: redo log durable, commit register not yet bumped —
         // a cut here must roll the transaction back on recovery.
-        self.machine.fault_point(FaultSite::CommitData);
+        machine.fault_point(FaultSite::CommitData);
 
         // 2. Atomic commit point: the transaction is durable here.
-        self.commits[core.index()].commit(&mut self.machine, Some(core), tid);
+        journal.commit.commit(machine, Some(core), tid);
         // Fault site: the commit register is durable — a cut here must
         // keep the transaction (redo replay finishes the data drain).
-        self.machine.fault_point(FaultSite::CommitMark);
+        machine.fault_point(FaultSite::CommitMark);
 
         // 3. Post-commit data drain: write the speculative lines home.
         //    Functionally now; latency-wise it only extends drain_until.
-        let _txn = self.open[core.index()].take().expect("open txn");
         let mut drain_cycles = 0u64;
         for &(pline, _) in &lines {
             let line = PhysAddr::new(pline);
             if let Some(img) = self.overflow[core.index()].remove(&pline) {
-                self.machine
-                    .persist_bytes(None, line, &img, WriteClass::Data);
+                machine.persist_bytes(None, line, &img, WriteClass::Data);
                 drain_cycles += 740 / mlp;
                 continue;
             }
-            self.machine.clear_tx(line);
-            if self.machine.flush(None, line, WriteClass::Data) {
-                drain_cycles += self.machine.array_cycles(MemKind::Nvram, AccessKind::Write) / mlp;
+            machine.clear_tx(line);
+            if machine.flush(None, line, WriteClass::Data) {
+                drain_cycles += machine.array_cycles(MemKind::Nvram, AccessKind::Write) / mlp;
             }
         }
-        let start = self.drain_until[core.index()].max(self.machine.cycles(core));
+        let start = self.drain_until[core.index()].max(machine.cycles(core));
         self.drain_until[core.index()] = start + drain_cycles;
 
-        self.logs[core.index()].truncate();
+        journal.log.truncate();
         self.scratch_lines = lines;
         self.lines[core.index()].clear();
         self.overflow[core.index()].clear();
-        self.trackers[core.index()].fold_commit(&mut self.stats);
-        self.machine.obs_record(ObsKind::Commit, tid);
+        self.shell.finish_commit(core, tid);
     }
 
     fn abort(&mut self, core: CoreId) {
-        let txn = self.open[core.index()]
-            .take()
-            .unwrap_or_else(|| panic!("abort without an open transaction on {core}"));
-        self.machine.obs_record(ObsKind::Abort, txn.tid);
-        let lines = std::mem::take(&mut self.lines[core.index()]);
-        for &pline in lines.keys() {
+        self.shell.begin_abort(core);
+        for (&pline, _) in self.lines[core.index()].iter() {
             // Speculative lines never reached home: dropping them restores
             // the committed state.
-            self.machine.discard_line(PhysAddr::new(pline));
+            self.shell.machine.discard_line(PhysAddr::new(pline));
         }
-        self.lines[core.index()] = lines;
         self.lines[core.index()].clear();
         self.overflow[core.index()].clear();
-        self.logs[core.index()].truncate();
-        self.trackers[core.index()].fold_abort(&mut self.stats);
+        self.journals[core.index()].log.truncate();
+        self.shell.finish_abort(core);
     }
 
     fn crash(&mut self) {
-        self.machine.crash();
-        for tlb in &mut self.tlbs {
-            let _ = tlb.drain();
-        }
-        for o in &mut self.open {
-            *o = None;
-        }
+        self.shell.power_off();
         for l in &mut self.lines {
             l.clear();
         }
         for o in &mut self.overflow {
             o.clear();
         }
-        for t in &mut self.trackers {
-            t.clear();
-        }
-        for d in &mut self.drain_until {
-            *d = 0;
-        }
+        self.drain_until.fill(0);
     }
 
     fn recover(&mut self) {
-        self.machine.obs_record(ObsKind::RecoveryReplay, 0);
-        self.vm.recover(&self.machine);
+        self.shell.begin_recovery();
+        let machine = &mut self.shell.machine;
         // Fault site: before any redo replay writes land — a crash
         // *during recovery*; rerunning recovery must succeed (redo
         // replay is idempotent).
-        self.machine.fault_point(FaultSite::Recovery);
+        machine.fault_point(FaultSite::Recovery);
         let mut max_tid = 0;
-        for c in 0..self.logs.len() {
-            self.logs[c].recover(&self.machine);
-            self.commits[c].recover(&self.machine);
-            let committed = self.commits[c].get();
-            max_tid = max_tid.max(committed);
+        for journal in &mut self.journals {
             // Redo: replay entries of committed transactions (the last
             // commit may not have finished draining home).
-            for entry in self.logs[c].read_all(&self.machine) {
-                max_tid = max_tid.max(entry.tid);
-                if entry.tid <= committed {
-                    self.machine
-                        .persist_bytes(None, entry.paddr, &entry.data, WriteClass::Data);
-                }
+            let (committed, entries) = journal.recover(machine, &mut max_tid);
+            for entry in entries.iter().filter(|e| e.tid <= committed) {
+                machine.persist_bytes(None, entry.paddr, &entry.data, WriteClass::Data);
             }
-            self.logs[c].truncate();
         }
-        self.next_tid = max_tid + 1;
+        self.shell.resume_tids_after(max_tid);
     }
 
     fn in_txn(&self, core: CoreId) -> bool {
-        self.open[core.index()].is_some()
+        self.shell.in_txn(core)
     }
 
     fn txn_stats(&self) -> &TxnStats {
-        &self.stats
+        &self.shell.stats
     }
 }
 
@@ -497,6 +399,13 @@ mod tests {
         e.store(C0, pages[1], &1u64.to_le_bytes());
         e.commit(C0);
         assert!(e.machine().cycles(C0) >= drain0);
+    }
+
+    #[test]
+    fn first_tid_after_recovery_exceeds_every_durable_tid() {
+        crate::common::assert_tids_resume_above_every_durable_one(&mut engine(), |e| {
+            e.shell.tid(C0)
+        });
     }
 
     #[test]

@@ -9,30 +9,21 @@
 
 use fxhash::FxHashMap;
 use ssp_simulator::addr::{LineIdx, PhysAddr, Ppn, VirtAddr, Vpn};
-use ssp_simulator::cache::{CoreId, TxEviction};
+use ssp_simulator::cache::CoreId;
 use ssp_simulator::config::MachineConfig;
 use ssp_simulator::fault::FaultSite;
 use ssp_simulator::machine::Machine;
-use ssp_simulator::obs::ObsKind;
 use ssp_simulator::stats::WriteClass;
-use ssp_simulator::tlb::Tlb;
-use ssp_txn::engine::{line_spans, sorted_scratch, TxnEngine, TxnStats, WriteSetTracker};
-use ssp_txn::vm::{NvLayout, VmManager, HEAP_BASE_VPN, SHADOW_PAGES};
+use ssp_txn::engine::{line_spans, sorted_scratch, TxnEngine, TxnStats};
+use ssp_txn::shell::TxnShell;
+use ssp_txn::vm::{HEAP_BASE_VPN, SHADOW_PAGES};
 
-use crate::common::{CommitRegister, CoreLog, LogEntry};
+use crate::common::{CoreJournal, LogEntry};
 
 /// Frames this engine allocates from: the first `POOL_FRAMES` pages of
 /// the layout's shadow region.
 const POOL_FRAMES: u64 = 16384;
 const _: () = assert!(POOL_FRAMES <= SHADOW_PAGES);
-
-/// Per-core open-transaction marker. The shadow map, dirty-line list and
-/// tracker live in per-core engine fields, reused across transactions so
-/// the steady state allocates nothing.
-#[derive(Debug, Clone)]
-struct OpenTxn {
-    tid: u64,
-}
 
 /// The conventional shadow-paging engine.
 ///
@@ -57,47 +48,32 @@ struct OpenTxn {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShadowPaging {
-    machine: Machine,
-    vm: VmManager,
-    tlbs: Vec<Tlb<()>>,
-    /// Remap journal (reuses the log machinery: one entry per remapped
+    shell: TxnShell,
+    /// Remap journals (the log machinery reused: one entry per remapped
     /// page, `paddr` holds the new frame).
-    logs: Vec<CoreLog>,
-    commits: Vec<CommitRegister>,
-    open: Vec<Option<OpenTxn>>,
+    journals: Vec<CoreJournal>,
     /// Per-core vpn → shadow frame for pages CoW'd by the open
     /// transaction (cleared, capacity kept, at commit/abort).
     shadows: Vec<FxHashMap<u64, Ppn>>,
     /// Per-core distinct lines actually written (flushed at commit).
     dirty_lines: Vec<Vec<PhysAddr>>,
-    /// Per-core write-set trackers, reused across transactions.
-    trackers: Vec<WriteSetTracker>,
     /// Reusable commit/abort scratch: the remap list sorted by VPN.
     scratch_remaps: Vec<(u64, Ppn)>,
     free_frames: Vec<Ppn>,
-    stats: TxnStats,
-    next_tid: u64,
 }
 
 impl ShadowPaging {
     /// Builds a shadow-paging machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        let layout = NvLayout::default();
-        let cores = cfg.cores;
+        let shell = TxnShell::new(cfg);
+        let cores = shell.cores();
         let mut engine = Self {
-            machine: Machine::new(cfg.clone()),
-            vm: VmManager::new(layout),
-            tlbs: (0..cores).map(|_| Tlb::new(cfg.dtlb_entries)).collect(),
-            logs: (0..cores).map(|c| CoreLog::new(layout, c)).collect(),
-            commits: (0..cores).map(|c| CommitRegister::new(layout, c)).collect(),
-            open: (0..cores).map(|_| None).collect(),
-            shadows: (0..cores).map(|_| FxHashMap::default()).collect(),
-            dirty_lines: (0..cores).map(|_| Vec::new()).collect(),
-            trackers: (0..cores).map(|_| WriteSetTracker::new()).collect(),
+            journals: CoreJournal::per_core(shell.layout(), cores),
+            shadows: vec![FxHashMap::default(); cores],
+            dirty_lines: vec![Vec::new(); cores],
             scratch_remaps: Vec::new(),
             free_frames: Vec::new(),
-            stats: TxnStats::default(),
-            next_tid: 1,
+            shell,
         };
         engine.rebuild_pool();
         engine
@@ -106,11 +82,12 @@ impl ShadowPaging {
     /// Refills the free-frame pool with every pool frame the page table
     /// does not reference, lowest frame on top (popped first).
     fn rebuild_pool(&mut self) {
-        let layout = *self.vm.layout();
+        let vm = &self.shell.vm;
+        let layout = *vm.layout();
         let pool_base = layout.shadow_page(0).raw();
         let mut mapped = [0u64; (POOL_FRAMES / 64) as usize];
-        for i in 0..self.vm.mapped_pages() {
-            if let Some(ppn) = self.vm.translate(Vpn::new(HEAP_BASE_VPN + i)) {
+        for i in 0..vm.mapped_pages() {
+            if let Some(ppn) = vm.translate(Vpn::new(HEAP_BASE_VPN + i)) {
                 // A page never CoW'd still sits in its home frame,
                 // outside the pool.
                 let index = ppn.raw().wrapping_sub(pool_base);
@@ -128,22 +105,10 @@ impl ShadowPaging {
         );
     }
 
-    fn translate(&mut self, core: CoreId, vpn: Vpn) -> Ppn {
-        let hit = self.tlbs[core.index()].lookup(vpn).is_some();
-        let ppn = self
-            .vm
-            .translate(vpn)
-            .unwrap_or_else(|| panic!("access to unmapped page {vpn}"));
-        if !hit {
-            self.machine.record_tlb_miss(core);
-            let _ = self.tlbs[core.index()].insert(vpn, ppn, ());
-        }
-        ppn
-    }
-
-    /// Resolves an address, honouring the transaction's shadow mappings.
+    /// Resolves an address, honouring the transaction's shadow mappings
+    /// over the page table's (whose TLB entries commit keeps current).
     fn resolve(&mut self, core: CoreId, addr: VirtAddr) -> PhysAddr {
-        let home = self.translate(core, addr.vpn());
+        let (home, _) = self.shell.walk(core, addr.vpn());
         let ppn = self.shadows[core.index()]
             .get(&addr.vpn().raw())
             .copied()
@@ -151,50 +116,40 @@ impl ShadowPaging {
         PhysAddr::new(ppn.base().raw() + addr.page_offset() as u64)
     }
 
-    fn handle_tx_evictions(&mut self, evictions: Vec<TxEviction>) {
-        // Shadow frames are private until commit: writing them home early
-        // is harmless.
-        for ev in evictions {
-            self.machine
-                .persist_bytes(None, ev.line, &ev.data, WriteClass::Data);
-        }
-    }
-
     /// Copy-on-write of a whole page into a fresh shadow frame — charged to
     /// the core: this is the critical-path cost SSP eliminates.
     fn cow_page(&mut self, core: CoreId, vpn: Vpn) -> Ppn {
-        let home = self.translate(core, vpn);
+        let (home, _) = self.shell.walk(core, vpn);
         let shadow = self.free_frames.pop().expect("shadow frame pool exhausted");
-        let mlp = self.machine.config().persist_mlp.max(1) as u64;
+        let machine = &mut self.shell.machine;
+        let mlp = machine.config().persist_mlp.max(1) as u64;
         for line in LineIdx::all() {
             // The frame may have been recycled: drop any stale cached lines
             // under its identity before the uncached copy lands.
-            self.machine.discard_line(shadow.line_addr(line));
-            self.machine.copy_line_uncached(
+            machine.discard_line(shadow.line_addr(line));
+            machine.copy_line_uncached(
                 home.line_addr(line),
                 shadow.line_addr(line),
                 WriteClass::PageCopy,
             );
-            let cfg = self.machine.config();
+            let cfg = machine.config();
             let cycles =
                 (cfg.ns_to_cycles(cfg.nvram.read_ns) + cfg.ns_to_cycles(cfg.nvram.write_ns)) / mlp;
-            self.machine.add_cycles(core, cycles.max(1));
+            machine.add_cycles(core, cycles.max(1));
         }
-        debug_assert!(self.open[core.index()].is_some(), "open txn");
         self.shadows[core.index()].insert(vpn.raw(), shadow);
         shadow
     }
 
+    /// A plain (non-TX) write into the page's shadow frame, which is
+    /// private until commit: the hierarchy may write it home at any time.
     fn store_line(&mut self, core: CoreId, addr: VirtAddr, data: &[u8]) {
         let vpn = addr.vpn();
-        debug_assert!(self.open[core.index()].is_some(), "open txn");
-        let shadowed = self.shadows[core.index()].contains_key(&vpn.raw());
-        if !shadowed {
+        if !self.shadows[core.index()].contains_key(&vpn.raw()) {
             self.cow_page(core, vpn);
         }
         let paddr = self.resolve(core, addr);
-        let r = self.machine.write(core, paddr, data, false);
-        self.handle_tx_evictions(r.tx_evictions);
+        self.shell.machine.write(core, paddr, data, false);
         let line = paddr.line_base();
         let dirty = &mut self.dirty_lines[core.index()];
         if !dirty.contains(&line) {
@@ -209,71 +164,43 @@ impl TxnEngine for ShadowPaging {
     }
 
     fn machine(&self) -> &Machine {
-        &self.machine
+        &self.shell.machine
     }
 
     fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+        &mut self.shell.machine
     }
 
     fn map_new_page(&mut self, core: CoreId) -> Vpn {
-        self.vm.map_new_page(&mut self.machine, core)
+        self.shell.map_new_page(core)
     }
 
     fn begin(&mut self, core: CoreId) {
-        assert!(
-            self.open[core.index()].is_none(),
-            "{core} already has an open transaction"
-        );
-        let tid = self.next_tid;
-        self.next_tid += 1;
-        self.open[core.index()] = Some(OpenTxn { tid });
-        self.machine.add_cycles(core, 10);
-        self.machine.obs_record(ObsKind::TxnBegin, tid);
+        self.shell.begin(core);
     }
 
     fn load(&mut self, core: CoreId, addr: VirtAddr, buf: &mut [u8]) {
-        self.stats.loads += 1;
-        self.machine.obs_record(ObsKind::ReadSpan, addr.raw());
+        self.shell.on_load(addr);
         for span in line_spans(addr, buf.len()) {
             let paddr = self.resolve(core, span.addr);
-            let r = self.machine.read(
-                core,
-                paddr,
-                &mut buf[span.buf_offset..span.buf_offset + span.len],
-            );
-            self.handle_tx_evictions(r.tx_evictions);
+            self.shell.machine.read(core, paddr, span.of_mut(buf));
         }
     }
 
     fn store(&mut self, core: CoreId, addr: VirtAddr, data: &[u8]) {
-        assert!(
-            self.open[core.index()].is_some(),
-            "ATOMIC_STORE outside a transaction on {core}"
-        );
-        self.stats.stores += 1;
-        self.machine.obs_record(ObsKind::WriteSpan, addr.raw());
-        self.trackers[core.index()].record(addr, data.len());
+        self.shell.on_store(core, addr, data.len());
         for span in line_spans(addr, data.len()) {
-            self.store_line(
-                core,
-                span.addr,
-                &data[span.buf_offset..span.buf_offset + span.len],
-            );
+            self.store_line(core, span.addr, span.of(data));
         }
     }
 
     fn commit(&mut self, core: CoreId) {
-        let txn = self.open[core.index()]
-            .take()
-            .unwrap_or_else(|| panic!("commit without an open transaction on {core}"));
-        self.machine.obs_record(ObsKind::Validate, txn.tid);
+        let tid = self.shell.begin_commit(core);
+        let machine = &mut self.shell.machine;
         // 1. Persist the written shadow lines.
-        let dirty = std::mem::take(&mut self.dirty_lines[core.index()]);
-        for &line in &dirty {
-            self.machine.flush(Some(core), line, WriteClass::Data);
+        for &line in &self.dirty_lines[core.index()] {
+            machine.flush(Some(core), line, WriteClass::Data);
         }
-        self.dirty_lines[core.index()] = dirty;
         self.dirty_lines[core.index()].clear();
         // 2. Journal the remap list + commit mark, then repoint the page
         //    table (replayed at recovery for torn multi-page commits).
@@ -286,48 +213,45 @@ impl TxnEngine for ShadowPaging {
             self.shadows[core.index()].drain(),
             |&(v, _)| v,
         );
+        let journal = &mut self.journals[core.index()];
+        let mlp = machine.config().persist_mlp.max(1) as u64;
         for &(vpn_raw, shadow) in &remaps {
             let entry = LogEntry {
-                tid: txn.tid,
+                tid,
                 paddr: shadow.base(),
                 vaddr: Vpn::new(vpn_raw).base(),
                 data: [0u8; 64],
             };
-            let cycles = self.logs[core.index()].append(&mut self.machine, &entry);
-            let mlp = self.machine.config().persist_mlp.max(1) as u64;
-            self.machine.add_cycles(core, (cycles / mlp).max(1));
+            let cycles = journal.log.append(machine, &entry);
+            machine.add_cycles(core, (cycles / mlp).max(1));
         }
-        self.logs[core.index()].persist_head(&mut self.machine, Some(core));
+        journal.log.persist_head(machine, Some(core));
         // Fault site: remap journal durable, commit register not yet
         // bumped — a cut here must roll the transaction back on recovery.
-        self.machine.fault_point(FaultSite::CommitData);
-        self.commits[core.index()].commit(&mut self.machine, Some(core), txn.tid);
+        machine.fault_point(FaultSite::CommitData);
+        journal.commit.commit(machine, Some(core), tid);
         // Fault site: the commit register is durable — a cut here must
         // keep the transaction (recovery replays the remaps).
-        self.machine.fault_point(FaultSite::CommitMark);
+        machine.fault_point(FaultSite::CommitMark);
         for &(vpn_raw, shadow) in &remaps {
             let vpn = Vpn::new(vpn_raw);
-            let old = self.vm.translate(vpn).expect("mapped page");
-            self.vm.update_mapping(&mut self.machine, vpn, shadow);
+            let old = self.shell.vm.translate(vpn).expect("mapped page");
+            self.shell.vm.update_mapping(machine, vpn, shadow);
             self.free_frames.push(old);
             // The TLB entry now translates to the shadow frame.
-            for tlb in &mut self.tlbs {
+            for tlb in &mut self.shell.tlbs {
                 if tlb.peek(vpn).is_some() {
-                    let _ = tlb.insert(vpn, shadow, ());
+                    let _ = tlb.insert(vpn, shadow);
                 }
             }
         }
         self.scratch_remaps = remaps;
-        self.logs[core.index()].truncate();
-        self.trackers[core.index()].fold_commit(&mut self.stats);
-        self.machine.obs_record(ObsKind::Commit, txn.tid);
+        journal.log.truncate();
+        self.shell.finish_commit(core, tid);
     }
 
     fn abort(&mut self, core: CoreId) {
-        let txn = self.open[core.index()]
-            .take()
-            .unwrap_or_else(|| panic!("abort without an open transaction on {core}"));
-        self.machine.obs_record(ObsKind::Abort, txn.tid);
+        self.shell.begin_abort(core);
         // Sorted by VPN: recycling order decides future frame allocation,
         // and the map's hash order varies per instance.
         let dropped = sorted_scratch(
@@ -335,74 +259,55 @@ impl TxnEngine for ShadowPaging {
             self.shadows[core.index()].drain(),
             |&(v, _)| v,
         );
-        for &(_, shadow) in &dropped {
-            // Shadow frames were never published: just recycle them.
-            self.free_frames.push(shadow);
-        }
+        // Shadow frames were never published: just recycle them.
+        self.free_frames
+            .extend(dropped.iter().map(|&(_, shadow)| shadow));
         self.scratch_remaps = dropped;
-        let dirty = std::mem::take(&mut self.dirty_lines[core.index()]);
-        for &line in &dirty {
-            self.machine.discard_line(line);
+        for &line in &self.dirty_lines[core.index()] {
+            self.shell.machine.discard_line(line);
         }
-        self.dirty_lines[core.index()] = dirty;
         self.dirty_lines[core.index()].clear();
-        self.logs[core.index()].truncate();
-        self.trackers[core.index()].fold_abort(&mut self.stats);
+        self.journals[core.index()].log.truncate();
+        self.shell.finish_abort(core);
     }
 
     fn crash(&mut self) {
-        self.machine.crash();
-        for tlb in &mut self.tlbs {
-            let _ = tlb.drain();
-        }
-        for o in &mut self.open {
-            *o = None;
-        }
+        self.shell.power_off();
         for m in &mut self.shadows {
             m.clear();
         }
         for d in &mut self.dirty_lines {
             d.clear();
         }
-        for t in &mut self.trackers {
-            t.clear();
-        }
     }
 
     fn recover(&mut self) {
-        self.machine.obs_record(ObsKind::RecoveryReplay, 0);
-        self.vm.recover(&self.machine);
+        self.shell.begin_recovery();
+        let machine = &mut self.shell.machine;
         // Fault site: before any remap replay writes land — a crash
         // *during recovery*; rerunning recovery must succeed (remap
         // replay is idempotent).
-        self.machine.fault_point(FaultSite::Recovery);
+        machine.fault_point(FaultSite::Recovery);
         let mut max_tid = 0;
-        for c in 0..self.logs.len() {
-            self.logs[c].recover(&self.machine);
-            self.commits[c].recover(&self.machine);
-            let committed = self.commits[c].get();
-            max_tid = max_tid.max(committed);
+        for journal in &mut self.journals {
             // Replay remaps of committed transactions (idempotent).
-            for entry in self.logs[c].read_all(&self.machine) {
-                max_tid = max_tid.max(entry.tid);
-                if entry.tid <= committed {
-                    let vpn = VirtAddr::new(entry.vaddr.raw()).vpn();
-                    self.vm
-                        .update_mapping(&mut self.machine, vpn, entry.paddr.ppn());
-                }
+            let (committed, entries) = journal.recover(machine, &mut max_tid);
+            for entry in entries.iter().filter(|e| e.tid <= committed) {
+                self.shell
+                    .vm
+                    .update_mapping(machine, entry.vaddr.vpn(), entry.paddr.ppn());
             }
-            self.logs[c].truncate();
         }
         self.rebuild_pool();
-        self.next_tid = max_tid + 1;
+        self.shell.resume_tids_after(max_tid);
     }
 
     fn in_txn(&self, core: CoreId) -> bool {
-        self.open[core.index()].is_some()
+        self.shell.in_txn(core)
     }
 
     fn txn_stats(&self) -> &TxnStats {
-        &self.stats
+        &self.shell.stats
     }
 }
 
@@ -485,6 +390,13 @@ mod tests {
     }
 
     #[test]
+    fn first_tid_after_recovery_exceeds_every_durable_tid() {
+        crate::common::assert_tids_resume_above_every_durable_one(&mut engine(), |e| {
+            e.shell.tid(C0)
+        });
+    }
+
+    #[test]
     fn multi_page_atomicity() {
         let mut e = engine();
         let a = e.map_new_page(C0).base();
@@ -518,9 +430,14 @@ mod tests {
     /// The pool rebuild `rebuild_pool` replaced, kept as its reference:
     /// every pool frame, filtered through a hash set of the mapped ones.
     fn pool_by_hash_set(e: &ShadowPaging) -> Vec<Ppn> {
-        let layout = NvLayout::default();
-        let used: std::collections::HashSet<u64> = (0..e.vm.mapped_pages())
-            .filter_map(|i| e.vm.translate(Vpn::new(HEAP_BASE_VPN + i)).map(|p| p.raw()))
+        let layout = ssp_txn::vm::NvLayout::default();
+        let used: std::collections::HashSet<u64> = (0..e.shell.vm.mapped_pages())
+            .filter_map(|i| {
+                e.shell
+                    .vm
+                    .translate(Vpn::new(HEAP_BASE_VPN + i))
+                    .map(|p| p.raw())
+            })
             .collect();
         (0..SHADOW_PAGES.min(16384))
             .rev()
@@ -573,7 +490,7 @@ mod tests {
                 e.crash_and_recover();
                 assert_eq!(e.free_frames, pool_by_hash_set(&e), "seed {seed}");
                 for page in &pages {
-                    let backing = e.vm.translate(page.vpn()).unwrap();
+                    let backing = e.shell.vm.translate(page.vpn()).unwrap();
                     assert!(!e.free_frames.contains(&backing), "seed {seed}");
                 }
             }
@@ -593,7 +510,7 @@ mod tests {
         e.commit(C0);
         e.crash_and_recover();
         // The frame now backing the page must not be in the free pool.
-        let backing = e.vm.translate(addr.vpn()).unwrap();
+        let backing = e.shell.vm.translate(addr.vpn()).unwrap();
         assert!(!e.free_frames.contains(&backing));
     }
 }

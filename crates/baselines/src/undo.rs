@@ -11,25 +11,16 @@
 //! applied in reverse.
 
 use ssp_simulator::addr::{PhysAddr, VirtAddr, Vpn, LINE_SIZE};
-use ssp_simulator::cache::{CoreId, TxEviction};
+use ssp_simulator::cache::CoreId;
 use ssp_simulator::config::MachineConfig;
 use ssp_simulator::fault::FaultSite;
 use ssp_simulator::machine::Machine;
-use ssp_simulator::obs::ObsKind;
 use ssp_simulator::stats::WriteClass;
-use ssp_simulator::tlb::Tlb;
-use ssp_txn::engine::{line_spans, PageBitmaps, TxnEngine, TxnStats, WriteSetTracker};
-use ssp_txn::vm::{NvLayout, VmManager};
+use ssp_simulator::timing::{AccessKind, MemKind};
+use ssp_txn::engine::{line_spans, PageBitmaps, TxnEngine, TxnStats};
+use ssp_txn::shell::TxnShell;
 
-use crate::common::{blocking_persist_cycles, CommitRegister, CoreLog, LogEntry};
-
-/// Per-core open-transaction marker. The logged-line set and write-set
-/// tracker live in per-core engine fields, reused across transactions so
-/// the steady state allocates nothing.
-#[derive(Debug, Clone)]
-struct OpenTxn {
-    tid: u64,
-}
+use crate::common::{CoreJournal, LogEntry};
 
 /// The hardware undo-logging engine.
 ///
@@ -54,103 +45,60 @@ struct OpenTxn {
 /// ```
 #[derive(Debug, Clone)]
 pub struct UndoLog {
-    machine: Machine,
-    vm: VmManager,
-    tlbs: Vec<Tlb<()>>,
-    logs: Vec<CoreLog>,
-    commits: Vec<CommitRegister>,
-    open: Vec<Option<OpenTxn>>,
+    shell: TxnShell,
+    journals: Vec<CoreJournal>,
     /// Per-core physical lines already logged this transaction (cleared,
     /// capacity kept, at commit/abort); iterates in address order, which
     /// is the order commit flushes them in.
     logged: Vec<PageBitmaps>,
-    /// Per-core write-set trackers, reused across transactions.
-    trackers: Vec<WriteSetTracker>,
-    stats: TxnStats,
-    next_tid: u64,
 }
 
 impl UndoLog {
     /// Builds an undo-logging machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        let layout = NvLayout::default();
-        let cores = cfg.cores;
+        let shell = TxnShell::new(cfg);
         Self {
-            machine: Machine::new(cfg.clone()),
-            vm: VmManager::new(layout),
-            tlbs: (0..cores).map(|_| Tlb::new(cfg.dtlb_entries)).collect(),
-            logs: (0..cores).map(|c| CoreLog::new(layout, c)).collect(),
-            commits: (0..cores).map(|c| CommitRegister::new(layout, c)).collect(),
-            open: (0..cores).map(|_| None).collect(),
-            logged: (0..cores).map(|_| PageBitmaps::new()).collect(),
-            trackers: (0..cores).map(|_| WriteSetTracker::new()).collect(),
-            stats: TxnStats::default(),
-            next_tid: 1,
+            journals: CoreJournal::per_core(shell.layout(), shell.cores()),
+            logged: vec![PageBitmaps::new(); shell.cores()],
+            shell,
         }
     }
 
     /// Undo log entries written so far (for Figure 6).
     pub fn log_entries(&self) -> u64 {
-        self.logs.iter().map(CoreLog::entries_appended).sum()
+        self.journals.iter().map(|j| j.log.entries_appended()).sum()
     }
 
-    fn translate(&mut self, core: CoreId, vpn: Vpn) -> PhysAddr {
-        // Mappings never change under this engine, so a TLB entry is
-        // always current.
-        if let Some(entry) = self.tlbs[core.index()].lookup(vpn) {
-            return entry.ppn.base();
-        }
-        let ppn = self
-            .vm
-            .translate(vpn)
-            .unwrap_or_else(|| panic!("access to unmapped page {vpn}"));
-        self.machine.record_tlb_miss(core);
-        let _ = self.tlbs[core.index()].insert(vpn, ppn, ());
-        ppn.base()
-    }
-
-    fn paddr_of(&mut self, core: CoreId, addr: VirtAddr) -> PhysAddr {
-        let base = self.translate(core, addr.vpn());
-        PhysAddr::new(base.raw() + addr.page_offset() as u64)
-    }
-
-    /// In-place update writes can always go home: the undo record protects
-    /// them.
-    fn handle_tx_evictions(&mut self, evictions: Vec<TxEviction>) {
-        for ev in evictions {
-            self.machine
-                .persist_bytes(None, ev.line, &ev.data, WriteClass::Data);
-        }
-    }
-
+    /// In-place update under an undo record. (The lines are never marked
+    /// TX: the record protects them, so the hierarchy may write them home
+    /// whenever it likes.)
     fn store_line(&mut self, core: CoreId, addr: VirtAddr, data: &[u8]) {
-        let paddr = self.paddr_of(core, addr);
+        let paddr = self.shell.paddr_of(core, addr);
         let line_base = paddr.line_base();
-        let tid = self.open[core.index()].as_ref().expect("open txn").tid;
         let needs_log =
             self.logged[core.index()].insert(line_base.ppn().raw(), line_base.line_index().raw());
         if needs_log {
             // Read the pre-image (through the cache: it may be dirty).
             let mut old = [0u8; LINE_SIZE];
-            let r = self.machine.read(core, line_base, &mut old);
-            self.handle_tx_evictions(r.tx_evictions);
-            let mut entry_data = [0u8; LINE_SIZE];
-            entry_data.copy_from_slice(&old);
+            self.shell.machine.read(core, line_base, &mut old);
             let entry = LogEntry {
-                tid,
+                tid: self.shell.tid(core),
                 paddr: line_base,
                 vaddr: addr.line_base(),
-                data: entry_data,
+                data: old,
             };
-            let _ = self.logs[core.index()].append(&mut self.machine, &entry);
-            self.logs[core.index()].persist_head(&mut self.machine, None);
+            let log = &mut self.journals[core.index()].log;
+            let _ = log.append(&mut self.shell.machine, &entry);
+            log.persist_head(&mut self.shell.machine, None);
             // The store blocks until the record is durable: charge the full
             // (un-overlapped) persist latency.
-            let stall = blocking_persist_cycles(&self.machine);
-            self.machine.add_cycles(core, stall);
+            let stall = self
+                .shell
+                .machine
+                .array_cycles(MemKind::Nvram, AccessKind::Write);
+            self.shell.machine.add_cycles(core, stall);
         }
-        let r = self.machine.write(core, paddr, data, false);
-        self.handle_tx_evictions(r.tx_evictions);
+        self.shell.machine.write(core, paddr, data, false);
     }
 }
 
@@ -160,160 +108,112 @@ impl TxnEngine for UndoLog {
     }
 
     fn machine(&self) -> &Machine {
-        &self.machine
+        &self.shell.machine
     }
 
     fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
+        &mut self.shell.machine
     }
 
     fn map_new_page(&mut self, core: CoreId) -> Vpn {
-        self.vm.map_new_page(&mut self.machine, core)
+        self.shell.map_new_page(core)
     }
 
     fn begin(&mut self, core: CoreId) {
-        assert!(
-            self.open[core.index()].is_none(),
-            "{core} already has an open transaction"
-        );
-        let tid = self.next_tid;
-        self.next_tid += 1;
-        self.open[core.index()] = Some(OpenTxn { tid });
-        self.machine.add_cycles(core, 10);
-        self.machine.obs_record(ObsKind::TxnBegin, tid);
+        self.shell.begin(core);
     }
 
     fn load(&mut self, core: CoreId, addr: VirtAddr, buf: &mut [u8]) {
-        self.stats.loads += 1;
-        self.machine.obs_record(ObsKind::ReadSpan, addr.raw());
+        self.shell.on_load(addr);
         for span in line_spans(addr, buf.len()) {
-            let paddr = self.paddr_of(core, span.addr);
-            let r = self.machine.read(
-                core,
-                paddr,
-                &mut buf[span.buf_offset..span.buf_offset + span.len],
-            );
-            self.handle_tx_evictions(r.tx_evictions);
+            let paddr = self.shell.paddr_of(core, span.addr);
+            self.shell.machine.read(core, paddr, span.of_mut(buf));
         }
     }
 
     fn store(&mut self, core: CoreId, addr: VirtAddr, data: &[u8]) {
-        assert!(
-            self.open[core.index()].is_some(),
-            "ATOMIC_STORE outside a transaction on {core}"
-        );
-        self.stats.stores += 1;
-        self.machine.obs_record(ObsKind::WriteSpan, addr.raw());
-        self.trackers[core.index()].record(addr, data.len());
+        self.shell.on_store(core, addr, data.len());
         for span in line_spans(addr, data.len()) {
-            self.store_line(
-                core,
-                span.addr,
-                &data[span.buf_offset..span.buf_offset + span.len],
-            );
+            self.store_line(core, span.addr, span.of(data));
         }
     }
 
     fn commit(&mut self, core: CoreId) {
-        let txn = self.open[core.index()]
-            .take()
-            .unwrap_or_else(|| panic!("commit without an open transaction on {core}"));
-        self.machine.obs_record(ObsKind::Validate, txn.tid);
+        let tid = self.shell.begin_commit(core);
+        let machine = &mut self.shell.machine;
         // Flush the write set so the new values are durable, in address
         // order: flush order reaches the row-buffer model (determinism
         // contract of `TxnEngine`).
         for line in self.logged[core.index()].line_addrs() {
-            self.machine
-                .flush(Some(core), PhysAddr::new(line), WriteClass::Data);
+            machine.flush(Some(core), PhysAddr::new(line), WriteClass::Data);
         }
         self.logged[core.index()].clear();
         // Fault site: data durable, commit register not yet bumped — a
         // cut here must roll the transaction back on recovery.
-        self.machine.fault_point(FaultSite::CommitData);
+        machine.fault_point(FaultSite::CommitData);
         // Atomic commit point.
-        self.commits[core.index()].commit(&mut self.machine, Some(core), txn.tid);
+        let journal = &mut self.journals[core.index()];
+        journal.commit.commit(machine, Some(core), tid);
         // Fault site: the commit register is durable — a cut here must
         // keep the transaction.
-        self.machine.fault_point(FaultSite::CommitMark);
+        machine.fault_point(FaultSite::CommitMark);
         // The log space can be reused.
-        self.logs[core.index()].truncate();
-        self.trackers[core.index()].fold_commit(&mut self.stats);
-        self.machine.obs_record(ObsKind::Commit, txn.tid);
+        journal.log.truncate();
+        self.shell.finish_commit(core, tid);
     }
 
     fn abort(&mut self, core: CoreId) {
-        let txn = self.open[core.index()]
-            .take()
-            .unwrap_or_else(|| panic!("abort without an open transaction on {core}"));
-        self.machine.obs_record(ObsKind::Abort, txn.tid);
+        let tid = self.shell.begin_abort(core);
         // Apply undo images in reverse.
-        let entries = self.logs[core.index()].read_all(&self.machine);
-        for entry in entries.iter().rev() {
-            if entry.tid == txn.tid {
-                let r = self.machine.write(core, entry.paddr, &entry.data, false);
-                self.handle_tx_evictions(r.tx_evictions);
+        let log = &mut self.journals[core.index()].log;
+        for entry in log.read_all(&self.shell.machine).iter().rev() {
+            if entry.tid == tid {
+                self.shell
+                    .machine
+                    .write(core, entry.paddr, &entry.data, false);
             }
         }
-        self.logs[core.index()].truncate();
+        log.truncate();
         self.logged[core.index()].clear();
-        self.trackers[core.index()].fold_abort(&mut self.stats);
+        self.shell.finish_abort(core);
     }
 
     fn crash(&mut self) {
-        self.machine.crash();
-        for tlb in &mut self.tlbs {
-            let _ = tlb.drain();
-        }
-        for o in &mut self.open {
-            *o = None;
-        }
+        self.shell.power_off();
         for l in &mut self.logged {
             l.clear();
-        }
-        for t in &mut self.trackers {
-            t.clear();
         }
     }
 
     fn recover(&mut self) {
-        self.machine.obs_record(ObsKind::RecoveryReplay, 0);
-        self.vm.recover(&self.machine);
+        self.shell.begin_recovery();
+        let machine = &mut self.shell.machine;
         let mut max_tid = 0;
-        let mut per_core: Vec<(u64, Vec<LogEntry>)> = Vec::new();
-        for c in 0..self.logs.len() {
-            self.logs[c].recover(&self.machine);
-            self.commits[c].recover(&self.machine);
-            let committed = self.commits[c].get();
-            max_tid = max_tid.max(committed);
-            per_core.push((committed, self.logs[c].read_all(&self.machine)));
-        }
+        let per_core: Vec<(u64, Vec<LogEntry>)> = self
+            .journals
+            .iter_mut()
+            .map(|j| j.recover(machine, &mut max_tid))
+            .collect();
         // Fault site: logs and commit registers read, nothing rolled back
         // yet — a crash *during recovery*; rerunning recovery must
         // succeed (undo replay is idempotent).
-        self.machine.fault_point(FaultSite::Recovery);
+        machine.fault_point(FaultSite::Recovery);
         for (committed, entries) in &per_core {
             // Roll back the (single) uncommitted transaction: its entries
             // are exactly those with tid > the core's commit register.
-            for entry in entries.iter().rev() {
-                max_tid = max_tid.max(entry.tid);
-                if entry.tid > *committed {
-                    self.machine
-                        .persist_bytes(None, entry.paddr, &entry.data, WriteClass::Data);
-                }
+            for entry in entries.iter().rev().filter(|e| e.tid > *committed) {
+                machine.persist_bytes(None, entry.paddr, &entry.data, WriteClass::Data);
             }
         }
-        for log in &mut self.logs {
-            log.truncate();
-        }
-        self.next_tid = max_tid + 1;
+        self.shell.resume_tids_after(max_tid);
     }
 
     fn in_txn(&self, core: CoreId) -> bool {
-        self.open[core.index()].is_some()
+        self.shell.in_txn(core)
     }
 
     fn txn_stats(&self) -> &TxnStats {
-        &self.stats
+        &self.shell.stats
     }
 }
 
@@ -407,6 +307,13 @@ mod tests {
         let delta = e.machine().cycles(C0) - before;
         // At least the full 200 ns NVRAM write (740 cycles at 3.7 GHz).
         assert!(delta >= 740, "store stalled only {delta} cycles");
+    }
+
+    #[test]
+    fn first_tid_after_recovery_exceeds_every_durable_tid() {
+        crate::common::assert_tids_resume_above_every_durable_one(&mut engine(), |e| {
+            e.shell.tid(C0)
+        });
     }
 
     #[test]

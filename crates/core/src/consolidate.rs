@@ -145,19 +145,15 @@ impl Consolidator {
                 // non-destructive and crash-safe. The background thread
                 // copies through the cache, so the merged line stays
                 // resident in L3 (stale copies of the overwritten identity
-                // are dropped by the install).
+                // are dropped by the install). A TX line the install
+                // displaces is written home by the machine, which under SSP
+                // is always safe (its home is the non-committed copy).
                 let data = machine.read_line_uncached(loser.line_addr(line));
-                let fallout = machine.install_line_cached(
+                machine.install_line_cached(
                     winner.line_addr(line),
                     data,
                     WriteClass::Consolidation,
                 );
-                // Set-pressure fallout: under SSP, writing a displaced TX
-                // line home is always safe (its home is the non-committed
-                // copy).
-                for ev in fallout.tx_evictions {
-                    machine.persist_bytes(None, ev.line, &ev.data, WriteClass::Data);
-                }
                 self.stats.lines_copied += 1;
             }
         }

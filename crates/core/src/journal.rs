@@ -19,13 +19,24 @@
 //!
 //! Appends accumulate in a volatile buffer; a *flush* persists the
 //! buffered bytes. Records carry the journal's current **epoch** so
-//! recovery can find the valid extent without a per-commit head-pointer
-//! persist: it scans from the start of the journal area and accepts
-//! records until the epoch stops matching (records surviving from before
-//! the last checkpoint carry the previous epoch). A transaction is durable
-//! exactly when the flush covering its `CommitMark` record completes.
-//! Checkpointing folds records into the persistent slot area, rewinds the
-//! journal to offset zero and bumps the persisted epoch.
+//! recovery can look for the valid extent without a per-commit
+//! head-pointer persist: it scans from the start of the journal area and
+//! accepts records until one does not decode under the current epoch. A
+//! transaction is durable exactly when the flush covering its
+//! `CommitMark` record completes. Checkpointing folds records into the
+//! persistent slot area, rewinds the journal to offset zero and bumps the
+//! persisted epoch.
+//!
+//! **What the scan does not establish** (ROADMAP item 1; documented here,
+//! not yet fixed). The bytes past the true tail are whatever earlier
+//! epochs left there — *any* older epoch, at *any* alignment, because
+//! records are 8, 16 or 32 bytes and each epoch lays them out afresh from
+//! offset zero. A record is accepted on two bytes alone (a kind in
+//! `1..=4` and an epoch byte equal to the current one), so (a) the 8-bit
+//! epoch laps after 255 truncations and a record 255 truncations old
+//! reads as live, and (b) once the scan passes the true tail it can land
+//! inside an older record, where payload bytes (a bitmap, a tid) pass for
+//! a header. Nothing persisted marks where the live records end.
 
 use ssp_simulator::addr::{PhysAddr, Ppn, Vpn, PAGE_SIZE};
 use ssp_simulator::cache::CoreId;
@@ -258,8 +269,11 @@ impl MetaJournal {
         self.appended_records += 1;
     }
 
-    /// Persists the buffered records and then the head pointer. Charges the
-    /// persist latency to `core` if given. Returns the number of buffered
+    /// Persists the buffered records in one `persist_bytes` call, charging
+    /// the persist latency to `core` if given, and advances the *volatile*
+    /// head. No head pointer is persisted: recovery re-derives the extent
+    /// by scanning ([`read_live`](Self::read_live); its limits are in the
+    /// module docs and ROADMAP item 1). Returns the number of buffered
     /// bytes persisted.
     ///
     /// # Panics
@@ -306,10 +320,12 @@ impl MetaJournal {
         );
     }
 
-    /// Reads the valid records back from NVRAM (recovery): scans from the
-    /// start of the journal area and accepts records carrying the current
-    /// epoch, stopping at the first stale or invalid record. The area is
-    /// read a page at a time, only as far as the live records reach.
+    /// Reads records back from NVRAM (recovery): scans from the start of
+    /// the journal area and accepts records for as long as the next bytes
+    /// decode as a record kind under the current epoch — two bytes are all
+    /// that is checked, which stops the scan at the true tail only if what
+    /// lies past it does not happen to pass (module docs, ROADMAP item 1).
+    /// The area is read a page at a time, only as far as the scan gets.
     pub fn read_live(&self, machine: &Machine) -> Vec<Record> {
         let capacity = self.capacity as usize;
         let mut records = Vec::new();

@@ -8,10 +8,11 @@
 //!   the bytes that reached (NV)RAM.
 //! * Lines carry a **TX bit** (the paper's per-line transactional tag). The
 //!   hierarchy never writes a dirty TX line back to its home address on
-//!   eviction; instead the line is handed to the transaction engine through
-//!   [`AccessResult::tx_evictions`], which decides what is safe (SSP writes
-//!   it home because remapping already protects the committed copy; redo
-//!   logging must divert it to the log).
+//!   eviction; instead the line goes into the hierarchy's spill buffer and
+//!   the [`Machine`](crate::machine::Machine) settles it once the access is
+//!   over: written home (safe under SSP, where remapping already protects
+//!   the committed copy), or held for an engine that must keep it away from
+//!   home until commit (redo logging).
 //! * Only one core may hold a line dirty (single-writer); writes to shared
 //!   lines invalidate the other sharers and are counted as coherence
 //!   traffic.
@@ -477,7 +478,7 @@ impl SetAssoc {
 }
 
 /// A dirty transactional line that left the hierarchy and was **not**
-/// written to its home address; the engine must decide its fate.
+/// written to its home address: a spill.
 #[derive(Debug, Clone)]
 pub struct TxEviction {
     /// Line base physical address.
@@ -487,12 +488,10 @@ pub struct TxEviction {
 }
 
 /// Outcome of one cache access.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessResult {
     /// Latency charged to the issuing core.
     pub cycles: u64,
-    /// Dirty TX lines pushed out of the hierarchy by this access.
-    pub tx_evictions: Vec<TxEviction>,
 }
 
 /// The operation an access performs on the target line.
@@ -535,6 +534,11 @@ pub struct CacheHierarchy {
     l1: Vec<SetAssoc>,
     l2: Vec<SetAssoc>,
     l3: SetAssoc,
+    /// Dirty TX lines that left the hierarchy and were not written home,
+    /// oldest first. Whoever drives the hierarchy empties it after each
+    /// operation (capacity is kept, so a spill allocates nothing once the
+    /// buffer has grown to the largest burst).
+    pub(crate) spills: Vec<TxEviction>,
 }
 
 impl CacheHierarchy {
@@ -551,6 +555,7 @@ impl CacheHierarchy {
             l1,
             l2,
             l3: SetAssoc::new(cfg.l3.sets(), cfg.l3.ways, Role::Directory(cfg.cores)),
+            spills: Vec::new(),
         }
     }
 
@@ -578,7 +583,6 @@ impl CacheHierarchy {
         let c = core.index();
         let mut result = AccessResult {
             cycles: cfg.l1.latency_cycles,
-            ..Default::default()
         };
         let is_write = op.is_write();
 
@@ -693,7 +697,7 @@ impl CacheHierarchy {
             self.l3.set_flag(home, FLAG_OWNED, true);
         }
         if let (_, Some(victim)) = self.l1[c].insert(slot) {
-            self.evict_from_l1(core, victim, mem, timing, stats, &mut result);
+            self.evict_from_l1(core, victim, mem, timing, stats);
         }
         result
     }
@@ -716,7 +720,7 @@ impl CacheHierarchy {
             .l3
             .insert(Slot::new(addr.line_base().raw(), false, false, data));
         if let Some(v) = victim {
-            self.evict_from_l3(v, mem, timing, stats, result);
+            self.evict_from_l3(v, mem, timing, stats);
         }
         home
     }
@@ -815,7 +819,6 @@ impl CacheHierarchy {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn evict_from_l1(
         &mut self,
         core: CoreId,
@@ -823,7 +826,6 @@ impl CacheHierarchy {
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
-        result: &mut AccessResult,
     ) {
         let Some((set, pos)) = self.l3.probe(victim.line) else {
             // Unreachable while the L3 is inclusive (module docs); kept so
@@ -835,9 +837,9 @@ impl CacheHierarchy {
                     if v.line == line {
                         // The victim itself could not be placed: fall
                         // through to memory.
-                        self.write_back(v, mem, timing, stats, result);
+                        self.write_back(v, mem, timing, stats);
                     } else {
-                        self.evict_from_l3(v, mem, timing, stats, result);
+                        self.evict_from_l3(v, mem, timing, stats);
                     }
                 }
             }
@@ -862,7 +864,6 @@ impl CacheHierarchy {
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
-        result: &mut AccessResult,
     ) {
         let mut victim = victim;
         if let Some(fresh) = self.back_invalidate(victim.line, victim.sharers) {
@@ -871,23 +872,22 @@ impl CacheHierarchy {
             victim.tx = fresh.tx;
         }
         if victim.dirty {
-            self.write_back(victim, mem, timing, stats, result);
+            self.write_back(victim, mem, timing, stats);
         }
     }
 
     /// Writes a dirty line to memory — unless it is transactional, in which
-    /// case it is handed to the engine instead.
+    /// case it spills instead.
     fn write_back(
         &mut self,
         victim: Slot,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
-        result: &mut AccessResult,
     ) {
         let addr = PhysAddr::new(victim.line);
         if victim.tx {
-            result.tx_evictions.push(TxEviction {
+            self.spills.push(TxEviction {
                 line: addr,
                 data: victim.data,
             });
@@ -959,9 +959,9 @@ impl CacheHierarchy {
 
     /// Atomically moves `core`'s cached copy of `old` so it tags `new`
     /// instead — SSP's line-level remap (Figure 4, step iii). The data does
-    /// not move through memory. Returns `None` if `core`'s L1 does not hold
-    /// `old` (the caller must fill it first).
-    #[allow(clippy::too_many_arguments)]
+    /// not move through memory and no latency is charged. Returns `false`,
+    /// with nothing touched, if `core`'s L1 does not hold `old` (the caller
+    /// must fill it first).
     pub fn retag(
         &mut self,
         core: CoreId,
@@ -970,12 +970,13 @@ impl CacheHierarchy {
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
-    ) -> Option<AccessResult> {
+    ) -> bool {
         let old_key = old.line_base().raw();
         let new_key = new.line_base().raw();
         let c = core.index();
-        let slot = self.l1[c].remove(old_key)?;
-        let mut result = AccessResult::default();
+        let Some(slot) = self.l1[c].remove(old_key) else {
+            return false;
+        };
         // Drop every stale trace of the old identity.
         self.purge(old_key);
         let _ = self.l2[c].remove(old_key);
@@ -991,19 +992,18 @@ impl CacheHierarchy {
             ..Slot::new(new_key, false, true, slot.data)
         });
         if let Some(v) = victim {
-            self.evict_from_l3(v, mem, timing, stats, &mut result);
+            self.evict_from_l3(v, mem, timing, stats);
         }
         if let (_, Some(v)) = self.l1[c].insert(Slot::new(new_key, true, true, slot.data)) {
-            self.evict_from_l1(core, v, mem, timing, stats, &mut result);
+            self.evict_from_l1(core, v, mem, timing, stats);
         }
-        Some(result)
+        true
     }
 
     /// Installs a clean line into the shared L3 (a background OS thread's
     /// cached copy loop followed by `clwb` leaves the data resident).
     /// Any stale copies of the identity are dropped first. Displaced dirty
-    /// TX lines (rare set-pressure fallout) are returned for the engine to
-    /// handle.
+    /// TX lines (rare set-pressure fallout) spill.
     pub fn install_line_l3(
         &mut self,
         line: PhysAddr,
@@ -1011,14 +1011,12 @@ impl CacheHierarchy {
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
-    ) -> AccessResult {
+    ) {
         let key = line.line_base().raw();
         self.purge(key);
-        let mut result = AccessResult::default();
         if let (_, Some(v)) = self.l3.insert(Slot::new(key, false, false, data)) {
-            self.evict_from_l3(v, mem, timing, stats, &mut result);
+            self.evict_from_l3(v, mem, timing, stats);
         }
-        result
     }
 
     /// Clears the TX bit on every cached copy of `line` (transaction commit).
@@ -1060,9 +1058,10 @@ impl CacheHierarchy {
         l1_dirty + l3_dirty
     }
 
-    /// Discards all cached state (power failure). The directory goes with
-    /// the L3 slots that hold it.
+    /// Discards all cached state (power failure), unsettled spills
+    /// included. The directory goes with the L3 slots that hold it.
     pub fn crash(&mut self) {
+        self.spills.clear();
         for c in &mut self.l1 {
             c.clear();
         }
@@ -1268,7 +1267,7 @@ mod tests {
             &mut rig.timing,
             &mut rig.stats,
         );
-        assert!(res.is_some());
+        assert!(res);
         assert_eq!(rig.read(0, p1), 0xaa);
         // The old identity no longer holds the data: a fresh read goes to
         // memory, which was never written.
@@ -1286,11 +1285,11 @@ mod tests {
             &mut rig.timing,
             &mut rig.stats,
         );
-        assert!(res.is_none());
+        assert!(!res);
     }
 
     #[test]
-    fn tx_line_eviction_is_handed_to_engine_not_memory() {
+    fn tx_line_eviction_spills_instead_of_reaching_memory() {
         let mut rig = Rig::new();
         let l1_sets = rig.cfg.l1.sets() as u64;
         let stride = l1_sets * 64;
@@ -1298,9 +1297,8 @@ mod tests {
         // Fill one L1 set with TX lines, then overflow it with more TX lines
         // so a TX victim must be chosen.
         let overfill = rig.cfg.l1.ways as u64 + 2;
-        let mut tx_evictions = Vec::new();
         for i in 0..overfill {
-            let r = rig.cache.access(
+            rig.cache.access(
                 CoreId::new(0),
                 PhysAddr::new(base + i * stride),
                 LineOp::Write {
@@ -1313,13 +1311,12 @@ mod tests {
                 &mut rig.timing,
                 &mut rig.stats,
             );
-            tx_evictions.extend(r.tx_evictions);
         }
         // No TX data reached NVRAM home locations.
         assert_eq!(rig.stats.nvram_writes(WriteClass::Data), 0);
-        // L1 overflow pushed TX lines to L3 (not out), so no engine events
+        // L1 overflow pushed TX lines to L3 (not out), so nothing spilled
         // yet unless L3 also overflowed; either way memory stayed clean.
-        for ev in &tx_evictions {
+        for ev in &rig.cache.spills {
             assert_eq!(
                 rig.mem.read_line(ev.line.ppn(), ev.line.line_index()),
                 [0u8; LINE_SIZE]
@@ -1615,11 +1612,16 @@ mod tests {
         }
     }
 
-    fn evictions(r: &AccessResult) -> Vec<(u64, [u8; LINE_SIZE])> {
-        r.tx_evictions
-            .iter()
-            .map(|e| (e.line.raw(), e.data))
-            .collect()
+    fn evictions(spills: &[TxEviction]) -> Vec<(u64, [u8; LINE_SIZE])> {
+        spills.iter().map(|e| (e.line.raw(), e.data)).collect()
+    }
+
+    /// The live hierarchy's spills since the last call, emptying its buffer
+    /// the way the machine does after every operation.
+    fn spilled(cache: &mut CacheHierarchy) -> Vec<(u64, [u8; LINE_SIZE])> {
+        let out = evictions(&cache.spills);
+        cache.spills.clear();
+        out
     }
 
     /// Where a lockstep step diverged (formatted only on failure).
@@ -1698,7 +1700,11 @@ mod tests {
                         );
                         assert_eq!(a[..len], b[offset..offset + len], "read bytes, {what:?}");
                         assert_eq!(ra.cycles, rb.cycles, "read cycles, {what:?}");
-                        assert_eq!(evictions(&ra), evictions(&rb), "read evictions, {what:?}");
+                        assert_eq!(
+                            spilled(&mut new.cache),
+                            evictions(&rb.tx_evictions),
+                            "read evictions, {what:?}"
+                        );
                     }
                     // Write: any sub-range; TX only inside the pool.
                     35..=69 => {
@@ -1733,7 +1739,11 @@ mod tests {
                             &mut old.stats,
                         );
                         assert_eq!(ra.cycles, rb.cycles, "write cycles, {what:?}");
-                        assert_eq!(evictions(&ra), evictions(&rb), "write evictions, {what:?}");
+                        assert_eq!(
+                            spilled(&mut new.cache),
+                            evictions(&rb.tx_evictions),
+                            "write evictions, {what:?}"
+                        );
                     }
                     70..=79 => {
                         let a = new.cache.flush_line(
@@ -1775,11 +1785,14 @@ mod tests {
                             &mut old.timing,
                             &mut old.stats,
                         );
-                        assert_eq!(a.is_some(), b.is_some(), "retag presence, {what:?}");
-                        if let (Some(a), Some(b)) = (a, b) {
-                            assert_eq!(a.cycles, b.cycles, "retag cycles, {what:?}");
-                            assert_eq!(evictions(&a), evictions(&b), "retag evictions, {what:?}");
-                        }
+                        assert_eq!(a, b.is_some(), "retag presence, {what:?}");
+                        let b = b.unwrap_or_default();
+                        assert_eq!(b.cycles, 0, "a retag charges nothing, {what:?}");
+                        assert_eq!(
+                            spilled(&mut new.cache),
+                            evictions(&b.tx_evictions),
+                            "retag evictions, {what:?}"
+                        );
                     }
                     87..=90 => {
                         new.cache.discard_line(addr);
@@ -1791,7 +1804,7 @@ mod tests {
                     }
                     96..=98 => {
                         let data = [(step % 249) as u8; LINE_SIZE];
-                        let a = new.cache.install_line_l3(
+                        new.cache.install_line_l3(
                             addr,
                             data,
                             &mut new.mem,
@@ -1806,8 +1819,12 @@ mod tests {
                             &mut old.timing,
                             &mut old.stats,
                         );
-                        assert_eq!(a.cycles, b.cycles, "install cycles, {what:?}");
-                        assert_eq!(evictions(&a), evictions(&b), "install evictions, {what:?}");
+                        assert_eq!(b.cycles, 0, "an install charges nothing, {what:?}");
+                        assert_eq!(
+                            spilled(&mut new.cache),
+                            evictions(&b.tx_evictions),
+                            "install evictions, {what:?}"
+                        );
                     }
                     _ => {
                         if step % 7 == 0 {

@@ -4,17 +4,27 @@
 //! directory and the full-line `LineOp::Read`. The lockstep tests in
 //! `cache.rs` drive it beside the live hierarchy over random multi-core
 //! streams; every cycle count, counter, eviction and dirty-line count
-//! must agree after every step. Only the names of the shared result
-//! types were re-pointed at the parent module, and `access_cycles` lost
-//! its `cfg` argument with the live timing model.
+//! must agree after every step. Only the names of the shared types were
+//! re-pointed at the parent module, and `access_cycles` lost its `cfg`
+//! argument with the live timing model. It still returns TX spills by
+//! value, as the live hierarchy did: the lockstep test compares them with
+//! what the live one left in its spill buffer.
 
-use super::{AccessResult, CoreId, TxEviction};
+use super::{CoreId, TxEviction};
 use crate::addr::{PhysAddr, LINE_SIZE};
 use crate::config::MachineConfig;
 use crate::phys::PhysMem;
 use crate::stats::{MachineStats, WriteClass};
 use crate::timing::{AccessKind, MemTiming};
 use fxhash::FxHashMap;
+
+/// Outcome of one access: the latency, and the dirty TX lines it pushed
+/// out of the hierarchy.
+#[derive(Debug, Default)]
+pub struct AccessResult {
+    pub cycles: u64,
+    pub tx_evictions: Vec<TxEviction>,
+}
 
 /// One cached line, as an owned value moving in and out of a [`SetAssoc`].
 #[derive(Debug, Clone)]

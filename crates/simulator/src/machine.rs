@@ -7,7 +7,7 @@
 //! line.
 
 use crate::addr::{PhysAddr, LINE_SIZE};
-use crate::cache::{AccessResult, CacheHierarchy, CoreId, LineOp};
+use crate::cache::{AccessResult, CacheHierarchy, CoreId, LineOp, TxEviction};
 use crate::config::MachineConfig;
 use crate::fault::{CrashPoint, FaultSite, FaultState};
 use crate::interconnect::{EpochCharge, LlcEvent, MemEvent};
@@ -45,6 +45,10 @@ pub struct Machine {
     core_cycles: Vec<u64>,
     fault: FaultState,
     obs: ObsRing,
+    /// Whether dirty TX lines that leave the hierarchy wait in the spill
+    /// buffer for the engine (see [`Machine::hold_tx_spills`]) instead of
+    /// being written home.
+    hold_spills: bool,
 }
 
 impl Machine {
@@ -63,7 +67,62 @@ impl Machine {
             core_cycles,
             fault: FaultState::default(),
             obs,
+            hold_spills: false,
         }
+    }
+
+    /// Makes this machine keep dirty TX lines that leave the hierarchy in
+    /// its spill buffer instead of writing them home. For the one kind of
+    /// engine whose speculative lines must not reach their home address
+    /// before commit (redo logging); it says so once, at construction, and
+    /// from then on empties the buffer with [`Machine::drain_tx_spills`]
+    /// after every access that can evict (`read`, `write`). A spill still
+    /// in the buffer at the next access fails a `debug_assert!`.
+    pub fn hold_tx_spills(&mut self) {
+        self.hold_spills = true;
+    }
+
+    /// Hands out the held TX spills, oldest first, leaving the buffer empty
+    /// (its capacity is kept). Always empty unless
+    /// [`Machine::hold_tx_spills`] was called.
+    #[inline]
+    pub fn drain_tx_spills(&mut self) -> std::vec::Drain<'_, TxEviction> {
+        self.cache.spills.drain(..)
+    }
+
+    /// Settles the dirty TX lines the operation that just finished pushed
+    /// out of the hierarchy: unless the engine holds them, each is written
+    /// home, in eviction order, as background data write-back. That is
+    /// safe for any engine whose TX lines' home is not the committed copy
+    /// (SSP: the home is the line's remapped, non-committed side). The
+    /// order — after the access has been charged, oldest spill first —
+    /// reaches the row-buffer model and is part of the determinism
+    /// contract.
+    #[inline]
+    fn settle_spills(&mut self) {
+        if !self.cache.spills.is_empty() && !self.hold_spills {
+            self.write_spills_home();
+        }
+    }
+
+    #[cold]
+    fn write_spills_home(&mut self) {
+        let mut spills = std::mem::take(&mut self.cache.spills);
+        for ev in spills.drain(..) {
+            self.persist_bytes(None, ev.line, &ev.data, WriteClass::Data);
+        }
+        self.cache.spills = spills;
+    }
+
+    /// Every operation that can spill starts with an empty buffer: the
+    /// machine settled the last one's spills, or the engine that holds
+    /// them drained them.
+    #[inline]
+    fn assert_spills_settled(&self) {
+        debug_assert!(
+            self.cache.spills.is_empty(),
+            "held TX spills were not drained before the next access"
+        );
     }
 
     /// The machine configuration.
@@ -281,6 +340,7 @@ impl Machine {
             offset + buf.len() <= LINE_SIZE,
             "read crosses line boundary"
         );
+        self.assert_spills_settled();
         let result = self.cache.access(
             core,
             addr,
@@ -292,6 +352,7 @@ impl Machine {
             &mut self.stats,
         );
         self.core_cycles[core.index()] += result.cycles;
+        self.settle_spills();
         result
     }
 
@@ -306,6 +367,7 @@ impl Machine {
             offset + data.len() <= LINE_SIZE,
             "write crosses line boundary"
         );
+        self.assert_spills_settled();
         let result = self.cache.access(
             core,
             addr,
@@ -317,6 +379,7 @@ impl Machine {
             &mut self.stats,
         );
         self.core_cycles[core.index()] += result.cycles;
+        self.settle_spills();
         result
     }
 
@@ -345,20 +408,22 @@ impl Machine {
         }
     }
 
-    /// SSP line remap: move `core`'s cached copy of `old` to tag `new`.
-    /// Returns `false` if the line was not present in `core`'s L1.
-    pub fn retag(&mut self, core: CoreId, old: PhysAddr, new: PhysAddr) -> Option<AccessResult> {
+    /// SSP line remap: move `core`'s cached copy of `old` to tag `new`
+    /// (no latency is charged). Returns `false` if the line was not
+    /// present in `core`'s L1.
+    pub fn retag(&mut self, core: CoreId, old: PhysAddr, new: PhysAddr) -> bool {
         self.stamp_event_clock();
-        let result = self.cache.retag(
+        self.assert_spills_settled();
+        let moved = self.cache.retag(
             core,
             old,
             new,
             &mut self.mem,
             &mut self.timing,
             &mut self.stats,
-        )?;
-        self.core_cycles[core.index()] += result.cycles;
-        Some(result)
+        );
+        self.settle_spills();
+        moved
     }
 
     /// Clears the TX bit on all cached copies of `addr`'s line.
@@ -464,15 +529,15 @@ impl Machine {
 
     /// Writes a line to NVRAM (counted as `class`) and leaves a clean copy
     /// resident in the shared L3 — the effect of a background OS thread
-    /// copying through the cache and flushing with `clwb`. Returns any
-    /// dirty TX lines displaced by set pressure.
+    /// copying through the cache and flushing with `clwb`.
     pub fn install_line_cached(
         &mut self,
         addr: PhysAddr,
         data: [u8; LINE_SIZE],
         class: WriteClass,
-    ) -> AccessResult {
+    ) {
         self.stamp_event_clock();
+        self.assert_spills_settled();
         let kind = PhysMem::kind_of_addr(addr);
         let _ = self
             .timing
@@ -483,7 +548,8 @@ impl Machine {
         }
         self.mem.write_line(addr.ppn(), addr.line_index(), &data);
         self.cache
-            .install_line_l3(addr, data, &mut self.mem, &mut self.timing, &mut self.stats)
+            .install_line_l3(addr, data, &mut self.mem, &mut self.timing, &mut self.stats);
+        self.settle_spills();
     }
 
     /// Reads a full line directly from memory (uncached).
@@ -528,29 +594,6 @@ impl Machine {
             crate::timing::MemKind::Nvram => self.stats.record_nvram_write(class),
         }
         self.mem.write_line(to.ppn(), to.line_index(), &data);
-    }
-
-    /// The freshest visible value of a full line, preferring any dirty
-    /// cached copy over memory — used by recovery *tests* and debugging,
-    /// not by engines (they must go through `read`).
-    pub fn peek_line_coherent(&mut self, core: CoreId, addr: PhysAddr) -> [u8; LINE_SIZE] {
-        self.stamp_event_clock();
-        let mut buf = [0u8; LINE_SIZE];
-        let r = self.cache.access(
-            core,
-            addr,
-            LineOp::Read {
-                offset: 0,
-                buf: &mut buf,
-            },
-            false,
-            &self.cfg,
-            &mut self.mem,
-            &mut self.timing,
-            &mut self.stats,
-        );
-        self.core_cycles[core.index()] += r.cycles;
-        buf
     }
 
     /// Counts coherence traffic for a TLB-metadata broadcast (the paper's
@@ -839,12 +882,88 @@ mod tests {
         assert_eq!(off.obs().len(), 0);
     }
 
+    /// A machine whose L3 is one 2-way set under a full-size L1: the third
+    /// distinct line evicts the first from the L3 while its dirty copy is
+    /// still in the L1.
+    fn two_line_l3() -> Machine {
+        let mut cfg = MachineConfig::default();
+        cfg.l3.size_bytes = 2 * LINE_SIZE;
+        cfg.l3.ways = 2;
+        Machine::new(cfg)
+    }
+
+    fn durable_byte(m: &Machine, addr: PhysAddr) -> u8 {
+        let mut buf = [0u8; 1];
+        m.read_bytes_uncached(addr, &mut buf);
+        buf[0]
+    }
+
+    #[test]
+    fn a_tx_spill_is_written_home_once_the_access_is_charged() {
+        let mut m = two_line_l3();
+        let c = CoreId::new(0);
+        m.write(c, nv(20, 0), &[0xa1], true);
+        m.write(c, nv(21, 0), &[0xb2], true);
+        assert_eq!(m.stats().nvram_writes(WriteClass::Data), 0);
+        // The third line pushes the first out of the L3 and, with it, out
+        // of the L1 that held it dirty and transactional.
+        let r = m.write(c, nv(22, 0), &[0xc3], true);
+        assert_eq!(durable_byte(&m, nv(20, 0)), 0xa1, "spilled line is home");
+        assert_eq!(durable_byte(&m, nv(21, 0)), 0, "resident TX line is not");
+        assert_eq!(m.stats().nvram_writes(WriteClass::Data), 1);
+        assert_eq!(m.stats().writebacks, 0, "a spill is not a write-back");
+        // Background write-back: the access itself cost what it would have
+        // without the spill.
+        let mut twin = two_line_l3();
+        twin.write(c, nv(20, 0), &[0xa1], false);
+        twin.write(c, nv(21, 0), &[0xb2], false);
+        assert_eq!(twin.write(c, nv(22, 0), &[0xc3], false), r);
+        assert_eq!(twin.cycles(c), m.cycles(c));
+        assert!(m.drain_tx_spills().next().is_none());
+    }
+
+    #[test]
+    fn held_tx_spills_wait_for_the_engine_and_never_reach_home() {
+        let mut m = two_line_l3();
+        m.hold_tx_spills();
+        let c = CoreId::new(0);
+        for (page, byte) in [(20, 0xa1), (21, 0xb2), (22, 0xc3), (23, 0xd4)] {
+            m.write(c, nv(page, 0), &[byte], true);
+            let spilled: Vec<(PhysAddr, u8)> = m
+                .drain_tx_spills()
+                .map(|ev| (ev.line, ev.data[0]))
+                .collect();
+            match page {
+                22 => assert_eq!(spilled, [(nv(20, 0), 0xa1)]),
+                23 => assert_eq!(spilled, [(nv(21, 0), 0xb2)]),
+                _ => assert!(spilled.is_empty()),
+            }
+        }
+        assert_eq!(m.stats().nvram_writes(WriteClass::Data), 0);
+        assert_eq!(durable_byte(&m, nv(20, 0)), 0);
+        assert_eq!(durable_byte(&m, nv(21, 0)), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "held TX spills were not drained")]
+    fn an_undrained_held_spill_fails_the_next_access() {
+        let mut m = two_line_l3();
+        m.hold_tx_spills();
+        let c = CoreId::new(0);
+        for page in 20..23 {
+            m.write(c, nv(page, 0), &[1], true);
+        }
+        // The spill of page 20's line is still in the buffer.
+        m.read(c, nv(22, 0), &mut [0u8; 1]);
+    }
+
     #[test]
     fn retag_through_machine() {
         let mut m = machine();
         let c = CoreId::new(0);
         m.write(c, nv(8, 0), &[0x5a], true);
-        assert!(m.retag(c, nv(8, 0), nv(9, 0)).is_some());
+        assert!(m.retag(c, nv(8, 0), nv(9, 0)));
         let mut buf = [0u8; 1];
         m.read(c, nv(9, 0), &mut buf);
         assert_eq!(buf, [0x5a]);

@@ -1,9 +1,9 @@
-//! A fully-associative, LRU data TLB with a per-entry extension payload.
+//! A fully-associative, LRU data TLB.
 //!
 //! SSP widens TLB entries with the second physical page number and the
-//! current/updated bitmaps (Section 4.1.1 of the paper). The simulator keeps
-//! the TLB generic over that extension type `E` so the substrate stays free
-//! of SSP knowledge; baseline engines instantiate `Tlb<()>`.
+//! current/updated bitmaps (Section 4.1.1 of the paper); the SSP engine
+//! keeps that extension in its SSP cache, keyed by the page, so the entry
+//! here is the plain translation every engine shares.
 //!
 //! # Host-side layout
 //!
@@ -21,15 +21,13 @@
 
 use crate::addr::{Ppn, Vpn};
 
-/// One TLB entry: a translation plus an engine-defined extension.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TlbEntry<E> {
+/// One TLB entry: a translation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TlbEntry {
     /// The virtual page this entry translates.
     pub vpn: Vpn,
     /// The (original, P0) physical page.
     pub ppn: Ppn,
-    /// Engine-defined extension payload.
-    pub ext: E,
 }
 
 /// A fully-associative TLB with true-LRU replacement.
@@ -40,24 +38,24 @@ pub struct TlbEntry<E> {
 /// use ssp_simulator::addr::{Ppn, Vpn};
 /// use ssp_simulator::tlb::Tlb;
 ///
-/// let mut tlb: Tlb<()> = Tlb::new(2);
-/// assert!(tlb.insert(Vpn::new(1), Ppn::new(10), ()).is_none());
-/// assert!(tlb.insert(Vpn::new(2), Ppn::new(20), ()).is_none());
+/// let mut tlb = Tlb::new(2);
+/// assert!(tlb.insert(Vpn::new(1), Ppn::new(10)).is_none());
+/// assert!(tlb.insert(Vpn::new(2), Ppn::new(20)).is_none());
 /// // Touch vpn 1 so vpn 2 becomes the LRU victim.
 /// assert!(tlb.lookup(Vpn::new(1)).is_some());
-/// let evicted = tlb.insert(Vpn::new(3), Ppn::new(30), ()).unwrap();
+/// let evicted = tlb.insert(Vpn::new(3), Ppn::new(30)).unwrap();
 /// assert_eq!(evicted.vpn, Vpn::new(2));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Tlb<E> {
+pub struct Tlb {
     capacity: usize,
     /// `entries[i].vpn.raw()`, MRU-first — what lookups scan.
     vpns: Vec<u64>,
     /// MRU-first.
-    entries: Vec<TlbEntry<E>>,
+    entries: Vec<TlbEntry>,
 }
 
-impl<E> Tlb<E> {
+impl Tlb {
     /// Creates a TLB with `capacity` entries.
     ///
     /// # Panics
@@ -106,10 +104,10 @@ impl<E> Tlb<E> {
     }
 
     /// Looks up a translation, promoting it to MRU on a hit. The entry's
-    /// `vpn` is its identity — change `ppn` or `ext` through the returned
-    /// reference, never `vpn`.
+    /// `vpn` is its identity — change `ppn` through the returned reference,
+    /// never `vpn`.
     #[inline]
-    pub fn lookup(&mut self, vpn: Vpn) -> Option<&mut TlbEntry<E>> {
+    pub fn lookup(&mut self, vpn: Vpn) -> Option<&mut TlbEntry> {
         // A repeat of the previous page — the common case — is already MRU.
         if self.vpns.first() != Some(&vpn.raw()) {
             let pos = self.position(vpn)?;
@@ -119,14 +117,14 @@ impl<E> Tlb<E> {
     }
 
     /// Looks up a translation without changing LRU order.
-    pub fn peek(&self, vpn: Vpn) -> Option<&TlbEntry<E>> {
+    pub fn peek(&self, vpn: Vpn) -> Option<&TlbEntry> {
         self.position(vpn).map(|pos| &self.entries[pos])
     }
 
     /// Inserts a translation, returning the evicted LRU entry if full.
     /// Replaces (and returns `None` for) an existing entry for `vpn`.
-    pub fn insert(&mut self, vpn: Vpn, ppn: Ppn, ext: E) -> Option<TlbEntry<E>> {
-        let entry = TlbEntry { vpn, ppn, ext };
+    pub fn insert(&mut self, vpn: Vpn, ppn: Ppn) -> Option<TlbEntry> {
+        let entry = TlbEntry { vpn, ppn };
         if let Some(pos) = self.position(vpn) {
             self.promote(pos);
             self.entries[0] = entry;
@@ -144,7 +142,7 @@ impl<E> Tlb<E> {
     }
 
     /// Removes and returns the entry for `vpn`, if present.
-    pub fn evict(&mut self, vpn: Vpn) -> Option<TlbEntry<E>> {
+    pub fn evict(&mut self, vpn: Vpn) -> Option<TlbEntry> {
         let pos = self.position(vpn)?;
         self.vpns.remove(pos);
         Some(self.entries.remove(pos))
@@ -152,13 +150,13 @@ impl<E> Tlb<E> {
 
     /// Removes all entries, returning them MRU-first (power failure or
     /// full flush).
-    pub fn drain(&mut self) -> Vec<TlbEntry<E>> {
+    pub fn drain(&mut self) -> Vec<TlbEntry> {
         self.vpns.clear();
         std::mem::take(&mut self.entries)
     }
 
     /// Iterates over entries in MRU-first order.
-    pub fn iter(&self) -> impl Iterator<Item = &TlbEntry<E>> {
+    pub fn iter(&self) -> impl Iterator<Item = &TlbEntry> {
         self.entries.iter()
     }
 }
@@ -167,7 +165,7 @@ impl<E> Tlb<E> {
 mod tests {
     use super::*;
 
-    fn tlb(cap: usize) -> Tlb<u32> {
+    fn tlb(cap: usize) -> Tlb {
         Tlb::new(cap)
     }
 
@@ -180,20 +178,19 @@ mod tests {
     #[test]
     fn insert_then_lookup_hit() {
         let mut t = tlb(4);
-        t.insert(Vpn::new(1), Ppn::new(100), 7);
+        t.insert(Vpn::new(1), Ppn::new(100));
         let e = t.lookup(Vpn::new(1)).unwrap();
         assert_eq!(e.ppn, Ppn::new(100));
-        assert_eq!(e.ext, 7);
     }
 
     #[test]
     fn lru_eviction_order() {
         let mut t = tlb(3);
         for i in 1..=3 {
-            t.insert(Vpn::new(i), Ppn::new(i * 10), 0);
+            t.insert(Vpn::new(i), Ppn::new(i * 10));
         }
         t.lookup(Vpn::new(1)); // 1 is MRU; 2 is LRU
-        let evicted = t.insert(Vpn::new(4), Ppn::new(40), 0).unwrap();
+        let evicted = t.insert(Vpn::new(4), Ppn::new(40)).unwrap();
         assert_eq!(evicted.vpn, Vpn::new(2));
         assert_eq!(t.len(), 3);
     }
@@ -201,9 +198,9 @@ mod tests {
     #[test]
     fn reinsert_updates_in_place_without_eviction() {
         let mut t = tlb(2);
-        t.insert(Vpn::new(1), Ppn::new(10), 0);
-        t.insert(Vpn::new(2), Ppn::new(20), 0);
-        assert!(t.insert(Vpn::new(1), Ppn::new(11), 5).is_none());
+        t.insert(Vpn::new(1), Ppn::new(10));
+        t.insert(Vpn::new(2), Ppn::new(20));
+        assert!(t.insert(Vpn::new(1), Ppn::new(11)).is_none());
         assert_eq!(t.len(), 2);
         assert_eq!(t.peek(Vpn::new(1)).unwrap().ppn, Ppn::new(11));
     }
@@ -211,10 +208,10 @@ mod tests {
     #[test]
     fn evict_removes_specific_entry() {
         let mut t = tlb(4);
-        t.insert(Vpn::new(1), Ppn::new(10), 1);
-        t.insert(Vpn::new(2), Ppn::new(20), 2);
+        t.insert(Vpn::new(1), Ppn::new(10));
+        t.insert(Vpn::new(2), Ppn::new(20));
         let e = t.evict(Vpn::new(1)).unwrap();
-        assert_eq!(e.ext, 1);
+        assert_eq!(e.ppn, Ppn::new(10));
         assert!(t.peek(Vpn::new(1)).is_none());
         assert_eq!(t.len(), 1);
     }
@@ -222,30 +219,30 @@ mod tests {
     #[test]
     fn drain_empties_the_tlb() {
         let mut t = tlb(4);
-        t.insert(Vpn::new(1), Ppn::new(10), 0);
-        t.insert(Vpn::new(2), Ppn::new(20), 0);
+        t.insert(Vpn::new(1), Ppn::new(10));
+        t.insert(Vpn::new(2), Ppn::new(20));
         let all = t.drain();
         assert_eq!(all.len(), 2);
         assert!(t.is_empty());
     }
 
     #[test]
-    fn ext_payload_is_mutable_through_lookup() {
+    fn ppn_is_mutable_through_lookup() {
         let mut t = tlb(2);
-        t.insert(Vpn::new(1), Ppn::new(10), 0);
-        t.lookup(Vpn::new(1)).unwrap().ext = 99;
-        assert_eq!(t.peek(Vpn::new(1)).unwrap().ext, 99);
+        t.insert(Vpn::new(1), Ppn::new(10));
+        t.lookup(Vpn::new(1)).unwrap().ppn = Ppn::new(99);
+        assert_eq!(t.peek(Vpn::new(1)).unwrap().ppn, Ppn::new(99));
     }
 
     /// The `Vec<TlbEntry>` TLB the parallel arrays replaced, verbatim.
     #[derive(Debug, Clone)]
-    struct RefTlb<E> {
+    struct RefTlb {
         capacity: usize,
         /// MRU-first.
-        entries: Vec<TlbEntry<E>>,
+        entries: Vec<TlbEntry>,
     }
 
-    impl<E> RefTlb<E> {
+    impl RefTlb {
         fn new(capacity: usize) -> Self {
             assert!(capacity > 0, "TLB capacity must be positive");
             Self {
@@ -254,23 +251,23 @@ mod tests {
             }
         }
 
-        fn lookup(&mut self, vpn: Vpn) -> Option<&mut TlbEntry<E>> {
+        fn lookup(&mut self, vpn: Vpn) -> Option<&mut TlbEntry> {
             let pos = self.entries.iter().position(|e| e.vpn == vpn)?;
             self.entries[..=pos].rotate_right(1);
             Some(&mut self.entries[0])
         }
 
-        fn peek(&self, vpn: Vpn) -> Option<&TlbEntry<E>> {
+        fn peek(&self, vpn: Vpn) -> Option<&TlbEntry> {
             self.entries.iter().find(|e| e.vpn == vpn)
         }
 
-        fn insert(&mut self, vpn: Vpn, ppn: Ppn, ext: E) -> Option<TlbEntry<E>> {
+        fn insert(&mut self, vpn: Vpn, ppn: Ppn) -> Option<TlbEntry> {
             if let Some(pos) = self.entries.iter().position(|e| e.vpn == vpn) {
                 self.entries[..=pos].rotate_right(1);
-                self.entries[0] = TlbEntry { vpn, ppn, ext };
+                self.entries[0] = TlbEntry { vpn, ppn };
                 return None;
             }
-            self.entries.insert(0, TlbEntry { vpn, ppn, ext });
+            self.entries.insert(0, TlbEntry { vpn, ppn });
             if self.entries.len() > self.capacity {
                 self.entries.pop()
             } else {
@@ -278,16 +275,16 @@ mod tests {
             }
         }
 
-        fn evict(&mut self, vpn: Vpn) -> Option<TlbEntry<E>> {
+        fn evict(&mut self, vpn: Vpn) -> Option<TlbEntry> {
             let pos = self.entries.iter().position(|e| e.vpn == vpn)?;
             Some(self.entries.remove(pos))
         }
 
-        fn drain(&mut self) -> Vec<TlbEntry<E>> {
+        fn drain(&mut self) -> Vec<TlbEntry> {
             std::mem::take(&mut self.entries)
         }
 
-        fn iter(&self) -> impl Iterator<Item = &TlbEntry<E>> {
+        fn iter(&self) -> impl Iterator<Item = &TlbEntry> {
             self.entries.iter()
         }
     }
@@ -299,8 +296,8 @@ mod tests {
 
         for (capacity, pages, seed) in [(1usize, 3u64, 1u64), (4, 9, 2), (64, 80, 3), (64, 40, 4)] {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut new: Tlb<u32> = Tlb::new(capacity);
-            let mut old: RefTlb<u32> = RefTlb::new(capacity);
+            let mut new = Tlb::new(capacity);
+            let mut old = RefTlb::new(capacity);
             for step in 0..20_000u32 {
                 // Half the traffic repeats the previous page, as real
                 // access streams do — the MRU-0 early-out's case.
@@ -313,16 +310,18 @@ mod tests {
                         let (a, b) = (new.lookup(vpn), old.lookup(vpn));
                         assert_eq!(a.as_deref(), b.as_deref(), "lookup @{step}");
                         if let (Some(a), Some(b)) = (a, b) {
-                            a.ext = step;
-                            b.ext = step;
+                            // Repoint the page through the `&mut`, as
+                            // shadow paging's commit does.
+                            a.ppn = Ppn::new(u64::from(step));
+                            b.ppn = Ppn::new(u64::from(step));
                         }
                     }
                     10..=12 => assert_eq!(new.peek(vpn), old.peek(vpn), "peek @{step}"),
                     13..=17 => {
                         let ppn = Ppn::new(rng.gen_range(0..1000u64));
                         assert_eq!(
-                            new.insert(vpn, ppn, step),
-                            old.insert(vpn, ppn, step),
+                            new.insert(vpn, ppn),
+                            old.insert(vpn, ppn),
                             "evicted entry @{step}"
                         );
                     }
@@ -345,6 +344,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = Tlb::<()>::new(0);
+        let _ = Tlb::new(0);
     }
 }

@@ -31,6 +31,20 @@ pub struct LineSpan {
     pub len: usize,
 }
 
+impl LineSpan {
+    /// The part of the caller's buffer this span covers.
+    #[inline]
+    pub fn of<'a>(&self, buf: &'a [u8]) -> &'a [u8] {
+        &buf[self.buf_offset..self.buf_offset + self.len]
+    }
+
+    /// The part of the caller's buffer this span covers, mutably.
+    #[inline]
+    pub fn of_mut<'a>(&self, buf: &'a mut [u8]) -> &'a mut [u8] {
+        &mut buf[self.buf_offset..self.buf_offset + self.len]
+    }
+}
+
 /// Splits `[addr, addr + len)` into per-cache-line spans.
 ///
 /// Engines use this so [`TxnEngine::load`]/[`TxnEngine::store`] accept

@@ -6,6 +6,9 @@
 //! * [`engine`] — the [`engine::TxnEngine`] trait, the simulated
 //!   `ATOMIC_BEGIN` / `ATOMIC_STORE` / `ATOMIC_END` ISA extension from
 //!   Section 3.1 of the paper, plus write-set statistics (Table 3).
+//! * [`shell`] — [`shell::TxnShell`], the state and behaviour every
+//!   engine shares (machine, page table, TLBs, open transactions, ids);
+//!   an engine is a shell plus its durability mechanism.
 //! * [`vm`] — the NVRAM physical layout and a crash-safe virtual-memory
 //!   manager with a persistent page table.
 //! * [`heap`] — a persistent allocator whose metadata is updated
@@ -22,6 +25,7 @@ pub mod engine;
 pub mod heap;
 pub mod history;
 pub mod occ;
+pub mod shell;
 pub mod view;
 pub mod vm;
 
@@ -29,4 +33,5 @@ pub use engine::{TxnEngine, TxnId, TxnStats, WriteSetTracker};
 pub use heap::PersistentHeap;
 pub use history::Oracle;
 pub use occ::{BackoffPolicy, CommitIntent, SpecTxn, Verdict, VersionedHeap};
+pub use shell::TxnShell;
 pub use vm::{NvLayout, VmManager, HEAP_BASE_VPN};

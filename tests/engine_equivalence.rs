@@ -14,6 +14,7 @@ use ssp::txn::engine::TxnEngine;
 use ssp::SspConfig;
 
 const C0: CoreId = CoreId::new(0);
+const C1: CoreId = CoreId::new(1);
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -275,6 +276,87 @@ fn commit_site_cuts_have_the_same_keep_drop_semantics_everywhere() {
     probe(&mut UndoLog::new(cfg.clone()), "UNDO");
     probe(&mut RedoLog::new(cfg.clone()), "REDO");
     probe(&mut ShadowPaging::new(cfg), "SHADOW");
+}
+
+/// What the transaction shell guarantees is the same under every engine:
+/// misuse of the `ATOMIC_*` instructions panics with the same message
+/// (naming the core), and a power failure closes every core's
+/// transaction.
+#[test]
+fn every_engine_keeps_the_shells_transaction_contract() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    type Build = fn() -> Box<dyn TxnEngine>;
+    let engines: [(&str, Build); 4] = [
+        ("SSP", || {
+            Box::new(Ssp::new(MachineConfig::default(), SspConfig::default()))
+        }),
+        ("UNDO", || Box::new(UndoLog::new(MachineConfig::default()))),
+        ("REDO", || Box::new(RedoLog::new(MachineConfig::default()))),
+        ("SHADOW", || {
+            Box::new(ShadowPaging::new(MachineConfig::default()))
+        }),
+    ];
+    type Misuse = fn(&mut dyn TxnEngine, VirtAddr);
+    let misuses: [(Misuse, &str); 4] = [
+        (
+            |e, _| {
+                e.begin(C1);
+                e.begin(C1);
+            },
+            "core1 already has an open transaction",
+        ),
+        (
+            |e, addr| e.store(C1, addr, &[1]),
+            "ATOMIC_STORE outside a transaction on core1",
+        ),
+        (
+            |e, _| e.commit(C1),
+            "commit without an open transaction on core1",
+        ),
+        (
+            |e, _| e.abort(C1),
+            "abort without an open transaction on core1",
+        ),
+    ];
+    for (name, build) in engines {
+        for (misuse, message) in misuses {
+            let mut engine = build();
+            let addr = engine.map_new_page(C0).base();
+            // Another core's open transaction excuses nothing.
+            engine.begin(C0);
+            let panic = catch_unwind(AssertUnwindSafe(|| misuse(engine.as_mut(), addr)))
+                .expect_err("misuse must panic");
+            let said = panic
+                .downcast_ref::<String>()
+                .unwrap_or_else(|| panic!("{name}: panic payload is not a formatted message"));
+            assert_eq!(said, message, "{name}");
+        }
+
+        let mut engine = build();
+        let cores = engine.machine().config().cores;
+        let addr = engine.map_new_page(C0).base();
+        for core in (0..cores).map(CoreId::new) {
+            engine.begin(core);
+            assert!(engine.in_txn(core), "{name}");
+        }
+        engine.store(C1, addr, &7u64.to_le_bytes());
+        engine.crash();
+        for core in (0..cores).map(CoreId::new) {
+            assert!(!engine.in_txn(core), "{name}: {core} open after crash()");
+        }
+        engine.recover();
+        let mut buf = [0xffu8; 8];
+        engine.load(C1, addr, &mut buf);
+        assert_eq!(
+            buf, [0u8; 8],
+            "{name}: the open transaction's store survived"
+        );
+        for core in (0..cores).map(CoreId::new) {
+            engine.begin(core); // would panic if the crash left it open
+            engine.commit(core);
+        }
+    }
 }
 
 #[test]

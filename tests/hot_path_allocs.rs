@@ -37,7 +37,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ssp::simulator::addr::Vpn;
 use ssp::simulator::cache::CoreId;
-use ssp::simulator::config::MachineConfig;
+use ssp::simulator::config::{CacheConfig, MachineConfig};
 use ssp::simulator::obs::ObsConfig;
 use ssp::txn::engine::TxnEngine;
 use ssp::workloads::dist::KeyDist;
@@ -123,6 +123,71 @@ impl Workload for WideTxn {
     fn reset(&mut self) {
         self.pages.clear();
     }
+}
+
+/// A transaction whose TX lines spill: the same two line indices stored
+/// on each of `SPILL_PAGES` pages, under [`spilling_cfg`]'s 16 KiB L3. All
+/// the pages' copies of one line index compete for one 8-way L1 set, so
+/// from the ninth page on SSP's remap finds the set full of TX lines and
+/// falls back to an explicit TX write (L1 copy dirty and transactional,
+/// L3 copy clean), and REDO's TX writes are in that state from the start;
+/// the next fills then push those lines out of the L3, which is smaller
+/// than the L1 above it.
+///
+/// No public counter sees a spill (it replaces the commit-time flush of
+/// the same line one for one), so the rate was counted once, with a
+/// temporary counter, when this case was written: 24 spills per
+/// transaction under SSP and 16 under REDO, every transaction. At the
+/// parent of the PR that introduced the spill buffer each of them pushed
+/// into a fresh `Vec`, and this case measured 6 144 (SSP) and 4 096
+/// (REDO) allocations across the 256 transactions.
+#[derive(Debug, Clone, Default)]
+struct SpillTxn {
+    pages: Vec<Vpn>,
+    round: u64,
+}
+
+const SPILL_PAGES: u64 = 24;
+
+impl Workload for SpillTxn {
+    fn name(&self) -> &'static str {
+        "Spill"
+    }
+
+    fn setup(&mut self, engine: &mut dyn TxnEngine, core: CoreId) {
+        self.pages = (0..SPILL_PAGES)
+            .map(|_| engine.map_new_page(core))
+            .collect();
+    }
+
+    fn run_txn(&mut self, engine: &mut dyn TxnEngine, core: CoreId, _rng: &mut SmallRng) {
+        self.round += 1;
+        for page in &self.pages {
+            for l in 0..2 {
+                let line = (self.round * 7 + l * 11) % 64;
+                engine.store(core, page.base().add(line * 64), &self.round.to_le_bytes());
+            }
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
+    }
+
+    fn reset(&mut self) {
+        self.pages.clear();
+    }
+}
+
+/// The default machine with a 16-set, 16-way L3: half the L1's capacity,
+/// so the inclusive L3 keeps evicting lines the L1 still holds.
+fn spilling_cfg() -> MachineConfig {
+    let mut cfg = MachineConfig::default();
+    cfg.l3 = CacheConfig {
+        size_bytes: 16 * 16 * 64,
+        ..cfg.l3
+    };
+    cfg
 }
 
 /// Runs `warmup` transactions, then `MEASURED_TXNS` more, and returns the
@@ -214,4 +279,21 @@ fn warm_transaction_loop_is_allocation_free_for_every_engine() {
         }
     }
     assert_warm_budget("tracing on", traced, 1);
+
+    // TX lines spilling out of the hierarchy in the steady state. UNDO and
+    // shadow paging never write a TX line, so they have nothing to spill.
+    for (name, mut engine) in engines_with(spilling_cfg) {
+        if name != "SSP" && name != "REDO-LOG" {
+            continue;
+        }
+        let mut workload = SpillTxn::default();
+        workload.setup(engine.as_mut(), C0);
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let allocs = measured_allocs(engine.as_mut(), &mut workload, 200, &mut rng);
+        assert!(
+            allocs <= ALLOWED_ALLOCS,
+            "{name} / Spill: {allocs} heap allocations across {MEASURED_TXNS} warm \
+             transactions (allowed {ALLOWED_ALLOCS} total) — a TX spill allocates again"
+        );
+    }
 }
