@@ -64,14 +64,6 @@ impl Json {
         }
     }
 
-    /// The value as `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as `&str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -81,14 +81,6 @@ impl AnyEngine {
             _ => None,
         }
     }
-
-    /// Mutable access to the SSP engine inside.
-    pub fn as_ssp_mut(&mut self) -> Option<&mut Ssp> {
-        match self {
-            AnyEngine::Ssp(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 impl TxnEngine for AnyEngine {
@@ -339,11 +331,6 @@ impl MatrixRunner {
     pub fn without_cache(mut self) -> Self {
         self.memo_enabled = false;
         self
-    }
-
-    /// The pool size.
-    pub fn pool_threads(&self) -> usize {
-        self.pool
     }
 
     /// `(result-memo hits, 0, cells simulated)` so far. The middle value

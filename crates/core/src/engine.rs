@@ -131,11 +131,6 @@ impl Ssp {
         }
     }
 
-    /// SSP-specific configuration.
-    pub fn ssp_config(&self) -> &SspConfig {
-        &self.ssp_cfg
-    }
-
     /// Consolidation statistics.
     pub fn consolidation_stats(&self) -> ConsolidationStats {
         self.consolidator.stats()

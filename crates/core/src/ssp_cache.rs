@@ -254,11 +254,6 @@ impl SspCache {
         self.mark_dirty(sid);
     }
 
-    /// The spare page currently associated with slot `sid`.
-    pub fn spare_of(&self, sid: SlotId) -> Ppn {
-        self.slots[sid as usize].spare
-    }
-
     /// Slots eligible for wear-levelling spare rotation: inactive entries
     /// with all committed data consolidated into `ppn0` (nothing lives on
     /// the spare), or empty slots.

@@ -6,7 +6,9 @@
 //! the [`Tlb`](crate::tlb::Tlb)) because SSP redirects translation per cache
 //! line.
 
-use crate::addr::{PhysAddr, LINE_SIZE};
+use std::ops::Range;
+
+use crate::addr::{PhysAddr, LINE_SIZE, PAGE_SIZE};
 use crate::cache::{AccessResult, CacheHierarchy, CoreId, LineOp, TxEviction};
 use crate::config::MachineConfig;
 use crate::fault::{CrashPoint, FaultSite, FaultState};
@@ -14,7 +16,7 @@ use crate::interconnect::{EpochCharge, LlcEvent, MemEvent};
 use crate::obs::{ObsKind, ObsRing};
 use crate::phys::PhysMem;
 use crate::stats::{MachineStats, WriteClass};
-use crate::timing::{AccessKind, MemTiming};
+use crate::timing::{AccessKind, MemKind, MemTiming};
 
 /// The simulated machine.
 ///
@@ -135,11 +137,6 @@ impl Machine {
         &self.stats
     }
 
-    /// Mutable access to the counters (engines record their own classes).
-    pub fn stats_mut(&mut self) -> &mut MachineStats {
-        &mut self.stats
-    }
-
     /// Resets all counters and cycle accounting (but not memory contents);
     /// used to exclude warm-up phases from measurements.
     pub fn reset_stats(&mut self) {
@@ -191,11 +188,6 @@ impl Machine {
             let now = self.core_cycles.iter().copied().max().unwrap_or(0);
             self.obs.record(now, kind, arg);
         }
-    }
-
-    /// Drops all held observability events (capacity is kept).
-    pub fn obs_clear(&mut self) {
-        self.obs.clear();
     }
 
     /// Refreshes the local virtual time stamped onto memory events the
@@ -448,15 +440,7 @@ impl Machine {
         class: WriteClass,
     ) {
         self.stamp_event_clock();
-        // Split page-crossing ranges (the page store is page-granular).
-        let mut off = 0usize;
-        while off < data.len() {
-            let a = PhysAddr::new(addr.raw() + off as u64);
-            let page_left = crate::addr::PAGE_SIZE - a.page_offset();
-            let chunk = page_left.min(data.len() - off);
-            self.mem.write_bytes(a, &data[off..off + chunk]);
-            off += chunk;
-        }
+        self.write_bytes_unaccounted(addr, data);
         let first_line = addr.line_base().raw();
         let last_line = PhysAddr::new(addr.raw() + data.len().max(1) as u64 - 1)
             .line_base()
@@ -465,13 +449,7 @@ impl Machine {
         let kind = PhysMem::kind_of_addr(addr);
         for i in 0..lines {
             let line_addr = PhysAddr::new(first_line + i * LINE_SIZE as u64);
-            let cycles =
-                self.timing
-                    .access_cycles(&mut self.stats, kind, line_addr, AccessKind::Write);
-            match kind {
-                crate::timing::MemKind::Dram => self.stats.dram_writes += 1,
-                crate::timing::MemKind::Nvram => self.stats.record_nvram_write(class),
-            }
+            let cycles = self.line_written(kind, line_addr, class);
             if let Some(c) = core {
                 self.core_cycles[c.index()] += (cycles / self.cfg.persist_mlp.max(1) as u64).max(1);
             }
@@ -483,13 +461,8 @@ impl Machine {
     /// modelling write-combining buffers that coalesce several small
     /// appends into one line write.
     pub fn write_bytes_unaccounted(&mut self, addr: PhysAddr, data: &[u8]) {
-        let mut off = 0usize;
-        while off < data.len() {
-            let a = PhysAddr::new(addr.raw() + off as u64);
-            let page_left = crate::addr::PAGE_SIZE - a.page_offset();
-            let chunk = page_left.min(data.len() - off);
-            self.mem.write_bytes(a, &data[off..off + chunk]);
-            off += chunk;
+        for (a, range) in page_chunks(addr, data.len()) {
+            self.mem.write_bytes(a, &data[range]);
         }
     }
 
@@ -497,33 +470,48 @@ impl Machine {
     /// cycles without charging any core (the caller decides who stalls).
     pub fn account_memory_write(
         &mut self,
-        kind: crate::timing::MemKind,
+        kind: MemKind,
         addr: PhysAddr,
         class: WriteClass,
     ) -> u64 {
         self.stamp_event_clock();
+        self.line_written(kind, addr, class)
+    }
+
+    /// The one place a line written straight to memory is accounted: the
+    /// timing model's latency (and bank-queue event) for it, and the
+    /// counter of its kind and `class`. Returns the latency in cycles.
+    #[inline(always)]
+    fn line_written(&mut self, kind: MemKind, addr: PhysAddr, class: WriteClass) -> u64 {
         let cycles = self
             .timing
             .access_cycles(&mut self.stats, kind, addr, AccessKind::Write);
         match kind {
-            crate::timing::MemKind::Dram => self.stats.dram_writes += 1,
-            crate::timing::MemKind::Nvram => self.stats.record_nvram_write(class),
+            MemKind::Dram => self.stats.dram_writes += 1,
+            MemKind::Nvram => self.stats.record_nvram_write(class),
         }
         cycles
+    }
+
+    /// [`Machine::line_written`]'s read twin.
+    #[inline(always)]
+    fn line_read(&mut self, addr: PhysAddr) {
+        let kind = PhysMem::kind_of_addr(addr);
+        let _ = self
+            .timing
+            .access_cycles(&mut self.stats, kind, addr, AccessKind::Read);
+        match kind {
+            MemKind::Dram => self.stats.dram_reads += 1,
+            MemKind::Nvram => self.stats.nvram_reads += 1,
+        }
     }
 
     /// Reads bytes directly from memory, bypassing the cache (memory
     /// controller metadata reads, recovery). Page-crossing ranges are
     /// split internally.
     pub fn read_bytes_uncached(&self, addr: PhysAddr, buf: &mut [u8]) {
-        let len = buf.len();
-        let mut off = 0usize;
-        while off < len {
-            let a = PhysAddr::new(addr.raw() + off as u64);
-            let page_left = crate::addr::PAGE_SIZE - a.page_offset();
-            let chunk = page_left.min(len - off);
-            self.mem.read_bytes(a, &mut buf[off..off + chunk]);
-            off += chunk;
+        for (a, range) in page_chunks(addr, buf.len()) {
+            self.mem.read_bytes(a, &mut buf[range]);
         }
     }
 
@@ -538,14 +526,7 @@ impl Machine {
     ) {
         self.stamp_event_clock();
         self.assert_spills_settled();
-        let kind = PhysMem::kind_of_addr(addr);
-        let _ = self
-            .timing
-            .access_cycles(&mut self.stats, kind, addr, AccessKind::Write);
-        match kind {
-            crate::timing::MemKind::Dram => self.stats.dram_writes += 1,
-            crate::timing::MemKind::Nvram => self.stats.record_nvram_write(class),
-        }
+        self.line_written(PhysMem::kind_of_addr(addr), addr, class);
         self.mem.write_line(addr.ppn(), addr.line_index(), &data);
         self.cache
             .install_line_l3(addr, data, &mut self.mem, &mut self.timing, &mut self.stats);
@@ -555,15 +536,7 @@ impl Machine {
     /// Reads a full line directly from memory (uncached).
     pub fn read_line_uncached(&mut self, addr: PhysAddr) -> [u8; LINE_SIZE] {
         self.stamp_event_clock();
-        let kind = PhysMem::kind_of_addr(addr);
-        let _ = self
-            .timing
-            .access_cycles(&mut self.stats, kind, addr, AccessKind::Read);
-        if kind == crate::timing::MemKind::Nvram {
-            self.stats.nvram_reads += 1;
-        } else {
-            self.stats.dram_reads += 1;
-        }
+        self.line_read(addr);
         self.mem.read_line(addr.ppn(), addr.line_index())
     }
 
@@ -572,27 +545,8 @@ impl Machine {
     pub fn copy_line_uncached(&mut self, from: PhysAddr, to: PhysAddr, class: WriteClass) {
         self.stamp_event_clock();
         let data = self.mem.read_line(from.ppn(), from.line_index());
-        let _ = self.timing.access_cycles(
-            &mut self.stats,
-            PhysMem::kind_of_addr(from),
-            from,
-            AccessKind::Read,
-        );
-        if PhysMem::kind_of_addr(from) == crate::timing::MemKind::Nvram {
-            self.stats.nvram_reads += 1;
-        } else {
-            self.stats.dram_reads += 1;
-        }
-        let _ = self.timing.access_cycles(
-            &mut self.stats,
-            PhysMem::kind_of_addr(to),
-            to,
-            AccessKind::Write,
-        );
-        match PhysMem::kind_of_addr(to) {
-            crate::timing::MemKind::Dram => self.stats.dram_writes += 1,
-            crate::timing::MemKind::Nvram => self.stats.record_nvram_write(class),
-        }
+        self.line_read(from);
+        self.line_written(PhysMem::kind_of_addr(to), to, class);
         self.mem.write_line(to.ppn(), to.line_index(), &data);
     }
 
@@ -645,9 +599,25 @@ impl Machine {
     }
 }
 
+/// Splits the byte range `addr .. addr + len` at page boundaries (the page
+/// store is page-granular): each chunk's address and its range of offsets.
+#[inline(always)]
+fn page_chunks(addr: PhysAddr, len: usize) -> impl Iterator<Item = (PhysAddr, Range<usize>)> {
+    let mut off = 0usize;
+    std::iter::from_fn(move || {
+        if off >= len {
+            return None;
+        }
+        let a = PhysAddr::new(addr.raw() + off as u64);
+        let start = off;
+        off += (PAGE_SIZE - a.page_offset()).min(len - off);
+        Some((a, start..off))
+    })
+}
+
 /// Stable numeric code for a [`FaultSite`], carried as the `arg` of
 /// [`ObsKind::Fault`] events (0 is reserved for virtual-time cuts).
-pub fn fault_site_code(site: FaultSite) -> u64 {
+fn fault_site_code(site: FaultSite) -> u64 {
     match site {
         FaultSite::CommitData => 1,
         FaultSite::CommitMark => 2,
@@ -668,6 +638,28 @@ mod tests {
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::default())
+    }
+
+    #[test]
+    fn byte_ranges_split_at_page_boundaries_only() {
+        let chunks = |off, len| -> Vec<_> { page_chunks(nv(2, off), len).collect() };
+        assert_eq!(chunks(100, 0), []);
+        assert_eq!(chunks(100, 50), [(nv(2, 100), 0..50)]);
+        assert_eq!(chunks(4000, 96), [(nv(2, 4000), 0..96)]);
+        let spanning = [
+            (nv(2, 4090), 0..6),
+            (nv(3, 0), 6..4102),
+            (nv(4, 0), 4102..4200),
+        ];
+        assert_eq!(chunks(4090, 4200), spanning);
+        // The uncached byte paths round-trip across the boundary.
+        let mut m = machine();
+        let data: Vec<u8> = (0..200u8).collect();
+        m.persist_bytes(None, nv(2, 4000), &data, WriteClass::Log);
+        let mut back = vec![0u8; 200];
+        m.read_bytes_uncached(nv(2, 4000), &mut back);
+        assert_eq!(back, data);
+        assert_eq!(m.stats().nvram_writes(WriteClass::Log), 4);
     }
 
     #[test]

@@ -34,10 +34,15 @@
 //! the coordinator, so the run fails loudly instead of deadlocking the
 //! remaining rendezvous.
 //!
-//! Shards are built where they run: [`drive`] turns a seed into a worker
-//! inside the worker's own thread before the first epoch, and
-//! [`spawn_each`] / [`map_each`] cover the phases that need no rendezvous
-//! at all — warming shards the caller keeps, the final per-shard quiesce.
+//! A shard lives where it runs: [`drive`] turns a seed into a worker
+//! inside the worker's own thread before the first epoch (`enter`) and
+//! into its result in the same thread after the last (`exit` — the final
+//! quiesce, the measurement diff), so a driver is one thread lifetime per
+//! shard. The one phase left without a rendezvous is a warm-up whose
+//! shards the *caller* keeps ([`warm_parallel`]): [`spawn_each`] builds
+//! those, and a later [`drive`] takes them as its seeds.
+//!
+//! [`warm_parallel`]: crate::runner::warm_parallel
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -126,27 +131,31 @@ impl<V> Slot<V> {
 /// Turns each seed into its shard's worker with `enter` — *inside* the
 /// worker's thread in threaded mode, so construction, setup and warm-up
 /// are parallel and a shard's memory is allocated by the thread that
-/// uses it — then drives the workers through `protocol` until its merge
-/// reports the last epoch. Hands the workers back with the host
-/// wall-clock of the driven span (from the last [`Epoch::Lap`] if there
-/// was one): `enter`, thread start-up and teardown are excluded. Pass
-/// ready-made workers as the seeds with `|_, worker| worker`.
+/// uses it — drives the workers through `protocol` until its merge
+/// reports the last epoch, then turns each worker into its result with
+/// `exit`, still in its own thread. Hands the results back in worker
+/// order with the host wall-clock of the driven span (from the last
+/// [`Epoch::Lap`] if there was one): `enter`, `exit`, thread start-up and
+/// teardown are excluded. Pass ready-made workers as the seeds with
+/// `|_, worker| worker`.
 ///
-/// Each worker lives in its thread for the span, so no two shards' hot
-/// state ever share a cache line. `board` outlives the call.
+/// Each worker lives and dies in its thread, so no two shards' hot state
+/// ever share a cache line. `board` outlives the call.
 ///
 /// # Panics
 ///
-/// Panics if `enter` or any protocol function panics, on whichever
-/// thread.
-pub(crate) fn drive<S: Send, T: Send, P: Protocol<T>>(
+/// Panics if there are no seeds, or if `enter`, `exit` or any protocol
+/// function panics, on whichever thread.
+pub(crate) fn drive<S: Send, T, R: Send, P: Protocol<T>>(
     mode: ExecMode,
     seeds: Vec<S>,
     enter: impl Fn(usize, S) -> T + Sync,
     protocol: &P,
     board: &mut P::Board,
-) -> (Vec<T>, Duration) {
+    exit: impl Fn(usize, T) -> R + Sync,
+) -> (Vec<R>, Duration) {
     let n = seeds.len();
+    assert!(n >= 1, "at least one worker");
     let seeds = seeds.into_iter().enumerate();
     let mut verdicts: Vec<P::Verdict> = Vec::new();
     verdicts.resize_with(n, Default::default);
@@ -167,9 +176,15 @@ pub(crate) fn drive<S: Send, T: Send, P: Protocol<T>>(
                     protocol.apply(w, worker, std::mem::take(&mut verdicts[w]));
                 }
                 if epoch == Epoch::Last {
-                    return (workers, t0.elapsed());
+                    break;
                 }
             }
+            let host_elapsed = t0.elapsed();
+            let results = workers.into_iter().enumerate();
+            (
+                results.map(|(w, worker)| exit(w, worker)).collect(),
+                host_elapsed,
+            )
         }
         ExecMode::Threaded => {
             // The coordinator joins the start/end rendezvous to time the
@@ -199,7 +214,8 @@ pub(crate) fn drive<S: Send, T: Send, P: Protocol<T>>(
                 let handles: Vec<_> = seeds
                     .map(|(w, seed)| {
                         let (start, end, rendezvous) = (&start, &end, &rendezvous);
-                        let (enter, lock, lead, slot) = (&enter, &lock, &lead, &slots[w]);
+                        let (enter, exit, lock, lead) = (&enter, &exit, &lock, &lead);
+                        let slot = &slots[w];
                         scope.spawn(move || {
                             let _poison = PoisonOnPanic([start, end, rendezvous]);
                             let mut worker = enter(w, seed);
@@ -215,7 +231,7 @@ pub(crate) fn drive<S: Send, T: Send, P: Protocol<T>>(
                                 }
                             }
                             end.wait(|| ());
-                            worker
+                            exit(w, worker)
                         })
                     })
                     .collect();
@@ -223,38 +239,39 @@ pub(crate) fn drive<S: Send, T: Send, P: Protocol<T>>(
                 let t0 = Instant::now();
                 end.wait(|| ());
                 let host_elapsed = lock().lap.unwrap_or(t0).elapsed();
-                let workers = handles
+                let results = handles
                     .into_iter()
                     .map(|h| h.join().expect("worker thread panicked"))
                     .collect();
-                (workers, host_elapsed)
+                (results, host_elapsed)
             })
         }
     }
 }
 
-/// Maps `f(w, items[w])` over the shards — each on its own thread in
-/// [`ExecMode::Threaded`], in worker-index order on the calling thread in
-/// [`ExecMode::Sequential`] — and returns the results in worker order.
-/// For the phases in which shards cannot interact (construction, setup,
-/// warm-up, final quiesce), so there is nothing to rendezvous on.
+/// Builds one value per shard with `f(w)` — each on its own thread in
+/// [`ExecMode::Threaded`] (so construction cost is parallel too), in
+/// worker-index order on the calling thread in [`ExecMode::Sequential`] —
+/// and returns them in worker order. For shards that cannot interact yet
+/// and outlive the call (a kept warm-up), so there is nothing to
+/// rendezvous on.
 ///
 /// # Panics
 ///
-/// Panics if `f` panics for any shard.
-pub(crate) fn map_each<T: Send, R: Send>(
+/// Panics if `n` is zero or `f` panics for any shard.
+pub(crate) fn spawn_each<R: Send>(
     mode: ExecMode,
-    items: Vec<T>,
-    f: impl Fn(usize, T) -> R + Sync,
+    n: usize,
+    f: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
-    let items = items.into_iter().enumerate();
+    assert!(n >= 1, "at least one worker");
     match mode {
-        ExecMode::Sequential => items.map(|(w, item)| f(w, item)).collect(),
+        ExecMode::Sequential => (0..n).map(f).collect(),
         ExecMode::Threaded => std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .map(|(w, item)| {
+            let handles: Vec<_> = (0..n)
+                .map(|w| {
                     let f = &f;
-                    scope.spawn(move || f(w, item))
+                    scope.spawn(move || f(w))
                 })
                 .collect();
             handles
@@ -263,17 +280,6 @@ pub(crate) fn map_each<T: Send, R: Send>(
                 .collect()
         }),
     }
-}
-
-/// Builds one value per shard with [`map_each`]'s scheduling: `f(w)` runs
-/// *inside* worker `w`'s thread in threaded mode, so construction cost is
-/// parallel too.
-pub(crate) fn spawn_each<R: Send>(
-    mode: ExecMode,
-    n: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    map_each(mode, vec![(); n], |w, ()| f(w))
 }
 
 /// A reusable combining rendezvous: like [`std::sync::Barrier`], except
@@ -467,6 +473,8 @@ mod tests {
     struct ToyWorker {
         epoch: u64,
         value: u64,
+        /// The thread `enter` ran on, where a test records it.
+        born: Option<std::thread::ThreadId>,
     }
 
     #[derive(Default)]
@@ -534,7 +542,8 @@ mod tests {
             epoch: 0,
             deposits: vec![0; n],
         };
-        let (workers, _) = drive(mode, workers, |_, worker| worker, toy, &mut board);
+        let pass = |_, worker| worker;
+        let (workers, _) = drive(mode, workers, pass, toy, &mut board, pass);
         let mut log = std::mem::take(&mut *toy.log.lock().unwrap());
         // Host order within a phase is free in threaded mode; the calls
         // themselves (who, when, with what) are the contract.
@@ -565,6 +574,29 @@ mod tests {
     }
 
     #[test]
+    fn exit_runs_once_per_worker_in_its_own_thread_after_the_last_epoch() {
+        const EPOCHS: u64 = 5;
+        for mode in [ExecMode::Threaded, ExecMode::Sequential] {
+            let mut board = ToyBoard {
+                epoch: 0,
+                deposits: vec![0; 3],
+            };
+            let enter = |_, ()| ToyWorker {
+                born: Some(std::thread::current().id()),
+                ..ToyWorker::default()
+            };
+            let exit = |w, worker: ToyWorker| {
+                let same_thread = worker.born == Some(std::thread::current().id());
+                (w, worker.epoch, same_thread)
+            };
+            let toy = Toy::new(EPOCHS);
+            let (results, _) = drive(mode, vec![(); 3], enter, &toy, &mut board, exit);
+            let each = |w| (w, EPOCHS, true);
+            assert_eq!(results, [each(0), each(1), each(2)], "{mode:?}");
+        }
+    }
+
+    #[test]
     fn sequential_mode_runs_in_worker_index_order() {
         let toy = Toy::new(2);
         let workers: Vec<ToyWorker> = (0..3).map(|_| ToyWorker::default()).collect();
@@ -578,6 +610,7 @@ mod tests {
             |_, worker| worker,
             &toy,
             &mut board,
+            |_, worker| worker,
         );
         let order: Vec<(&str, usize)> = toy
             .log
@@ -626,7 +659,15 @@ mod tests {
             assert_ne!(w, 2, "enter boom");
             ToyWorker::default()
         };
-        drive(ExecMode::Threaded, vec![(); 3], enter, &toy, &mut board);
+        let exit = |_, worker| worker;
+        drive(
+            ExecMode::Threaded,
+            vec![(); 3],
+            enter,
+            &toy,
+            &mut board,
+            exit,
+        );
     }
 
     #[test]
@@ -716,18 +757,16 @@ mod tests {
     }
 
     #[test]
-    fn map_each_keeps_worker_order_in_both_modes() {
+    fn spawn_each_keeps_worker_order_in_both_modes() {
         for mode in [ExecMode::Threaded, ExecMode::Sequential] {
             let built = spawn_each(mode, 5, |w| w * 10);
             assert_eq!(built, [0, 10, 20, 30, 40]);
-            let mapped = map_each(mode, built, |w, x| x + w);
-            assert_eq!(mapped, [0, 11, 22, 33, 44]);
         }
     }
 
     #[test]
     #[should_panic]
-    fn a_panic_in_map_each_propagates() {
+    fn a_panic_in_spawn_each_propagates() {
         spawn_each(ExecMode::Threaded, 3, |w| assert_ne!(w, 2));
     }
 }

@@ -19,11 +19,11 @@
 //! round-robin over the simulated cores of *one* machine, on the calling
 //! thread (Tables 4/5's four-clients-on-one-machine cells have no sharded
 //! equivalent). Every other driver shards the machine per worker and is a
-//! *protocol* over one crate-private scheduler, `kernel.rs`: shards are
-//! built inside their own thread, then `local` runs one shard to its
-//! epoch boundary, `deposit` hands the epoch's output to a shared board,
-//! exactly one `merge` per epoch resolves it, `apply` takes each shard's
-//! verdict. [`runner::ExecMode::Threaded`] schedules those four
+//! *protocol* over one crate-private scheduler, `kernel.rs`: a shard is
+//! built, run and finished inside its own thread — `local` runs it to
+//! its epoch boundary, `deposit` hands the epoch's output to a shared
+//! board, exactly one `merge` per epoch resolves it, `apply` takes each
+//! shard's verdict. [`runner::ExecMode::Threaded`] schedules those four
 //! functions on one real thread per shard with one rendezvous per epoch
 //! (the last shard to arrive runs `merge`, then releases the others);
 //! [`runner::ExecMode::Sequential`] calls the same four functions
@@ -32,15 +32,13 @@
 //!
 //! | Driver | `local` | `merge` | `apply` | Board |
 //! |---|---|---|---|---|
-//! | [`runner::run_parallel`] | transactions up to the epoch boundary | arbitrate the interconnect streams | charge the shard clock | interconnect board |
-//! | [`storm::run_epoch_storm`] | the same, oracle-recorded | the same | charge; crash + recover + verify if the charge tripped the cut | interconnect board |
-//! | [`shared::run_shared`], [`shared::run_shared_crash_probe`] | speculate against the heap snapshot | arbitrate + validate commit intents first-committer-wins | charge, replay winners through the engine, queue losers | heap + intents + interconnect board |
-//! | [`storm::run_storm`] | the whole share, storm sequence after every cut | — (one epoch) | — | none |
+//! | [`runner::run_parallel`], [`storm::run_storm`] (the same closed-loop shard; the storm's is oracle-wrapped and carries a fault plan) | transactions up to the epoch boundary — the whole share with the interconnect off (storm: the storm sequence after every cut) | arbitrate the interconnect streams | charge the shard clock (storm: crash + recover + verify if the charge tripped the cut) | interconnect board |
+//! | [`shared::run_shared`], [`shared::run_shared_crash_probe`] | speculate against the heap snapshot | arbitrate + validate commit intents first-committer-wins | charge, replay winners through the engine (probe: the same fault plan after each replay), queue losers | heap + intents + interconnect board |
 //! | [`service::run_service`] | scheduling steps until the arrivals drain | — (one epoch) | — | none |
 //!
 //! * [`runner`] — [`runner::run`], [`runner::run_parallel`] and the
 //!   warm/measure split behind them, all producing [`runner::RunResult`]
-//! * [`storm`] — the crash-storm drivers: scheduled power cuts under full
+//! * [`storm`] — the crash-storm driver: scheduled power cuts under full
 //!   traffic, oracle-verified recovery after every storm
 //! * [`shared`] — the shared-heap driver: N clients against ONE
 //!   versioned store, optimistic concurrency with deterministic
@@ -83,7 +81,5 @@ pub use shared::{
     SharedShardRun, SharedStats,
 };
 pub use sps::Sps;
-pub use storm::{
-    run_epoch_storm, run_storm, OracleEngine, StormPoint, StormRun, StormSchedule, StormShardReport,
-};
+pub use storm::{run_storm, OracleEngine, StormPoint, StormRun, StormSchedule, StormShardReport};
 pub use vacation::VacationWorkload;

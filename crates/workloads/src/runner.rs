@@ -40,7 +40,13 @@
 //! index)` order, and each shard's cross-shard queueing delay is charged
 //! back to its clock before the next epoch. Every arbitration input is
 //! shard-local, so the determinism contract above holds unchanged with
-//! contention enabled (`tests/interconnect_contention.rs`).
+//! contention enabled (`tests/interconnect_contention.rs`). Whether the
+//! model runs derives from worker 0's config, a shard's epoch length from
+//! its own; shards are expected to share both.
+//!
+//! The crash-storm driver ([`run_storm`](crate::storm::run_storm)) is this
+//! closed-loop shard and this epoch protocol with an oracle around the
+//! engine and a fault plan beside it; plain runs carry the empty plan.
 
 use std::time::{Duration, Instant};
 
@@ -260,16 +266,17 @@ pub(crate) const SHARD_CORE: CoreId = CoreId::new(0);
 /// through the shared [`Interconnect`] in `(local time, worker index)`
 /// order, and each shard picks up its [`EpochCharge`].
 ///
-/// Every interconnect decision of a run — whether the model runs at all,
-/// the epoch length, the controller's banks and service times — derives
-/// from worker 0's config in *both* execution modes. Shards are expected
-/// to share the knobs; routing everything through worker 0's copy means
-/// a mixed-configuration factory can neither strand part of the team at
-/// the epoch barrier nor make the arbitration depend on which thread
-/// happens to win a barrier leadership (an enabled shard in a disabled
-/// run merely has its event log discarded at each boundary).
+/// Whether the model runs at all, and the controller's banks and service
+/// times, derive from worker 0's config in *both* execution modes — its
+/// first deposit brings it, so shards built inside the drive need no
+/// worker to exist before it. Shards are expected to share the knobs;
+/// routing the arbitration through worker 0's copy means a
+/// mixed-configuration factory cannot make it depend on which thread
+/// happens to win a rendezvous leadership (an enabled shard in a disabled
+/// run merely has its event log dropped at each boundary). The epoch
+/// *length* is each shard's own ([`Ladder::new`]).
 pub(crate) struct EpochBoard {
-    cfg: MachineConfig,
+    cfg: Option<MachineConfig>,
     interconnect: Option<Interconnect>,
     streams: Vec<Vec<MemEvent>>,
     llc_streams: Vec<Vec<LlcEvent>>,
@@ -277,41 +284,14 @@ pub(crate) struct EpochBoard {
 }
 
 impl EpochBoard {
-    pub(crate) fn new(arbiter_cfg: &MachineConfig, workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         Self {
-            cfg: arbiter_cfg.clone(),
+            cfg: None,
             interconnect: None,
             streams: vec![Vec::new(); workers],
             llc_streams: vec![Vec::new(); workers],
             outstanding: vec![u64::MAX; workers],
         }
-    }
-
-    /// Epoch length in cycles under `cfg`: the interconnect's when it is
-    /// enabled (so everything riding the rendezvous shares one boundary),
-    /// else the protocol's own `fallback`.
-    pub(crate) fn epoch_cycles(cfg: &MachineConfig, fallback: u64) -> u64 {
-        if cfg.interconnect.enabled {
-            cfg.interconnect.epoch_cycles.max(1)
-        } else {
-            fallback.max(1)
-        }
-    }
-
-    /// Shard `w`'s deposit: the epoch's event streams and the work it
-    /// still holds.
-    pub(crate) fn deposit(&mut self, w: usize, machine: &mut Machine, outstanding: u64) {
-        if self.cfg.interconnect.enabled {
-            // Swap rather than replace: this epoch's events land in the
-            // board's slot and the previous epoch's (drained) buffer
-            // becomes the machine's next recording buffer, so runs stop
-            // allocating per epoch per shard.
-            machine.take_mem_events_into(&mut self.streams[w]);
-            machine.take_llc_events_into(&mut self.llc_streams[w]);
-        } else {
-            machine.discard_mem_events();
-        }
-        self.outstanding[w] = outstanding;
     }
 
     /// One merge over everything deposited: the per-shard charges in
@@ -320,57 +300,154 @@ impl EpochBoard {
     /// indices, worker 0's config), so the outcome is independent of
     /// host scheduling.
     pub(crate) fn arbitrate(&mut self) -> Option<Vec<EpochCharge>> {
-        if !self.cfg.interconnect.enabled {
+        let cfg = self.cfg.as_ref().expect("worker 0 deposited");
+        if !cfg.interconnect.enabled {
             return None;
         }
         let ic = self
             .interconnect
-            .get_or_insert_with(|| Interconnect::new(&self.cfg, self.streams.len()));
+            .get_or_insert_with(|| Interconnect::new(cfg, self.streams.len()));
         Some(ic.arbitrate_epoch(&self.streams, &self.llc_streams))
-    }
-
-    /// The whole merge of a protocol that exchanges nothing but the
-    /// interconnect's streams: every shard's charge into `verdicts`, and
-    /// whether the run is over.
-    pub(crate) fn merge(&mut self, verdicts: &mut [Option<EpochCharge>]) -> Epoch {
-        let charges = self.arbitrate();
-        for (w, verdict) in verdicts.iter_mut().enumerate() {
-            *verdict = charges.as_ref().map(|c| c[w]);
-        }
-        if self.drained() {
-            Epoch::Last
-        } else {
-            Epoch::Next
-        }
     }
 
     /// True once no shard deposited outstanding work.
     pub(crate) fn drained(&self) -> bool {
         self.outstanding.iter().all(|&r| r == 0)
     }
+}
 
-    /// The machine lost power: the shared controller's queues are gone
-    /// too, and post-crash local clocks restart at zero — the next merge
-    /// starts from a fresh controller.
-    pub(crate) fn power_cycle(&mut self) {
-        self.interconnect = None;
+/// What a shard does about power cuts, statically dispatched: the two
+/// instants at which a driver can find that one landed. Each returns
+/// `true` if the shard lost power and was recovered — its clock
+/// restarted. Plain runs arm no cuts (`()`): nothing to do, and the
+/// calls compile away.
+pub(crate) trait FaultPlan<E>: Send {
+    /// A transaction's commit just returned.
+    fn committed(&mut self, _engine: &mut E) -> bool {
+        false
+    }
+
+    /// The epoch's interconnect charge just landed (the
+    /// [`FaultSite::EpochBoundary`](ssp_simulator::fault::FaultSite::EpochBoundary)
+    /// hook).
+    fn charged(&mut self, _engine: &mut E) -> bool {
+        false
     }
 }
 
-/// Measurement baselines of one shard, snapshotted where its measured
-/// phase starts.
+impl<E> FaultPlan<E> for () {}
+
+/// One shard's side of the epoch exchange, written once for every epoch
+/// protocol: the ladder of local virtual times at which the shard stops
+/// for a rendezvous, what it hands the [`EpochBoard`] there, and what it
+/// does with the charge it gets back.
+pub(crate) struct Ladder {
+    epoch_cycles: u64,
+    /// Local virtual time of the next epoch boundary.
+    pub(crate) target: u64,
+    /// The shard lost power since its last deposit.
+    power_cycled: bool,
+}
+
+impl Ladder {
+    /// A ladder with the epoch length `cfg` asks for: the interconnect's
+    /// when it is enabled (so everything riding the rendezvous shares one
+    /// boundary), else the protocol's own `fallback` — `u64::MAX` for one
+    /// epoch that never ends before the shard's work does.
+    pub(crate) fn new(cfg: &MachineConfig, fallback: u64) -> Self {
+        let epoch_cycles = if cfg.interconnect.enabled {
+            cfg.interconnect.epoch_cycles
+        } else {
+            fallback
+        };
+        Self {
+            epoch_cycles: epoch_cycles.max(1),
+            target: 0,
+            power_cycled: false,
+        }
+    }
+
+    /// Starts the ladder one epoch from the shard's clock.
+    pub(crate) fn start(&mut self, machine: &Machine) {
+        self.target = machine.cycles(SHARD_CORE).saturating_add(self.epoch_cycles);
+    }
+
+    /// Shard `w` reached the boundary: the epoch's event streams and the
+    /// work it still holds go to the board. A shard that lost power since
+    /// the last boundary says so here — the shared controller's queues
+    /// are gone too, and post-crash local clocks restart at zero, so the
+    /// merge these streams feed starts from a fresh controller.
+    pub(crate) fn deposit(
+        &mut self,
+        w: usize,
+        machine: &mut Machine,
+        outstanding: u64,
+        board: &mut EpochBoard,
+    ) {
+        if std::mem::take(&mut self.power_cycled) {
+            board.interconnect = None;
+        }
+        if w == 0 && board.cfg.is_none() {
+            board.cfg = Some(machine.config().clone());
+        }
+        // Swap rather than replace: this epoch's events land in the
+        // board's slot and the previous epoch's (drained) buffer becomes
+        // the machine's next recording buffer, so runs stop allocating
+        // per epoch per shard. A machine that records nothing swaps in an
+        // empty stream.
+        machine.take_mem_events_into(&mut board.streams[w]);
+        machine.take_llc_events_into(&mut board.llc_streams[w]);
+        board.outstanding[w] = outstanding;
+    }
+
+    /// Applies the shard's charge of the epoch just merged and lets
+    /// `plan` react to it.
+    pub(crate) fn charge<E: TxnEngine, P: FaultPlan<E>>(
+        &mut self,
+        engine: &mut E,
+        charge: Option<EpochCharge>,
+        plan: &mut P,
+    ) {
+        if let Some(charge) = charge {
+            engine.machine_mut().apply_epoch_charge(SHARD_CORE, &charge);
+        }
+        if plan.charged(engine) {
+            self.restart(engine.machine_mut());
+        }
+    }
+
+    /// The shard lost power since the merge and was recovered: its ladder
+    /// restarts from the recovered clock, and what recovery recorded is
+    /// not the next epoch's traffic.
+    pub(crate) fn restart(&mut self, machine: &mut Machine) {
+        machine.discard_mem_events();
+        self.power_cycled = true;
+        self.target = machine.cycles(SHARD_CORE);
+    }
+
+    /// Moves the boundary one epoch on.
+    pub(crate) fn advance(&mut self) {
+        self.target = self.target.saturating_add(self.epoch_cycles);
+    }
+}
+
+/// Measurement baselines of one machine, snapshotted where its measured
+/// phase starts: a shard's (one core), or the legacy driver's (every core
+/// it runs on).
 pub(crate) struct ShardBase {
     stats: MachineStats,
     txn: TxnStats,
-    cycles: u64,
+    /// The clocks of cores `0..cycles.len()`.
+    cycles: Vec<u64>,
 }
 
 impl ShardBase {
-    pub(crate) fn snapshot<E: TxnEngine>(engine: &E) -> Self {
+    pub(crate) fn snapshot<E: TxnEngine>(engine: &E, cores: usize) -> Self {
+        let clock = |c| engine.machine().cycles(CoreId::new(c));
         Self {
             stats: engine.machine().stats().clone(),
             txn: engine.txn_stats().clone(),
-            cycles: engine.machine().cycles(SHARD_CORE),
+            cycles: (0..cores).map(clock).collect(),
         }
     }
 
@@ -382,10 +459,11 @@ impl ShardBase {
         )
     }
 
-    /// Shard-core cycles since the snapshot (meaningless across a crash,
-    /// which resets the clock).
+    /// Wall-clock cycles since the snapshot — the maximum over its cores
+    /// (meaningless across a crash, which resets the clocks).
     pub(crate) fn elapsed_cycles<E: TxnEngine>(&self, engine: &E) -> u64 {
-        engine.machine().cycles(SHARD_CORE) - self.cycles
+        let since = |(c, base)| engine.machine().cycles(CoreId::new(c)) - base;
+        self.cycles.iter().enumerate().map(since).max().unwrap_or(0)
     }
 }
 
@@ -417,22 +495,22 @@ impl RunResult {
         }
     }
 
-    /// Merges per-shard measurements — `(elapsed cycles, machine
-    /// counters, transaction statistics, latency histograms)` in
-    /// worker-index order — into the run's result: counters summed, the
-    /// wall-clock the maximum shard time, exactly as
-    /// [`Machine::elapsed_cycles`] defines it for a shared machine.
-    pub(crate) fn merged<'a, E: TxnEngine>(
+    /// Merges the shards' measurements, in worker-index order, into the
+    /// run's result: counters summed, the wall-clock the maximum shard
+    /// time, exactly as [`Machine::elapsed_cycles`] defines it for a
+    /// shared machine.
+    pub(crate) fn merged<E: TxnEngine>(
         engine: &E,
         workload: &str,
         txns: u64,
-        shards: impl IntoIterator<Item = (u64, &'a MachineStats, &'a TxnStats, &'a LatencyStats)>,
+        shards: &[impl MeasuredShard],
     ) -> Self {
         let mut stats = MachineStats::new();
         let mut txn_stats = TxnStats::default();
         let mut latency = LatencyStats::default();
         let mut elapsed = 0;
-        for (cycles, shard_stats, shard_txn_stats, shard_latency) in shards {
+        for shard in shards {
+            let (cycles, shard_stats, shard_txn_stats, shard_latency) = shard.measured();
             elapsed = elapsed.max(cycles);
             stats.merge(shard_stats);
             txn_stats.merge(shard_txn_stats);
@@ -442,69 +520,121 @@ impl RunResult {
     }
 }
 
-/// Per-worker driver state for the sharded run.
-struct Worker<E, W> {
-    engine: E,
-    workload: W,
+/// What every sharded driver's per-shard result carries for the
+/// run-level merge: the measured phase's elapsed cycles, machine
+/// counters, transaction statistics and latency histograms.
+pub(crate) trait MeasuredShard {
+    fn measured(&self) -> (u64, &MachineStats, &TxnStats, &LatencyStats);
+}
+
+impl<E> MeasuredShard for ShardRun<E> {
+    fn measured(&self) -> (u64, &MachineStats, &TxnStats, &LatencyStats) {
+        (
+            self.elapsed_cycles,
+            &self.stats,
+            &self.txn_stats,
+            &self.latency,
+        )
+    }
+}
+
+/// Runs one transaction on `core`, recording its phase latencies; returns
+/// the core's clock at its end. Inlined into both drivers' hot loops.
+#[inline(always)]
+fn timed_txn<E: TxnEngine, W: Workload + ?Sized>(
+    engine: &mut E,
+    workload: &mut W,
+    core: CoreId,
+    rng: &mut SmallRng,
+    lat: &mut LatencyStats,
+) -> u64 {
+    // The phase boundaries read the core's (virtual) clock only —
+    // recording latency never touches the simulated state, so the
+    // histograms are exact and deterministic in every execution mode.
+    let c0 = engine.machine().cycles(core);
+    engine.begin(core);
+    let c1 = engine.machine().cycles(core);
+    workload.run_txn(engine, core, rng);
+    let c2 = engine.machine().cycles(core);
+    engine.commit(core);
+    let c3 = engine.machine().cycles(core);
+    lat.begin.record(c1 - c0);
+    lat.exec.record(c2 - c1);
+    lat.commit.record(c3 - c2);
+    lat.txn.record(c3 - c0);
+    c3
+}
+
+/// The closed-loop shard: one engine, one workload partition, one RNG
+/// stream, issuing its next transaction the instant the previous one
+/// returns. `run_parallel` and `run_storm` are both this worker under
+/// [`ClosedLoop`]; they differ in the [`FaultPlan`] it carries.
+pub(crate) struct Worker<E, W, P = ()> {
+    pub(crate) engine: E,
+    pub(crate) workload: W,
     rng: SmallRng,
-    txns: u64,
-    warmup: u64,
-    /// Measured transactions still to run, and the local virtual time of
-    /// the next epoch boundary.
+    pub(crate) txns: u64,
+    /// Measured transactions still to run.
     remaining: u64,
-    target: u64,
+    ladder: Ladder,
     /// Latency histograms; recorded by every transaction, reset at the
     /// start of the measured phase so warm-up samples are excluded.
     lat: LatencyStats,
+    /// Measurement baselines, snapshotted where the warm-up ends.
+    base: Option<ShardBase>,
+    pub(crate) plan: P,
 }
 
-impl<E: TxnEngine, W: Workload> Worker<E, W> {
-    fn new(engine: E, workload: W, cfg: &RunConfig, w: usize) -> Self {
+impl<E: TxnEngine, W: Workload, P: FaultPlan<E>> Worker<E, W, P> {
+    pub(crate) fn new(engine: E, workload: W, plan: P, cfg: &RunConfig, w: usize) -> Self {
         Self {
+            ladder: Ladder::new(engine.machine().config(), u64::MAX),
             engine,
             workload,
             rng: SmallRng::seed_from_u64(worker_seed(cfg.seed, w)),
             txns: worker_share(cfg.txns, cfg.threads, w),
-            warmup: worker_share(cfg.warmup, cfg.threads, w),
             remaining: 0,
-            target: 0,
             lat: LatencyStats::default(),
+            base: None,
+            plan,
         }
     }
 
     /// Runs one transaction; returns the shard clock at its end.
     fn one_txn(&mut self) -> u64 {
-        // The phase boundaries read the shard's (virtual) clock only —
-        // recording latency never touches the simulated state, so the
-        // histograms are exact and deterministic in every execution mode.
-        let c0 = self.engine.machine().cycles(SHARD_CORE);
-        self.engine.begin(SHARD_CORE);
-        let c1 = self.engine.machine().cycles(SHARD_CORE);
-        self.workload
-            .run_txn(&mut self.engine, SHARD_CORE, &mut self.rng);
-        let c2 = self.engine.machine().cycles(SHARD_CORE);
-        self.engine.commit(SHARD_CORE);
-        let c3 = self.engine.machine().cycles(SHARD_CORE);
-        self.lat.begin.record(c1 - c0);
-        self.lat.exec.record(c2 - c1);
-        self.lat.commit.record(c3 - c2);
-        self.lat.txn.record(c3 - c0);
-        c3
+        let (engine, workload) = (&mut self.engine, &mut self.workload);
+        let end = timed_txn(engine, workload, SHARD_CORE, &mut self.rng, &mut self.lat);
+        if self.plan.committed(&mut self.engine) {
+            return self.engine.machine().cycles(SHARD_CORE);
+        }
+        end
     }
 
-    /// Setup plus warm-up, then snapshot the measurement baselines.
-    fn prepare(&mut self) -> ShardBase {
+    /// Setup plus `warmup` transactions, then snapshot the measurement
+    /// baselines.
+    fn prepare(&mut self, warmup: u64) {
         self.workload.setup(&mut self.engine, SHARD_CORE);
-        for _ in 0..self.warmup {
+        for _ in 0..warmup {
             self.one_txn();
         }
         // Setup and warm-up run uncontended: their recorded events are
         // discarded so epoch arbitration covers the measured phase only.
         self.engine.machine_mut().discard_mem_events();
-        ShardBase::snapshot(&self.engine)
+        self.base = Some(ShardBase::snapshot(&self.engine, 1));
     }
 
-    fn finish(self, w: usize, base: ShardBase) -> ShardRun<E> {
+    /// Starts the measured phase: a share of `txns` transactions, the
+    /// first epoch boundary, empty histograms (warm-up transactions
+    /// recorded samples).
+    pub(crate) fn start(&mut self, txns: u64) {
+        self.txns = txns;
+        self.remaining = txns;
+        self.ladder.start(self.engine.machine());
+        self.lat.reset();
+    }
+
+    fn finish(self, w: usize) -> ShardRun<E> {
+        let base = self.base.expect("the shard was prepared");
         let (stats, txn_stats) = base.measured(&self.engine);
         ShardRun {
             workload: self.workload.name(),
@@ -519,26 +649,23 @@ impl<E: TxnEngine, W: Workload> Worker<E, W> {
     }
 }
 
-/// [`run_parallel`]'s measured phase as a kernel protocol: run an epoch
-/// of local virtual time, deposit the event streams, let one merge run
-/// them through the shared controller, apply this shard's charge, repeat
-/// until every worker is out of transactions. With the interconnect
-/// disabled the single epoch never ends before the share does, and
-/// nothing is charged.
-struct MeasuredEpochs {
-    epoch_cycles: u64,
-}
+/// The closed-loop epoch protocol: run an epoch of local virtual time,
+/// deposit the event streams, let one merge run them through the shared
+/// controller, apply this shard's charge, repeat until every worker is
+/// out of transactions. With the interconnect disabled the single epoch
+/// never ends before the share does, and nothing is charged.
+pub(crate) struct ClosedLoop;
 
-impl<E: TxnEngine, W: Workload> Protocol<Worker<E, W>> for MeasuredEpochs {
+impl<E: TxnEngine, W: Workload, P: FaultPlan<E>> Protocol<Worker<E, W, P>> for ClosedLoop {
     type Board = EpochBoard;
     type Verdict = Option<EpochCharge>;
 
-    fn local(&self, _w: usize, worker: &mut Worker<E, W>) {
+    fn local(&self, _w: usize, worker: &mut Worker<E, W, P>) {
         // The hot loop of every partitioned run: the boundary test works
         // on locals and the clock `one_txn` already read (re-reading the
         // clock and the worker's fields per transaction measured 1–2 %
         // off txn_stream's host throughput).
-        let (mut left, target) = (worker.remaining, worker.target);
+        let (mut left, target) = (worker.remaining, worker.ladder.target);
         let mut now = worker.engine.machine().cycles(SHARD_CORE);
         while left > 0 && now < target {
             now = worker.one_txn();
@@ -547,22 +674,28 @@ impl<E: TxnEngine, W: Workload> Protocol<Worker<E, W>> for MeasuredEpochs {
         worker.remaining = left;
     }
 
-    fn deposit(&self, w: usize, worker: &mut Worker<E, W>, board: &mut EpochBoard) {
-        board.deposit(w, worker.engine.machine_mut(), worker.remaining);
+    fn deposit(&self, w: usize, worker: &mut Worker<E, W, P>, board: &mut EpochBoard) {
+        let machine = worker.engine.machine_mut();
+        worker.ladder.deposit(w, machine, worker.remaining, board);
     }
 
     fn merge(&self, board: &mut EpochBoard, verdicts: &mut [Option<EpochCharge>]) -> Epoch {
-        board.merge(verdicts)
+        let charges = board.arbitrate();
+        for (w, verdict) in verdicts.iter_mut().enumerate() {
+            *verdict = charges.as_ref().map(|c| c[w]);
+        }
+        if board.drained() {
+            Epoch::Last
+        } else {
+            Epoch::Next
+        }
     }
 
-    fn apply(&self, _w: usize, worker: &mut Worker<E, W>, charge: Option<EpochCharge>) {
-        if let Some(charge) = charge {
-            worker
-                .engine
-                .machine_mut()
-                .apply_epoch_charge(SHARD_CORE, &charge);
-        }
-        worker.target = worker.target.saturating_add(self.epoch_cycles);
+    fn apply(&self, _w: usize, worker: &mut Worker<E, W, P>, charge: Option<EpochCharge>) {
+        worker
+            .ladder
+            .charge(&mut worker.engine, charge, &mut worker.plan);
+        worker.ladder.advance();
     }
 }
 
@@ -576,7 +709,6 @@ impl<E: TxnEngine, W: Workload> Protocol<Worker<E, W>> for MeasuredEpochs {
 /// never of host scheduling.
 pub struct WarmParallel<E, W> {
     workers: Vec<Worker<E, W>>,
-    bases: Vec<ShardBase>,
 }
 
 /// Builds and warms `cfg.threads` workers: each constructs its engine and
@@ -599,15 +731,12 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
-    let (workers, bases) = spawn_each(cfg.mode, cfg.threads, |w| {
-        let mut worker = Worker::new(mk_engine(w), mk_workload(w), cfg, w);
-        let base = worker.prepare();
-        (worker, base)
-    })
-    .into_iter()
-    .unzip();
-    WarmParallel { workers, bases }
+    let workers = spawn_each(cfg.mode, cfg.threads, |w| {
+        let mut worker = Worker::new(mk_engine(w), mk_workload(w), (), cfg, w);
+        worker.prepare(worker_share(cfg.warmup, cfg.threads, w));
+        worker
+    });
+    WarmParallel { workers }
 }
 
 impl<E: TxnEngine, W: Workload> WarmParallel<E, W> {
@@ -617,39 +746,17 @@ impl<E: TxnEngine, W: Workload> WarmParallel<E, W> {
     /// for the threading model and determinism contract). Consumes the
     /// warm state.
     pub fn run_measured(self, txns: u64, mode: ExecMode) -> ParallelRun<E> {
-        let WarmParallel { workers, bases } = self;
-        let threads = workers.len();
-        let arbiter_cfg = workers[0].engine.machine().config();
-        let epoch_cycles = EpochBoard::epoch_cycles(arbiter_cfg, u64::MAX);
-        let mut board = EpochBoard::new(arbiter_cfg, threads);
+        let threads = self.workers.len();
         let enter = |w: usize, mut worker: Worker<E, W>| {
-            worker.txns = worker_share(txns, threads, w);
-            worker.remaining = worker.txns;
-            let now = worker.engine.machine().cycles(SHARD_CORE);
-            worker.target = now.saturating_add(epoch_cycles);
-            // Warm-up transactions recorded latency samples; the measured
-            // phase starts from empty histograms.
-            worker.lat.reset();
+            worker.start(worker_share(txns, threads, w));
             worker
         };
-        let protocol = MeasuredEpochs { epoch_cycles };
-        let (workers, host_elapsed) = drive(mode, workers, enter, &protocol, &mut board);
-        let shards: Vec<ShardRun<E>> = workers
-            .into_iter()
-            .zip(bases)
-            .enumerate()
-            .map(|(w, (worker, base))| worker.finish(w, base))
-            .collect();
-        let result = RunResult::merged(
-            &shards[0].engine,
-            shards[0].workload,
-            txns,
-            shards
-                .iter()
-                .map(|s| (s.elapsed_cycles, &s.stats, &s.txn_stats, &s.latency)),
-        );
+        let mut board = EpochBoard::new(threads);
+        let exit = |w, worker: Worker<E, W>| worker.finish(w);
+        let (shards, host_elapsed) =
+            drive(mode, self.workers, enter, &ClosedLoop, &mut board, exit);
         ParallelRun {
-            result,
+            result: RunResult::merged(&shards[0].engine, shards[0].workload, txns, &shards),
             shards,
             host_elapsed,
         }
@@ -708,13 +815,6 @@ pub fn run<E: TxnEngine>(
     single_measured(engine, workload, cfg.threads, cfg.txns, &mut rng, &base)
 }
 
-/// Measurement baselines of the legacy driver, snapshotted after warm-up.
-struct SingleBase {
-    stats: MachineStats,
-    txn: TxnStats,
-    cycles: Vec<u64>,
-}
-
 fn single_check_and_seed<E: TxnEngine>(engine: &E, cfg: &RunConfig) -> SmallRng {
     assert!(cfg.threads >= 1, "at least one thread");
     assert!(
@@ -739,7 +839,7 @@ fn single_warm<E: TxnEngine>(
     workload: &mut dyn Workload,
     cfg: &RunConfig,
     rng: &mut SmallRng,
-) -> SingleBase {
+) -> ShardBase {
     workload.setup(engine, CoreId::new(0));
     for i in 0..cfg.warmup {
         let core = CoreId::new((i % cfg.threads as u64) as usize);
@@ -747,13 +847,7 @@ fn single_warm<E: TxnEngine>(
         workload.run_txn(engine, core, rng);
         engine.commit(core);
     }
-    SingleBase {
-        stats: engine.machine().stats().clone(),
-        txn: engine.txn_stats().clone(),
-        cycles: (0..cfg.threads)
-            .map(|c| engine.machine().cycles(CoreId::new(c)))
-            .collect(),
-    }
+    ShardBase::snapshot(engine, cfg.threads)
 }
 
 /// The measured phase of the legacy driver.
@@ -763,30 +857,16 @@ fn single_measured<E: TxnEngine>(
     threads: usize,
     txns: u64,
     rng: &mut SmallRng,
-    base: &SingleBase,
+    base: &ShardBase,
 ) -> RunResult {
     let mut latency = LatencyStats::default();
     for i in 0..txns {
         let core = CoreId::new((i % threads as u64) as usize);
-        let c0 = engine.machine().cycles(core);
-        engine.begin(core);
-        let c1 = engine.machine().cycles(core);
-        workload.run_txn(engine, core, rng);
-        let c2 = engine.machine().cycles(core);
-        engine.commit(core);
-        let c3 = engine.machine().cycles(core);
-        latency.begin.record(c1 - c0);
-        latency.exec.record(c2 - c1);
-        latency.commit.record(c3 - c2);
-        latency.txn.record(c3 - c0);
+        timed_txn(engine, workload, core, rng, &mut latency);
     }
 
-    let stats = engine.machine().stats().diff(&base.stats);
-    let txn_stats = engine.txn_stats().diff(&base.txn);
-    let elapsed = (0..threads)
-        .map(|c| engine.machine().cycles(CoreId::new(c)) - base.cycles[c])
-        .max()
-        .unwrap_or(0);
+    let (stats, txn_stats) = base.measured(engine);
+    let elapsed = base.elapsed_cycles(engine);
     RunResult::new(
         engine,
         workload.name(),
@@ -810,7 +890,7 @@ pub struct WarmSingle<E> {
     workload: Box<dyn Workload>,
     rng: SmallRng,
     threads: usize,
-    base: SingleBase,
+    base: ShardBase,
 }
 
 /// One finished legacy-driver cell: the merged measurements plus the

@@ -71,11 +71,11 @@ use ssp_simulator::stats::MachineStats;
 use ssp_txn::engine::{TxnEngine, TxnStats};
 use ssp_txn::occ::BackoffPolicy;
 
-use crate::kernel::{drive, map_each, Solo};
+use crate::kernel::{drive, Solo};
 use crate::runner::{
-    worker_seed, worker_share, RunConfig, RunResult, ShardBase, Workload, SHARD_CORE,
+    worker_seed, worker_share, MeasuredShard, RunConfig, RunResult, ShardBase, Workload, SHARD_CORE,
 };
-use crate::storm::{OracleEngine, StormSchedule, Torn};
+use crate::storm::{OracleEngine, RecoveryCost, Storm, StormSchedule, Torn};
 
 /// Inter-arrival shape of the open-loop generator. All shapes have the
 /// same mean inter-arrival time ([`ServiceConfig::period_cycles`]); they
@@ -280,6 +280,17 @@ pub struct ServiceShardRun<E> {
     pub fingerprint: u64,
 }
 
+impl<E> MeasuredShard for ServiceShardRun<E> {
+    fn measured(&self) -> (u64, &MachineStats, &TxnStats, &LatencyStats) {
+        (
+            self.elapsed_cycles,
+            &self.stats,
+            &self.txn_stats,
+            &self.latency,
+        )
+    }
+}
+
 /// Result of a [`run_service`] run.
 #[derive(Debug)]
 pub struct ServiceRun<E> {
@@ -367,14 +378,11 @@ struct ServiceWorker<E, W> {
     service: ServiceStats,
     lat: LatencyStats,
     curve: Vec<DrainPoint>,
-    /// Service time accumulated in previous power segments.
-    elapsed_accum: u64,
-    /// Clock value at the start of the current segment's measured span.
-    seg_base: u64,
     /// EWMA of per-request service cycles (deadline-shed predictor).
     est_service: u64,
-    /// Index of the next storm-schedule point to arm.
-    next_point: usize,
+    /// The storm schedule's cursor, the record of its cuts, and the
+    /// service clock across power segments.
+    cuts: Storm,
     w: usize,
 }
 
@@ -393,19 +401,16 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
             service: ServiceStats::default(),
             lat: LatencyStats::default(),
             curve: Vec::new(),
-            elapsed_accum: 0,
-            seg_base: 0,
             est_service: EST_SERVICE_INIT,
-            next_point: 0,
+            cuts: Storm::new(svc.storm.clone(), w),
             w,
         }
     }
 
-    /// Current service time: accumulated previous power segments plus
-    /// the live segment's clock span.
+    /// Current service time: accumulated previous power segments and
+    /// recovery windows plus the live segment's clock span.
     fn now(&self) -> u64 {
-        let c = self.engine.machine().cycles(SHARD_CORE);
-        self.elapsed_accum + c.saturating_sub(self.seg_base)
+        self.cuts.elapsed(self.engine.machine())
     }
 
     /// Setup + closed-loop warm-up (excluded from every counter), then
@@ -420,17 +425,8 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
             self.engine.commit(SHARD_CORE);
         }
         self.engine.machine_mut().discard_mem_events();
-        self.engine.set_recording(true);
-        self.seg_base = self.engine.machine().cycles(SHARD_CORE);
-        self.arm_next();
-        ShardBase::snapshot(&self.engine)
-    }
-
-    /// Arms the next storm point (like the crash-storm driver).
-    fn arm_next(&mut self) {
-        if let Some(schedule) = &self.cfg.storm {
-            schedule.arm(self.next_point, self.engine.machine_mut());
-        }
+        self.cuts.power_on(&mut self.engine);
+        ShardBase::snapshot(&self.engine, 1)
     }
 
     fn depth(&self) -> u64 {
@@ -625,46 +621,22 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
     /// group, retry scheduling for a dropped group, re-arm. `batch` is
     /// empty for cuts landing on an idle shard.
     fn storm_dance(&mut self, batch: Vec<Request>) {
-        self.service.storms += 1;
-        let cut = self.engine.machine().cycles(SHARD_CORE);
-        self.elapsed_accum += cut.saturating_sub(self.seg_base);
-
         // Group commit is all-or-nothing: the whole batch either rolled
         // back or its commit mark beat the freeze. `recover()` itself
         // does not advance the core clock, so each pass's estimated
         // latency is charged to it — arrivals keep accruing through the
-        // outage. A recovery that was itself cut is unavailability too,
-        // and counts in service time before the second crash resets the
-        // clock.
-        let cut_recovery = self
-            .cfg
-            .storm
-            .as_ref()
-            .is_some_and(|s| s.crash_during_recovery);
-        let (service, elapsed_accum) = (&mut self.service, &mut self.elapsed_accum);
-        let mut recovered = 0;
-        let torn = self.engine.resolve_cut(cut_recovery, |engine, cost, cut| {
+        // outage, and the storm sequence counts what each pass was
+        // charged (a recovery that was itself cut included) as service
+        // time, but not the oracle verification after it: `now()`
+        // resumes at the post-recovery instant. The next point is armed
+        // where recovery ends.
+        let service = &mut self.service;
+        let in_flight = !batch.is_empty();
+        let pass = |engine: &mut OracleEngine<E>, cost: RecoveryCost, _cut| {
             engine.machine_mut().add_cycles(SHARD_CORE, cost.cycles_est);
             service.unavailability_cycles += cost.cycles_est;
-            recovered = engine.machine().cycles(SHARD_CORE);
-            if cut {
-                *elapsed_accum += recovered;
-            }
-        });
-        let group_kept = torn == Torn::Kept;
-        match torn {
-            Torn::Dropped => self.service.torn_dropped += u64::from(!batch.is_empty()),
-            Torn::Kept => self.service.torn_kept += u64::from(!batch.is_empty()),
-            Torn::Lost => self.service.lost += 1,
-        }
-        // Oracle verification is harness bookkeeping: exclude its loads
-        // from service time by re-basing the segment so `now()` resumes
-        // at the post-recovery instant.
-        self.seg_base = self
-            .engine
-            .machine()
-            .cycles(SHARD_CORE)
-            .saturating_sub(recovered);
+        };
+        let group_kept = self.cuts.recover(&mut self.engine, in_flight, pass) == Torn::Kept;
 
         let done_now = self.now();
         for req in batch {
@@ -690,8 +662,6 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
                 self.service.queue_peak = self.service.queue_peak.max(self.depth());
             }
         }
-        self.next_point += 1;
-        self.arm_next();
         self.sample_curve();
     }
 
@@ -705,8 +675,7 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
         let (stats, txn_stats) = base.measured(&self.engine);
         self.sample_curve();
 
-        let (fingerprint, _, intact) = self.engine.quiesce();
-        self.service.lost += u64::from(!intact);
+        let cuts = self.cuts.finish(&mut self.engine);
         self.engine.machine_mut().discard_mem_events();
         ServiceShardRun {
             worker: self.w,
@@ -715,9 +684,15 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
             stats,
             txn_stats,
             latency: self.lat,
-            service: self.service,
+            service: ServiceStats {
+                storms: cuts.storms,
+                torn_dropped: cuts.torn_txns,
+                torn_kept: cuts.kept_torn_txns,
+                lost: cuts.lost_txns,
+                ..self.service
+            },
             curve: self.curve,
-            fingerprint,
+            fingerprint: cuts.fingerprint,
             engine: self.engine.into_inner(),
         }
     }
@@ -743,7 +718,6 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
     let prepare = |w: usize, ()| {
         let mut worker = ServiceWorker::new(mk_engine(w), mk_workload(w), cfg, svc, w);
         assert!(
@@ -757,23 +731,18 @@ where
     // scheduling step after the other, to the end.
     let drain =
         Solo(|_, (worker, _): &mut (ServiceWorker<E, W>, ShardBase)| while worker.step() {});
+    let exit = |_, (worker, base): (ServiceWorker<E, W>, ShardBase)| {
+        (worker.workload.name(), worker.finish(base))
+    };
     let seeds = vec![(); cfg.threads];
-    let (workers, host_elapsed) = drive(cfg.mode, seeds, prepare, &drain, &mut ());
+    let (shards, host_elapsed) = drive(cfg.mode, seeds, prepare, &drain, &mut (), exit);
 
-    let workload_name = workers[0].0.workload.name();
-    let shards = map_each(cfg.mode, workers, |_, (worker, base)| worker.finish(base));
+    let (names, shards): (Vec<_>, Vec<ServiceShardRun<E>>) = shards.into_iter().unzip();
     let mut service = ServiceStats::default();
     for shard in &shards {
         service.merge(&shard.service);
     }
-    let result = RunResult::merged(
-        &shards[0].engine,
-        workload_name,
-        service.served,
-        shards
-            .iter()
-            .map(|s| (s.elapsed_cycles, &s.stats, &s.txn_stats, &s.latency)),
-    );
+    let result = RunResult::merged(&shards[0].engine, names[0], service.served, &shards);
     ServiceRun {
         result,
         service,
@@ -809,8 +778,7 @@ mod tests {
         }
     }
 
-    fn run(mode: ExecMode, period: u64, svc_cfg: &ServiceConfig) -> ServiceRun<Ssp> {
-        let _ = period;
+    fn run(mode: ExecMode, svc_cfg: &ServiceConfig) -> ServiceRun<Ssp> {
         let threads = 2;
         let shard = MachineConfig::default().shard_slice(threads);
         run_service(
@@ -823,7 +791,7 @@ mod tests {
 
     #[test]
     fn light_load_serves_everything() {
-        let r = run(ExecMode::Threaded, 0, &svc(20_000));
+        let r = run(ExecMode::Threaded, &svc(20_000));
         assert!(r.service.conserves(), "{:?}", r.service);
         assert_eq!(r.service.arrivals, 160);
         assert_eq!(r.service.served, 160, "{:?}", r.service);
@@ -838,7 +806,7 @@ mod tests {
         let mut s = svc(40);
         s.queue_capacity = 8;
         s.deadline_cycles = 4_000;
-        let r = run(ExecMode::Threaded, 0, &s);
+        let r = run(ExecMode::Threaded, &s);
         assert!(r.service.conserves(), "{:?}", r.service);
         assert!(
             r.service.shed > 0,
@@ -852,9 +820,9 @@ mod tests {
     #[test]
     fn threaded_matches_sequential_and_repeats() {
         let s = svc(600);
-        let a = run(ExecMode::Threaded, 0, &s);
-        let b = run(ExecMode::Sequential, 0, &s);
-        let c = run(ExecMode::Threaded, 0, &s);
+        let a = run(ExecMode::Threaded, &s);
+        let b = run(ExecMode::Sequential, &s);
+        let c = run(ExecMode::Threaded, &s);
         assert_eq!(a.result, b.result);
         assert_eq!(a.service, b.service);
         assert_eq!(a.result, c.result);
@@ -873,8 +841,8 @@ mod tests {
         g1.group = 1;
         let mut g8 = svc(600);
         g8.group = 8;
-        let a = run(ExecMode::Threaded, 0, &g1);
-        let b = run(ExecMode::Threaded, 0, &g8);
+        let a = run(ExecMode::Threaded, &g1);
+        let b = run(ExecMode::Threaded, &g8);
         assert_eq!(a.service.served, b.service.served);
         assert!(
             b.service.groups < a.service.groups,
@@ -894,7 +862,7 @@ mod tests {
     fn storms_recover_with_zero_loss() {
         let mut s = svc(600);
         s.storm = Some(StormSchedule::every_cycles(30_000));
-        let r = run(ExecMode::Threaded, 0, &s);
+        let r = run(ExecMode::Threaded, &s);
         assert!(r.service.storms > 0, "{:?}", r.service);
         assert_eq!(r.service.lost, 0, "{:?}", r.service);
         assert!(r.service.unavailability_cycles > 0);

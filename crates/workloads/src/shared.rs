@@ -57,7 +57,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ssp_simulator::addr::{VirtAddr, Vpn, LINE_SIZE};
 use ssp_simulator::cache::CoreId;
-use ssp_simulator::fault::{CrashPoint, FaultSite};
+use ssp_simulator::fault::FaultSite;
 use ssp_simulator::interconnect::EpochCharge;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::{LatencyStats, ObsKind};
@@ -67,11 +67,12 @@ use ssp_txn::occ::{
     validate_epoch, BackoffPolicy, CommitIntent, LineWrite, SpecTxn, Verdict, VersionedHeap,
 };
 
-use crate::kernel::{drive, map_each, Epoch, Protocol};
+use crate::kernel::{drive, Epoch, Protocol};
 use crate::runner::{
-    worker_seed, worker_share, EpochBoard, RunConfig, RunResult, ShardBase, Workload, SHARD_CORE,
+    worker_seed, worker_share, EpochBoard, FaultPlan, Ladder, MeasuredShard, RunConfig, RunResult,
+    ShardBase, Workload, SHARD_CORE,
 };
-use crate::storm::{OracleEngine, Torn};
+use crate::storm::{OracleEngine, Storm, StormRun, StormSchedule};
 
 /// Knobs of the shared-heap mode (the conflict *rate* is a workload
 /// knob — see [`ConflictSps`](crate::conflict::ConflictSps)).
@@ -176,15 +177,14 @@ pub struct SharedRun<E> {
     pub host_elapsed: Duration,
 }
 
-impl<E> SharedRun<E> {
-    /// Measured transactions per host second.
-    pub fn host_tps(&self) -> f64 {
-        let secs = self.host_elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.result.txns as f64 / secs
-        }
+impl<E> MeasuredShard for SharedShardRun<E> {
+    fn measured(&self) -> (u64, &MachineStats, &TxnStats, &LatencyStats) {
+        (
+            self.elapsed_cycles,
+            &self.stats,
+            &self.txn_stats,
+            &self.latency,
+        )
     }
 }
 
@@ -310,11 +310,11 @@ impl<E: TxnEngine> TxnEngine for CaptureView<'_, E> {
 /// the canonical heap, and the commit intents riding the same rendezvous
 /// as the interconnect streams.
 struct SharedBoard {
-    heap: VersionedHeap,
-    /// Made by the first deposit, together with the heap's seed: the
-    /// shards are built inside the drive, so there is no worker to take
-    /// a machine config from before that.
-    ic: Option<EpochBoard>,
+    /// Seeded by the first deposit: the shards are built inside the
+    /// drive, so there is no worker to take the setup's bytes from
+    /// before that.
+    heap: Option<VersionedHeap>,
+    ic: EpochBoard,
     intents: Vec<Vec<CommitIntent>>,
     /// The run is still in its warm-up phase: when it drains, the
     /// measured phase starts instead of the run ending.
@@ -324,8 +324,8 @@ struct SharedBoard {
 impl SharedBoard {
     fn new(workers: usize, warming: bool) -> Self {
         Self {
-            heap: VersionedHeap::new(),
-            ic: None,
+            heap: None,
+            ic: EpochBoard::new(workers),
             intents: vec![Vec::new(); workers],
             warming,
         }
@@ -345,21 +345,9 @@ struct EpochOutcome {
     warmed: bool,
 }
 
-/// What follows each winning intent's publication replay. Returns `true`
-/// if the shard lost power and was recovered (its clock restarted).
-trait AfterPublish<E> {
-    fn published(&mut self, engine: &mut E) -> bool;
-}
-
-/// Plain runs arm no cuts: nothing to do.
-impl<E> AfterPublish<E> for () {
-    fn published(&mut self, _engine: &mut E) -> bool {
-        false
-    }
-}
-
-/// Per-worker driver state.
-struct SharedWorker<E, W, H = ()> {
+/// Per-worker driver state. The [`FaultPlan`]'s `committed` follows each
+/// winning intent's publication replay.
+struct SharedWorker<E, W, P = ()> {
     engine: E,
     workload: W,
     rng: SmallRng,
@@ -381,18 +369,17 @@ struct SharedWorker<E, W, H = ()> {
     measured_share: u64,
     /// Measurement baselines, snapshotted where the warm-up ends.
     base: Option<ShardBase>,
-    /// Local virtual time of the next epoch boundary, and the epoch
-    /// length: an enabled interconnect's (so commit intents and memory
-    /// streams share one rendezvous), else the shared-heap config's own.
-    target: u64,
-    epoch_cycles: u64,
+    /// The epoch ladder: an enabled interconnect's epoch length (so
+    /// commit intents and memory streams share one rendezvous), else the
+    /// shared-heap config's own.
+    ladder: Ladder,
     shared: SharedStats,
     backoff: BackoffPolicy,
-    after_publish: H,
+    plan: P,
     w: usize,
 }
 
-impl<E: TxnEngine, W: Workload, H: AfterPublish<E>> SharedWorker<E, W, H> {
+impl<E: TxnEngine, W: Workload, P: FaultPlan<E>> SharedWorker<E, W, P> {
     /// Builds shard `w`, runs workload setup through the capture view —
     /// the local shard gets its real persistent state (identical on
     /// every worker) and the heap snapshot gets the seed bytes — and
@@ -402,13 +389,12 @@ impl<E: TxnEngine, W: Workload, H: AfterPublish<E>> SharedWorker<E, W, H> {
         workload: W,
         cfg: &RunConfig,
         shared_cfg: &SharedHeapConfig,
-        after_publish: H,
+        plan: P,
         w: usize,
         fresh: u64,
     ) -> Self {
-        let epoch_cycles =
-            EpochBoard::epoch_cycles(engine.machine().config(), shared_cfg.epoch_cycles);
         let mut worker = Self {
+            ladder: Ladder::new(engine.machine().config(), shared_cfg.epoch_cycles),
             engine,
             workload,
             rng: SmallRng::seed_from_u64(worker_seed(cfg.seed, w)),
@@ -422,11 +408,9 @@ impl<E: TxnEngine, W: Workload, H: AfterPublish<E>> SharedWorker<E, W, H> {
             fresh: 0,
             measured_share: 0,
             base: None,
-            target: 0,
-            epoch_cycles,
             shared: SharedStats::default(),
             backoff: shared_cfg.backoff,
-            after_publish,
+            plan,
             w,
         };
         let mut view = CaptureView {
@@ -442,11 +426,7 @@ impl<E: TxnEngine, W: Workload, H: AfterPublish<E>> SharedWorker<E, W, H> {
     /// Starts a phase of `fresh` transactions with a new epoch ladder.
     fn begin_phase(&mut self, fresh: u64) {
         self.fresh = fresh;
-        self.target = self.engine.machine().cycles(SHARD_CORE) + self.epoch_cycles;
-    }
-
-    fn outstanding(&self) -> u64 {
-        self.fresh + self.retries.len() as u64
+        self.ladder.start(self.engine.machine());
     }
 
     /// Speculates until the local clock reaches the boundary or no work
@@ -455,7 +435,7 @@ impl<E: TxnEngine, W: Workload, H: AfterPublish<E>> SharedWorker<E, W, H> {
     fn run_epoch(&mut self) {
         debug_assert!(self.pending_intents.is_empty());
         self.overlay.clear();
-        while self.engine.machine().cycles(SHARD_CORE) < self.target {
+        while self.engine.machine().cycles(SHARD_CORE) < self.ladder.target {
             let (mut run_rng, attempt) = if let Some((rng, attempt)) = self.retries.pop_front() {
                 let delay = self.backoff.delay(attempt);
                 self.engine.machine_mut().add_cycles(SHARD_CORE, delay);
@@ -537,7 +517,7 @@ impl<E: TxnEngine, W: Workload, H: AfterPublish<E>> SharedWorker<E, W, H> {
                         .machine_mut()
                         .obs_record(ObsKind::OccValidate, attempt as u64);
                     self.replay(&intent);
-                    tripped |= self.after_publish.published(&mut self.engine);
+                    tripped |= self.plan.committed(&mut self.engine);
                 }
                 Verdict::Conflict | Verdict::Cascade => {
                     self.shared.aborted += 1;
@@ -559,7 +539,7 @@ impl<E: TxnEngine, W: Workload, H: AfterPublish<E>> SharedWorker<E, W, H> {
     /// Warm-up drained: snapshot clean baselines and start the measured
     /// phase on a new epoch ladder.
     fn start_measuring(&mut self) {
-        self.base = Some(ShardBase::snapshot(&self.engine));
+        self.base = Some(ShardBase::snapshot(&self.engine, 1));
         self.lat.reset();
         self.shared = SharedStats::default();
         self.begin_phase(self.measured_share);
@@ -592,30 +572,28 @@ impl<E: TxnEngine, W: Workload, H: AfterPublish<E>> SharedWorker<E, W, H> {
 /// publishes its winners and queues its losers.
 struct SharedEpochs;
 
-impl<E, W, H> Protocol<SharedWorker<E, W, H>> for SharedEpochs
+impl<E, W, P> Protocol<SharedWorker<E, W, P>> for SharedEpochs
 where
     E: TxnEngine,
     W: Workload,
-    H: AfterPublish<E> + Send,
+    P: FaultPlan<E>,
 {
     type Board = SharedBoard;
     type Verdict = EpochOutcome;
 
-    fn local(&self, _w: usize, worker: &mut SharedWorker<E, W, H>) {
+    fn local(&self, _w: usize, worker: &mut SharedWorker<E, W, P>) {
         worker.run_epoch();
     }
 
-    fn deposit(&self, w: usize, worker: &mut SharedWorker<E, W, H>, board: &mut SharedBoard) {
-        if board.ic.is_none() {
-            // Setups are identical on every worker, so whichever shard
-            // deposits first holds *the* seed (and the arbiter's config).
-            board.heap = worker.heap.clone();
-            let cfg = worker.engine.machine().config();
-            board.ic = Some(EpochBoard::new(cfg, board.intents.len()));
-        }
-        let outstanding = worker.outstanding();
-        let ic = board.ic.as_mut().expect("just made");
-        ic.deposit(w, worker.engine.machine_mut(), outstanding);
+    fn deposit(&self, w: usize, worker: &mut SharedWorker<E, W, P>, board: &mut SharedBoard) {
+        // Setups are identical on every worker, so whichever shard
+        // deposits first holds *the* seed.
+        board.heap.get_or_insert_with(|| worker.heap.clone());
+        let outstanding = worker.fresh + worker.retries.len() as u64;
+        let machine = worker.engine.machine_mut();
+        worker
+            .ladder
+            .deposit(w, machine, outstanding, &mut board.ic);
         board.intents[w] = std::mem::take(&mut worker.pending_intents);
     }
 
@@ -624,17 +602,17 @@ where
     /// counts are deposit-time: the retries this epoch's losers become
     /// show up as non-`Won` verdicts instead.
     fn merge(&self, board: &mut SharedBoard, outcomes: &mut [EpochOutcome]) -> Epoch {
-        let ic = board.ic.as_mut().expect("every shard deposited");
-        let charges = ic.arbitrate();
-        let verdicts = validate_epoch(&mut board.heap, &board.intents);
-        let drained = ic.drained() && verdicts.iter().flatten().all(|v| *v == Verdict::Won);
+        let heap = board.heap.as_mut().expect("every shard deposited");
+        let charges = board.ic.arbitrate();
+        let verdicts = validate_epoch(heap, &board.intents);
+        let drained = board.ic.drained() && verdicts.iter().flatten().all(|v| *v == Verdict::Won);
         let warmed = drained && std::mem::take(&mut board.warming);
         for (w, (outcome, verdicts)) in outcomes.iter_mut().zip(verdicts).enumerate() {
             *outcome = EpochOutcome {
                 charge: charges.as_ref().map(|c| c[w]),
                 verdicts,
                 intents: std::mem::take(&mut board.intents[w]),
-                heap: board.heap.clone(),
+                heap: heap.clone(),
                 warmed,
             };
         }
@@ -645,18 +623,15 @@ where
         }
     }
 
-    fn apply(&self, _w: usize, worker: &mut SharedWorker<E, W, H>, outcome: EpochOutcome) {
-        if let Some(charge) = outcome.charge {
-            worker
-                .engine
-                .machine_mut()
-                .apply_epoch_charge(SHARD_CORE, &charge);
-        }
+    fn apply(&self, _w: usize, worker: &mut SharedWorker<E, W, P>, outcome: EpochOutcome) {
+        worker
+            .ladder
+            .charge(&mut worker.engine, outcome.charge, &mut worker.plan);
         worker.heap = outcome.heap;
         if worker.resolve(&outcome.verdicts, outcome.intents) {
-            worker.target = worker.engine.machine().cycles(SHARD_CORE);
+            worker.ladder.restart(worker.engine.machine_mut());
         }
-        worker.target += worker.epoch_cycles;
+        worker.ladder.advance();
         if outcome.warmed {
             worker.start_measuring();
         }
@@ -679,7 +654,6 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
     let threads = cfg.threads;
     // Construction, setup, the warm-up phase and the measured phase (from
     // clean baselines) all inside each worker's one thread: both phases
@@ -692,28 +666,16 @@ where
         worker
     };
     let mut board = SharedBoard::new(threads, true);
-    let (workers, host_elapsed) = drive(
-        cfg.mode,
-        vec![(); threads],
-        set_up,
-        &SharedEpochs,
-        &mut board,
-    );
+    let exit = |_, worker: SharedWorker<E, W>| (worker.workload.name(), worker.finish());
+    let seeds = vec![(); threads];
+    let (shards, host_elapsed) = drive(cfg.mode, seeds, set_up, &SharedEpochs, &mut board, exit);
 
-    let workload_name = workers[0].workload.name();
-    let shards: Vec<SharedShardRun<E>> = workers.into_iter().map(SharedWorker::finish).collect();
+    let (names, shards): (Vec<_>, Vec<SharedShardRun<E>>) = shards.into_iter().unzip();
     let mut shared = SharedStats::default();
     for shard in &shards {
         shared.merge(&shard.shared);
     }
-    let result = RunResult::merged(
-        &shards[0].engine,
-        workload_name,
-        cfg.txns,
-        shards
-            .iter()
-            .map(|s| (s.elapsed_cycles, &s.stats, &s.txn_stats, &s.latency)),
-    );
+    let result = RunResult::merged(&shards[0].engine, names[0], cfg.txns, &shards);
     SharedRun {
         result,
         shared,
@@ -760,26 +722,6 @@ pub struct SharedCrashReport {
     pub aborted: u64,
 }
 
-/// The crash probe's publication hook: fold the commit into the oracle,
-/// or — if the replay lost power — run the storm sequence, mirroring the
-/// crash-storm driver: the cut transaction is legal dropped or kept;
-/// anything else is data loss.
-impl<E: TxnEngine> AfterPublish<OracleEngine<E>> for SharedCrashReport {
-    fn published(&mut self, engine: &mut OracleEngine<E>) -> bool {
-        if !engine.machine().power_lost() {
-            engine.oracle_mut().on_commit(SHARD_CORE);
-            return false;
-        }
-        self.storms += 1;
-        match engine.resolve_cut(false, |_, _, _| {}) {
-            Torn::Dropped => self.torn_dropped += 1,
-            Torn::Kept => self.torn_kept += 1,
-            Torn::Lost => self.lost += 1,
-        }
-        true
-    }
-}
-
 /// Shared-heap run with a scheduled power cut landing inside a
 /// publication replay (validation/publication is the only phase that
 /// touches the engines' commit paths, so an
@@ -813,12 +755,14 @@ where
 {
     assert!(victim < cfg.threads, "victim worker out of range");
     let set_up = |w: usize, ()| {
+        // Only the victim arms anything: one cut, never re-armed.
+        let schedule = (w == victim).then(|| StormSchedule::once_at(site, hits));
         let mut worker = SharedWorker::set_up(
             OracleEngine::new(mk_engine(w)),
             mk_workload(w),
             cfg,
             shared_cfg,
-            SharedCrashReport::default(),
+            Storm::new(schedule, w),
             w,
             worker_share(cfg.warmup + cfg.txns, cfg.threads, w),
         );
@@ -826,35 +770,24 @@ where
             !worker.engine.machine().config().interconnect.enabled,
             "the crash probe requires the interconnect disabled"
         );
-        worker.engine.set_recording(true);
-        if w == victim {
-            worker
-                .engine
-                .machine_mut()
-                .arm_crash(CrashPoint::AtSite { site, hits });
-        }
+        worker.plan.power_on(&mut worker.engine);
         worker
+    };
+    // Final quiesce: every shard's durable state against its oracle.
+    let exit = |_, mut worker: SharedWorker<OracleEngine<E>, W, Storm>| {
+        (worker.plan.finish(&mut worker.engine), worker.shared)
     };
     let mut board = SharedBoard::new(cfg.threads, false);
     let seeds = vec![(); cfg.threads];
-    let (workers, _) = drive(cfg.mode, seeds, set_up, &SharedEpochs, &mut board);
-    // Final quiesce: every shard's durable state against its oracle.
-    let reports = map_each(cfg.mode, workers, |_, mut worker| {
-        let mut report = worker.after_publish;
-        let (_, _, intact) = worker.engine.quiesce();
-        report.lost += u64::from(!intact);
-        report.committed += worker.shared.committed;
-        report.aborted += worker.shared.aborted;
-        report
-    });
-    let mut total = SharedCrashReport::default();
-    for r in &reports {
-        total.storms += r.storms;
-        total.torn_dropped += r.torn_dropped;
-        total.torn_kept += r.torn_kept;
-        total.lost += r.lost;
-        total.committed += r.committed;
-        total.aborted += r.aborted;
+    let (shards, _) = drive(cfg.mode, seeds, set_up, &SharedEpochs, &mut board, exit);
+    let (reports, stats): (Vec<_>, Vec<SharedStats>) = shards.into_iter().unzip();
+    let cuts = StormRun { shards: reports }.totals();
+    SharedCrashReport {
+        storms: cuts.storms,
+        torn_dropped: cuts.torn_txns,
+        torn_kept: cuts.kept_torn_txns,
+        lost: cuts.lost_txns,
+        committed: stats.iter().map(|s| s.committed).sum(),
+        aborted: stats.iter().map(|s| s.aborted).sum(),
     }
-    total
 }

@@ -38,11 +38,14 @@
 //!
 //! # Interconnect epoch storms
 //!
-//! When the shards enable the cross-shard interconnect, cuts are
-//! restricted to [`FaultSite::EpochBoundary`]: every shard arms the same
-//! schedule, the epoch charge lands exactly once per epoch per shard, so
-//! the power fails on *all* shards at the same epoch boundary (a
-//! machine-wide cut). All shards recover, and the driver rebuilds the
+//! [`run_storm`] is [`run_parallel`](crate::runner::run_parallel)'s
+//! closed-loop shard under the same epoch protocol, so a shard whose
+//! machine config enables the cross-shard interconnect runs in epochs —
+//! nothing is passed in. Its cuts are then restricted to
+//! [`FaultSite::EpochBoundary`]: every shard arms the same schedule, the
+//! epoch charge lands exactly once per epoch per shard, so the power
+//! fails on *all* shards at the same epoch boundary (a machine-wide cut).
+//! All shards recover, and the next merge starts from a rebuilt
 //! interconnect — post-crash local clocks restart at zero, so the merged
 //! event streams stay monotonic. Mid-epoch cuts are not combined with the
 //! interconnect model.
@@ -51,19 +54,16 @@
 //! [`ExecMode::Threaded`]: crate::runner::ExecMode::Threaded
 //! [`ExecMode::Sequential`]: crate::runner::ExecMode::Sequential
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use ssp_simulator::addr::{VirtAddr, Vpn};
 use ssp_simulator::cache::CoreId;
 use ssp_simulator::fault::{CrashPoint, FaultSite};
-use ssp_simulator::interconnect::EpochCharge;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::ObsEvent;
 use ssp_txn::engine::{TxnEngine, TxnStats};
 use ssp_txn::history::Oracle;
 
-use crate::kernel::{drive, map_each, spawn_each, Epoch, Protocol, Solo};
-use crate::runner::{worker_seed, worker_share, EpochBoard, RunConfig, Workload, SHARD_CORE};
+use crate::kernel::drive;
+use crate::runner::{ClosedLoop, EpochBoard, FaultPlan, RunConfig, Worker, Workload, SHARD_CORE};
 
 /// One scheduled cut, relative to the moment it is armed.
 ///
@@ -353,8 +353,8 @@ impl<E: TxnEngine> OracleEngine<E> {
         }
     }
 
-    /// The full sequence a tripped power cut forces: crash, recover, and
-    /// resolve whatever transaction the cut landed in against the oracle.
+    /// Resolves whatever transaction a power cut landed in against the
+    /// oracle, once recovery has run.
     ///
     /// The engines guarantee one of two post-recovery states: the cut
     /// transaction rolled back, or kept (its commit mark beat the
@@ -363,34 +363,7 @@ impl<E: TxnEngine> OracleEngine<E> {
     /// pending stores folded in place, and taken back again if that does
     /// not match either. On [`Torn::Lost`] the run therefore continues
     /// from the conservative (rolled-back) state, so it still completes.
-    ///
-    /// With `cut_recovery`, a [`FaultSite::Recovery`] cut is armed between
-    /// `crash()` and `recover()`: that first recovery is itself cut short
-    /// (its writes are dropped) and a second, clean pass must succeed from
-    /// the same NVRAM image. `pass` sees every recovery pass — its cost
-    /// and whether it was cut — before the next crash resets the clock.
-    pub(crate) fn resolve_cut(
-        &mut self,
-        cut_recovery: bool,
-        mut pass: impl FnMut(&mut Self, RecoveryCost, bool),
-    ) -> Torn {
-        self.crash();
-        if cut_recovery {
-            self.machine_mut().arm_crash(CrashPoint::AtSite {
-                site: FaultSite::Recovery,
-                hits: 1,
-            });
-        }
-        loop {
-            let cost = self.recover_costed();
-            let cut = self.machine().power_lost();
-            pass(self, cost, cut);
-            if !cut {
-                break;
-            }
-            self.crash();
-        }
-
+    fn resolve_torn(&mut self) -> Torn {
         let torn = if self.oracle.verify(&mut self.inner, SHARD_CORE).is_ok() {
             Torn::Dropped
         } else {
@@ -405,180 +378,202 @@ impl<E: TxnEngine> OracleEngine<E> {
         self.oracle.on_crash();
         torn
     }
-
-    /// Final quiesce of a shard: disarm, power off, fingerprint the
-    /// durable image, recover, and verify one last time. Returns the
-    /// fingerprint, the recovery's cost, and whether the durable state
-    /// still matches the oracle.
-    pub(crate) fn quiesce(&mut self) -> (u64, RecoveryCost, bool) {
-        self.machine_mut().disarm_crash();
-        self.crash();
-        self.oracle.on_crash();
-        let fingerprint = self.machine().nvram_fingerprint();
-        let cost = self.recover_costed();
-        let intact = self.oracle.verify(&mut self.inner, SHARD_CORE).is_ok();
-        (fingerprint, cost, intact)
-    }
 }
 
-impl StormSchedule {
-    /// Arms point number `next` (counted over the whole run) on
-    /// `machine`, translating cycle deltas against its current clock.
-    /// Consumed points come around again only with
-    /// [`rearm`](StormSchedule::rearm).
-    pub(crate) fn arm(&self, next: usize, machine: &mut Machine) {
-        let n = self.points.len();
-        if n == 0 || (!self.rearm && next >= n) {
+/// The power-cut sequence, written once for every driver that arms
+/// cuts: the schedule cursor, the crash → recover → resolve sequence a
+/// tripped cut forces, the record of how the cuts resolved, the re-arm,
+/// and the final quiesce. [`run_storm`], the shared-heap crash probe and
+/// service mode fill their public reports from its [`StormShardReport`].
+pub(crate) struct Storm {
+    /// `None` never cuts.
+    schedule: Option<StormSchedule>,
+    /// Index of the next schedule point to arm, counted over the run.
+    next_point: usize,
+    /// Cycle count at the start of the current power segment (the clock
+    /// resets at each crash; elapsed accumulates segments).
+    seg_base: u64,
+    report: StormShardReport,
+}
+
+impl Storm {
+    pub(crate) fn new(schedule: Option<StormSchedule>, w: usize) -> Self {
+        Self {
+            schedule,
+            next_point: 0,
+            seg_base: 0,
+            report: StormShardReport {
+                worker: w,
+                ..StormShardReport::default()
+            },
+        }
+    }
+
+    /// The shard is set up (not oracle-checked, no cuts armed): from here
+    /// on stores are recorded, time counts, and the first point is armed.
+    pub(crate) fn power_on<E: TxnEngine>(&mut self, engine: &mut OracleEngine<E>) {
+        engine.set_recording(true);
+        self.seg_base = engine.machine().cycles(SHARD_CORE);
+        self.arm(engine.machine_mut());
+    }
+
+    /// Arms the next schedule point on `machine`, translating cycle
+    /// deltas against its current clock. Consumed points come around
+    /// again only with [`rearm`](StormSchedule::rearm).
+    fn arm(&self, machine: &mut Machine) {
+        let Some(schedule) = &self.schedule else {
+            return;
+        };
+        let n = schedule.points.len();
+        if n == 0 || (!schedule.rearm && self.next_point >= n) {
             return;
         }
-        machine.arm_crash(match self.points[next % n] {
+        machine.arm_crash(match schedule.points[self.next_point % n] {
             StormPoint::AfterCycles(delta) => {
                 CrashPoint::AtCycle(machine.cycles(SHARD_CORE) + delta)
             }
             StormPoint::AtSite { site, hits } => CrashPoint::AtSite { site, hits },
         });
     }
-}
 
-/// One shard of a storm run: engine (oracle-wrapped), workload, RNG,
-/// schedule cursor, and the accumulating report.
-struct StormWorker<E, W> {
-    engine: OracleEngine<E>,
-    workload: W,
-    rng: SmallRng,
-    schedule: StormSchedule,
-    /// Index of the next schedule point to arm.
-    next_point: usize,
-    /// Cycle count at the start of the current power segment (the clock
-    /// resets at each crash; elapsed accumulates segments).
-    seg_base: u64,
-    /// Transactions still to run, and the local virtual time of the next
-    /// epoch boundary (never reached outside epoch storms).
-    remaining: u64,
-    target: u64,
-    /// An epoch-boundary cut tripped since this shard's last deposit.
-    tripped: bool,
-    report: StormShardReport,
-}
-
-impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
-    /// Builds shard `w` and runs its workload setup (not oracle-checked,
-    /// no cuts armed), then arms the first point.
-    fn prepare(
-        engine: E,
-        workload: W,
-        cfg: &RunConfig,
-        schedule: &StormSchedule,
-        w: usize,
-    ) -> Self {
-        let mut worker = Self {
-            engine: OracleEngine::new(engine),
-            workload,
-            rng: SmallRng::seed_from_u64(worker_seed(cfg.seed, w)),
-            schedule: schedule.clone(),
-            next_point: 0,
-            seg_base: 0,
-            remaining: worker_share(cfg.txns, cfg.threads, w),
-            target: u64::MAX,
-            tripped: false,
-            report: StormShardReport {
-                worker: w,
-                ..StormShardReport::default()
-            },
-        };
-        worker.workload.setup(&mut worker.engine, SHARD_CORE);
-        worker.engine.set_recording(true);
-        worker.seg_base = worker.engine.machine().cycles(SHARD_CORE);
-        worker.arm_next();
-        worker
+    /// Cycles the shard has been running for: the closed power segments
+    /// (the clock resets at each crash) plus the live one.
+    pub(crate) fn elapsed(&self, machine: &Machine) -> u64 {
+        let now = machine.cycles(SHARD_CORE);
+        self.report.elapsed_cycles + now.saturating_sub(self.seg_base)
     }
 
-    fn arm_next(&mut self) {
-        self.schedule
-            .arm(self.next_point, self.engine.machine_mut());
-    }
-
-    /// Runs transactions until the local clock reaches the boundary or
-    /// the share is exhausted. Each is followed, if the power failed
-    /// inside it, by the full storm sequence.
-    fn run_to_boundary(&mut self) {
-        while self.remaining > 0 && self.engine.machine().cycles(SHARD_CORE) < self.target {
-            self.engine.begin(SHARD_CORE);
-            self.workload
-                .run_txn(&mut self.engine, SHARD_CORE, &mut self.rng);
-            self.engine.commit(SHARD_CORE);
-            self.report.txns += 1;
-            self.remaining -= 1;
-            if self.engine.machine().power_lost() {
-                self.storm_recover(true);
-            } else {
-                self.engine.oracle_mut().on_commit(SHARD_CORE);
-            }
-        }
-    }
-
-    /// Closes the current power segment's share of the elapsed time.
-    fn close_segment(&mut self) {
-        let now = self.engine.machine().cycles(SHARD_CORE);
-        self.report.elapsed_cycles += now - self.seg_base.min(now);
-    }
-
-    /// Crash + recover + verify after a power cut, then re-arm.
-    /// `torn_txn` says a transaction was in flight when the cut landed
-    /// (false for epoch-boundary cuts, which land between transactions).
-    fn storm_recover(&mut self, torn_txn: bool) {
+    /// The full sequence a tripped power cut forces: crash, recover,
+    /// resolve whatever the cut landed in against the oracle
+    /// ([`OracleEngine::resolve_torn`]), tally, arm the next point.
+    ///
+    /// With the schedule's `crash_during_recovery`, a
+    /// [`FaultSite::Recovery`] cut is armed between `crash()` and
+    /// `recover()`: that first recovery is itself cut short (its writes
+    /// are dropped) and a second, clean pass must succeed from the same
+    /// NVRAM image. `pass` sees every recovery pass — its cost and
+    /// whether it was cut — before the next crash resets the clock.
+    /// `in_flight` says the cut landed inside work it could tear — a cut
+    /// between transactions or on an idle shard drops or keeps nothing.
+    pub(crate) fn recover<E: TxnEngine>(
+        &mut self,
+        engine: &mut OracleEngine<E>,
+        in_flight: bool,
+        mut pass: impl FnMut(&mut OracleEngine<E>, RecoveryCost, bool),
+    ) -> Torn {
+        self.report.elapsed_cycles = self.elapsed(engine.machine());
         self.report.storms += 1;
-        self.close_segment();
         // Flight recorder: drain the tail of the event ring at the cut
         // instant. Replace-latest semantics — the report carries the tail
         // of the *most recent* storm on this shard.
-        if self.engine.machine().obs().enabled() {
-            let n = self.engine.machine().config().obs.flight_tail;
-            self.report.flight_tail = self.engine.machine().obs().tail(n);
+        if engine.machine().obs().enabled() {
+            let n = engine.machine().config().obs.flight_tail;
+            self.report.flight_tail = engine.machine().obs().tail(n);
         }
-        let report = &mut self.report;
-        let torn = self
-            .engine
-            .resolve_cut(self.schedule.crash_during_recovery, |_, cost, cut| {
-                report.add_recovery(cost);
-                report.torn_recoveries += u64::from(cut);
+        engine.crash();
+        if self
+            .schedule
+            .as_ref()
+            .is_some_and(|s| s.crash_during_recovery)
+        {
+            engine.machine_mut().arm_crash(CrashPoint::AtSite {
+                site: FaultSite::Recovery,
+                hits: 1,
             });
-        match torn {
-            Torn::Dropped => report.torn_txns += u64::from(torn_txn),
-            Torn::Kept => report.kept_torn_txns += u64::from(torn_txn),
-            Torn::Lost => report.lost_txns += 1,
         }
-        self.seg_base = self.engine.machine().cycles(SHARD_CORE);
+        loop {
+            let cost = engine.recover_costed();
+            let cut = engine.machine().power_lost();
+            self.report.add_recovery(cost);
+            self.report.torn_recoveries += u64::from(cut);
+            pass(engine, cost, cut);
+            // `recover()` does not advance the clock, so since the crash
+            // it shows what `pass` charged for the outage — elapsed time
+            // too, counted before the next crash resets it.
+            self.report.elapsed_cycles += engine.machine().cycles(SHARD_CORE);
+            if !cut {
+                break;
+            }
+            engine.crash();
+        }
+        // Oracle verification is harness bookkeeping: the next segment
+        // starts after its loads.
+        let torn = engine.resolve_torn();
+        match torn {
+            Torn::Dropped => self.report.torn_txns += u64::from(in_flight),
+            Torn::Kept => self.report.kept_torn_txns += u64::from(in_flight),
+            Torn::Lost => self.report.lost_txns += 1,
+        }
         self.next_point += 1;
-        self.arm_next();
+        self.arm(engine.machine_mut());
+        self.seg_base = engine.machine().cycles(SHARD_CORE);
+        torn
     }
 
-    /// Final quiesce, completing the report; a durable state the oracle
-    /// rejects is data loss.
-    fn finish(&mut self) {
-        self.close_segment();
-        let (fingerprint, cost, intact) = self.engine.quiesce();
-        self.report.fingerprint = fingerprint;
-        self.report.add_recovery(cost);
+    /// Final quiesce of the shard, completing the report: disarm, power
+    /// off, fingerprint the durable image, recover, and verify one last
+    /// time — a durable state the oracle rejects is data loss.
+    pub(crate) fn finish<E: TxnEngine>(mut self, engine: &mut OracleEngine<E>) -> StormShardReport {
+        self.report.elapsed_cycles = self.elapsed(engine.machine());
+        engine.machine_mut().disarm_crash();
+        engine.crash();
+        engine.oracle.on_crash();
+        self.report.fingerprint = engine.machine().nvram_fingerprint();
+        self.report.add_recovery(engine.recover_costed());
+        let intact = engine.oracle.verify(&mut engine.inner, SHARD_CORE).is_ok();
         self.report.lost_txns += u64::from(!intact);
+        self.report
     }
 }
 
-/// Runs a crash storm over `cfg.threads` independent engine shards under
-/// the given workload and schedule. Shards interact with nothing (the
-/// interconnect must be disabled — see [`run_epoch_storm`] for the
-/// epoch-boundary variant), so [`ExecMode::Threaded`] runs them on real
+/// The storm as the [`FaultPlan`] of an oracle-wrapped closed-loop or
+/// OCC shard.
+impl<E: TxnEngine> FaultPlan<OracleEngine<E>> for Storm {
+    /// Counts the transaction, then folds it into the oracle or — if the
+    /// power failed inside it — runs the storm sequence.
+    fn committed(&mut self, engine: &mut OracleEngine<E>) -> bool {
+        self.report.txns += 1;
+        let cut = engine.machine().power_lost();
+        if cut {
+            self.recover(engine, true, |_, _, _| {});
+        } else {
+            engine.oracle_mut().on_commit(SHARD_CORE);
+        }
+        cut
+    }
+
+    /// Identical schedules + one charge per epoch per shard: either every
+    /// shard tripped at this boundary or none did, between transactions.
+    fn charged(&mut self, engine: &mut OracleEngine<E>) -> bool {
+        let cut = engine.machine().power_lost();
+        if cut {
+            self.recover(engine, false, |_, _, _| {});
+        }
+        cut
+    }
+}
+
+/// Runs a crash storm over `cfg.threads` engine shards under the given
+/// workload and schedule: [`run_parallel`](crate::runner::run_parallel)'s
+/// closed-loop shard and epoch protocol, oracle-wrapped and carrying the
+/// storm plan (`cfg.warmup` is ignored — cuts are armed from the first
+/// transaction on). [`ExecMode::Threaded`] runs the shards on real
 /// threads and [`ExecMode::Sequential`] runs the identical per-shard
-/// schedules one after the other on the calling thread, with
-/// bit-identical results.
+/// schedules on the calling thread, with bit-identical results.
+///
+/// Shards whose machine config has the interconnect off interact with
+/// nothing: one epoch, any schedule. Shards that enable it run in epochs
+/// and charge each other — see the module docs; their schedule must
+/// consist of [`FaultSite::EpochBoundary`] site points.
 ///
 /// [`ExecMode::Threaded`]: crate::runner::ExecMode::Threaded
 /// [`ExecMode::Sequential`]: crate::runner::ExecMode::Sequential
 ///
 /// # Panics
 ///
-/// Panics if `cfg.threads` is zero, a worker thread panics, or the
-/// machine config enables the interconnect.
+/// Panics if `cfg.threads` is zero, a worker thread panics, or a shard
+/// enables the interconnect under a schedule with
+/// non-[`FaultSite::EpochBoundary`] points.
 pub fn run_storm<E, W>(
     mk_engine: impl Fn(usize) -> E + Sync,
     mk_workload: impl Fn(usize) -> W + Sync,
@@ -589,141 +584,33 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    let prepare = storm_shard(mk_engine, mk_workload, cfg, schedule, false);
+    let boundary_only = schedule
+        .points
+        .iter()
+        .all(|p| matches!(p, StormPoint::AtSite { site, .. } if *site == FaultSite::EpochBoundary));
     // One thread lifetime per shard: build, the whole share, the final
     // quiesce.
-    let whole_run = Solo(|_, worker: &mut StormWorker<E, W>| {
-        worker.run_to_boundary();
-        worker.finish();
-    });
-    let seeds = vec![(); cfg.threads];
-    let (workers, _) = drive(cfg.mode, seeds, |w, ()| prepare(w), &whole_run, &mut ());
-    StormRun {
-        shards: workers.into_iter().map(|worker| worker.report).collect(),
-    }
-}
-
-/// The builder of a storm run's shards: constructs and prepares shard
-/// `w`; `interconnect` says which way the shards' machine configs must
-/// have the interconnect.
-fn storm_shard<'a, E: TxnEngine, W: Workload>(
-    mk_engine: impl Fn(usize) -> E + Sync + 'a,
-    mk_workload: impl Fn(usize) -> W + Sync + 'a,
-    cfg: &'a RunConfig,
-    schedule: &'a StormSchedule,
-    interconnect: bool,
-) -> impl Fn(usize) -> StormWorker<E, W> + Sync + 'a {
-    assert!(cfg.threads >= 1, "at least one worker");
-    move |w| {
-        let engine = mk_engine(w);
-        assert_eq!(
-            engine.machine().config().interconnect.enabled,
-            interconnect,
-            "run_storm requires the interconnect disabled, run_epoch_storm enabled"
+    let enter = |w: usize, ()| {
+        let engine = OracleEngine::new(mk_engine(w));
+        assert!(
+            boundary_only || !engine.machine().config().interconnect.enabled,
+            "epoch storms cut at epoch boundaries only"
         );
-        StormWorker::prepare(engine, mk_workload(w), cfg, schedule, w)
-    }
-}
-
-/// Runs a crash storm under the cross-shard interconnect, with cuts at
-/// epoch boundaries only: every shard arms the same schedule (which must
-/// consist of [`FaultSite::EpochBoundary`] site points), the epoch charge
-/// lands once per epoch per shard, so the power fails on every shard at
-/// the same boundary. All shards crash, recover and verify; the
-/// interconnect is rebuilt for the next power segment. Threaded and
-/// sequential modes are bit-identical, like
-/// [`run_parallel`](crate::runner::run_parallel).
-///
-/// # Panics
-///
-/// Panics if `cfg.threads` is zero, a worker thread panics, the machine
-/// config does **not** enable the interconnect, or the schedule contains
-/// non-[`FaultSite::EpochBoundary`] points.
-pub fn run_epoch_storm<E, W>(
-    mk_engine: impl Fn(usize) -> E + Sync,
-    mk_workload: impl Fn(usize) -> W + Sync,
-    cfg: &RunConfig,
-    schedule: &StormSchedule,
-) -> StormRun
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    assert!(
-        schedule.points.iter().all(|p| matches!(
-            p,
-            StormPoint::AtSite {
-                site: FaultSite::EpochBoundary,
-                ..
-            }
-        )),
-        "epoch storms cut at epoch boundaries only"
-    );
-    let prepare = storm_shard(mk_engine, mk_workload, cfg, schedule, true);
-    let workers = spawn_each(cfg.mode, cfg.threads, prepare);
-    let arbiter_cfg = workers[0].engine.machine().config();
-    let epoch_cycles = EpochBoard::epoch_cycles(arbiter_cfg, u64::MAX);
-    let mut board = EpochBoard::new(arbiter_cfg, cfg.threads);
-    let first_boundary = |_, mut worker: StormWorker<E, W>| {
-        worker.target = worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
+        let plan = Storm::new(Some(schedule.clone()), w);
+        let mut worker = Worker::new(engine, mk_workload(w), plan, cfg, w);
+        // Not `Worker::prepare`: a storm has no warm-up to discard, and the
+        // traffic setup recorded is arbitrated with the first epoch.
+        worker.workload.setup(&mut worker.engine, SHARD_CORE);
+        worker.plan.power_on(&mut worker.engine);
+        worker.start(worker.txns);
         worker
     };
-    let protocol = EpochStorm { epoch_cycles };
-    let (workers, _) = drive(cfg.mode, workers, first_boundary, &protocol, &mut board);
-    StormRun {
-        shards: map_each(cfg.mode, workers, |_, mut worker| {
-            worker.finish();
-            worker.report
-        }),
-    }
-}
-
-/// [`run_epoch_storm`] as a kernel protocol: `run_parallel`'s epoch
-/// exchange, plus the machine-wide cut when the charge trips it.
-struct EpochStorm {
-    epoch_cycles: u64,
-}
-
-impl<E: TxnEngine, W: Workload> Protocol<StormWorker<E, W>> for EpochStorm {
-    type Board = EpochBoard;
-    type Verdict = Option<EpochCharge>;
-
-    /// Epoch cuts land only at boundaries, so no transaction in here can
-    /// be torn.
-    fn local(&self, _w: usize, worker: &mut StormWorker<E, W>) {
-        worker.run_to_boundary();
-    }
-
-    /// A shard that lost power at the last boundary says so with its
-    /// next streams, so the merge they feed starts from a rebuilt
-    /// controller.
-    fn deposit(&self, w: usize, worker: &mut StormWorker<E, W>, board: &mut EpochBoard) {
-        if std::mem::take(&mut worker.tripped) {
-            board.power_cycle();
-        }
-        board.deposit(w, worker.engine.machine_mut(), worker.remaining);
-    }
-
-    fn merge(&self, board: &mut EpochBoard, verdicts: &mut [Option<EpochCharge>]) -> Epoch {
-        board.merge(verdicts)
-    }
-
-    fn apply(&self, _w: usize, worker: &mut StormWorker<E, W>, charge: Option<EpochCharge>) {
-        let charge = charge.expect("epoch storms run with the interconnect enabled");
-        worker
-            .engine
-            .machine_mut()
-            .apply_epoch_charge(SHARD_CORE, &charge);
-        // Identical schedules + one charge per epoch per shard: either
-        // every shard tripped at this boundary or none did.
-        if worker.engine.machine().power_lost() {
-            worker.storm_recover(false);
-            worker.engine.machine_mut().discard_mem_events();
-            worker.tripped = true;
-            worker.target = worker.engine.machine().cycles(SHARD_CORE);
-        }
-        worker.target += self.epoch_cycles;
-    }
+    let exit =
+        |_, mut worker: Worker<OracleEngine<E>, W, Storm>| worker.plan.finish(&mut worker.engine);
+    let mut board = EpochBoard::new(cfg.threads);
+    let seeds = vec![(); cfg.threads];
+    let (shards, _) = drive(cfg.mode, seeds, enter, &ClosedLoop, &mut board, exit);
+    StormRun { shards }
 }
 
 #[cfg(test)]
@@ -747,7 +634,10 @@ mod tests {
     }
 
     fn run(mode: ExecMode, schedule: &StormSchedule) -> StormRun {
-        let cfg = small_cfg(mode, 2);
+        run_cfg(&small_cfg(mode, 2), schedule)
+    }
+
+    fn run_cfg(cfg: &RunConfig, schedule: &StormSchedule) -> StormRun {
         run_storm(
             |_| {
                 Ssp::new(
@@ -756,7 +646,7 @@ mod tests {
                 )
             },
             |_| Sps::new(256, KeyDist::uniform(256)),
-            &cfg,
+            cfg,
             schedule,
         )
     }
@@ -779,6 +669,13 @@ mod tests {
         let b = run(ExecMode::Sequential, &schedule);
         assert_eq!(a.shards, b.shards);
         assert_eq!(a.combined_fingerprint(), b.combined_fingerprint());
+        // Storms have no warm-up phase: callers fold theirs into `txns`.
+        let warm = RunConfig {
+            warmup: 50,
+            ..small_cfg(ExecMode::Threaded, 2)
+        };
+        let c = run_cfg(&warm, &schedule);
+        assert_eq!(a.shards, c.shards, "run_storm must ignore cfg.warmup");
     }
 
     #[test]
@@ -856,7 +753,7 @@ mod tests {
             interconnect.llc_ways = 2;
             let mut shard = MachineConfig::default().shard_slice(2);
             shard.interconnect = interconnect;
-            run_epoch_storm(
+            run_storm(
                 |_| Ssp::new(shard.clone(), SspConfig::default()),
                 |_| Sps::new(256, KeyDist::uniform(256)),
                 &small_cfg(mode, 2),
@@ -874,6 +771,67 @@ mod tests {
         );
         let sequential = run(ExecMode::Sequential, InterconnectConfig::shared_hierarchy());
         assert_eq!(full.shards, sequential.shards);
+
+        // No bench baseline covers epoch storms: the charged clocks and
+        // the final durable images are pinned here instead.
+        let elapsed =
+            |r: &StormRun| -> Vec<u64> { r.shards.iter().map(|s| s.elapsed_cycles).collect() };
+        assert_eq!(elapsed(&fair), [42_940, 42_573]);
+        assert_eq!(elapsed(&full), [43_200, 42_819]);
+        assert_eq!(fair.combined_fingerprint(), 0x14b1_8c10_f2da_c3ef);
+        assert_eq!(full.combined_fingerprint(), 0xb29f_b31a_7a73_c4af);
+    }
+
+    fn epoch_shard(enabled: bool) -> MachineConfig {
+        let mut shard = MachineConfig::default().shard_slice(2);
+        if enabled {
+            shard.interconnect = ssp_simulator::config::InterconnectConfig::shared();
+            shard.interconnect.epoch_cycles = 10_000;
+        }
+        shard
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch storms cut at epoch boundaries only")]
+    fn mid_epoch_cuts_are_refused_under_the_interconnect() {
+        // Sequential, so the shard's own panic message is the run's.
+        run_storm(
+            |_| Ssp::new(epoch_shard(true), SspConfig::default()),
+            |_| Sps::new(256, KeyDist::uniform(256)),
+            &small_cfg(ExecMode::Sequential, 2),
+            &StormSchedule::every_cycles(5_000),
+        );
+    }
+
+    /// Nothing tells `run_storm` whether it runs in epochs: the shards'
+    /// machine configs do, and where they disagree the arbitration
+    /// follows worker 0 — like `run_parallel`'s.
+    #[test]
+    fn mixed_interconnect_storm_follows_worker_zero() {
+        let schedule = StormSchedule {
+            rearm: true,
+            ..StormSchedule::once_at(FaultSite::EpochBoundary, 2)
+        };
+        let run = |mode, enabled_on: usize| {
+            run_storm(
+                |w| Ssp::new(epoch_shard(w == enabled_on), SspConfig::default()),
+                |_| Sps::new(256, KeyDist::uniform(256)),
+                &small_cfg(mode, 2),
+                &schedule,
+            )
+        };
+        // Worker 0 off: nothing is arbitrated or charged, so no boundary
+        // cut can trip — not even on the shard that asked for epochs.
+        let off = run(ExecMode::Threaded, 1);
+        assert_eq!(off.totals().storms, 0, "{:?}", off.totals());
+        assert_eq!((off.totals().txns, off.totals().lost_txns), (120, 0));
+        // Worker 0 on: every shard is charged once per epoch, so both
+        // lose power at the same boundaries.
+        let on = run(ExecMode::Threaded, 0);
+        assert!(on.shards[0].storms > 0, "{:?}", on.shards[0]);
+        assert_eq!(on.shards[0].storms, on.shards[1].storms);
+        assert_eq!((on.totals().txns, on.totals().lost_txns), (120, 0));
+        assert_eq!(on.shards, run(ExecMode::Sequential, 0).shards);
     }
 
     /// An engine whose first recovery hands back a durable image with

@@ -93,14 +93,6 @@ impl VacationWorkload {
         self.reservations
     }
 
-    /// Sums `used` across one resource table (verification helper).
-    pub fn total_used(&self, engine: &mut dyn TxnEngine, core: CoreId) -> u64 {
-        let t = self.cars.expect("setup ran");
-        (0..t.rows)
-            .map(|i| view::read_u64(engine, core, t.row(i).add(OFF_USED)))
-            .sum()
-    }
-
     /// Sums reservation counters across customers (verification helper).
     pub fn total_customer_reservations(&self, engine: &mut dyn TxnEngine, core: CoreId) -> u64 {
         let t = self.customers.expect("setup ran");

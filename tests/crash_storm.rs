@@ -8,7 +8,7 @@ use ssp::core::engine::Ssp;
 use ssp::simulator::config::{InterconnectConfig, MachineConfig};
 use ssp::simulator::fault::FaultSite;
 use ssp::workloads::runner::{ExecMode, RunConfig};
-use ssp::workloads::storm::{run_epoch_storm, run_storm, StormPoint, StormRun, StormSchedule};
+use ssp::workloads::storm::{run_storm, StormPoint, StormRun, StormSchedule};
 use ssp::workloads::{KeyDist, Sps};
 use ssp::SspConfig;
 
@@ -209,7 +209,7 @@ fn epoch_boundary_storm_is_machine_wide_and_deterministic() {
         Ssp::new(mcfg, SspConfig::default())
     };
     let mk_workload = |_| Sps::new(256, KeyDist::uniform(256));
-    let threaded = run_epoch_storm(mk_engine, mk_workload, &cfg(ExecMode::Threaded), &schedule);
+    let threaded = run_storm(mk_engine, mk_workload, &cfg(ExecMode::Threaded), &schedule);
     let t = threaded.totals();
     assert!(t.storms > 0, "no epoch cut tripped: {t:?}");
     assert_eq!(
@@ -224,7 +224,7 @@ fn epoch_boundary_storm_is_machine_wide_and_deterministic() {
     );
     assert_eq!(t.lost_txns, 0, "{t:?}");
 
-    let sequential = run_epoch_storm(
+    let sequential = run_storm(
         mk_engine,
         mk_workload,
         &cfg(ExecMode::Sequential),
@@ -234,6 +234,12 @@ fn epoch_boundary_storm_is_machine_wide_and_deterministic() {
         threaded.shards, sequential.shards,
         "epoch storm modes diverged"
     );
+
+    // No bench baseline covers epoch storms: the charged clocks and the
+    // final durable image are pinned here instead.
+    let elapsed: Vec<u64> = threaded.shards.iter().map(|s| s.elapsed_cycles).collect();
+    assert_eq!(elapsed, [57_037, 58_227]);
+    assert_eq!(threaded.combined_fingerprint(), 0xef9d_b588_ce86_6cca);
 }
 
 /// After any storm series, the recovered engines keep doing useful work:
