@@ -14,6 +14,7 @@ use ssp_simulator::config::MachineConfig;
 use ssp_simulator::fault::FaultSite;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::stats::WriteClass;
+use ssp_simulator::timing::{AccessKind, MemKind};
 use ssp_txn::engine::{line_spans, sorted_scratch, TxnEngine, TxnStats};
 use ssp_txn::shell::TxnShell;
 use ssp_txn::vm::{HEAP_BASE_VPN, SHADOW_PAGES};
@@ -59,7 +60,72 @@ pub struct ShadowPaging {
     dirty_lines: Vec<Vec<PhysAddr>>,
     /// Reusable commit/abort scratch: the remap list sorted by VPN.
     scratch_remaps: Vec<(u64, Ppn)>,
-    free_frames: Vec<Ppn>,
+    free_frames: FramePool,
+}
+
+/// The free-frame stack. A rebuild leaves every unmapped pool frame on it,
+/// lowest on top — held as what that is, an ascending scan over the
+/// bitmap of frames the page table references, not as 16 384 pushed
+/// entries. Frames freed since (aborted shadows, the frames commits
+/// repoint away from — home frames among them) sit above the scan and pop
+/// first, last freed first; the next rebuild forgets them.
+#[derive(Debug, Clone)]
+struct FramePool {
+    /// First frame of the layout's shadow region.
+    base: Ppn,
+    freed: Vec<Ppn>,
+    /// Pool frames the page table referenced at the last rebuild, one bit
+    /// per frame.
+    mapped: Box<[u64; (POOL_FRAMES / 64) as usize]>,
+    /// Pool frames below this index have been popped (or are mapped).
+    cursor: u64,
+}
+
+impl FramePool {
+    fn new(base: Ppn) -> Self {
+        Self {
+            base,
+            freed: Vec::new(),
+            mapped: Box::new([0; (POOL_FRAMES / 64) as usize]),
+            cursor: 0,
+        }
+    }
+
+    /// Restarts the pool as every pool frame not among `mapped` — the
+    /// frames the page table references, pool frames or not.
+    fn rebuild(&mut self, mapped: impl Iterator<Item = Ppn>) {
+        self.freed.clear();
+        self.mapped.fill(0);
+        self.cursor = 0;
+        for ppn in mapped {
+            // A page never CoW'd still sits in its home frame, outside
+            // the pool.
+            let index = ppn.raw().wrapping_sub(self.base.raw());
+            if index < POOL_FRAMES {
+                self.mapped[(index / 64) as usize] |= 1 << (index % 64);
+            }
+        }
+    }
+
+    fn push(&mut self, frame: Ppn) {
+        self.freed.push(frame);
+    }
+
+    fn pop(&mut self) -> Option<Ppn> {
+        if let Some(frame) = self.freed.pop() {
+            return Some(frame);
+        }
+        while self.cursor < POOL_FRAMES {
+            let unmapped = !self.mapped[(self.cursor / 64) as usize] >> (self.cursor % 64);
+            if unmapped != 0 {
+                let index = self.cursor + unmapped.trailing_zeros() as u64;
+                self.cursor = index + 1;
+                return Some(Ppn::new(self.base.raw() + index));
+            }
+            self.cursor = (self.cursor / 64 + 1) * 64;
+        }
+        None
+    }
 }
 
 impl ShadowPaging {
@@ -72,7 +138,7 @@ impl ShadowPaging {
             shadows: vec![FxHashMap::default(); cores],
             dirty_lines: vec![Vec::new(); cores],
             scratch_remaps: Vec::new(),
-            free_frames: Vec::new(),
+            free_frames: FramePool::new(shell.layout().shadow_page(0)),
             shell,
         };
         engine.rebuild_pool();
@@ -83,26 +149,9 @@ impl ShadowPaging {
     /// does not reference, lowest frame on top (popped first).
     fn rebuild_pool(&mut self) {
         let vm = &self.shell.vm;
-        let layout = *vm.layout();
-        let pool_base = layout.shadow_page(0).raw();
-        let mut mapped = [0u64; (POOL_FRAMES / 64) as usize];
-        for i in 0..vm.mapped_pages() {
-            if let Some(ppn) = vm.translate(Vpn::new(HEAP_BASE_VPN + i)) {
-                // A page never CoW'd still sits in its home frame,
-                // outside the pool.
-                let index = ppn.raw().wrapping_sub(pool_base);
-                if index < POOL_FRAMES {
-                    mapped[(index / 64) as usize] |= 1 << (index % 64);
-                }
-            }
-        }
-        self.free_frames.clear();
-        self.free_frames.extend(
-            (0..POOL_FRAMES)
-                .rev()
-                .filter(|i| mapped[(i / 64) as usize] >> (i % 64) & 1 == 0)
-                .map(|i| layout.shadow_page(i)),
-        );
+        let mapped =
+            (0..vm.mapped_pages()).filter_map(|i| vm.translate(Vpn::new(HEAP_BASE_VPN + i)));
+        self.free_frames.rebuild(mapped);
     }
 
     /// Resolves an address, honouring the transaction's shadow mappings
@@ -123,6 +172,9 @@ impl ShadowPaging {
         let shadow = self.free_frames.pop().expect("shadow frame pool exhausted");
         let machine = &mut self.shell.machine;
         let mlp = machine.config().persist_mlp.max(1) as u64;
+        let copy_cycles = (machine.array_cycles(MemKind::Nvram, AccessKind::Read)
+            + machine.array_cycles(MemKind::Nvram, AccessKind::Write))
+            / mlp;
         for line in LineIdx::all() {
             // The frame may have been recycled: drop any stale cached lines
             // under its identity before the uncached copy lands.
@@ -132,10 +184,7 @@ impl ShadowPaging {
                 shadow.line_addr(line),
                 WriteClass::PageCopy,
             );
-            let cfg = machine.config();
-            let cycles =
-                (cfg.ns_to_cycles(cfg.nvram.read_ns) + cfg.ns_to_cycles(cfg.nvram.write_ns)) / mlp;
-            machine.add_cycles(core, cycles.max(1));
+            machine.add_cycles(core, copy_cycles.max(1));
         }
         self.shadows[core.index()].insert(vpn.raw(), shadow);
         shadow
@@ -260,8 +309,9 @@ impl TxnEngine for ShadowPaging {
             |&(v, _)| v,
         );
         // Shadow frames were never published: just recycle them.
-        self.free_frames
-            .extend(dropped.iter().map(|&(_, shadow)| shadow));
+        for &(_, shadow) in &dropped {
+            self.free_frames.push(shadow);
+        }
         self.scratch_remaps = dropped;
         for &line in &self.dirty_lines[core.index()] {
             self.shell.machine.discard_line(line);
@@ -381,11 +431,11 @@ mod tests {
     fn abort_recycles_shadow_frames() {
         let mut e = engine();
         let addr = e.map_new_page(C0).base();
-        let free_before = e.free_frames.len();
+        let free_before = e.free_frames.as_vec().len();
         e.begin(C0);
         e.store(C0, addr, &1u64.to_le_bytes());
         e.abort(C0);
-        assert_eq!(e.free_frames.len(), free_before);
+        assert_eq!(e.free_frames.as_vec().len(), free_before);
         assert_eq!(read_u64(&mut e, addr), 0);
     }
 
@@ -427,11 +477,23 @@ mod tests {
         assert_eq!(read_u64(&mut e, addr), 4);
     }
 
-    /// The pool rebuild `rebuild_pool` replaced, kept as its reference:
-    /// every pool frame, filtered through a hash set of the mapped ones.
+    impl FramePool {
+        /// The pool as the `Vec` it replaced: every free frame, last
+        /// popped first (the pool itself is untouched).
+        fn as_vec(&self) -> Vec<Ppn> {
+            let mut pool = self.clone();
+            let mut frames: Vec<Ppn> = std::iter::from_fn(|| pool.pop()).collect();
+            frames.reverse();
+            frames
+        }
+    }
+
+    /// The pool `FramePool` replaced, kept as its reference: a `Vec`
+    /// rebuilt eagerly (popped from the back) from every pool frame,
+    /// filtered through a hash set of the mapped ones.
     fn pool_by_hash_set(e: &ShadowPaging) -> Vec<Ppn> {
         let layout = ssp_txn::vm::NvLayout::default();
-        let used: std::collections::HashSet<u64> = (0..e.shell.vm.mapped_pages())
+        let used: fxhash::FxHashSet<u64> = (0..e.shell.vm.mapped_pages())
             .filter_map(|i| {
                 e.shell
                     .vm
@@ -450,7 +512,7 @@ mod tests {
     fn recovered_pool_equals_the_hash_set_filter() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        assert_eq!(engine().free_frames, pool_by_hash_set(&engine()));
+        assert_eq!(engine().free_frames.as_vec(), pool_by_hash_set(&engine()));
         for seed in 0..6u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut e = engine();
@@ -488,17 +550,101 @@ mod tests {
                     continue;
                 }
                 e.crash_and_recover();
-                assert_eq!(e.free_frames, pool_by_hash_set(&e), "seed {seed}");
+                let free = e.free_frames.as_vec();
+                assert_eq!(free, pool_by_hash_set(&e), "seed {seed}");
                 for page in &pages {
                     let backing = e.shell.vm.translate(page.vpn()).unwrap();
-                    assert!(!e.free_frames.contains(&backing), "seed {seed}");
+                    assert!(!free.contains(&backing), "seed {seed}");
                 }
             }
             assert!(
-                (e.free_frames.len() as u64) < POOL_FRAMES,
+                (e.free_frames.as_vec().len() as u64) < POOL_FRAMES,
                 "no page was ever remapped"
             );
         }
+    }
+
+    /// Drives the engine beside the eager `Vec` pool it replaced
+    /// ([`pool_by_hash_set`] as the rebuild, `push`, `pop`): every
+    /// copy-on-write must take the frame the `Vec` would have popped,
+    /// through commits (which push home frames no rebuild knows), aborts,
+    /// torn commits and recoveries (which forget them).
+    #[test]
+    fn every_cow_takes_the_frame_the_eager_vec_would_pop() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut e = engine();
+            let pages: Vec<VirtAddr> = (0..12).map(|_| e.map_new_page(C0).base()).collect();
+            let mut model = pool_by_hash_set(&e);
+            let mut home_recycled = false;
+            for round in 0..200u64 {
+                e.begin(C0);
+                for _ in 0..rng.gen_range(1..5u32) {
+                    let page = pages[rng.gen_range(0..pages.len())];
+                    let copied = !e.shadows[0].contains_key(&page.vpn().raw());
+                    e.store(
+                        C0,
+                        page.add(rng.gen_range(0..512u64) * 8),
+                        &round.to_le_bytes(),
+                    );
+                    if copied {
+                        let took = e.shadows[0][&page.vpn().raw()];
+                        assert_eq!(Some(took), model.pop(), "seed {seed} round {round}");
+                        home_recycled |= took.raw() >= e.shell.layout().heap_base.raw();
+                    }
+                }
+                // What the open transaction frees, in the order it does.
+                let mut shadows: Vec<(u64, Ppn)> =
+                    e.shadows[0].iter().map(|(&v, &s)| (v, s)).collect();
+                shadows.sort_unstable_by_key(|&(v, _)| v);
+                match rng.gen_range(0..8u32) {
+                    0 => {
+                        e.abort(C0);
+                        model.extend(shadows.iter().map(|&(_, shadow)| shadow));
+                    }
+                    1 => {
+                        e.crash_and_recover();
+                        model = pool_by_hash_set(&e);
+                    }
+                    2 | 3 => {
+                        let site = if rng.gen_bool(0.5) {
+                            FaultSite::CommitData
+                        } else {
+                            FaultSite::CommitMark
+                        };
+                        e.machine_mut()
+                            .arm_crash(ssp_simulator::fault::CrashPoint::AtSite { site, hits: 1 });
+                        e.commit(C0);
+                        e.crash_and_recover();
+                        model = pool_by_hash_set(&e);
+                    }
+                    _ => {
+                        let olds = shadows
+                            .iter()
+                            .map(|&(v, _)| e.shell.vm.translate(Vpn::new(v)).unwrap());
+                        model.extend(olds);
+                        e.commit(C0);
+                    }
+                }
+            }
+            assert_eq!(e.free_frames.as_vec(), model, "seed {seed}");
+            assert!(home_recycled, "seed {seed}: no home frame became a shadow");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shadow frame pool exhausted")]
+    fn an_exhausted_pool_panics_at_the_next_cow() {
+        let mut e = engine();
+        let addr = e.map_new_page(C0).base();
+        assert_eq!(
+            std::iter::from_fn(|| e.free_frames.pop()).count() as u64,
+            POOL_FRAMES
+        );
+        e.begin(C0);
+        e.store(C0, addr, &1u64.to_le_bytes());
     }
 
     #[test]
@@ -511,6 +657,6 @@ mod tests {
         e.crash_and_recover();
         // The frame now backing the page must not be in the free pool.
         let backing = e.shell.vm.translate(addr.vpn()).unwrap();
-        assert!(!e.free_frames.contains(&backing));
+        assert!(!e.free_frames.as_vec().contains(&backing));
     }
 }

@@ -173,6 +173,16 @@ struct Loc {
     idx: usize,
 }
 
+/// The line a [`SetAssoc::claim`] pushed out of its slot, without its
+/// payload.
+#[derive(Debug, Clone, Copy)]
+struct Displaced {
+    line: u64,
+    /// `FLAG_*` bits.
+    flags: u8,
+    sharers: u64,
+}
+
 /// A set-associative array with MRU-first ordering per set, stored
 /// struct-of-arrays (see the module docs). The derived `Clone` is
 /// naturally sparse: only materialised payload blocks are copied.
@@ -240,21 +250,29 @@ impl SetAssoc {
         self.index.of(line / LINE_SIZE as u64) as usize
     }
 
-    /// Finds `line` in its set without touching MRU order. Returns the set
-    /// index and the position within the MRU order.
+    /// Finds `line` in `set` — its [`set_index`](Self::set_index), which a
+    /// miss path computes once per level and reuses for the fill — without
+    /// touching MRU order. Returns the position within the MRU order.
     #[inline(always)]
-    fn probe(&self, line: u64) -> Option<(usize, usize)> {
-        let set = self.set_index(line);
+    fn probe_in(&self, set: usize, line: u64) -> Option<usize> {
         let base = set * self.ways;
         let n = self.len[set] as usize;
         let order = &self.order[base..base + n];
         let tags = &self.tags[base..base + self.ways];
         for (pos, &way) in order.iter().enumerate() {
             if tags[way as usize] == line {
-                return Some((set, pos));
+                return Some(pos);
             }
         }
         None
+    }
+
+    /// Finds `line` in its set without touching MRU order. Returns the set
+    /// index and the position within the MRU order.
+    #[inline(always)]
+    fn probe(&self, line: u64) -> Option<(usize, usize)> {
+        let set = self.set_index(line);
+        Some((set, self.probe_in(set, line)?))
     }
 
     /// The slot at MRU position `pos` of `set`.
@@ -338,10 +356,10 @@ impl SetAssoc {
     /// Overwrites the slot's payload and flags with a dirty L1 copy
     /// arriving from above (eviction merge, cache-to-cache recall).
     #[inline]
-    fn merge_dirty(&mut self, at: Loc, from: &Slot) {
-        *self.line_mut(at) = from.data;
+    fn merge_dirty(&mut self, at: Loc, tx: bool, data: &[u8; LINE_SIZE]) {
+        *self.line_mut(at) = *data;
         self.set_flag(at, FLAG_DIRTY, true);
-        self.set_flag(at, FLAG_TX, from.tx);
+        self.set_flag(at, FLAG_TX, tx);
     }
 
     /// Copies the slot out as an owned [`Slot`].
@@ -401,58 +419,86 @@ impl SetAssoc {
         Some(slot)
     }
 
-    /// Inserts a slot as MRU; returns where it landed and the victim if
-    /// the set was full. Non-TX lines are preferred as victims (LRU among
-    /// them); a TX line is only evicted when the whole set is
-    /// transactional. Reproduces the reference semantics exactly:
-    /// conceptually the new slot is placed at MRU and the victim is the
-    /// *last* non-TX entry of the grown set — which can be the incoming
-    /// slot itself when every resident line is TX (the caller sees its own
-    /// slot bounce back, and no location).
-    fn insert(&mut self, slot: Slot) -> (Option<Loc>, Option<Slot>) {
-        let set = self.set_index(slot.line);
+    /// Picks the MRU position a line entering `set` takes over, and
+    /// whether a resident is displaced from it: the first free way, or the
+    /// LRU-most non-TX resident of a full set. Non-TX lines are preferred
+    /// as victims (LRU among them); a TX line is only evicted when the
+    /// whole set is transactional. Reproduces the reference semantics
+    /// exactly: conceptually the new line is placed at MRU and the victim
+    /// is the *last* non-TX entry of the grown set — which is the incoming
+    /// line itself when it is non-TX and every resident is TX. It then
+    /// bounces: `None`, with nothing touched.
+    #[inline(always)]
+    fn place(&mut self, set: usize, incoming_tx: bool) -> Option<(usize, bool)> {
         let base = set * self.ways;
         let n = self.len[set] as usize;
-        debug_assert!(
-            self.order[base..base + n]
-                .iter()
-                .all(|&w| self.tags[base + w as usize] != slot.line),
-            "inserting a duplicate line"
-        );
-        if n == 0 {
-            // First insert since construction, a crash-clear or a drain:
-            // (re)initialise this set's order bytes to a valid
-            // permutation. Which free way a value lands in is
-            // unobservable, so resetting to identity is always safe.
+        // A set's order bytes are all zero until its first insert and a
+        // permutation of the way indices ever after (`remove` and `clear`
+        // keep them one), whose first and last bytes differ — or are the
+        // same byte, in a one-way set, which is then set up again at no
+        // cost. Which free way a line lands in is unobservable, so the
+        // permutation a crash-clear or a drain left behind serves as is.
+        if n == 0 && self.order[base] == self.order[base + self.ways - 1] {
             for (way, slot_order) in self.order[base..base + self.ways].iter_mut().enumerate() {
                 *slot_order = way as u8;
             }
-            // Materialise the payload block on the set's first-ever use.
+            // Materialise the payload block with it.
             if let Some(block @ None) = self.data.get_mut(set) {
                 *block = Some(vec![[0u8; LINE_SIZE]; self.ways].into_boxed_slice());
             }
         }
-        // The MRU position the incoming slot takes over: the first free
-        // way, or the LRU-most non-TX resident of a full set.
-        let pos = if n < self.ways {
+        if n < self.ways {
             self.len[set] = (n + 1) as u8;
-            n
-        } else {
-            let victim_pos = (0..self.ways)
-                .rev()
-                .find(|&pos| self.flags[base + self.order[base + pos] as usize] & FLAG_TX == 0);
-            match victim_pos {
-                Some(pos) => pos,
-                // Every resident line is TX. A non-TX incoming slot is then
-                // the last non-TX entry of the conceptual grown set (it
-                // sits at MRU) and bounces straight back; an all-TX set
-                // with a TX insert falls through to plain LRU.
-                None if !slot.tx => return (None, Some(slot)),
-                None => self.ways - 1,
-            }
+            return Some((n, false));
+        }
+        let victim_pos = (0..self.ways)
+            .rev()
+            .find(|&pos| self.flags[base + self.order[base + pos] as usize] & FLAG_TX == 0);
+        match victim_pos {
+            Some(pos) => Some((pos, true)),
+            None if !incoming_tx => None,
+            // An all-TX set with a TX insert falls through to plain LRU.
+            None => Some((self.ways - 1, true)),
+        }
+    }
+
+    /// Claims a slot of `set` for `line`, which enters as MRU with `flags`
+    /// and no sharers: tag, flags and sharer mask are written in place and
+    /// the payload is the caller's to fill, so a fill copies a line's
+    /// bytes once per level. Returns where the line landed and what it
+    /// displaced from a full set — whose payload is still in the slot
+    /// until the caller overwrites it. `None`, with nothing touched, if
+    /// the line bounces (see [`place`](Self::place)).
+    #[inline(always)]
+    fn claim(&mut self, set: usize, line: u64, flags: u8) -> Option<(Loc, Option<Displaced>)> {
+        debug_assert!(self.probe_in(set, line).is_none(), "claiming a duplicate");
+        let (pos, full) = self.place(set, flags & FLAG_TX != 0)?;
+        let at = self.loc_at(set, pos);
+        let displaced = full.then(|| Displaced {
+            line: self.tags[at.idx],
+            flags: self.flags[at.idx],
+            sharers: self.sharers.get(at.idx),
+        });
+        self.tags[at.idx] = line;
+        self.flags[at.idx] = flags;
+        self.sharers.set(at.idx, 0);
+        Some((self.promote(set, pos), displaced))
+    }
+
+    /// Inserts a slot as MRU; returns where it landed and the victim if
+    /// the set was full. A slot that bounces (see [`place`](Self::place))
+    /// comes straight back as its own victim, with no location.
+    fn insert(&mut self, slot: Slot) -> (Option<Loc>, Option<Slot>) {
+        let set = self.set_index(slot.line);
+        debug_assert!(
+            self.probe_in(set, slot.line).is_none(),
+            "inserting a duplicate line"
+        );
+        let Some((pos, full)) = self.place(set, slot.tx) else {
+            return (None, Some(slot));
         };
         let at = self.loc_at(set, pos);
-        let victim = (n == self.ways).then(|| self.slot(at));
+        let victim = full.then(|| self.slot(at));
         self.write_slot(at, &slot);
         (Some(self.promote(set, pos)), victim)
     }
@@ -590,7 +636,8 @@ impl CacheHierarchy {
         // write to a clean line consults the directory: a line already
         // dirty here is owned by this core and shared with nobody, so
         // there is no one to invalidate and nothing to record.
-        if let Some((set, pos)) = self.l1[c].probe(line) {
+        let set = self.l1[c].set_index(line);
+        if let Some(pos) = self.l1[c].probe_in(set, line) {
             stats.l1_hits += 1;
             if is_write && !self.l1[c].is_dirty(self.l1[c].loc_at(set, pos)) {
                 let home = self
@@ -605,11 +652,19 @@ impl CacheHierarchy {
             l1.apply(at, op, tx);
             return result;
         }
-        self.access_miss(core, addr, op, tx, cfg, mem, timing, stats, result)
+        self.access_miss(core, addr, op, tx, cfg, mem, timing, stats, result, set)
     }
 
-    /// The rest of [`access`](Self::access) after the L1 probe missed —
-    /// out of line, so the hit path stays a leaf-sized function.
+    /// The rest of [`access`](Self::access) after the L1 probe of
+    /// `l1_set` missed — out of line, so the hit path stays a leaf-sized
+    /// function.
+    ///
+    /// A fill copies the line's bytes twice, memory → its L3 block → its
+    /// L1 block: each level claims a slot in place
+    /// ([`SetAssoc::claim`]) under a set index computed once, and the L2
+    /// tag fill moves no payload at all. Only what is rare by construction
+    /// still moves a [`Slot`] by value: a dirty or shared victim leaving
+    /// the L3 and a line bouncing off an all-TX L1 set.
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn access_miss(
@@ -623,6 +678,7 @@ impl CacheHierarchy {
         timing: &mut MemTiming,
         stats: &mut MachineStats,
         mut result: AccessResult,
+        l1_set: usize,
     ) -> AccessResult {
         let line = addr.line_base().raw();
         let c = core.index();
@@ -632,93 +688,143 @@ impl CacheHierarchy {
         // lookup and the fill. If another core owns the line dirty, pull
         // the fresh data into L3 first (cache-to-cache transfer), which
         // leaves the line at the MRU front.
-        let mut l3_hit = self.l3.probe(line);
-        if let Some((set, pos)) = l3_hit {
-            if self.recall_dirty_owner(core, line, set, pos, cfg, stats, &mut result) {
-                l3_hit = Some((set, 0));
+        let l3_set = self.l3.set_index(line);
+        let mut l3_hit = self.l3.probe_in(l3_set, line);
+        if let Some(pos) = l3_hit {
+            if self.recall_dirty_owner(core, line, l3_set, pos, cfg, stats, &mut result) {
+                l3_hit = Some(0);
             }
         }
 
         // L2 (timing only).
         result.cycles += cfg.l2.latency_cycles;
-        let home = if self.l2[c].find_promote(line).is_some() {
+        let l2 = &mut self.l2[c];
+        let l2_set = l2.set_index(line);
+        let l2_hit = l2.probe_in(l2_set, line);
+        let home = if let Some(pos) = l2_hit {
+            l2.promote(l2_set, pos);
             stats.l2_hits += 1;
             // Non-inclusive L2 tags can go stale: the line may have
             // fallen out of L3 since.
-            l3_hit.map(|(set, pos)| self.l3.loc_at(set, pos))
+            l3_hit.map(|pos| self.l3.loc_at(l3_set, pos))
         } else {
             // L3. Demand probes are what the shared-LLC/coherence actors
             // replay against the shared set space at epoch boundaries
             // (retag/install/flush/refill paths stay private-slice-only).
             result.cycles += cfg.l3.latency_cycles;
             let kind = PhysMem::kind_of_addr(addr);
-            let home = match l3_hit {
-                Some((set, pos)) => {
+            match l3_hit {
+                Some(pos) => {
                     stats.l3_hits += 1;
                     timing.record_llc_probe(line / LINE_SIZE as u64, kind, is_write, true);
-                    Some(self.l3.promote(set, pos))
+                    Some(self.l3.promote(l3_set, pos))
                 }
                 None => {
-                    stats.mem_accesses += 1;
                     timing.record_llc_probe(line / LINE_SIZE as u64, kind, is_write, false);
                     match kind {
                         MemKind::Dram => stats.dram_reads += 1,
                         MemKind::Nvram => stats.nvram_reads += 1,
                     }
-                    self.fill_l3(addr, mem, timing, stats, &mut result)
+                    None
                 }
-            };
-            // Fill the L2 tag array (the lookup above just missed).
-            let _ = self.l2[c].insert(Slot::new(line, false, false, [0u8; LINE_SIZE]));
-            home
+            }
         };
-        // A stale L2 tag (or a fill that bounced off an all-TX set): make
-        // sure L3 has the line so the directory has a slot to live in.
+        // A demand miss or a stale L2 tag: bring the line into the L3, so
+        // the directory has a slot to live in.
         let home = match home {
             Some(home) => home,
             None => {
                 stats.mem_accesses += 1;
-                self.fill_l3(addr, mem, timing, stats, &mut result)
-                    .expect("line resident in L3")
+                self.fill_l3(addr, l3_set, mem, timing, stats, &mut result)
             }
         };
+        if l2_hit.is_none() {
+            // Fill the L2 tag array — after the L3 fill, whose victim may
+            // just have left this set: a tag in place, whatever it
+            // displaces simply forgotten.
+            let _ = self.l2[c].claim(l2_set, line, 0);
+        }
 
         if is_write {
             self.ensure_exclusive(core, line, home, cfg, stats, &mut result);
         }
 
         // Fill into L1 from L3.
-        let mut slot = Slot::new(line, false, self.l3.is_tx(home), *self.l3.line(home));
-        apply_op(&mut slot, op, tx);
+        let l3_tx = self.l3.is_tx(home);
         self.l3
             .sharers
             .set(home.idx, self.l3.sharers.get(home.idx) | 1 << c);
         if is_write {
             self.l3.set_flag(home, FLAG_OWNED, true);
         }
-        if let (_, Some(victim)) = self.l1[c].insert(slot) {
-            self.evict_from_l1(core, victim, mem, timing, stats);
+        // What the line carries once `op` has been applied to it.
+        let mut flags = if l3_tx { FLAG_TX } else { 0 };
+        if is_write {
+            flags |= if tx { FLAG_DIRTY | FLAG_TX } else { FLAG_DIRTY };
         }
+        let Some((at, displaced)) = self.l1[c].claim(l1_set, line, flags) else {
+            // A non-TX line meeting an L1 set full of TX lines bounces
+            // straight back out: it serves `op` in passing and leaves as
+            // its own victim (a write lands in the L3 copy).
+            let mut slot = Slot::new(line, false, false, *self.l3.line(home));
+            apply_op(&mut slot, op, tx);
+            let dirty = slot.dirty.then_some((slot.tx, &slot.data));
+            self.evict_from_l1(core, line, dirty, mem, timing, stats);
+            return result;
+        };
+        if let Some(victim) = displaced {
+            // A clean victim leaves as an address; a dirty one takes its
+            // bytes, still in the claimed slot, down to its L3 copy.
+            let bytes;
+            let dirty = if victim.flags & FLAG_DIRTY != 0 {
+                bytes = *self.l1[c].line(at);
+                Some((victim.flags & FLAG_TX != 0, &bytes))
+            } else {
+                None
+            };
+            self.evict_from_l1(core, victim.line, dirty, mem, timing, stats);
+        }
+        let l1 = &mut self.l1[c];
+        l1.line_mut(at).copy_from_slice(self.l3.line(home));
+        l1.apply(at, op, tx);
         result
     }
 
-    /// Reads `addr`'s line from memory into L3 (charging the read to
-    /// `result`) and handles the displaced victim. Returns where the line
-    /// landed — `None` if it bounced off a set full of TX lines.
+    /// Reads `addr`'s line from memory into a slot of L3 set `set` — its
+    /// set — (charging the read to `result`) and handles the displaced
+    /// victim. Returns where the line landed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set is full of TX lines: the line bounces, and the
+    /// directory has no slot to keep it in.
     fn fill_l3(
         &mut self,
         addr: PhysAddr,
+        set: usize,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
         result: &mut AccessResult,
-    ) -> Option<Loc> {
+    ) -> Loc {
         let kind = PhysMem::kind_of_addr(addr);
         result.cycles += timing.access_cycles(stats, kind, addr.line_base(), AccessKind::Read);
-        let data = mem.read_line(addr.ppn(), addr.line_index());
-        let (home, victim) = self
+        let (home, displaced) = self
             .l3
-            .insert(Slot::new(addr.line_base().raw(), false, false, data));
+            .claim(set, addr.line_base().raw(), 0)
+            .expect("line resident in L3");
+        // A victim leaves with the payload still in the claimed slot —
+        // unless it is clean and no L1 holds it: it is then just gone.
+        let leaves = |v: &Displaced| v.sharers != 0 || v.flags & FLAG_DIRTY != 0;
+        let victim = displaced.filter(leaves).map(|v| Slot {
+            line: v.line,
+            dirty: v.flags & FLAG_DIRTY != 0,
+            tx: v.flags & FLAG_TX != 0,
+            sharers: v.sharers,
+            owned: v.flags & FLAG_OWNED != 0,
+            data: *self.l3.line(home),
+        });
+        mem.read_line_into(addr.ppn(), addr.line_index(), self.l3.line_mut(home));
         if let Some(v) = victim {
             self.evict_from_l3(v, mem, timing, stats);
         }
@@ -789,7 +895,7 @@ impl CacheHierarchy {
         stats.coherence_invalidations += 1;
         result.cycles += cfg.l3.latency_cycles; // cache-to-cache transfer
         let home = self.l3.promote(set, pos);
-        self.l3.merge_dirty(home, &slot);
+        self.l3.merge_dirty(home, slot.tx, &slot.data);
         true
     }
 
@@ -819,21 +925,24 @@ impl CacheHierarchy {
         }
     }
 
+    /// Takes `line`, which just left `core`'s L1, out of the directory; a
+    /// line that left dirty hands over its TX bit and bytes, which merge
+    /// into its L3 copy.
     fn evict_from_l1(
         &mut self,
         core: CoreId,
-        victim: Slot,
+        line: u64,
+        dirty: Option<(bool, &[u8; LINE_SIZE])>,
         mem: &mut PhysMem,
         timing: &mut MemTiming,
         stats: &mut MachineStats,
     ) {
-        let Some((set, pos)) = self.l3.probe(victim.line) else {
+        let Some((set, pos)) = self.l3.probe(line) else {
             // Unreachable while the L3 is inclusive (module docs); kept so
             // that a dirty line is never dropped silently if it is not.
             debug_assert!(false, "L1 victim without an L3 copy");
-            if victim.dirty {
-                let line = victim.line;
-                if let (_, Some(v)) = self.l3.insert(victim) {
+            if let Some((tx, data)) = dirty {
+                if let (_, Some(v)) = self.l3.insert(Slot::new(line, true, tx, *data)) {
                     if v.line == line {
                         // The victim itself could not be placed: fall
                         // through to memory.
@@ -851,10 +960,10 @@ impl CacheHierarchy {
         if sharers == 0 {
             self.l3.set_flag(home, FLAG_OWNED, false);
         }
-        if victim.dirty {
+        if let Some((tx, data)) = dirty {
             // Dirty L1 victim merges into its (inclusive) L3 copy.
             let home = self.l3.promote(set, pos);
-            self.l3.merge_dirty(home, &victim);
+            self.l3.merge_dirty(home, tx, data);
         }
     }
 
@@ -995,7 +1104,8 @@ impl CacheHierarchy {
             self.evict_from_l3(v, mem, timing, stats);
         }
         if let (_, Some(v)) = self.l1[c].insert(Slot::new(new_key, true, true, slot.data)) {
-            self.evict_from_l1(core, v, mem, timing, stats);
+            let dirty = v.dirty.then_some((v.tx, &v.data));
+            self.evict_from_l1(core, v.line, dirty, mem, timing, stats);
         }
         true
     }
@@ -1089,8 +1199,8 @@ fn copy_small(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Applies a line operation to a slot on its way into an L1 (the miss
-/// path's counterpart of [`SetAssoc::apply`]).
+/// Applies a line operation to a slot that bounces off its L1 set (the
+/// counterpart of [`SetAssoc::apply`] for a line with no slot to be in).
 fn apply_op(slot: &mut Slot, op: LineOp<'_>, tx: bool) {
     match op {
         LineOp::Read { offset, buf } => copy_small(buf, &slot.data[offset..offset + buf.len()]),
@@ -1856,6 +1966,208 @@ mod tests {
             }
             assert!(new.stats.coherence_invalidations > 0 || cores == 1);
             assert!(new.stats.writebacks > 0 && new.stats.l3_hits > 0);
+        }
+    }
+
+    /// Both hierarchies behind one word-sized access, compared after
+    /// every step — what the cold-fill scenarios below are written in.
+    struct Lockstep {
+        cfg: MachineConfig,
+        new: Side<CacheHierarchy>,
+        old: Side<reference::CacheHierarchy>,
+        step: u32,
+    }
+
+    impl Lockstep {
+        fn new(cores: usize) -> Self {
+            let cfg = tiny_cfg(cores);
+            Self {
+                new: Side::new(&cfg, CacheHierarchy::new(&cfg)),
+                old: Side::new(&cfg, reference::CacheHierarchy::new(&cfg)),
+                cfg,
+                step: 0,
+            }
+        }
+
+        /// Reads the line's second word, or writes `(byte, tx)` over it.
+        fn access(&mut self, core: usize, addr: u64, write: Option<(u8, bool)>) {
+            self.step += 1;
+            let what = format!("step {} core {core} {addr:#x} {write:?}", self.step);
+            let (core, addr) = (CoreId::new(core), PhysAddr::new(addr));
+            let (new, old, cfg) = (&mut self.new, &mut self.old, &self.cfg);
+            let (mut a, mut b) = ([0u8; 8], [0u8; LINE_SIZE]);
+            let data = [write.map_or(0, |(byte, _)| byte); 8];
+            let tx = write.is_some_and(|(_, tx)| tx);
+            let (op_new, op_old) = match write {
+                None => (
+                    LineOp::Read {
+                        offset: 8,
+                        buf: &mut a,
+                    },
+                    reference::LineOp::Read(&mut b),
+                ),
+                Some(_) => (
+                    LineOp::Write {
+                        offset: 8,
+                        data: &data,
+                    },
+                    reference::LineOp::Write {
+                        offset: 8,
+                        data: &data,
+                    },
+                ),
+            };
+            let ra = new.cache.access(
+                core,
+                addr,
+                op_new,
+                tx,
+                cfg,
+                &mut new.mem,
+                &mut new.timing,
+                &mut new.stats,
+            );
+            let rb = old.cache.access(
+                core,
+                addr,
+                op_old,
+                tx,
+                cfg,
+                &mut old.mem,
+                &mut old.timing,
+                &mut old.stats,
+            );
+            if write.is_none() {
+                assert_eq!(a, b[8..16], "bytes, {what}");
+            }
+            assert_eq!(ra.cycles, rb.cycles, "cycles, {what}");
+            assert_eq!(
+                spilled(&mut new.cache),
+                evictions(&rb.tx_evictions),
+                "evictions, {what}"
+            );
+            assert_eq!(new.stats, old.stats, "stats, {what}");
+            assert_eq!(
+                new.cache.dirty_lines(),
+                old.cache.dirty_lines(),
+                "dirty lines, {what}"
+            );
+        }
+
+        fn clear_tx(&mut self, addr: u64) {
+            self.new.cache.clear_tx(PhysAddr::new(addr));
+            self.old.cache.clear_tx(PhysAddr::new(addr));
+        }
+
+        fn crash(&mut self) {
+            self.new.mem.crash();
+            self.old.mem.crash();
+            self.new.cache.crash();
+            self.old.cache.crash();
+            self.new.timing.reset();
+            self.old.timing.reset();
+        }
+    }
+
+    /// What the in-place fill decides, each case forced rather than left
+    /// to chance, against the same model as the random streams above.
+    /// Ten times the rounds in a release build.
+    #[test]
+    fn cold_fills_match_the_hash_map_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        // The tiny L1 has two sets (line number mod 2) of two ways. Lines
+        // that go transactional, by L1 set — six in all, so an 8-way L3
+        // set never fills with them — and plain lines to sweep.
+        let tx_lines = [
+            [0, nv_addr(0, 10), nv_addr(0, 20)],
+            [3 * 64, nv_addr(0, 5), nv_addr(0, 25)],
+        ];
+        let plain = |rng: &mut SmallRng| match rng.gen_range(0..3u32) {
+            0 => (8 + rng.gen_range(0..24u64)) * 64,
+            _ => nv_addr(1 + rng.gen_range(0..3u64), rng.gen_range(0..64u64)),
+        };
+        let rounds = if cfg!(debug_assertions) { 300 } else { 3_000 };
+
+        for (cores, seed) in [(1usize, 21u64), (2, 22), (3, 23)] {
+            let mut m = Lockstep::new(cores);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..rounds {
+                let core = rng.gen_range(0..cores);
+                match rng.gen_range(0..6u32) {
+                    // A power cut, then a sequential sweep three times the
+                    // L1: every fill lands in a set last used before the
+                    // clear, and from the fifth on evicts a clean victim.
+                    0 => {
+                        m.crash();
+                        let base = plain(&mut rng) & !0xfff;
+                        for i in 0..12 {
+                            m.access(core, base + i * 64, None);
+                        }
+                        let l1 = &m.new.cache.l1[core];
+                        assert!(l1.peek(base + 11 * 64).is_some() && l1.peek(base).is_none());
+                    }
+                    // An L1 set filled with TX lines, then plain fills of
+                    // it: each bounces, a write's bytes reaching the L3
+                    // copy through `evict_from_l1`.
+                    1 => {
+                        let set = rng.gen_range(0..2usize);
+                        let skip = rng.gen_range(0..3usize);
+                        let held = (0..3).filter(|&i| i != skip).map(|i| tx_lines[set][i]);
+                        for line in held.clone() {
+                            m.access(core, line, Some((rng.gen(), true)));
+                        }
+                        let bounced = (plain(&mut rng) & !64) | ((set as u64) * 64);
+                        m.access(core, bounced, None);
+                        m.access(core, bounced, Some((rng.gen(), false)));
+                        m.access(core, bounced, None);
+                        let l1 = &m.new.cache.l1[core];
+                        assert!(l1.peek(bounced).is_none(), "the line bounced");
+                        assert!(held.clone().all(|line| l1.peek(line).is_some()));
+                        // A TX fill of the full set instead evicts its LRU
+                        // TX line, which leaves dirty.
+                        m.access(core, tx_lines[set][skip], Some((rng.gen(), true)));
+                        for line in tx_lines[set] {
+                            m.clear_tx(line);
+                        }
+                    }
+                    // Write misses, plain and TX, cold or not.
+                    2 => m.access(core, plain(&mut rng), Some((rng.gen(), false))),
+                    3 => {
+                        let line = tx_lines[rng.gen_range(0..2usize)][rng.gen_range(0..3usize)];
+                        m.access(core, line, Some((rng.gen(), true)));
+                        if rng.gen_bool(0.5) {
+                            m.clear_tx(line);
+                        }
+                    }
+                    // A fill from an L3 copy that is TX: another core's
+                    // read recalls the dirty TX line into the L3 and fills
+                    // from there, entering its L1 transactional.
+                    4 if cores > 1 => {
+                        let line = tx_lines[rng.gen_range(0..2usize)][rng.gen_range(0..3usize)];
+                        m.clear_tx(line);
+                        m.access(core, line, Some((rng.gen(), true)));
+                        let other = (core + 1) % cores;
+                        m.access(other, line, None);
+                        let l1 = &m.new.cache.l1[other];
+                        assert!(l1.is_tx(l1.peek(line).expect("filled")));
+                        m.clear_tx(line);
+                    }
+                    _ => m.access(core, plain(&mut rng), None),
+                }
+            }
+            let pages = (1..4).flat_map(|page| (0..64).map(move |line| nv_addr(page, line)));
+            let dram = (0..32).map(|line| line * 64);
+            for line in tx_lines.into_iter().flatten().chain(dram).chain(pages) {
+                let a = PhysAddr::new(line);
+                assert_eq!(
+                    m.new.mem.read_line(a.ppn(), a.line_index()),
+                    m.old.mem.read_line(a.ppn(), a.line_index()),
+                    "memory at {a:?} (cores {cores})"
+                );
+            }
+            assert!(m.new.stats.writebacks > 0 && m.new.stats.l3_hits > 0);
         }
     }
 

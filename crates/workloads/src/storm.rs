@@ -59,6 +59,7 @@ use ssp_simulator::cache::CoreId;
 use ssp_simulator::fault::{CrashPoint, FaultSite};
 use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::ObsEvent;
+use ssp_simulator::timing::{AccessKind, MemKind};
 use ssp_txn::engine::{TxnEngine, TxnStats};
 use ssp_txn::history::Oracle;
 
@@ -344,12 +345,12 @@ impl<E: TxnEngine> OracleEngine<E> {
         let before = self.machine().stats().clone();
         self.recover();
         let d = self.machine().stats().diff(&before);
-        let cfg = self.machine().config();
+        let machine = self.machine();
         RecoveryCost {
             nvram_reads: d.nvram_reads,
             nvram_writes: d.nvram_writes_total(),
-            cycles_est: d.nvram_reads * cfg.ns_to_cycles(cfg.nvram.read_ns)
-                + d.nvram_writes_total() * cfg.ns_to_cycles(cfg.nvram.write_ns),
+            cycles_est: d.nvram_reads * machine.array_cycles(MemKind::Nvram, AccessKind::Read)
+                + d.nvram_writes_total() * machine.array_cycles(MemKind::Nvram, AccessKind::Write),
         }
     }
 

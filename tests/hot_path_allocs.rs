@@ -27,6 +27,10 @@
 //! tree's pages, so fresh (frame, line) pairs — fresh L3 sets — keep
 //! appearing for tens of thousands of transactions.
 //!
+//! A power cycle is held to the same standard where it can be: shadow
+//! paging's `crash()` + `recover()` with an empty journal allocates
+//! nothing once it has run once.
+//!
 //! The file intentionally holds a single `#[test]`: the counter is
 //! process-global, and a concurrently running test would perturb it.
 
@@ -296,4 +300,25 @@ fn warm_transaction_loop_is_allocation_free_for_every_engine() {
              transactions (allowed {ALLOWED_ALLOCS} total) — a TX spill allocates again"
         );
     }
+
+    // Shadow paging's power cycle with nothing to replay: the frame pool
+    // it rebuilds is a fixed bitmap under a stack that keeps its
+    // capacity, so once one cycle has run the next hundred allocate
+    // nothing at all.
+    let mut shadow = ShadowPaging::new(MachineConfig::default());
+    for _ in 0..64 {
+        shadow.map_new_page(C0);
+    }
+    shadow.crash_and_recover();
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..100 {
+        shadow.crash();
+        shadow.recover();
+    }
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        allocs, 0,
+        "SHADOW: {allocs} heap allocations across 100 crash + recover cycles with an \
+         empty journal — recovery builds its frame pool on the heap again"
+    );
 }
