@@ -78,11 +78,18 @@ impl LineBitmap {
         self.0 == 0
     }
 
-    /// Iterates over the indices of set bits, ascending.
+    /// Iterates over the indices of set bits, ascending — one step per
+    /// set bit, not per line: a commit walks the one or two lines a
+    /// transaction wrote on a page.
     pub fn iter_ones(self) -> impl Iterator<Item = LineIdx> {
-        (0..LINES_PER_PAGE as u8)
-            .filter(move |&i| (self.0 >> i) & 1 == 1)
-            .map(LineIdx::new)
+        let mut left = self.0;
+        std::iter::from_fn(move || {
+            (left != 0).then(|| {
+                let lowest = left.trailing_zeros() as u8;
+                left &= left - 1;
+                LineIdx::new(lowest)
+            })
+        })
     }
 
     /// Iterates over the indices of clear bits, ascending.

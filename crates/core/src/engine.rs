@@ -326,22 +326,23 @@ impl Ssp {
         let bit = self.subpage_bit(line);
         self.translate(core, vpn);
         let sid = self.ensure_entry(core, vpn);
-
-        let in_set = self.wsets[core.index()].contains(vpn, bit);
-        if in_set {
-            // Repeated write: hit the speculative copy in place.
-            let entry = self.cache.entry(sid).expect("entry exists");
-            let paddr = PhysAddr::new(
-                Self::side_line_addr(entry, entry.current, bit, line).raw()
-                    + addr.line_offset() as u64,
-            );
-            self.shell.machine.write(core, paddr, data, true);
-            return;
-        }
+        // The pages holding the sub-page's current copy and its other one:
+        // nothing below changes them before the flip at the end.
+        let entry = self.cache.entry(sid).expect("entry exists");
+        let (cur, other) = if entry.current.get(bit) {
+            (entry.ppn1, entry.ppn0)
+        } else {
+            (entry.ppn0, entry.ppn1)
+        };
 
         match self.wsets[core.index()].record(vpn, bit) {
             WriteSetInsert::Inserted => {}
-            WriteSetInsert::AlreadyPresent => unreachable!("checked above"),
+            WriteSetInsert::AlreadyPresent => {
+                // Repeated write: hit the speculative copy in place.
+                let paddr = PhysAddr::new(cur.line_addr(line).raw() + addr.line_offset() as u64);
+                self.shell.machine.write(core, paddr, data, true);
+                return;
+            }
             WriteSetInsert::Overflow => {
                 self.fallback_store(core, addr, data);
                 return;
@@ -352,12 +353,7 @@ impl Ssp {
         // line of the group to the other physical page.
         let lps = self.ssp_cfg.lines_per_subpage as u8;
         for member in Self::subpage_lines(lps, bit) {
-            let entry = self.cache.entry(sid).expect("entry exists");
-            let old_line = Self::side_line_addr(entry, entry.current, bit, member);
-            let new_line = {
-                let other = entry.current ^ LineBitmap::from_raw(1 << bit.raw());
-                Self::side_line_addr(entry, other, bit, member)
-            };
+            let (old_line, new_line) = (cur.line_addr(member), other.line_addr(member));
 
             // Step 1-2: fetch the committed copy into the cache.
             self.shell.machine.read(core, old_line, &mut [0u8; 1]);
@@ -376,11 +372,7 @@ impl Ssp {
         }
 
         // Step 4: apply the store to the new copy.
-        let entry = self.cache.entry(sid).expect("entry exists");
-        let new_side = entry.current ^ LineBitmap::from_raw(1 << bit.raw());
-        let paddr = PhysAddr::new(
-            Self::side_line_addr(entry, new_side, bit, line).raw() + addr.line_offset() as u64,
-        );
+        let paddr = PhysAddr::new(other.line_addr(line).raw() + addr.line_offset() as u64);
         self.shell.machine.write(core, paddr, data, true);
 
         // Step 5: flip the current bit and broadcast.
@@ -536,9 +528,13 @@ impl TxnEngine for Ssp {
         pages.clear();
         pages.extend(self.wsets[core.index()].iter());
         for &(vpn, updated) in &pages {
+            let (entry, _) = self
+                .cache
+                .entry_by_vpn(vpn)
+                .expect("written page has a slot");
             for bit in updated.iter_ones() {
                 for line in Self::subpage_lines(lps, bit) {
-                    let paddr = self.current_line_addr(vpn, line);
+                    let paddr = Self::side_line_addr(entry, entry.current, bit, line);
                     self.shell
                         .machine
                         .flush(Some(core), paddr, WriteClass::Data);
@@ -561,16 +557,15 @@ impl TxnEngine for Ssp {
         //    flush persists them.
         for &(vpn, updated) in &pages {
             let sid = self.cache.sid_of(vpn).expect("written page has a slot");
-            let entry = self.cache.entry(sid).expect("entry exists");
-            let new_committed = LineBitmap::commit_merge(entry.committed, entry.current, updated);
+            let entry = self.cache.entry_mut(sid).expect("entry exists");
+            let committed = LineBitmap::commit_merge(entry.committed, entry.current, updated);
+            entry.committed = committed;
+            entry.core_refs &= !(1 << core.index());
             self.journal.append(Record::CommitMeta {
                 sid,
                 tid,
-                committed: new_committed,
+                committed,
             });
-            let entry = self.cache.entry_mut(sid).expect("entry exists");
-            entry.committed = new_committed;
-            entry.core_refs &= !(1 << core.index());
         }
         self.journal.append(Record::CommitMark { tid });
         self.journal.flush(&mut self.shell.machine, Some(core));
@@ -614,14 +609,14 @@ impl TxnEngine for Ssp {
         pages.clear();
         pages.extend(self.wsets[core.index()].iter());
         for &(vpn, updated) in &pages {
+            let sid = self.cache.sid_of(vpn).expect("written page has a slot");
+            let entry = self.cache.entry_mut(sid).expect("entry exists");
             for bit in updated.iter_ones() {
                 for line in Self::subpage_lines(lps, bit) {
-                    let paddr = self.current_line_addr(vpn, line);
+                    let paddr = Self::side_line_addr(entry, entry.current, bit, line);
                     self.shell.machine.discard_line(paddr);
                 }
             }
-            let sid = self.cache.sid_of(vpn).expect("written page has a slot");
-            let entry = self.cache.entry_mut(sid).expect("entry exists");
             entry.current = entry.current ^ updated;
             entry.core_refs &= !(1 << core.index());
             self.shell.machine.broadcast_flip(core);

@@ -86,8 +86,10 @@ pub struct SspCache {
     /// `sid_of` runs on every transactional load/store: a dense table
     /// indexed by heap page (see [`VpnMap`]).
     by_vpn: VpnMap<SlotId>,
-    /// MRU-first recency order of slot ids, for the L3-slice latency model.
-    recency: Vec<SlotId>,
+    /// When each slot was last accessed, for the L3-slice latency model:
+    /// the value `clock` took then, 0 if never since the last recovery.
+    stamps: Vec<u64>,
+    clock: u64,
     l3_entries: usize,
     /// An access that hits the L3-resident window (or the Figure 9
     /// override), in core cycles.
@@ -123,7 +125,8 @@ impl SspCache {
             layout,
             slots: slots_vec,
             by_vpn: VpnMap::new(),
-            recency: Vec::new(),
+            stamps: Vec::new(),
+            clock: 0,
             l3_entries: ssp_cfg.ssp_cache_l3_entries,
             hit_cycles: ssp_cfg
                 .meta_latency_override
@@ -181,20 +184,23 @@ impl SspCache {
     /// within the L3-resident recency window, DRAM latency otherwise
     /// (or the Figure 9 override), and makes the slot most recent.
     pub fn access_cycles(&mut self, sid: SlotId) -> u64 {
-        match self.recency.iter().position(|&s| s == sid) {
-            Some(pos) => {
-                self.recency.copy_within(0..pos, 1);
-                self.recency[0] = sid;
-                if pos < self.l3_entries {
-                    self.hit_cycles
-                } else {
-                    self.miss_cycles
-                }
-            }
-            None => {
-                self.recency.insert(0, sid);
-                self.miss_cycles
-            }
+        let idx = sid as usize;
+        if idx >= self.stamps.len() {
+            self.stamps.resize(self.slots.len().max(idx + 1), 0);
+        }
+        let last = self.stamps[idx];
+        // Resident if accessed before and fewer than `l3_entries` other
+        // slots have been since — always, in a cache of no more slots
+        // than that, which therefore counts nothing.
+        let resident = last != 0
+            && (self.stamps.len() <= self.l3_entries
+                || self.stamps.iter().filter(|&&s| s > last).count() < self.l3_entries);
+        self.clock += 1;
+        self.stamps[idx] = self.clock;
+        if resident {
+            self.hit_cycles
+        } else {
+            self.miss_cycles
         }
     }
 
@@ -350,7 +356,7 @@ impl SspCache {
     /// (recovery step 1). `slot_count` bounds the scan.
     pub fn recover(&mut self, machine: &Machine, slot_count: usize) {
         self.by_vpn.clear();
-        self.recency.clear();
+        self.stamps.fill(0);
         self.dirty.fill(0);
         self.slots.clear();
         for i in 0..slot_count {
@@ -503,6 +509,67 @@ mod tests {
         // s2 pushes s1 out of the single-entry window.
         let _ = cache.access_cycles(s2);
         assert_eq!(cache.access_cycles(s1), cfg.ns_to_cycles(50.0));
+    }
+
+    #[test]
+    fn stamped_recency_matches_the_mru_vector_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        // The MRU-first `Vec<SlotId>` the stamps replaced: `true` is a hit
+        // in the L3-resident window.
+        fn model_access(recency: &mut Vec<SlotId>, l3_entries: usize, sid: SlotId) -> bool {
+            match recency.iter().position(|&s| s == sid) {
+                Some(pos) => {
+                    recency[..=pos].rotate_right(1);
+                    pos < l3_entries
+                }
+                None => {
+                    recency.insert(0, sid);
+                    false
+                }
+            }
+        }
+
+        let cfg = MachineConfig::default();
+        let machine = Machine::new(cfg.clone());
+        // Windows smaller than, equal to and larger than the slot count,
+        // which grows past its initial sizing on the way.
+        for (slots, l3_entries, seed) in
+            [(12usize, 1usize, 1u64), (12, 5, 2), (12, 12, 3), (6, 40, 4)]
+        {
+            let ssp_cfg = SspConfig {
+                ssp_cache_l3_entries: l3_entries,
+                ..SspConfig::default()
+            };
+            let mut cache = SspCache::new(NvLayout::default(), slots, &ssp_cfg, &cfg);
+            let mut recency = Vec::new();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (hit, miss) = (cfg.l3.latency_cycles, cfg.ns_to_cycles(cfg.dram.read_ns));
+            let mut hits = 0;
+            for step in 0..20_000u32 {
+                if step % 4_000 == 3_999 {
+                    cache.recover(&machine, slots);
+                    recency.clear();
+                }
+                // Skewed towards low slot ids; one in 16 past the sizing.
+                let span = if rng.gen_range(0..16u32) == 0 {
+                    2 * slots
+                } else {
+                    slots
+                };
+                let top = rng.gen_range(0..span);
+                let sid = rng.gen_range(0..=top) as SlotId;
+                let expected = model_access(&mut recency, l3_entries, sid);
+                hits += u32::from(expected);
+                assert_eq!(
+                    cache.access_cycles(sid),
+                    if expected { hit } else { miss },
+                    "step {step}, slot {sid}, window {l3_entries}"
+                );
+            }
+            assert!(hits > 1_000 && hits < 20_000, "{hits} hits");
+        }
     }
 
     #[test]

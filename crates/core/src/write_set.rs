@@ -25,10 +25,10 @@ pub enum WriteSetInsert {
 }
 
 /// A fixed-capacity map from virtual page to updated-lines bitmap: a
-/// [`PageBitmaps`] that refuses a page beyond its capacity. `record` and
-/// `contains` run once per `ATOMIC_STORE` and usually repeat the page of
-/// the store before (one compare); the worst case is a binary search over
-/// at most `capacity` (64) pages.
+/// [`PageBitmaps`] that refuses a page beyond its capacity. `record` runs
+/// once per `ATOMIC_STORE` and usually repeats the page of the store
+/// before (one compare); the worst case is a binary search over at most
+/// `capacity` (64) pages.
 #[derive(Debug, Clone)]
 pub struct WriteSetBuffer {
     capacity: usize,

@@ -176,6 +176,7 @@ impl LineIdx {
     /// # Panics
     ///
     /// Panics if `raw >= LINES_PER_PAGE`.
+    #[inline]
     pub fn new(raw: u8) -> Self {
         assert!(
             (raw as usize) < LINES_PER_PAGE,

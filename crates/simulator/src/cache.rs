@@ -34,6 +34,21 @@
 //! are bit-identical (`soa_layout_matches_reference_model_on_random_streams`
 //! below drives both models in lockstep to prove it).
 //!
+//! A line is never carried by value. It enters a level by
+//! `SetAssoc::claim` — tag, flags and sharer mask written in place, the
+//! payload the caller's to fill, what it displaces reported without its
+//! bytes — and leaves by `SetAssoc::remove`, which takes it out of the
+//! MRU order and nothing else: the vacated slot stays readable until it
+//! is claimed again. So a line leaving the L3 (`claim_l3`: capacity,
+//! `retag`, `install_line_l3`) is back-invalidated through its sharer
+//! mask and, only if it leaves dirty, written back or spilled from where
+//! its freshest bytes lie — the L1 slot it just vacated or the L3 slot
+//! being claimed — while `purge` (`retag`, `install_line_l3`,
+//! `discard_line`) reads no payload at all. And `retag`, SSP's line remap,
+//! moves none where an L1 set spans a page: removed under its old name
+//! and claimed under the new one, the line lands on the way it vacated,
+//! re-keyed in place, and is copied once — into the new name's L3 slot.
+//!
 //! # Where the directory lives
 //!
 //! The MSI directory — which L1s hold a line, and whether one of them
@@ -85,35 +100,6 @@ impl std::fmt::Display for CoreId {
     }
 }
 
-/// One cached line, as an owned value moving in and out of a [`SetAssoc`].
-#[derive(Debug, Clone)]
-struct Slot {
-    /// Line base physical address.
-    line: u64,
-    dirty: bool,
-    tx: bool,
-    /// Directory state travelling with an L3 slot: bitmask of cores whose
-    /// L1 holds the line. Always zero in L1/L2 slots.
-    sharers: u64,
-    /// Directory state: the single sharer holds the line dirty.
-    owned: bool,
-    data: [u8; LINE_SIZE],
-}
-
-impl Slot {
-    /// A line no L1 holds (and every L1/L2 slot).
-    fn new(line: u64, dirty: bool, tx: bool, data: [u8; LINE_SIZE]) -> Self {
-        Self {
-            line,
-            dirty,
-            tx,
-            sharers: 0,
-            owned: false,
-            data,
-        }
-    }
-}
-
 const FLAG_DIRTY: u8 = 1 << 0;
 const FLAG_TX: u8 = 1 << 1;
 /// L3 only: the slot's single sharer holds the line dirty in its L1.
@@ -125,7 +111,7 @@ enum Role {
     /// Line payloads (an L1).
     Data,
     /// Nothing: a timing-only tag array (an L2). No payload block is ever
-    /// materialised; slots moving out read as zeroes.
+    /// materialised.
     Tags,
     /// Line payloads and the directory's sharer masks for this many
     /// cores (the L3).
@@ -362,61 +348,33 @@ impl SetAssoc {
         self.set_flag(at, FLAG_TX, tx);
     }
 
-    /// Copies the slot out as an owned [`Slot`].
-    #[inline]
-    fn slot(&self, at: Loc) -> Slot {
-        Slot {
-            line: self.tags[at.idx],
-            dirty: self.is_dirty(at),
-            tx: self.is_tx(at),
-            sharers: self.sharers.get(at.idx),
-            owned: self.is_owned(at),
-            data: match self.data.get(at.set) {
-                Some(block) => block.as_ref().expect("occupied set")[at.way],
-                None => [0u8; LINE_SIZE],
-            },
-        }
-    }
-
-    /// Overwrites the slot's contents with `slot` (tag, flags, directory
-    /// state and data). The set's payload block must already be
-    /// materialised.
-    #[inline]
-    fn write_slot(&mut self, at: Loc, slot: &Slot) {
-        self.tags[at.idx] = slot.line;
-        self.flags[at.idx] = (if slot.dirty { FLAG_DIRTY } else { 0 })
-            | (if slot.tx { FLAG_TX } else { 0 })
-            | (if slot.owned { FLAG_OWNED } else { 0 });
-        self.sharers.set(at.idx, slot.sharers);
-        if let Some(block) = self.data.get_mut(at.set) {
-            block.as_mut().expect("occupied set")[at.way] = slot.data;
-        }
-    }
-
-    /// Applies a line operation to the slot, mirroring [`apply_op`].
+    /// Applies a line operation to the slot.
     #[inline(always)]
     fn apply(&mut self, at: Loc, op: LineOp<'_>, tx: bool) {
-        let line = &mut self.data[at.set].as_mut().expect("occupied set")[at.way];
-        match op {
-            LineOp::Read { offset, buf } => copy_small(buf, &line[offset..offset + buf.len()]),
-            LineOp::Write { offset, data } => {
-                copy_small(&mut line[offset..offset + data.len()], data);
-                self.flags[at.idx] |= if tx { FLAG_DIRTY | FLAG_TX } else { FLAG_DIRTY };
-            }
+        if op.is_write() {
+            self.flags[at.idx] |= if tx { FLAG_DIRTY | FLAG_TX } else { FLAG_DIRTY };
         }
+        apply_op(self.line_mut(at), op);
     }
 
-    fn remove(&mut self, line: u64) -> Option<Slot> {
+    /// Takes `line` out of its set and returns the slot it leaves. Nothing
+    /// but the MRU order is touched: the slot's tag, flags, sharer mask
+    /// and payload stay readable there until a [`claim`](Self::claim)
+    /// hands the way to another line, so whoever still needs them reads
+    /// them in place instead of carrying a copy.
+    fn remove(&mut self, line: u64) -> Option<Loc> {
         let (set, pos) = self.probe(line)?;
         let base = set * self.ways;
         let n = self.len[set] as usize;
-        let slot = self.slot(self.loc_at(set, pos));
+        let at = self.loc_at(set, pos);
         // Shift the MRU order up over the removed position; the freed way
-        // byte lands at the head of the free region, keeping `order` a
-        // permutation of the way indices.
-        self.order[base + pos..base + n].rotate_left(1);
+        // byte lands at the head of the free region — the next claim of
+        // this set takes it — keeping `order` a permutation of the way
+        // indices.
+        self.order.copy_within(base + pos + 1..base + n, base + pos);
+        self.order[base + n - 1] = at.way as u8;
         self.len[set] = (n - 1) as u8;
-        Some(slot)
+        Some(at)
     }
 
     /// Picks the MRU position a line entering `set` takes over, and
@@ -483,24 +441,6 @@ impl SetAssoc {
         self.flags[at.idx] = flags;
         self.sharers.set(at.idx, 0);
         Some((self.promote(set, pos), displaced))
-    }
-
-    /// Inserts a slot as MRU; returns where it landed and the victim if
-    /// the set was full. A slot that bounces (see [`place`](Self::place))
-    /// comes straight back as its own victim, with no location.
-    fn insert(&mut self, slot: Slot) -> (Option<Loc>, Option<Slot>) {
-        let set = self.set_index(slot.line);
-        debug_assert!(
-            self.probe_in(set, slot.line).is_none(),
-            "inserting a duplicate line"
-        );
-        let Some((pos, full)) = self.place(set, slot.tx) else {
-            return (None, Some(slot));
-        };
-        let at = self.loc_at(set, pos);
-        let victim = full.then(|| self.slot(at));
-        self.write_slot(at, &slot);
-        (Some(self.promote(set, pos)), victim)
     }
 
     fn clear(&mut self) {
@@ -662,9 +602,8 @@ impl CacheHierarchy {
     /// A fill copies the line's bytes twice, memory → its L3 block → its
     /// L1 block: each level claims a slot in place
     /// ([`SetAssoc::claim`]) under a set index computed once, and the L2
-    /// tag fill moves no payload at all. Only what is rare by construction
-    /// still moves a [`Slot`] by value: a dirty or shared victim leaving
-    /// the L3 and a line bouncing off an all-TX L1 set.
+    /// tag fill moves no payload at all. A victim's bytes are read where
+    /// they lie, and only if it leaves dirty.
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn access_miss(
@@ -766,9 +705,9 @@ impl CacheHierarchy {
             // A non-TX line meeting an L1 set full of TX lines bounces
             // straight back out: it serves `op` in passing and leaves as
             // its own victim (a write lands in the L3 copy).
-            let mut slot = Slot::new(line, false, false, *self.l3.line(home));
-            apply_op(&mut slot, op, tx);
-            let dirty = slot.dirty.then_some((slot.tx, &slot.data));
+            let mut bytes = *self.l3.line(home);
+            apply_op(&mut bytes, op);
+            let dirty = is_write.then_some((false, &bytes));
             self.evict_from_l1(core, line, dirty, mem, timing, stats);
             return result;
         };
@@ -791,8 +730,7 @@ impl CacheHierarchy {
     }
 
     /// Reads `addr`'s line from memory into a slot of L3 set `set` — its
-    /// set — (charging the read to `result`) and handles the displaced
-    /// victim. Returns where the line landed.
+    /// set — (charging the read to `result`) and returns where it landed.
     ///
     /// # Panics
     ///
@@ -809,26 +747,46 @@ impl CacheHierarchy {
     ) -> Loc {
         let kind = PhysMem::kind_of_addr(addr);
         result.cycles += timing.access_cycles(stats, kind, addr.line_base(), AccessKind::Read);
-        let (home, displaced) = self
-            .l3
-            .claim(set, addr.line_base().raw(), 0)
+        let home = self
+            .claim_l3(set, addr.line_base().raw(), 0, mem, timing, stats)
             .expect("line resident in L3");
-        // A victim leaves with the payload still in the claimed slot —
-        // unless it is clean and no L1 holds it: it is then just gone.
-        let leaves = |v: &Displaced| v.sharers != 0 || v.flags & FLAG_DIRTY != 0;
-        let victim = displaced.filter(leaves).map(|v| Slot {
-            line: v.line,
-            dirty: v.flags & FLAG_DIRTY != 0,
-            tx: v.flags & FLAG_TX != 0,
-            sharers: v.sharers,
-            owned: v.flags & FLAG_OWNED != 0,
-            data: *self.l3.line(home),
-        });
         mem.read_line_into(addr.ppn(), addr.line_index(), self.l3.line_mut(home));
-        if let Some(v) = victim {
-            self.evict_from_l3(v, mem, timing, stats);
-        }
         home
+    }
+
+    /// Claims a slot of L3 set `set` — `line`'s set — for `line`, which
+    /// enters with `flags` and no sharers, and sees the line it displaces
+    /// out of the hierarchy: back-invalidated from every L1 named in its
+    /// sharer mask and, if it leaves dirty, written back or spilled from
+    /// where its freshest bytes lie — the L1 slot it was just taken out
+    /// of, or the claimed slot itself, whose payload is the caller's to
+    /// overwrite afterwards. `None`, with nothing touched, if `line`
+    /// bounces (see [`SetAssoc::place`]).
+    #[inline(always)]
+    fn claim_l3(
+        &mut self,
+        set: usize,
+        line: u64,
+        flags: u8,
+        mem: &mut PhysMem,
+        timing: &mut MemTiming,
+        stats: &mut MachineStats,
+    ) -> Option<Loc> {
+        let (home, displaced) = self.l3.claim(set, line, flags)?;
+        // A victim that is clean and in no L1 is just gone.
+        if let Some(v) = displaced.filter(|v| v.sharers != 0 || v.flags & FLAG_DIRTY != 0) {
+            let fresh = match self.back_invalidate(v.line, v.sharers) {
+                Some((owner, at)) => Some((self.l1[owner].is_tx(at), self.l1[owner].line(at))),
+                None if v.flags & FLAG_DIRTY != 0 => {
+                    Some((v.flags & FLAG_TX != 0, self.l3.line(home)))
+                }
+                None => None,
+            };
+            if let Some((tx, data)) = fresh {
+                write_back(&mut self.spills, v.line, tx, data, mem, timing, stats);
+            }
+        }
+        Some(home)
     }
 
     /// Invalidate every other sharer so `core` can write the line whose
@@ -887,7 +845,7 @@ impl CacheHierarchy {
             return false;
         }
         self.l3.set_flag(home, FLAG_OWNED, false);
-        let Some(slot) = self.l1[owner].remove(line) else {
+        let Some(from) = self.l1[owner].remove(line) else {
             return false;
         };
         let _ = self.l2[owner].remove(line);
@@ -895,21 +853,23 @@ impl CacheHierarchy {
         stats.coherence_invalidations += 1;
         result.cycles += cfg.l3.latency_cycles; // cache-to-cache transfer
         let home = self.l3.promote(set, pos);
-        self.l3.merge_dirty(home, slot.tx, &slot.data);
+        let l1 = &self.l1[owner];
+        self.l3.merge_dirty(home, l1.is_tx(from), l1.line(from));
         true
     }
 
     /// Removes `line` from the L1/L2 of every core in `sharers`
     /// (inclusive-L3 back-invalidation of a slot that is leaving the L3),
-    /// returning the freshest data if an L1 held it dirty.
-    fn back_invalidate(&mut self, line: u64, mut sharers: u64) -> Option<Slot> {
+    /// returning the core and the vacated L1 slot that hold the freshest
+    /// data, if an L1 held the line dirty.
+    fn back_invalidate(&mut self, line: u64, mut sharers: u64) -> Option<(usize, Loc)> {
         let mut fresh = None;
         while sharers != 0 {
             let c = sharers.trailing_zeros() as usize;
             sharers &= sharers - 1;
-            if let Some(slot) = self.l1[c].remove(line) {
-                if slot.dirty {
-                    fresh = Some(slot);
+            if let Some(at) = self.l1[c].remove(line) {
+                if self.l1[c].is_dirty(at) {
+                    fresh = Some((c, at));
                 }
             }
             let _ = self.l2[c].remove(line);
@@ -917,11 +877,11 @@ impl CacheHierarchy {
         fresh
     }
 
-    /// Drops `line` from the L3 and, through its sharer mask, from every
-    /// L1/L2 above it. Nothing is written back.
-    fn purge(&mut self, line: u64) {
-        if let Some(slot) = self.l3.remove(line) {
-            self.back_invalidate(line, slot.sharers);
+    /// Drops `line` from the L3 and, through its sharer mask less
+    /// `except`, from every L1/L2 above it. Nothing is written back.
+    fn purge(&mut self, line: u64, except: u64) {
+        if let Some(at) = self.l3.remove(line) {
+            self.back_invalidate(line, self.l3.sharers.get(at.idx) & !except);
         }
     }
 
@@ -942,15 +902,7 @@ impl CacheHierarchy {
             // that a dirty line is never dropped silently if it is not.
             debug_assert!(false, "L1 victim without an L3 copy");
             if let Some((tx, data)) = dirty {
-                if let (_, Some(v)) = self.l3.insert(Slot::new(line, true, tx, *data)) {
-                    if v.line == line {
-                        // The victim itself could not be placed: fall
-                        // through to memory.
-                        self.write_back(v, mem, timing, stats);
-                    } else {
-                        self.evict_from_l3(v, mem, timing, stats);
-                    }
-                }
+                write_back(&mut self.spills, line, tx, data, mem, timing, stats);
             }
             return;
         };
@@ -965,53 +917,6 @@ impl CacheHierarchy {
             let home = self.l3.promote(set, pos);
             self.l3.merge_dirty(home, tx, data);
         }
-    }
-
-    fn evict_from_l3(
-        &mut self,
-        victim: Slot,
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
-        stats: &mut MachineStats,
-    ) {
-        let mut victim = victim;
-        if let Some(fresh) = self.back_invalidate(victim.line, victim.sharers) {
-            victim.data = fresh.data;
-            victim.dirty = true;
-            victim.tx = fresh.tx;
-        }
-        if victim.dirty {
-            self.write_back(victim, mem, timing, stats);
-        }
-    }
-
-    /// Writes a dirty line to memory — unless it is transactional, in which
-    /// case it spills instead.
-    fn write_back(
-        &mut self,
-        victim: Slot,
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
-        stats: &mut MachineStats,
-    ) {
-        let addr = PhysAddr::new(victim.line);
-        if victim.tx {
-            self.spills.push(TxEviction {
-                line: addr,
-                data: victim.data,
-            });
-            return;
-        }
-        let kind = PhysMem::kind_of_addr(addr);
-        // Write-back latency is absorbed by write buffers, not charged to
-        // the core; traffic is still counted.
-        let _ = timing.access_cycles(stats, kind, addr, AccessKind::Write);
-        match kind {
-            MemKind::Dram => stats.dram_writes += 1,
-            MemKind::Nvram => stats.record_nvram_write(WriteClass::Data),
-        }
-        stats.writebacks += 1;
-        mem.write_line(addr.ppn(), addr.line_index(), &victim.data);
     }
 
     /// Writes the freshest copy of `line` to memory and marks every cached
@@ -1071,6 +976,12 @@ impl CacheHierarchy {
     /// not move through memory and no latency is charged. Returns `false`,
     /// with nothing touched, if `core`'s L1 does not hold `old` (the caller
     /// must fill it first).
+    ///
+    /// The line is taken out of its L1 set and claimed back under its new
+    /// name. Where both names index one set — every geometry whose L1 way
+    /// spans a page — the claim lands on the way just vacated, so the
+    /// payload stays put and is copied once, into the new name's L3 slot;
+    /// otherwise it moves to the way claimed in the other set.
     pub fn retag(
         &mut self,
         core: CoreId,
@@ -1083,29 +994,39 @@ impl CacheHierarchy {
         let old_key = old.line_base().raw();
         let new_key = new.line_base().raw();
         let c = core.index();
-        let Some(slot) = self.l1[c].remove(old_key) else {
+        let Some(from) = self.l1[c].remove(old_key) else {
             return false;
         };
-        // Drop every stale trace of the old identity.
-        self.purge(old_key);
+        // Drop every stale trace of the old identity — `core`'s L1 is rid
+        // of it already — and any stale copy of the new one (its committed
+        // data is obsolete from this core's perspective — it was flushed
+        // earlier).
+        self.purge(old_key, 1 << c);
         let _ = self.l2[c].remove(old_key);
-        // Remove any stale copy of the new identity (its committed data is
-        // obsolete from this core's perspective — it was flushed earlier).
-        self.purge(new_key);
+        self.purge(new_key, 0);
 
-        // Insert under the new identity: dirty + TX in L1, owned by it in
-        // the directory, clean copy in L3 to preserve inclusion.
-        let (_, victim) = self.l3.insert(Slot {
-            sharers: 1 << c,
-            owned: true,
-            ..Slot::new(new_key, false, true, slot.data)
-        });
-        if let Some(v) = victim {
-            self.evict_from_l3(v, mem, timing, stats);
-        }
-        if let (_, Some(v)) = self.l1[c].insert(Slot::new(new_key, true, true, slot.data)) {
-            let dirty = v.dirty.then_some((v.tx, &v.data));
-            self.evict_from_l1(core, v.line, dirty, mem, timing, stats);
+        // Enter under the new identity: a clean copy in L3 to preserve
+        // inclusion, owned by `core` in the directory, dirty + TX in L1.
+        let l3_set = self.l3.set_index(new_key);
+        let home = self
+            .claim_l3(l3_set, new_key, FLAG_TX | FLAG_OWNED, mem, timing, stats)
+            .expect("a TX line never bounces");
+        self.l3.sharers.set(home.idx, 1 << c);
+        *self.l3.line_mut(home) = *self.l1[c].line(from);
+        let l1_set = self.l1[c].set_index(new_key);
+        let (at, displaced) = self.l1[c]
+            .claim(l1_set, new_key, FLAG_DIRTY | FLAG_TX)
+            .expect("a TX line never bounces");
+        if at.idx != from.idx {
+            // Not the way just vacated: the payload follows, trading
+            // places with what lay there — a displaced victim's bytes.
+            let mut bytes = *self.l1[c].line(from);
+            std::mem::swap(&mut bytes, self.l1[c].line_mut(at));
+            if let Some(victim) = displaced {
+                let dirty = victim.flags & FLAG_DIRTY != 0;
+                let dirty = dirty.then_some((victim.flags & FLAG_TX != 0, &bytes));
+                self.evict_from_l1(core, victim.line, dirty, mem, timing, stats);
+            }
         }
         true
     }
@@ -1123,9 +1044,12 @@ impl CacheHierarchy {
         stats: &mut MachineStats,
     ) {
         let key = line.line_base().raw();
-        self.purge(key);
-        if let (_, Some(v)) = self.l3.insert(Slot::new(key, false, false, data)) {
-            self.evict_from_l3(v, mem, timing, stats);
+        self.purge(key, 0);
+        let set = self.l3.set_index(key);
+        // A set full of TX lines has no room for a plain one: the
+        // installed copy is then simply not kept.
+        if let Some(home) = self.claim_l3(set, key, 0, mem, timing, stats) {
+            *self.l3.line_mut(home) = data;
         }
     }
 
@@ -1145,7 +1069,7 @@ impl CacheHierarchy {
     /// Drops every cached copy of `line` without writing it back (SSP abort
     /// discards speculative data).
     pub fn discard_line(&mut self, line: PhysAddr) {
-        self.purge(line.line_base().raw());
+        self.purge(line.line_base().raw(), 0);
     }
 
     /// Number of dirty lines currently cached anywhere (diagnostics).
@@ -1199,17 +1123,44 @@ fn copy_small(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Applies a line operation to a slot that bounces off its L1 set (the
-/// counterpart of [`SetAssoc::apply`] for a line with no slot to be in).
-fn apply_op(slot: &mut Slot, op: LineOp<'_>, tx: bool) {
+/// Performs a line operation on a line's bytes.
+#[inline(always)]
+fn apply_op(line: &mut [u8; LINE_SIZE], op: LineOp<'_>) {
     match op {
-        LineOp::Read { offset, buf } => copy_small(buf, &slot.data[offset..offset + buf.len()]),
-        LineOp::Write { offset, data } => {
-            copy_small(&mut slot.data[offset..offset + data.len()], data);
-            slot.dirty = true;
-            slot.tx |= tx;
-        }
+        LineOp::Read { offset, buf } => copy_small(buf, &line[offset..offset + buf.len()]),
+        LineOp::Write { offset, data } => copy_small(&mut line[offset..offset + data.len()], data),
     }
+}
+
+/// Writes a dirty line that is leaving the hierarchy to memory — unless it
+/// is transactional, in which case it spills instead.
+fn write_back(
+    spills: &mut Vec<TxEviction>,
+    line: u64,
+    tx: bool,
+    data: &[u8; LINE_SIZE],
+    mem: &mut PhysMem,
+    timing: &mut MemTiming,
+    stats: &mut MachineStats,
+) {
+    let addr = PhysAddr::new(line);
+    if tx {
+        spills.push(TxEviction {
+            line: addr,
+            data: *data,
+        });
+        return;
+    }
+    let kind = PhysMem::kind_of_addr(addr);
+    // Write-back latency is absorbed by write buffers, not charged to
+    // the core; traffic is still counted.
+    let _ = timing.access_cycles(stats, kind, addr, AccessKind::Write);
+    match kind {
+        MemKind::Dram => stats.dram_writes += 1,
+        MemKind::Nvram => stats.record_nvram_write(WriteClass::Data),
+    }
+    stats.writebacks += 1;
+    mem.write_line(addr.ppn(), addr.line_index(), data);
 }
 
 #[cfg(test)]
@@ -1500,11 +1451,34 @@ mod tests {
         assert!(rig.stats.l3_hits > before_hits || rig.stats.l2_hits > 0);
     }
 
+    /// One cached line as an owned value: what the `Vec<Vec<Slot>>` model
+    /// below stores, and how these tests move a line into a [`SetAssoc`]
+    /// and read one back out.
+    #[derive(Debug, Clone)]
+    struct Slot {
+        /// Line base physical address.
+        line: u64,
+        dirty: bool,
+        tx: bool,
+        data: [u8; LINE_SIZE],
+    }
+
+    impl Slot {
+        fn new(line: u64, dirty: bool, tx: bool, data: [u8; LINE_SIZE]) -> Self {
+            Self {
+                line,
+                dirty,
+                tx,
+                data,
+            }
+        }
+    }
+
     /// The PR-4-era `Vec<Vec<Slot>>` set-associative array, kept verbatim
     /// as the reference model: the flat SoA layout must reproduce its
     /// lookup results, MRU order and victim stream exactly.
     mod set_reference {
-        use super::super::{Slot, LINE_SIZE};
+        use super::{Slot, LINE_SIZE};
 
         #[derive(Debug, Clone)]
         pub struct RefSetAssoc {
@@ -1577,6 +1551,36 @@ mod tests {
     }
 
     impl SetAssoc {
+        /// Copies out the slot at `at` — occupied, or vacated by a
+        /// `remove` and not claimed since.
+        fn slot(&self, at: Loc) -> Slot {
+            Slot::new(
+                self.tags[at.idx],
+                self.is_dirty(at),
+                self.is_tx(at),
+                *self.line(at),
+            )
+        }
+
+        /// Inserts a slot as MRU the way the hierarchy does — `claim`,
+        /// then fill the payload; returns where it landed and the victim
+        /// if the set was full. A slot that bounces comes straight back
+        /// as its own victim, with no location.
+        fn insert(&mut self, slot: Slot) -> (Option<Loc>, Option<Slot>) {
+            let set = self.set_index(slot.line);
+            let flags =
+                (if slot.dirty { FLAG_DIRTY } else { 0 }) | (if slot.tx { FLAG_TX } else { 0 });
+            let Some((at, displaced)) = self.claim(set, slot.line, flags) else {
+                return (None, Some(slot));
+            };
+            let victim = displaced.map(|v| {
+                let (dirty, tx) = (v.flags & FLAG_DIRTY != 0, v.flags & FLAG_TX != 0);
+                Slot::new(v.line, dirty, tx, *self.line(at))
+            });
+            *self.line_mut(at) = slot.data;
+            (Some(at), victim)
+        }
+
         /// MRU-first `(line, dirty, tx, data[0])` per set, for comparison
         /// against the reference model.
         fn dump(&self) -> Vec<Vec<(u64, bool, bool, u8)>> {
@@ -1637,7 +1641,8 @@ mod tests {
                         assert_eq!(a, b, "peek @{step}");
                     }
                     4 => {
-                        let a = soa.remove(line);
+                        // The vacated slot is read where it lies.
+                        let a = soa.remove(line).map(|at| soa.slot(at));
                         let b = reference.remove(line);
                         assert_eq!(
                             a.as_ref().map(|s| (s.line, s.dirty, s.tx, s.data[0])),
@@ -1684,16 +1689,18 @@ mod tests {
         }
     }
 
+    fn level(sets: usize, ways: usize, latency_cycles: u64) -> crate::config::CacheConfig {
+        crate::config::CacheConfig {
+            size_bytes: sets * ways * LINE_SIZE,
+            ways,
+            latency_cycles,
+        }
+    }
+
     /// A hierarchy small enough that every level overflows constantly:
     /// 2×2-line L1s, 4×2 L2 tags and a 3-set (reciprocal-indexed) 8-way
     /// L3.
     fn tiny_cfg(cores: usize) -> MachineConfig {
-        use crate::config::CacheConfig;
-        let level = |sets: usize, ways: usize, latency_cycles| CacheConfig {
-            size_bytes: sets * ways * LINE_SIZE,
-            ways,
-            latency_cycles,
-        };
         MachineConfig {
             cores,
             l1: level(2, 2, 4),
@@ -1980,7 +1987,10 @@ mod tests {
 
     impl Lockstep {
         fn new(cores: usize) -> Self {
-            let cfg = tiny_cfg(cores);
+            Self::with_cfg(tiny_cfg(cores))
+        }
+
+        fn with_cfg(cfg: MachineConfig) -> Self {
             Self {
                 new: Side::new(&cfg, CacheHierarchy::new(&cfg)),
                 old: Side::new(&cfg, reference::CacheHierarchy::new(&cfg)),
@@ -2052,6 +2062,35 @@ mod tests {
                 old.cache.dirty_lines(),
                 "dirty lines, {what}"
             );
+        }
+
+        /// Retags `core`'s copy of `old` to `new`; returns whether it held
+        /// one and how many lines the retag spilled.
+        fn retag(&mut self, core: usize, old: u64, new: u64) -> (bool, usize) {
+            self.step += 1;
+            let what = format!("step {} core {core} retag {old:#x} -> {new:#x}", self.step);
+            let (core, old, new) = (CoreId::new(core), PhysAddr::new(old), PhysAddr::new(new));
+            let (a, b, cfg) = (&mut self.new, &mut self.old, &self.cfg);
+            let ra = a
+                .cache
+                .retag(core, old, new, &mut a.mem, &mut a.timing, &mut a.stats);
+            let rb = b
+                .cache
+                .retag(core, old, new, cfg, &mut b.mem, &mut b.timing, &mut b.stats);
+            assert_eq!(ra, rb.is_some(), "presence, {what}");
+            let spills = spilled(&mut a.cache);
+            assert_eq!(
+                spills,
+                evictions(&rb.unwrap_or_default().tx_evictions),
+                "evictions, {what}"
+            );
+            assert_eq!(a.stats, b.stats, "stats, {what}");
+            assert_eq!(
+                a.cache.dirty_lines(),
+                b.cache.dirty_lines(),
+                "dirty lines, {what}"
+            );
+            (ra, spills.len())
         }
 
         fn clear_tx(&mut self, addr: u64) {
@@ -2168,6 +2207,126 @@ mod tests {
                 );
             }
             assert!(m.new.stats.writebacks > 0 && m.new.stats.l3_hits > 0);
+        }
+    }
+
+    /// What a retag decides, each case forced, against the same model:
+    /// which way the re-keyed line lands on, whose stale copies go, and
+    /// how the line its L3 claim displaces leaves.
+    #[test]
+    fn retags_match_the_hash_map_model() {
+        // DRAM line `n`: L1 set `n % 2`, L3 set `n % 3` of the tiny
+        // hierarchy.
+        let ln = |n: u64| n * 64;
+        let rounds: u32 = if cfg!(debug_assertions) { 20 } else { 200 };
+        for round in 0..rounds {
+            let byte = round as u8;
+            let mut m = Lockstep::new(2);
+
+            // A stale copy of the new identity in the core's own L1, in
+            // the set the re-keyed line stays in: the claim lands on the
+            // stale copy's way, not on the one just vacated.
+            let (old, new) = (ln(4), ln(6));
+            m.access(0, new, None);
+            m.access(0, old, Some((byte, round % 2 == 0)));
+            let l1 = &m.new.cache.l1[0];
+            let (from, stale) = (l1.peek(old).expect("held"), l1.peek(new).expect("stale"));
+            assert_eq!(from.set, stale.set);
+            assert_eq!(m.retag(0, old, new), (true, 0));
+            let l1 = &m.new.cache.l1[0];
+            assert_eq!(l1.peek(new).expect("re-keyed").idx, stale.idx);
+            assert!(l1.peek(old).is_none());
+            m.access(0, new, None);
+            m.access(0, old, None);
+
+            // The stale copy in another core's L1 — clean, or dirty and
+            // owned: it goes without a write-back, and that core's next
+            // read recalls the re-keyed line from this one.
+            m.crash();
+            let (old, new) = (ln(8), ln(10));
+            let stale_dirty = round % 3 == 0;
+            m.access(1, new, stale_dirty.then_some((!byte, false)));
+            m.access(0, old, Some((byte, false)));
+            let from = m.new.cache.l1[0].peek(old).expect("held");
+            let before = m.new.stats.writebacks;
+            assert_eq!(m.retag(0, old, new), (true, 0));
+            assert!(m.new.cache.l1[1].peek(new).is_none(), "stale copy dropped");
+            assert_eq!(m.new.stats.writebacks, before);
+            // With nothing else leaving the set, the line stayed where it was.
+            assert_eq!(m.new.cache.l1[0].peek(new).expect("re-keyed").idx, from.idx);
+            m.access(1, new, None);
+            m.access(1, old, None);
+
+            // The L3 claim displaces a dirty plain line: L3 set 0 is full
+            // of them — dirty in the L3 or under a dirty L1 copy — when
+            // line 30 is retagged into it. Written back, not spilled.
+            m.crash();
+            for n in (0..24).step_by(3) {
+                m.access((round % 2) as usize, ln(n), Some((byte ^ n as u8, false)));
+            }
+            m.access(0, ln(31), Some((byte, true)));
+            let before = m.new.stats.writebacks;
+            assert_eq!(m.retag(0, ln(31), ln(30)), (true, 0));
+            assert_eq!(m.new.stats.writebacks, before + 1);
+            m.clear_tx(ln(30));
+
+            // ... and a line dirty and TX in another core's L1, which the
+            // L3 — its own copy clean and plain — picks as LRU: the fresh
+            // bytes spill from that L1.
+            m.crash();
+            m.access(1, ln(0), Some((byte, true)));
+            for n in (3..24).step_by(3) {
+                m.access(
+                    0,
+                    ln(n),
+                    if n % 2 == 0 {
+                        None
+                    } else {
+                        Some((byte, false))
+                    },
+                );
+            }
+            m.access(0, ln(31), Some((byte, true)));
+            let before = m.new.stats.writebacks;
+            assert_eq!(m.retag(0, ln(31), ln(30)), (true, 1));
+            assert_eq!(m.new.stats.writebacks, before);
+            assert!(m.new.cache.l1[1].peek(ln(0)).is_none(), "back-invalidated");
+            m.clear_tx(ln(30));
+            for n in (0..33).step_by(3) {
+                m.access(1, ln(n), None);
+            }
+            assert_eq!(m.retag(0, ln(31), ln(30)), (false, 0), "nothing to retag");
+
+            // A 128-set L1: a page's lines index half the sets, so a line
+            // retagged to the page after it changes set — into a free way,
+            // or over the LRU of two residents that leaves clean or dirty.
+            let mut m = Lockstep::with_cfg(MachineConfig {
+                l1: level(128, 2, 4),
+                l3: level(96, 8, 27),
+                ..tiny_cfg(2)
+            });
+            let line = u64::from(round % 64);
+            let (old, new) = (nv_addr(2, line), nv_addr(3, line));
+            let residents = round as usize % 3;
+            for page in [5, 7].into_iter().take(residents) {
+                m.access(
+                    0,
+                    nv_addr(page, line),
+                    (round % 2 == 0).then_some((byte, false)),
+                );
+            }
+            m.access(0, old, Some((byte, false)));
+            let l1 = &m.new.cache.l1[0];
+            let from = l1.peek(old).expect("held");
+            assert_ne!(from.set, l1.set_index(new), "the retag changes set");
+            assert_eq!(m.retag(0, old, new), (true, 0));
+            let l1 = &m.new.cache.l1[0];
+            assert_eq!(l1.peek(new).expect("re-keyed").set, l1.set_index(new));
+            assert!(l1.peek(old).is_none());
+            assert_eq!(l1.peek(nv_addr(5, line)).is_some(), residents == 1);
+            for page in [2, 3, 5, 7] {
+                m.access((round % 2) as usize, nv_addr(page, line), None);
+            }
         }
     }
 

@@ -27,6 +27,12 @@
 //! tree's pages, so fresh (frame, line) pairs — fresh L3 sets — keep
 //! appearing for tens of thousands of transactions.
 //!
+//! A fourth, `HopTxn`, keeps every access off the TLB's most recently
+//! used page, misses the TLB once per transaction with the TLB full, and
+//! makes each store the first write to its line — under SSP, a line remap
+//! (`CacheHierarchy::retag`): the three places where a hit used to move
+//! memory on the host must not have started acquiring any.
+//!
 //! A power cycle is held to the same standard where it can be: shadow
 //! paging's `crash()` + `recover()` with an empty journal allocates
 //! nothing once it has run once.
@@ -183,6 +189,57 @@ impl Workload for SpillTxn {
     }
 }
 
+/// A transaction that hops between two pages of a ring half again as
+/// large as the default 64-entry dTLB: page `round` (last touched by the
+/// transaction before — a hit, but not on the MRU page once the log or
+/// journal pages have been through the TLB) and page `round + 1` (last
+/// touched a full lap ago — a miss that evicts the LRU entry of a full
+/// TLB), loads alternating between the two, then one store to a line of
+/// each that this transaction has not written: SSP's first-write path,
+/// remap included.
+#[derive(Debug, Clone, Default)]
+struct HopTxn {
+    pages: Vec<Vpn>,
+    round: u64,
+}
+
+const HOP_PAGES: u64 = 96;
+
+impl Workload for HopTxn {
+    fn name(&self) -> &'static str {
+        "Hop"
+    }
+
+    fn setup(&mut self, engine: &mut dyn TxnEngine, core: CoreId) {
+        self.pages = (0..HOP_PAGES).map(|_| engine.map_new_page(core)).collect();
+    }
+
+    fn run_txn(&mut self, engine: &mut dyn TxnEngine, core: CoreId, _rng: &mut SmallRng) {
+        self.round += 1;
+        let page = |i: u64| self.pages[((self.round + i) % HOP_PAGES) as usize];
+        let line = self.round * 7 % 64;
+        let mut word = [0u8; 8];
+        for i in 0..4 {
+            engine.load(core, page(i % 2).base().add(line * 64), &mut word);
+        }
+        for i in 0..2 {
+            engine.store(
+                core,
+                page(i).base().add(line * 64),
+                &self.round.to_le_bytes(),
+            );
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn Workload> {
+        Box::new(self.clone())
+    }
+
+    fn reset(&mut self) {
+        self.pages.clear();
+    }
+}
+
 /// The default machine with a 16-set, 16-way L3: half the L1's capacity,
 /// so the inclusive L3 keeps evicting lines the L1 still holds.
 fn spilling_cfg() -> MachineConfig {
@@ -298,6 +355,41 @@ fn warm_transaction_loop_is_allocation_free_for_every_engine() {
             allocs <= ALLOWED_ALLOCS,
             "{name} / Spill: {allocs} heap allocations across {MEASURED_TXNS} warm \
              transactions (allowed {ALLOWED_ALLOCS} total) — a TX spill allocates again"
+        );
+    }
+
+    // Off the TLB's MRU page on every access, one TLB miss into a full
+    // TLB per transaction and, under SSP, two line remaps. Shadow paging
+    // sits it out for the B+-tree's reason.
+    for (name, mut engine) in engines_with(MachineConfig::default) {
+        if name == "SHADOW" {
+            continue;
+        }
+        let mut workload = HopTxn::default();
+        workload.setup(engine.as_mut(), C0);
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let counters = |engine: &dyn TxnEngine| {
+            let stats = engine.machine().stats();
+            (stats.tlb_misses, stats.flip_broadcasts)
+        };
+        let (misses, remaps) = counters(engine.as_ref());
+        // Two laps of the ring to warm up: every page's frames, both
+        // copies of every line SSP remaps and the L3 sets they index
+        // exist on the host.
+        let warmup = 2 * HOP_PAGES;
+        let allocs = measured_allocs(engine.as_mut(), &mut workload, warmup, &mut rng);
+        let txns = warmup + MEASURED_TXNS;
+        let (misses, remaps) = (
+            counters(engine.as_ref()).0 - misses,
+            counters(engine.as_ref()).1 - remaps,
+        );
+        assert!(misses >= txns, "{name} / Hop: {misses} TLB misses");
+        assert_eq!(remaps, if name == "SSP" { 2 * txns } else { 0 });
+        assert!(
+            allocs <= ALLOWED_ALLOCS,
+            "{name} / Hop: {allocs} heap allocations across {MEASURED_TXNS} warm \
+             transactions (allowed {ALLOWED_ALLOCS} total) — a TLB hit off the MRU page, \
+             a TLB fill or a line remap allocates again"
         );
     }
 
