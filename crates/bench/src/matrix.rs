@@ -162,16 +162,12 @@ pub struct CellSpec {
     pub run_cfg: RunConfig,
     /// Driver selection.
     pub driver: CellDriver,
-    /// When true, `scale` is already the per-worker scale and the sharded
-    /// driver must not apply [`Scale::per_shard`] (the contention sweeps
-    /// keep a constant per-client slice as clients grow).
-    pub scale_is_per_worker: bool,
-    /// When true, `cfg` is already the per-worker machine and the sharded
-    /// driver hands every worker a copy instead of slicing it
-    /// ([`MachineConfig::shard_slice_for`]) — the contention sweeps give
-    /// each client a constant machine slice while the *interconnect*
-    /// varies.
-    pub cfg_is_per_worker: bool,
+    /// When true, `scale` and `cfg` are already what one worker gets: the
+    /// sharded driver neither applies [`Scale::per_shard`] nor slices the
+    /// machine ([`MachineConfig::shard_slice_for`]) but hands every worker
+    /// a copy — the contention sweeps keep a constant per-client slice of
+    /// both as clients grow and the *interconnect* varies.
+    pub per_worker: bool,
 }
 
 impl CellSpec {
@@ -192,8 +188,7 @@ impl CellSpec {
             scale,
             run_cfg: run_cfg.clone(),
             driver: CellDriver::Auto,
-            scale_is_per_worker: false,
-            cfg_is_per_worker: false,
+            per_worker: false,
         }
     }
 
@@ -209,15 +204,10 @@ impl CellSpec {
         self
     }
 
-    /// Marks `scale` as already-per-worker (sharded driver only).
-    pub fn per_worker_scale(mut self) -> Self {
-        self.scale_is_per_worker = true;
-        self
-    }
-
-    /// Marks `cfg` as already-per-worker (sharded driver only).
-    pub fn per_worker_machine(mut self) -> Self {
-        self.cfg_is_per_worker = true;
+    /// Marks `scale` and `cfg` as already per worker (sharded driver
+    /// only).
+    pub fn per_worker(mut self) -> Self {
+        self.per_worker = true;
         self
     }
 
@@ -236,7 +226,7 @@ impl CellSpec {
         // `per_shard(1)` is the identity except for its >= 16 floor, which
         // would silently inflate tiny custom scales: one-worker sharded
         // cells keep the scale as given.
-        if self.is_sharded() && !self.scale_is_per_worker && self.run_cfg.threads > 1 {
+        if self.is_sharded() && !self.per_worker && self.run_cfg.threads > 1 {
             self.scale.per_shard(self.run_cfg.threads)
         } else {
             self.scale
@@ -254,12 +244,12 @@ impl CellSpec {
         // only there are one simulation (Figure 9's REDO baseline).
         let ssp_gate = (self.engine == EngineKind::Ssp).then_some(&self.ssp_cfg);
         format!(
-            "sharded{}|{:?}|{:?}|cfg{:?}|percfg{}|ssp{:?}|scale{:?}|warmup{}|seed{:#x}|threads{}|txns{}",
+            "sharded{}|{:?}|{:?}|cfg{:?}|perworker{}|ssp{:?}|scale{:?}|warmup{}|seed{:#x}|threads{}|txns{}",
             self.is_sharded(),
             self.engine,
             self.workload,
             self.cfg,
-            self.cfg_is_per_worker,
+            self.per_worker,
             ssp_gate,
             self.effective_scale(),
             self.run_cfg.warmup,
@@ -462,7 +452,7 @@ fn simulate(spec: &CellSpec) -> CellOut {
         };
     }
     let threads = spec.run_cfg.threads;
-    let shard_cfgs: Vec<MachineConfig> = if spec.cfg_is_per_worker {
+    let shard_cfgs: Vec<MachineConfig> = if spec.per_worker {
         vec![spec.cfg.clone(); threads]
     } else {
         (0..threads)

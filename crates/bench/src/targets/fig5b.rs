@@ -75,8 +75,7 @@ fn specs_for(
                 &run_cfg,
             )
             .sharded()
-            .per_worker_machine()
-            .per_worker_scale()
+            .per_worker()
         })
         .collect()
 }

@@ -15,9 +15,9 @@
 //!
 //! # Run drivers
 //!
-//! [`runner::run`] is the legacy single-machine driver: transactions
-//! round-robin over the simulated cores of *one* machine, on the calling
-//! thread (Tables 4/5's four-clients-on-one-machine cells have no sharded
+//! [`runner::warm_single`] is the legacy single-machine driver:
+//! transactions round-robin over the simulated cores of *one* machine, on
+//! the calling thread (Tables 4/5's four-clients-on-one-machine cells have no sharded
 //! equivalent). Every other driver shards the machine per worker and is a
 //! *protocol* over one crate-private scheduler, `kernel.rs`: a shard is
 //! built, run and finished inside its own thread — `local` runs it to
@@ -36,8 +36,8 @@
 //! | [`shared::run_shared`], [`shared::run_shared_crash_probe`] | speculate against the heap snapshot | arbitrate + validate commit intents first-committer-wins | charge, replay winners through the engine (probe: the same fault plan after each replay), queue losers | heap + intents + interconnect board |
 //! | [`service::run_service`] | scheduling steps until the arrivals drain | — (one epoch) | — | none |
 //!
-//! * [`runner`] — [`runner::run`], [`runner::run_parallel`] and the
-//!   warm/measure split behind them, all producing [`runner::RunResult`]
+//! * [`runner`] — [`runner::warm_single`], [`runner::run_parallel`] and
+//!   their warm/measure splits, all producing [`runner::RunResult`]
 //! * [`storm`] — the crash-storm driver: scheduled power cuts under full
 //!   traffic, oracle-verified recovery after every storm
 //! * [`shared`] — the shared-heap driver: N clients against ONE
@@ -69,9 +69,7 @@ pub use dist::KeyDist;
 pub use hash::{HashTable, HashWorkload};
 pub use kvcache::{KvCache, MemcachedWorkload};
 pub use rbtree::{RbTree, RbTreeWorkload};
-pub use runner::{
-    run, run_parallel, ExecMode, ParallelRun, RunConfig, RunResult, ShardRun, Workload,
-};
+pub use runner::{run_parallel, ExecMode, ParallelRun, RunConfig, RunResult, ShardRun, Workload};
 pub use service::{
     run_service, AdmissionPolicy, ArrivalShape, DrainPoint, ServiceConfig, ServiceRun,
     ServiceShardRun, ServiceStats,

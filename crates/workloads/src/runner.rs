@@ -134,8 +134,9 @@ pub struct RunConfig {
     pub txns: u64,
     /// Warm-up transactions excluded from the counters.
     pub warmup: u64,
-    /// Worker threads ([`run`]: simulated cores on the one machine, must
-    /// not exceed its core count; [`run_parallel`]: machine shards).
+    /// Worker threads ([`warm_single`]: simulated cores on the one
+    /// machine, must not exceed its core count; [`run_parallel`]: machine
+    /// shards).
     pub threads: usize,
     /// RNG seed (runs are fully deterministic per seed).
     pub seed: u64,
@@ -790,101 +791,12 @@ where
     warm_parallel(mk_engine, mk_workload, cfg).run_measured(cfg.txns, cfg.mode)
 }
 
-/// Runs `workload` on `engine`: setup, warm-up, then the measured phase —
-/// the **legacy schedule**: transactions interleaved round-robin across
-/// `cfg.threads` simulated cores of the *one shared machine*, on the
-/// calling thread. Isolation is by construction (one transaction runs at
-/// a time, matching the paper's lock-based isolation assumption).
-///
-/// The single-machine figures (6–9, tables) keep using this driver; the
-/// scaling curves use [`run_parallel`], whose shards execute on real
-/// threads. `cfg.mode` is ignored here.
-///
-/// # Panics
-///
-/// Panics if `cfg.threads` is zero or exceeds the machine's core count,
-/// or if the machine enables the cross-shard interconnect (only
-/// [`run_parallel`] drains and arbitrates its event streams).
-pub fn run<E: TxnEngine>(
-    engine: &mut E,
-    workload: &mut dyn Workload,
-    cfg: &RunConfig,
-) -> RunResult {
-    let mut rng = single_check_and_seed(engine, cfg);
-    let base = single_warm(engine, workload, cfg, &mut rng);
-    single_measured(engine, workload, cfg.threads, cfg.txns, &mut rng, &base)
-}
-
-fn single_check_and_seed<E: TxnEngine>(engine: &E, cfg: &RunConfig) -> SmallRng {
-    assert!(cfg.threads >= 1, "at least one thread");
-    assert!(
-        cfg.threads <= engine.machine().config().cores,
-        "more threads than simulated cores"
-    );
-    // The legacy driver has no epoch loop to drain the event log the
-    // machine records when the interconnect is on — a long run would
-    // just grow it unboundedly with no contention effect. Cross-shard
-    // contention needs the sharded driver.
-    assert!(
-        !engine.machine().config().interconnect.enabled,
-        "the cross-shard interconnect requires run_parallel"
-    );
-    SmallRng::seed_from_u64(cfg.seed)
-}
-
-/// Setup + warm-up of the legacy driver; returns the baselines that
-/// exclude both from the measurement.
-fn single_warm<E: TxnEngine>(
-    engine: &mut E,
-    workload: &mut dyn Workload,
-    cfg: &RunConfig,
-    rng: &mut SmallRng,
-) -> ShardBase {
-    workload.setup(engine, CoreId::new(0));
-    for i in 0..cfg.warmup {
-        let core = CoreId::new((i % cfg.threads as u64) as usize);
-        engine.begin(core);
-        workload.run_txn(engine, core, rng);
-        engine.commit(core);
-    }
-    ShardBase::snapshot(engine, cfg.threads)
-}
-
-/// The measured phase of the legacy driver.
-fn single_measured<E: TxnEngine>(
-    engine: &mut E,
-    workload: &mut dyn Workload,
-    threads: usize,
-    txns: u64,
-    rng: &mut SmallRng,
-    base: &ShardBase,
-) -> RunResult {
-    let mut latency = LatencyStats::default();
-    for i in 0..txns {
-        let core = CoreId::new((i % threads as u64) as usize);
-        timed_txn(engine, workload, core, rng, &mut latency);
-    }
-
-    let (stats, txn_stats) = base.measured(engine);
-    let elapsed = base.elapsed_cycles(engine);
-    RunResult::new(
-        engine,
-        workload.name(),
-        txns,
-        elapsed,
-        stats,
-        txn_stats,
-        latency,
-    )
-}
-
 /// A warmed legacy-driver cell, held right before the measured phase:
 /// the engine after workload setup + warm-up, the RNG mid-stream, and the
 /// measurement baselines. The single-machine counterpart of
 /// [`WarmParallel`]: set-up is timed apart from the measured phase, and
 /// [`WarmSingle::run_measured`] hands the engine back for post-run
-/// probes. Its measured phase is bit-identical to [`run`]'s with the same
-/// `RunConfig`.
+/// probes.
 pub struct WarmSingle<E> {
     engine: E,
     workload: Box<dyn Workload>,
@@ -905,23 +817,55 @@ pub struct SingleRun<E> {
     pub host_elapsed: Duration,
 }
 
-/// Warms an owned engine + workload for the legacy single-machine driver:
-/// setup, `cfg.warmup` transactions round-robin over `cfg.threads`
-/// simulated cores, then the baseline snapshot. See [`run`] for the
-/// driver's semantics and panics.
+/// Warms an owned engine + workload for the **legacy schedule**:
+/// transactions interleaved round-robin across `cfg.threads` simulated
+/// cores of the *one shared machine*, on the calling thread. Isolation is
+/// by construction (one transaction runs at a time, matching the paper's
+/// lock-based isolation assumption). Setup, `cfg.warmup` transactions,
+/// then the baseline snapshot; [`WarmSingle::run_measured`] runs the
+/// measured phase on the same schedule.
+///
+/// The single-machine figures (6–9, tables) keep using this driver; the
+/// scaling curves use [`run_parallel`], whose shards execute on real
+/// threads. `cfg.mode` is ignored here.
+///
+/// # Panics
+///
+/// Panics if `cfg.threads` is zero or exceeds the machine's core count,
+/// or if the machine enables the cross-shard interconnect (only
+/// [`run_parallel`] drains and arbitrates its event streams).
 pub fn warm_single<E: TxnEngine>(
     mut engine: E,
     mut workload: Box<dyn Workload>,
     cfg: &RunConfig,
 ) -> WarmSingle<E> {
-    let mut rng = single_check_and_seed(&engine, cfg);
-    let base = single_warm(&mut engine, workload.as_mut(), cfg, &mut rng);
+    assert!(cfg.threads >= 1, "at least one thread");
+    assert!(
+        cfg.threads <= engine.machine().config().cores,
+        "more threads than simulated cores"
+    );
+    // The legacy driver has no epoch loop to drain the event log the
+    // machine records when the interconnect is on — a long run would
+    // just grow it unboundedly with no contention effect. Cross-shard
+    // contention needs the sharded driver.
+    assert!(
+        !engine.machine().config().interconnect.enabled,
+        "the cross-shard interconnect requires run_parallel"
+    );
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    workload.setup(&mut engine, CoreId::new(0));
+    for i in 0..cfg.warmup {
+        let core = CoreId::new((i % cfg.threads as u64) as usize);
+        engine.begin(core);
+        workload.run_txn(&mut engine, core, &mut rng);
+        engine.commit(core);
+    }
     WarmSingle {
+        base: ShardBase::snapshot(&engine, cfg.threads),
         engine,
         workload,
         rng,
         threads: cfg.threads,
-        base,
     }
 }
 
@@ -929,19 +873,26 @@ impl<E: TxnEngine> WarmSingle<E> {
     /// Runs `txns` measured transactions on this warm state, consuming it.
     pub fn run_measured(mut self, txns: u64) -> SingleRun<E> {
         let t0 = Instant::now();
-        let result = single_measured(
-            &mut self.engine,
-            self.workload.as_mut(),
-            self.threads,
-            txns,
-            &mut self.rng,
-            &self.base,
-        );
-        let host_elapsed = t0.elapsed();
+        let mut latency = LatencyStats::default();
+        for i in 0..txns {
+            let core = CoreId::new((i % self.threads as u64) as usize);
+            let workload = self.workload.as_mut();
+            timed_txn(
+                &mut self.engine,
+                workload,
+                core,
+                &mut self.rng,
+                &mut latency,
+            );
+        }
+        let (stats, txn_stats) = self.base.measured(&self.engine);
+        let elapsed = self.base.elapsed_cycles(&self.engine);
+        let name = self.workload.name();
+        let result = RunResult::new(&self.engine, name, txns, elapsed, stats, txn_stats, latency);
         SingleRun {
             result,
             engine: self.engine,
-            host_elapsed,
+            host_elapsed: t0.elapsed(),
         }
     }
 }
@@ -976,6 +927,13 @@ mod tests {
         }
     }
 
+    /// The legacy driver's warm-up and measured phase in one.
+    fn single<E: TxnEngine>(engine: E, workload: Sps, cfg: &RunConfig) -> RunResult {
+        warm_single(engine, Box::new(workload), cfg)
+            .run_measured(cfg.txns)
+            .result
+    }
+
     fn parallel_sps(cfg: &RunConfig) -> ParallelRun<Ssp> {
         let shard = MachineConfig::default().shard_slice(cfg.threads);
         run_parallel(
@@ -987,9 +945,9 @@ mod tests {
 
     #[test]
     fn run_produces_sane_measurements() {
-        let mut e = Ssp::new(MachineConfig::default(), SspConfig::default());
-        let mut w = Sps::new(1024, KeyDist::uniform(1024));
-        let r = run(&mut e, &mut w, &small_cfg());
+        let e = Ssp::new(MachineConfig::default(), SspConfig::default());
+        let w = Sps::new(1024, KeyDist::uniform(1024));
+        let r = single(e, w, &small_cfg());
         assert_eq!(r.txns, 100);
         assert_eq!(r.txn_stats.committed, 100);
         assert!(r.elapsed_cycles > 0);
@@ -1001,11 +959,11 @@ mod tests {
 
     #[test]
     fn warmup_is_excluded() {
-        let mut e1 = Ssp::new(MachineConfig::default(), SspConfig::default());
-        let mut w1 = Sps::new(1024, KeyDist::uniform(1024));
-        let r_with = run(
-            &mut e1,
-            &mut w1,
+        let e1 = Ssp::new(MachineConfig::default(), SspConfig::default());
+        let w1 = Sps::new(1024, KeyDist::uniform(1024));
+        let r_with = single(
+            e1,
+            w1,
             &RunConfig {
                 warmup: 200,
                 ..small_cfg()
@@ -1017,28 +975,28 @@ mod tests {
 
     #[test]
     fn multi_thread_run_uses_multiple_cores() {
-        let mut e = Ssp::new(MachineConfig::default(), SspConfig::default());
-        let mut w = Sps::new(4096, KeyDist::uniform(4096));
+        let e = Ssp::new(MachineConfig::default(), SspConfig::default());
+        let w = Sps::new(4096, KeyDist::uniform(4096));
         let cfg = RunConfig {
             threads: 4,
             ..small_cfg()
         };
-        let r = run(&mut e, &mut w, &cfg);
+        let r = single(e, w, &cfg);
         assert_eq!(r.txn_stats.committed, 100);
         // Four cores split the work: wall-clock under 4 threads should be
         // well below a single core running everything.
-        let mut e1 = Ssp::new(MachineConfig::default(), SspConfig::default());
-        let mut w1 = Sps::new(4096, KeyDist::uniform(4096));
-        let r1 = run(&mut e1, &mut w1, &small_cfg());
+        let e1 = Ssp::new(MachineConfig::default(), SspConfig::default());
+        let w1 = Sps::new(4096, KeyDist::uniform(4096));
+        let r1 = single(e1, w1, &small_cfg());
         assert!(r.elapsed_cycles < r1.elapsed_cycles);
     }
 
     #[test]
     fn runs_are_deterministic_per_seed() {
         let mk = || {
-            let mut e = UndoLog::new(MachineConfig::default());
-            let mut w = Sps::new(512, KeyDist::paper_zipf(512));
-            run(&mut e, &mut w, &small_cfg())
+            let e = UndoLog::new(MachineConfig::default());
+            let w = Sps::new(512, KeyDist::paper_zipf(512));
+            single(e, w, &small_cfg())
         };
         let a = mk();
         let b = mk();
@@ -1049,11 +1007,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "more threads than simulated cores")]
     fn too_many_threads_panics() {
-        let mut e = Ssp::new(MachineConfig::default().with_cores(1), SspConfig::default());
-        let mut w = Sps::new(64, KeyDist::uniform(64));
-        run(
-            &mut e,
-            &mut w,
+        let e = Ssp::new(MachineConfig::default().with_cores(1), SspConfig::default());
+        let w = Sps::new(64, KeyDist::uniform(64));
+        single(
+            e,
+            w,
             &RunConfig {
                 threads: 2,
                 ..small_cfg()
@@ -1167,9 +1125,9 @@ mod tests {
             interconnect: ssp_simulator::config::InterconnectConfig::shared(),
             ..MachineConfig::default()
         };
-        let mut e = Ssp::new(cfg, SspConfig::default());
-        let mut w = Sps::new(64, KeyDist::uniform(64));
-        run(&mut e, &mut w, &small_cfg());
+        let e = Ssp::new(cfg, SspConfig::default());
+        let w = Sps::new(64, KeyDist::uniform(64));
+        single(e, w, &small_cfg());
     }
 
     #[test]

@@ -12,12 +12,12 @@ use ssp::baselines::{RedoLog, UndoLog};
 use ssp::core::engine::Ssp;
 use ssp::simulator::config::MachineConfig;
 use ssp::txn::engine::TxnEngine;
-use ssp::workloads::runner::{run, RunConfig};
+use ssp::workloads::runner::{warm_single, RunConfig};
 use ssp::workloads::{KeyDist, MemcachedWorkload};
 use ssp::SspConfig;
 
-fn drive<E: TxnEngine>(engine: &mut E) -> (f64, u64, u64) {
-    let mut workload = MemcachedWorkload::new(KeyDist::paper_zipf(2048), 512);
+fn drive<E: TxnEngine>(engine: E) -> (f64, u64, u64) {
+    let workload = MemcachedWorkload::new(KeyDist::paper_zipf(2048), 512);
     let cfg = RunConfig {
         txns: 1500,
         warmup: 200,
@@ -25,20 +25,18 @@ fn drive<E: TxnEngine>(engine: &mut E) -> (f64, u64, u64) {
         seed: 42,
         ..RunConfig::default()
     };
-    let result = run(engine, &mut workload, &cfg);
+    let result = warm_single(engine, Box::new(workload), &cfg)
+        .run_measured(cfg.txns)
+        .result;
     (result.tps, result.nvram_writes(), result.logging_writes())
 }
 
 fn main() {
     let cfg = MachineConfig::default();
 
-    let mut ssp = Ssp::new(cfg.clone(), SspConfig::default());
-    let mut undo = UndoLog::new(cfg.clone());
-    let mut redo = RedoLog::new(cfg);
-
-    let (ssp_tps, ssp_writes, ssp_log) = drive(&mut ssp);
-    let (undo_tps, undo_writes, undo_log) = drive(&mut undo);
-    let (redo_tps, redo_writes, redo_log) = drive(&mut redo);
+    let (ssp_tps, ssp_writes, ssp_log) = drive(Ssp::new(cfg.clone(), SspConfig::default()));
+    let (undo_tps, undo_writes, undo_log) = drive(UndoLog::new(cfg.clone()));
+    let (redo_tps, redo_writes, redo_log) = drive(RedoLog::new(cfg));
 
     println!("Memcached-like KV cache, 4 clients, 90% SET, zipfian keys\n");
     println!(
