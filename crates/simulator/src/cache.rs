@@ -5,7 +5,9 @@
 //!
 //! * Lines hold real data; physical memory is only updated when a line is
 //!   written back or explicitly flushed, so a simulated crash sees exactly
-//!   the bytes that reached (NV)RAM.
+//!   the bytes that reached (NV)RAM. Only the L1s store line bytes; the
+//!   L3 keeps bytes only where they differ from memory (see *Where a
+//!   line's bytes live*).
 //! * Lines carry a **TX bit** (the paper's per-line transactional tag). The
 //!   hierarchy never writes a dirty TX line back to its home address on
 //!   eviction; instead the line goes into the hierarchy's spill buffer and
@@ -20,34 +22,64 @@
 //! # Host-side data layout
 //!
 //! `SetAssoc` stores the arrays struct-of-arrays: tags and dirty/TX flag
-//! bytes live in flat vectors indexed by `set * ways + way`, the per-set
-//! MRU order is a byte permutation of the way indices
-//! (`order[set*ways..][..len]`, MRU first; initialised lazily per set),
-//! and the 64-byte payloads sit in per-set blocks materialised on first
-//! use (never, for the tag-only L2). A probe computes the set index by
-//! mask or precomputed reciprocal (`fastmod::Modulus`), scans at most `ways`
-//! order bytes against the contiguous tags and yields a `(set, pos)`
-//! pair; everything after it addresses the slot by `Loc` — set, way and
-//! flat index together — so nothing is divided back out of a flat index.
+//! bytes live in flat vectors indexed by `set * ways + way`, and the
+//! per-set MRU order is a byte permutation of the way indices
+//! (`order[set*ways..][..len]`, MRU first; initialised lazily per set).
+//! Only an L1 has a payload column: one flat `Vec<[u8; 64]>` indexed like
+//! the tags, 32 KiB per core at the default geometry, allocated with the
+//! cache. A probe computes the set index by mask or precomputed
+//! reciprocal (`fastmod::Modulus`), scans at most `ways` order bytes
+//! against the contiguous tags and yields a `(set, pos)` pair; everything
+//! after it addresses the slot by `Loc` — way and flat index together —
+//! so nothing is divided back out of a flat index.
 //! Replacement decisions read the same MRU-first sequence the
 //! specification's `Vec<Slot>` per set stores physically, so hit, miss
 //! and victim streams are the spec's (`cache/lockstep.rs` drives the two
 //! side by side to prove it).
 //!
 //! A line is never carried by value. It enters a level by
-//! `SetAssoc::claim` — tag, flags and sharer mask written in place, the
+//! `SetAssoc::claim` — tag, flags and sharer mask written in place, an L1
 //! payload the caller's to fill, what it displaces reported without its
 //! bytes — and leaves by `SetAssoc::remove`, which takes it out of the
 //! MRU order and nothing else: the vacated slot stays readable until it
 //! is claimed again. So a line leaving the L3 (`claim_l3`: capacity,
 //! `retag`, `install_line_l3`) is back-invalidated through its sharer
 //! mask and, only if it leaves dirty, written back or spilled from where
-//! its freshest bytes lie — the L1 slot it just vacated or the L3 slot
-//! being claimed — while `purge` (`retag`, `install_line_l3`,
-//! `discard_line`) reads no payload at all. And `retag`, SSP's line remap,
-//! moves none where an L1 set spans a page: removed under its old name
-//! and claimed under the new one, the line lands on the way it vacated,
-//! re-keyed in place, and is copied once — into the new name's L3 slot.
+//! its freshest bytes lie — the L1 slot it just vacated or its overlay
+//! entry — while `purge` (`retag`, `install_line_l3`, `discard_line`)
+//! reads no bytes at all. And `retag`, SSP's line remap, copies none
+//! where an L1 set spans a page: removed under its old name and claimed
+//! under the new one, the line lands on the way it vacated, re-keyed in
+//! place.
+//!
+//! # Where a line's bytes live
+//!
+//! The L3 is tags, flags, MRU order and the directory. A line's bytes
+//! live in one of three places: an L1 slot; `PhysMem`; or, only while
+//! the L3 copy differs from memory, the hierarchy's `overlay` map, keyed
+//! by line. An L3 slot with an overlay entry carries `FLAG_OVERLAY`, so a
+//! clean line costs no map lookup: `l3_bytes` reads the entry if the slot
+//! is flagged and memory otherwise, and `l3_store` writes the entry.
+//!
+//! * **Fill.** An L3 fill claims the slot and copies nothing; the L1 fill
+//!   (or a bounce) reads the bytes through `l3_bytes`, so a cold line is
+//!   copied once, memory → L1.
+//! * **Into the overlay.** A dirty L1 victim and an owner recall store
+//!   their bytes there. So do a flush while memory is
+//!   [frozen](PhysMem::frozen) and an `install_line_l3` whose data memory
+//!   does not hold (behind `Machine::install_line_cached`: while memory is
+//!   frozen), because memory then keeps its old bytes.
+//! * **Out of the overlay.** The entry is dropped when a flush reaches
+//!   memory, when the slot leaves the L3 (a victim — written back from the
+//!   entry first if dirty — or a `purge`) and on `crash`.
+//! * **`retag` stores nothing.** The new name's slot is `OWNED`: its
+//!   bytes are the owner's dirty L1 copy until an eviction merge, a recall
+//!   or a flush brings them down, so no path reads an owned slot's bytes
+//!   (`l3_bytes` asserts it).
+//! * **Memory written behind the hierarchy** (`Machine`'s uncached writes)
+//!   calls `CacheHierarchy::before_memory_write` first: a clean,
+//!   unflagged L3 copy snapshots memory's old bytes into the overlay, so a
+//!   cached read returns what the cache held.
 //!
 //! # Where the directory lives
 //!
@@ -81,6 +113,7 @@ use crate::fastmod::Modulus;
 use crate::phys::PhysMem;
 use crate::stats::{MachineStats, WriteClass};
 use crate::timing::{AccessKind, MemKind, MemTiming};
+use fxhash::FxHashMap;
 
 #[cfg(test)]
 mod lockstep;
@@ -113,17 +146,18 @@ const FLAG_DIRTY: u8 = 1 << 0;
 const FLAG_TX: u8 = 1 << 1;
 /// L3 only: the slot's single sharer holds the line dirty in its L1.
 const FLAG_OWNED: u8 = 1 << 2;
+/// L3 only: the line's bytes are its `overlay` entry, not memory's.
+const FLAG_OVERLAY: u8 = 1 << 3;
 
 /// What a [`SetAssoc`] stores per slot besides tag, flags and MRU order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
-    /// Line payloads (an L1).
+    /// Line payloads (an L1) — the only level that has any.
     Data,
-    /// Nothing: a timing-only tag array (an L2). No payload block is ever
-    /// materialised.
+    /// Nothing: a timing-only tag array (an L2).
     Tags,
-    /// Line payloads and the directory's sharer masks for this many
-    /// cores (the L3).
+    /// The directory's sharer masks for this many cores (the L3). No
+    /// payload: see the module docs, *Where a line's bytes live*.
     Directory(usize),
 }
 
@@ -159,11 +193,11 @@ impl SharerMasks {
     }
 }
 
-/// The address of one slot: set, way and the flat `set * ways + way`
-/// index of the tag/flag/sharer columns, computed once by the probe.
+/// The address of one slot: its way and the flat `set * ways + way`
+/// index of the tag/flag/sharer/payload columns, computed once by the
+/// probe.
 #[derive(Debug, Clone, Copy)]
 struct Loc {
-    set: usize,
     way: usize,
     idx: usize,
 }
@@ -179,8 +213,7 @@ struct Displaced {
 }
 
 /// A set-associative array with MRU-first ordering per set, stored
-/// struct-of-arrays (see the module docs). The derived `Clone` is
-/// naturally sparse: only materialised payload blocks are copied.
+/// struct-of-arrays (see the module docs).
 #[derive(Debug, Clone)]
 struct SetAssoc {
     ways: usize,
@@ -195,14 +228,8 @@ struct SetAssoc {
     /// Directory sharer mask per slot ([`Role::Directory`] only).
     /// Zero-mapped like the other columns until a set is used.
     sharers: SharerMasks,
-    /// Line payloads, one `ways`-sized block per set, materialised on the
-    /// set's first insert (empty for [`Role::Tags`]). The payloads are
-    /// ~98% of a cache's bytes; keeping them per-set means constructing
-    /// or cloning a 12 MiB L3 whose working set touches 2% of its sets
-    /// costs 2% of 12 MiB — and sidesteps glibc's adaptive mmap
-    /// threshold, which silently turns repeated huge zeroed allocations
-    /// into full memsets.
-    data: Vec<Option<Box<[[u8; LINE_SIZE]]>>>,
+    /// Line payload per slot ([`Role::Data`] only; empty otherwise).
+    data: Vec<[u8; LINE_SIZE]>,
     /// Per-set permutation of way indices: `order[set*ways..][..len[set]]`
     /// are the occupied ways MRU-first, the tail holds the free ways.
     /// Initialised lazily — a set's bytes become a valid permutation on
@@ -218,11 +245,10 @@ impl SetAssoc {
         assert!(ways >= 1 && ways <= u8::MAX as usize, "unsupported ways");
         let nsets = sets.max(1);
         let slots = nsets * ways;
-        // The metadata vectors are all-zero allocations that are never
-        // written here (`order` initialises per set on first insert) and
-        // the payload blocks start unmaterialised, so building even a
-        // 12 MiB L3 costs ~3 MiB of zero-mapped metadata and no payload
-        // memory — machines are constructed per shard per bench cell.
+        // The vectors are all-zero allocations that are never written
+        // here (`order` initialises per set on first insert), so building
+        // even a 12 MiB L3 costs ~3 MiB of zero-mapped metadata — machines
+        // are constructed per shard per bench cell.
         Self {
             ways,
             nsets,
@@ -234,7 +260,7 @@ impl SetAssoc {
                 Role::Directory(_) => SharerMasks::Wide(vec![0; slots]),
                 Role::Data | Role::Tags => SharerMasks::Absent,
             },
-            data: vec![None; if role == Role::Tags { 0 } else { nsets }],
+            data: vec![[0; LINE_SIZE]; if role == Role::Data { slots } else { 0 }],
             order: vec![0; slots],
             len: vec![0; nsets],
         }
@@ -276,7 +302,6 @@ impl SetAssoc {
         let base = set * self.ways;
         let way = self.order[base + pos] as usize;
         Loc {
-            set,
             way,
             idx: base + way,
         }
@@ -338,23 +363,15 @@ impl SetAssoc {
         }
     }
 
+    /// The slot's payload ([`Role::Data`] only).
     #[inline]
     fn line(&self, at: Loc) -> &[u8; LINE_SIZE] {
-        &self.data[at.set].as_ref().expect("occupied set")[at.way]
+        &self.data[at.idx]
     }
 
     #[inline]
     fn line_mut(&mut self, at: Loc) -> &mut [u8; LINE_SIZE] {
-        &mut self.data[at.set].as_mut().expect("occupied set")[at.way]
-    }
-
-    /// Overwrites the slot's payload and flags with a dirty L1 copy
-    /// arriving from above (eviction merge, cache-to-cache recall).
-    #[inline]
-    fn merge_dirty(&mut self, at: Loc, tx: bool, data: &[u8; LINE_SIZE]) {
-        *self.line_mut(at) = *data;
-        self.set_flag(at, FLAG_DIRTY, true);
-        self.set_flag(at, FLAG_TX, tx);
+        &mut self.data[at.idx]
     }
 
     /// Applies a line operation to the slot.
@@ -368,7 +385,7 @@ impl SetAssoc {
 
     /// Takes `line` out of its set and returns the slot it leaves. Nothing
     /// but the MRU order is touched: the slot's tag, flags, sharer mask
-    /// and payload stay readable there until a [`claim`](Self::claim)
+    /// and L1 payload stay readable there until a [`claim`](Self::claim)
     /// hands the way to another line, so whoever still needs them reads
     /// them in place instead of carrying a copy.
     fn remove(&mut self, line: u64) -> Option<Loc> {
@@ -409,10 +426,6 @@ impl SetAssoc {
             for (way, slot_order) in self.order[base..base + self.ways].iter_mut().enumerate() {
                 *slot_order = way as u8;
             }
-            // Materialise the payload block with it.
-            if let Some(block @ None) = self.data.get_mut(set) {
-                *block = Some(vec![[0u8; LINE_SIZE]; self.ways].into_boxed_slice());
-            }
         }
         if n < self.ways {
             self.len[set] = (n + 1) as u8;
@@ -431,11 +444,10 @@ impl SetAssoc {
 
     /// Claims a slot of `set` for `line`, which enters as MRU with `flags`
     /// and no sharers: tag, flags and sharer mask are written in place and
-    /// the payload is the caller's to fill, so a fill copies a line's
-    /// bytes once per level. Returns where the line landed and what it
-    /// displaced from a full set — whose payload is still in the slot
-    /// until the caller overwrites it. `None`, with nothing touched, if
-    /// the line bounces (see [`place`](Self::place)).
+    /// an L1's payload is the caller's to fill. Returns where the line
+    /// landed and what it displaced from a full set — whose L1 payload is
+    /// still in the slot until the caller overwrites it. `None`, with
+    /// nothing touched, if the line bounces (see [`place`](Self::place)).
     #[inline(always)]
     fn claim(&mut self, set: usize, line: u64, flags: u8) -> Option<(Loc, Option<Displaced>)> {
         debug_assert!(self.probe_in(set, line).is_none(), "claiming a duplicate");
@@ -529,6 +541,10 @@ pub struct CacheHierarchy {
     l1: Vec<SetAssoc>,
     l2: Vec<SetAssoc>,
     l3: SetAssoc,
+    /// The bytes of every L3 line flagged `FLAG_OVERLAY`: those whose L3
+    /// copy differs from memory (module docs, *Where a line's bytes
+    /// live*).
+    overlay: FxHashMap<u64, [u8; LINE_SIZE]>,
     /// Dirty TX lines that left the hierarchy and were not written home,
     /// oldest first. Whoever drives the hierarchy empties it after each
     /// operation (capacity is kept, so a spill allocates nothing once the
@@ -550,7 +566,57 @@ impl CacheHierarchy {
             l1,
             l2,
             l3: SetAssoc::new(cfg.l3.sets(), cfg.l3.ways, Role::Directory(cfg.cores)),
+            overlay: FxHashMap::default(),
             spills: Vec::new(),
+        }
+    }
+
+    /// The bytes of the line in L3 slot `home`: its overlay entry if the
+    /// slot is flagged, memory's otherwise.
+    #[inline]
+    fn l3_bytes(&self, home: Loc, mem: &PhysMem) -> [u8; LINE_SIZE] {
+        debug_assert!(
+            !self.l3.is_owned(home),
+            "an owned L3 slot's bytes are its owner's L1 copy"
+        );
+        let line = self.l3.tags[home.idx];
+        if self.l3.flags[home.idx] & FLAG_OVERLAY != 0 {
+            self.overlay[&line]
+        } else {
+            let addr = PhysAddr::new(line);
+            mem.read_line(addr.ppn(), addr.line_index())
+        }
+    }
+
+    /// Makes `data` the bytes of the line in L3 slot `home`, which then
+    /// differ from memory's.
+    #[inline]
+    fn l3_store(&mut self, home: Loc, data: &[u8; LINE_SIZE]) {
+        self.l3.set_flag(home, FLAG_OVERLAY, true);
+        self.overlay.insert(self.l3.tags[home.idx], *data);
+    }
+
+    /// Drops the overlay entry of `line`, whose L3 slot carried `flags`
+    /// and has left the L3 (or now matches memory); returns it.
+    #[inline]
+    fn l3_forget(&mut self, line: u64, flags: u8) -> Option<[u8; LINE_SIZE]> {
+        if flags & FLAG_OVERLAY == 0 {
+            return None;
+        }
+        self.overlay.remove(&line)
+    }
+
+    /// Memory under `line` is about to be written behind the hierarchy's
+    /// back (an uncached write). An L3 copy whose bytes are memory's keeps
+    /// them: memory's old bytes go into the overlay, so a cached read
+    /// returns what the cache held.
+    pub(crate) fn before_memory_write(&mut self, line: PhysAddr, mem: &PhysMem) {
+        let Some(home) = self.l3.peek(line.line_base().raw()) else {
+            return;
+        };
+        if self.l3.flags[home.idx] & FLAG_OVERLAY == 0 {
+            let old = mem.read_line(line.ppn(), line.line_index());
+            self.l3_store(home, &old);
         }
     }
 
@@ -608,11 +674,11 @@ impl CacheHierarchy {
     /// `l1_set` missed — out of line, so the hit path stays a leaf-sized
     /// function.
     ///
-    /// A fill copies the line's bytes twice, memory → its L3 block → its
-    /// L1 block: each level claims a slot in place
-    /// ([`SetAssoc::claim`]) under a set index computed once, and the L2
-    /// tag fill moves no payload at all. A victim's bytes are read where
-    /// they lie, and only if it leaves dirty.
+    /// A fill copies the line's bytes once, into its L1 slot from memory
+    /// or the overlay ([`l3_bytes`](Self::l3_bytes)): each level claims a
+    /// slot in place ([`SetAssoc::claim`]) under a set index computed
+    /// once, and the L3 and L2 fills move no bytes at all. A victim's
+    /// bytes are read where they lie, and only if it leaves dirty.
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn access_miss(
@@ -697,14 +763,12 @@ impl CacheHierarchy {
             self.ensure_exclusive(core, line, home, cfg, stats, &mut result);
         }
 
-        // Fill into L1 from L3.
+        // Fill into L1 from L3. A write makes `core` the owner once the
+        // L1 copy holds the bytes: an owned slot's bytes are not read.
         let l3_tx = self.l3.is_tx(home);
         self.l3
             .sharers
             .set(home.idx, self.l3.sharers.get(home.idx) | 1 << c);
-        if is_write {
-            self.l3.set_flag(home, FLAG_OWNED, true);
-        }
         // What the line carries once `op` has been applied to it.
         let mut flags = if l3_tx { FLAG_TX } else { 0 };
         if is_write {
@@ -714,7 +778,7 @@ impl CacheHierarchy {
             // A non-TX line meeting an L1 set full of TX lines bounces
             // straight back out: it serves `op` in passing and leaves as
             // its own victim (a write lands in the L3 copy).
-            let mut bytes = *self.l3.line(home);
+            let mut bytes = self.l3_bytes(home, mem);
             apply_op(&mut bytes, op);
             let dirty = is_write.then_some((false, &bytes));
             self.evict_from_l1(core, line, dirty, mem, timing, stats);
@@ -732,14 +796,19 @@ impl CacheHierarchy {
             };
             self.evict_from_l1(core, victim.line, dirty, mem, timing, stats);
         }
+        let bytes = self.l3_bytes(home, mem);
         let l1 = &mut self.l1[c];
-        l1.line_mut(at).copy_from_slice(self.l3.line(home));
+        *l1.line_mut(at) = bytes;
         l1.apply(at, op, tx);
+        if is_write {
+            self.l3.set_flag(home, FLAG_OWNED, true);
+        }
         result
     }
 
-    /// Reads `addr`'s line from memory into a slot of L3 set `set` — its
+    /// Brings `addr`'s line from memory into a slot of L3 set `set` — its
     /// set — (charging the read to `result`) and returns where it landed.
+    /// No bytes move: the slot's are memory's until they differ.
     ///
     /// # Panics
     ///
@@ -756,11 +825,8 @@ impl CacheHierarchy {
     ) -> Loc {
         let kind = PhysMem::kind_of_addr(addr);
         result.cycles += timing.access_cycles(stats, kind, addr.line_base(), AccessKind::Read);
-        let home = self
-            .claim_l3(set, addr.line_base().raw(), 0, mem, timing, stats)
-            .expect("line resident in L3");
-        mem.read_line_into(addr.ppn(), addr.line_index(), self.l3.line_mut(home));
-        home
+        self.claim_l3(set, addr.line_base().raw(), 0, mem, timing, stats)
+            .expect("line resident in L3")
     }
 
     /// Claims a slot of L3 set `set` — `line`'s set — for `line`, which
@@ -768,9 +834,8 @@ impl CacheHierarchy {
     /// out of the hierarchy: back-invalidated from every L1 named in its
     /// sharer mask and, if it leaves dirty, written back or spilled from
     /// where its freshest bytes lie — the L1 slot it was just taken out
-    /// of, or the claimed slot itself, whose payload is the caller's to
-    /// overwrite afterwards. `None`, with nothing touched, if `line`
-    /// bounces (see [`SetAssoc::place`]).
+    /// of, or its overlay entry, which goes with it either way. `None`,
+    /// with nothing touched, if `line` bounces (see [`SetAssoc::place`]).
     #[inline(always)]
     fn claim_l3(
         &mut self,
@@ -782,12 +847,17 @@ impl CacheHierarchy {
         stats: &mut MachineStats,
     ) -> Option<Loc> {
         let (home, displaced) = self.l3.claim(set, line, flags)?;
+        let Some(v) = displaced else {
+            return Some(home);
+        };
+        let entry = self.l3_forget(v.line, v.flags);
         // A victim that is clean and in no L1 is just gone.
-        if let Some(v) = displaced.filter(|v| v.sharers != 0 || v.flags & FLAG_DIRTY != 0) {
+        if v.sharers != 0 || v.flags & FLAG_DIRTY != 0 {
             let fresh = match self.back_invalidate(v.line, v.sharers) {
                 Some((owner, at)) => Some((self.l1[owner].is_tx(at), self.l1[owner].line(at))),
                 None if v.flags & FLAG_DIRTY != 0 => {
-                    Some((v.flags & FLAG_TX != 0, self.l3.line(home)))
+                    let bytes = entry.as_ref().expect("a dirty L3 line is in the overlay");
+                    Some((v.flags & FLAG_TX != 0, bytes))
                 }
                 None => None,
             };
@@ -863,8 +933,19 @@ impl CacheHierarchy {
         result.cycles += cfg.l3.latency_cycles; // cache-to-cache transfer
         let home = self.l3.promote(set, pos);
         let l1 = &self.l1[owner];
-        self.l3.merge_dirty(home, l1.is_tx(from), l1.line(from));
+        let (tx, bytes) = (l1.is_tx(from), *l1.line(from));
+        self.merge_dirty(home, tx, &bytes);
         true
+    }
+
+    /// Makes a dirty L1 copy arriving from above (eviction merge,
+    /// cache-to-cache recall) the line's L3 copy: dirty, TX if `tx`, its
+    /// bytes in the overlay.
+    #[inline]
+    fn merge_dirty(&mut self, home: Loc, tx: bool, data: &[u8; LINE_SIZE]) {
+        self.l3.set_flag(home, FLAG_DIRTY, true);
+        self.l3.set_flag(home, FLAG_TX, tx);
+        self.l3_store(home, data);
     }
 
     /// Removes `line` from the L1/L2 of every core in `sharers`
@@ -890,6 +971,7 @@ impl CacheHierarchy {
     /// `except`, from every L1/L2 above it. Nothing is written back.
     fn purge(&mut self, line: u64, except: u64) {
         if let Some(at) = self.l3.remove(line) {
+            self.l3_forget(line, self.l3.flags[at.idx]);
             self.back_invalidate(line, self.l3.sharers.get(at.idx) & !except);
         }
     }
@@ -924,7 +1006,7 @@ impl CacheHierarchy {
         if let Some((tx, data)) = dirty {
             // Dirty L1 victim merges into its (inclusive) L3 copy.
             let home = self.l3.promote(set, pos);
-            self.l3.merge_dirty(home, tx, data);
+            self.merge_dirty(home, tx, data);
         }
     }
 
@@ -956,20 +1038,12 @@ impl CacheHierarchy {
             }
         }
         let home = self.l3.promote(set, pos);
-        match fresh {
-            Some(data) => {
-                *self.l3.line_mut(home) = data;
-                self.l3.set_flag(home, FLAG_DIRTY | FLAG_TX, false);
-            }
-            None => {
-                if self.l3.is_dirty(home) {
-                    fresh = Some(*self.l3.line(home));
-                    self.l3.set_flag(home, FLAG_DIRTY | FLAG_TX, false);
-                }
-            }
+        if fresh.is_none() && self.l3.is_dirty(home) {
+            fresh = Some(self.l3_bytes(home, mem));
         }
         let data = fresh?;
-        self.l3.set_flag(home, FLAG_OWNED, false);
+        self.l3
+            .set_flag(home, FLAG_DIRTY | FLAG_TX | FLAG_OWNED, false);
         let kind = PhysMem::kind_of_addr(line);
         let cycles = timing.access_cycles(stats, kind, line.line_base(), AccessKind::Write);
         match kind {
@@ -977,6 +1051,14 @@ impl CacheHierarchy {
             MemKind::Nvram => stats.record_nvram_write(class),
         }
         mem.write_line(line.ppn(), line.line_index(), &data);
+        // The L3 copy is now memory's — unless memory is frozen at a power
+        // cut and kept its old bytes.
+        if mem.frozen() {
+            self.l3_store(home, &data);
+        } else {
+            self.l3_forget(key, self.l3.flags[home.idx]);
+            self.l3.set_flag(home, FLAG_OVERLAY, false);
+        }
         Some(cycles)
     }
 
@@ -989,8 +1071,9 @@ impl CacheHierarchy {
     /// The line is taken out of its L1 set and claimed back under its new
     /// name. Where both names index one set — every geometry whose L1 way
     /// spans a page — the claim lands on the way just vacated, so the
-    /// payload stays put and is copied once, into the new name's L3 slot;
-    /// otherwise it moves to the way claimed in the other set.
+    /// payload stays put; otherwise it moves to the way claimed in the
+    /// other set. The new name's L3 slot is owned by `core` and stores no
+    /// bytes: they are the L1 copy's until it comes down.
     pub fn retag(
         &mut self,
         core: CoreId,
@@ -1021,7 +1104,6 @@ impl CacheHierarchy {
             .claim_l3(l3_set, new_key, FLAG_TX | FLAG_OWNED, mem, timing, stats)
             .expect("a TX line never bounces");
         self.l3.sharers.set(home.idx, 1 << c);
-        *self.l3.line_mut(home) = *self.l1[c].line(from);
         let l1_set = self.l1[c].set_index(new_key);
         let (at, displaced) = self.l1[c]
             .claim(l1_set, new_key, FLAG_DIRTY | FLAG_TX)
@@ -1043,7 +1125,12 @@ impl CacheHierarchy {
     /// Installs a clean line into the shared L3 (a background OS thread's
     /// cached copy loop followed by `clwb` leaves the data resident).
     /// Any stale copies of the identity are dropped first. Displaced dirty
-    /// TX lines (rare set-pressure fallout) spill.
+    /// TX lines (rare set-pressure fallout) spill. The copy's bytes are
+    /// memory's, or go into the overlay if memory does not hold `data`
+    /// (behind [`Machine::install_line_cached`], which writes memory
+    /// first: while memory is frozen at a power cut).
+    ///
+    /// [`Machine::install_line_cached`]: crate::machine::Machine::install_line_cached
     pub fn install_line_l3(
         &mut self,
         line: PhysAddr,
@@ -1058,7 +1145,9 @@ impl CacheHierarchy {
         // A set full of TX lines has no room for a plain one: the
         // installed copy is then simply not kept.
         if let Some(home) = self.claim_l3(set, key, 0, mem, timing, stats) {
-            *self.l3.line_mut(home) = data;
+            if mem.read_line(line.ppn(), line.line_index()) != data {
+                self.l3_store(home, &data);
+            }
         }
     }
 
@@ -1105,6 +1194,7 @@ impl CacheHierarchy {
     /// included. The directory goes with the L3 slots that hold it.
     pub fn crash(&mut self) {
         self.spills.clear();
+        self.overlay.clear();
         for c in &mut self.l1 {
             c.clear();
         }
@@ -1500,6 +1590,14 @@ mod tests {
             &mut rig.timing,
             &mut rig.stats,
         );
+    }
+
+    #[test]
+    fn only_the_l1s_hold_line_bytes() {
+        let cache = Rig::new().cache;
+        assert!(cache.l1.iter().all(|l1| l1.data.len() == l1.tags.len()));
+        assert!(cache.l2.iter().all(|l2| l2.data.capacity() == 0));
+        assert_eq!(cache.l3.data.capacity(), 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! hierarchy against [`Spec`] over random and forced multi-core streams.
 //! After every step both must agree on the operation's result, cycle
 //! count, spills, counters, dirty-line count and recorded memory and LLC
-//! events; at the end, on every byte that reached memory. Release builds
-//! run ten times the rounds of the forced suites.
+//! events, and the live L3's overlay must hold an entry for exactly its
+//! `FLAG_OVERLAY` slots; at the end, on every byte that reached memory.
+//! Release builds run ten times the rounds of the forced suites.
 
 use std::ops::Range;
 
@@ -17,6 +18,11 @@ use super::*;
 use crate::config::{CacheConfig, InterconnectConfig};
 
 impl SetAssoc {
+    /// The set the slot at `at` belongs to.
+    fn set_of(&self, at: Loc) -> usize {
+        at.idx / self.ways
+    }
+
     /// Copies out the slot at `at` — occupied, or vacated by a `remove`
     /// and not claimed since.
     fn slot(&self, at: Loc) -> Slot {
@@ -44,6 +50,16 @@ impl SetAssoc {
         });
         *self.line_mut(at) = slot.data;
         (Some(at), victim)
+    }
+
+    /// The occupied slots' lines whose flags hold `flag`.
+    fn lines_flagged(&self, flag: u8) -> Vec<u64> {
+        let set = |set| (0..self.len[set] as usize).map(move |pos| self.loc_at(set, pos));
+        let slots = (0..self.nsets).flat_map(set);
+        slots
+            .filter(|at| self.flags[at.idx] & flag != 0)
+            .map(|at| self.tags[at.idx])
+            .collect()
     }
 
     /// Per set, its lines MRU-first: the spec's layout.
@@ -286,6 +302,26 @@ impl Lockstep {
         self.check(&[], &what);
     }
 
+    /// Writes `byte` over `addr`'s line in memory behind the hierarchy,
+    /// as `Machine`'s uncached writes do: the spec's L3 copy keeps its
+    /// bytes, and the live side says so first.
+    fn behind(&mut self, addr: u64, byte: u8) {
+        let what = self.what(format_args!("behind {addr:#x} {byte}"));
+        let (a, data, l) = (PhysAddr::new(addr), [byte; LINE_SIZE], &mut self.live);
+        l.cache.before_memory_write(a, &l.mem);
+        l.mem.write_line(a.ppn(), a.line_index(), &data);
+        self.spec.mem.write_line(a.ppn(), a.line_index(), &data);
+        self.check(&[], &what);
+    }
+
+    /// A power cut: both memories drop every write until the next crash.
+    fn freeze(&mut self) {
+        let what = self.what(format_args!("freeze"));
+        self.live.mem.freeze();
+        self.spec.mem.freeze();
+        self.check(&[], &what);
+    }
+
     fn crash(&mut self) {
         let what = self.what(format_args!("crash"));
         self.live.mem.crash();
@@ -297,9 +333,17 @@ impl Lockstep {
 
     /// Compares what a step left behind besides its result: the spills
     /// (emptying the live buffer, as the machine does), the counters, the
-    /// dirty lines and the memory and LLC events recorded.
+    /// dirty lines and the memory and LLC events recorded. And the live
+    /// overlay holds an entry for exactly the L3 slots flagged for one.
     fn check(&mut self, spills: &[TxEviction], what: &str) {
         let (l, spec) = (&mut self.live, &mut self.spec);
+        let flagged = l.cache.l3.lines_flagged(FLAG_OVERLAY);
+        assert_eq!(flagged.len(), l.cache.overlay.len(), "overlay size, {what}");
+        let overlay = &l.cache.overlay;
+        assert!(
+            flagged.iter().all(|line| overlay.contains_key(line)),
+            "overlay, {what}"
+        );
         assert_eq!(lines(&l.cache.spills), lines(spills), "spills, {what}");
         l.cache.spills.clear();
         assert_eq!(l.stats, spec.stats, "stats, {what}");
@@ -357,7 +401,15 @@ pub(super) fn directory_in_l3_matches_the_hash_map_model_on_random_streams() {
         let (cores, recording) = (cfg.cores, cfg.interconnect.enabled);
         let mut m = Lockstep::with_cfg(cfg);
         let mut rng = SmallRng::seed_from_u64(seed);
+        // Memory written behind the hierarchy and power cuts (memory
+        // frozen until the next crash), from a stream of their own.
+        let mut behind = SmallRng::seed_from_u64(seed + 100);
         for step in 0..5_000u32 {
+            match behind.gen_range(0..100u32) {
+                0..=3 => m.behind(addrs[behind.gen_range(0..addrs.len())], behind.gen()),
+                4 if step % 10 == 0 => m.freeze(),
+                _ => {}
+            }
             let core = rng.gen_range(0..cores);
             let pick = rng.gen_range(0..addrs.len());
             let addr = addrs[pick];
@@ -512,7 +564,7 @@ pub(super) fn retags_match_the_hash_map_model() {
         m.access(0, old, Some((byte, round % 2 == 0)));
         let l1 = &m.live.cache.l1[0];
         let (from, stale) = (l1.peek(old).expect("held"), l1.peek(new).expect("stale"));
-        assert_eq!(from.set, stale.set);
+        assert_eq!(l1.set_of(from), l1.set_of(stale));
         assert_eq!(m.retag(0, old, new), (true, 0));
         let l1 = &m.live.cache.l1[0];
         assert_eq!(l1.peek(new).expect("re-keyed").idx, stale.idx);
@@ -602,10 +654,13 @@ pub(super) fn retags_match_the_hash_map_model() {
         m.access(0, old, Some((byte, false)));
         let l1 = &m.live.cache.l1[0];
         let from = l1.peek(old).expect("held");
-        assert_ne!(from.set, l1.set_index(new), "the retag changes set");
+        assert_ne!(l1.set_of(from), l1.set_index(new), "the retag changes set");
         assert_eq!(m.retag(0, old, new), (true, 0));
         let l1 = &m.live.cache.l1[0];
-        assert_eq!(l1.peek(new).expect("re-keyed").set, l1.set_index(new));
+        assert_eq!(
+            l1.set_of(l1.peek(new).expect("re-keyed")),
+            l1.set_index(new)
+        );
         assert!(l1.peek(old).is_none());
         assert_eq!(l1.peek(nv_addr(5, line)).is_some(), residents == 1);
         for page in [2, 3, 5, 7] {

@@ -461,6 +461,13 @@ impl Machine {
     /// modelling write-combining buffers that coalesce several small
     /// appends into one line write.
     pub fn write_bytes_unaccounted(&mut self, addr: PhysAddr, data: &[u8]) {
+        // A cached copy keeps the bytes it held: the hierarchy is told
+        // before memory changes under it.
+        let end = addr.raw() + data.len() as u64;
+        for line in (addr.line_base().raw()..end).step_by(LINE_SIZE) {
+            self.cache
+                .before_memory_write(PhysAddr::new(line), &self.mem);
+        }
         for (a, range) in page_chunks(addr, data.len()) {
             self.mem.write_bytes(a, &data[range]);
         }
@@ -547,6 +554,7 @@ impl Machine {
         let data = self.mem.read_line(from.ppn(), from.line_index());
         self.line_read(from);
         self.line_written(PhysMem::kind_of_addr(to), to, class);
+        self.cache.before_memory_write(to, &self.mem);
         self.mem.write_line(to.ppn(), to.line_index(), &data);
     }
 
@@ -948,6 +956,87 @@ mod tests {
         }
         // The spill of page 20's line is still in the buffer.
         m.read(c, nv(22, 0), &mut [0u8; 1]);
+    }
+
+    /// Pushes `addr`'s line out of core 0's L1 but not out of the L3: the
+    /// default L1 set has eight ways, and eight more lines a page apart
+    /// fill it.
+    fn push_out_of_l1(m: &mut Machine, addr: PhysAddr) {
+        for k in 1..=8 {
+            m.read(
+                CoreId::new(0),
+                PhysAddr::new(addr.raw() + k * 4096),
+                &mut [0u8; 1],
+            );
+        }
+    }
+
+    /// Core 0's cached read of `addr`'s byte, asserting that it missed the
+    /// L1 and that no memory access served it: the L3 copy did.
+    fn l3_byte(m: &mut Machine, addr: PhysAddr) -> u8 {
+        let (l1_hits, mem_accesses) = (m.stats().l1_hits, m.stats().mem_accesses);
+        let mut buf = [0u8; 1];
+        m.read(CoreId::new(0), addr, &mut buf);
+        assert_eq!(m.stats().l1_hits, l1_hits, "an L1 miss");
+        assert_eq!(m.stats().mem_accesses, mem_accesses, "served by the L3");
+        buf[0]
+    }
+
+    /// Trips a power cut: memory is frozen until `crash`.
+    fn trip_cut(m: &mut Machine) {
+        m.arm_crash(CrashPoint::AtSite {
+            site: FaultSite::CommitData,
+            hits: 1,
+        });
+        m.fault_point(FaultSite::CommitData);
+        assert!(m.power_lost());
+    }
+
+    #[test]
+    fn memory_written_behind_the_cache_leaves_the_l3_copy_as_it_was() {
+        for via_copy in [false, true] {
+            let mut m = machine();
+            let (x, src) = (nv(30, 64), nv(31, 64));
+            m.persist_bytes(None, x, &[1; 8], WriteClass::Data);
+            m.persist_bytes(None, src, &[2; LINE_SIZE], WriteClass::Data);
+            let mut buf = [0u8; 1];
+            m.read(CoreId::new(0), x, &mut buf);
+            assert_eq!(buf, [1]);
+            push_out_of_l1(&mut m, x);
+            if via_copy {
+                m.copy_line_uncached(src, x, WriteClass::Consolidation);
+            } else {
+                m.persist_bytes(None, x, &[2; 8], WriteClass::Data);
+            }
+            assert_eq!(l3_byte(&mut m, x), 1, "copy: {via_copy}");
+            assert_eq!(durable_byte(&m, x), 2, "copy: {via_copy}");
+        }
+    }
+
+    #[test]
+    fn a_flush_under_a_tripped_cut_is_cached_but_not_durable() {
+        let mut m = machine();
+        let x = nv(40, 0);
+        m.write(CoreId::new(0), x, &[0xee], false);
+        trip_cut(&mut m);
+        assert!(m.flush(None, x, WriteClass::Data));
+        push_out_of_l1(&mut m, x);
+        assert_eq!(l3_byte(&mut m, x), 0xee);
+        m.crash();
+        assert_eq!(durable_byte(&m, x), 0);
+    }
+
+    #[test]
+    fn an_install_under_a_tripped_cut_is_cached_but_not_durable() {
+        let mut m = machine();
+        let x = nv(50, 0);
+        trip_cut(&mut m);
+        m.install_line_cached(x, [0x77; LINE_SIZE], WriteClass::Consolidation);
+        assert_eq!(l3_byte(&mut m, x), 0x77);
+        push_out_of_l1(&mut m, x);
+        assert_eq!(l3_byte(&mut m, x), 0x77);
+        m.crash();
+        assert_eq!(durable_byte(&m, x), 0);
     }
 
     #[test]

@@ -71,22 +71,14 @@ impl PhysMem {
     }
 
     /// Reads one cache line.
-    pub fn read_line(&self, ppn: Ppn, line: LineIdx) -> [u8; LINE_SIZE] {
-        let mut buf = [0u8; LINE_SIZE];
-        self.read_line_into(ppn, line, &mut buf);
-        buf
-    }
-
-    /// Reads one cache line into `buf` — a cache fill's one copy out of
-    /// memory, straight into the slot that takes it.
     #[inline]
-    pub(crate) fn read_line_into(&self, ppn: Ppn, line: LineIdx, buf: &mut [u8; LINE_SIZE]) {
+    pub fn read_line(&self, ppn: Ppn, line: LineIdx) -> [u8; LINE_SIZE] {
         match self.frames.get(&ppn.raw()) {
             Some(frame) => {
                 let off = line.byte_offset();
-                buf.copy_from_slice(&frame[off..off + LINE_SIZE]);
+                frame[off..off + LINE_SIZE].try_into().unwrap()
             }
-            None => *buf = [0u8; LINE_SIZE],
+            None => [0u8; LINE_SIZE],
         }
     }
 
