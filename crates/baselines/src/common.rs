@@ -88,28 +88,18 @@ impl CoreLog {
         buf[16..24].copy_from_slice(&entry.vaddr.raw().to_le_bytes());
         buf[24..24 + LINE_SIZE].copy_from_slice(&entry.data);
 
+        // One write-combined store: the log lines below `counted_until`
+        // were counted by earlier appends, the rest count now.
         let addr = self.entry_addr(self.head);
-        // Store the bytes without the per-call line counting of
-        // persist_bytes; count coalesced below.
-        machine.write_bytes_unaccounted(addr, &buf);
+        let counted = self.entry_addr(self.counted_until * LINE_SIZE as u64);
+        let mut cycles = machine.persist_combined(addr, &buf, counted, WriteClass::Log);
         self.head += ENTRY_BYTES;
         self.entries_appended += 1;
-
-        // Coalesced accounting: lines fully or newly covered by [0, head).
-        let end_line = self.head.div_ceil(LINE_SIZE as u64);
-        let new_lines = end_line.saturating_sub(self.counted_until);
-        self.counted_until = end_line;
-        let mut cycles = 0;
-        for i in 0..new_lines {
-            let line_addr =
-                self.entry_addr((self.counted_until - new_lines + i) * LINE_SIZE as u64);
-            cycles += machine.account_memory_write(MemKind::Nvram, line_addr, WriteClass::Log);
-        }
+        self.counted_until = self.head.div_ceil(LINE_SIZE as u64);
         if cycles == 0 {
             // Entirely coalesced into an already-counted line; charge the
             // buffered-write cost only.
-            cycles = machine.array_cycles(MemKind::Nvram, AccessKind::Write)
-                / machine.config().persist_mlp.max(1) as u64;
+            cycles = machine.persist_share(machine.array_cycles(MemKind::Nvram, AccessKind::Write));
         }
         cycles
     }

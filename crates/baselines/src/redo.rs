@@ -194,7 +194,6 @@ impl TxnEngine for RedoLog {
 
         // 1. Persist one coalesced redo entry per line (critical path,
         //    MLP-overlapped) plus the head pointer.
-        let mlp = self.shell.machine.config().persist_mlp.max(1) as u64;
         for &(pline, vline) in &lines {
             let entry = LogEntry {
                 tid,
@@ -204,7 +203,8 @@ impl TxnEngine for RedoLog {
             };
             let log = &mut self.journals[core.index()].log;
             let cycles = log.append(&mut self.shell.machine, &entry);
-            self.shell.machine.add_cycles(core, (cycles / mlp).max(1));
+            let charged = self.shell.machine.persist_share(cycles);
+            self.shell.machine.add_cycles(core, charged.max(1));
         }
         let machine = &mut self.shell.machine;
         let journal = &mut self.journals[core.index()];
@@ -222,16 +222,18 @@ impl TxnEngine for RedoLog {
         // 3. Post-commit data drain: write the speculative lines home.
         //    Functionally now; latency-wise it only extends drain_until.
         let mut drain_cycles = 0u64;
+        let line_write =
+            machine.persist_share(machine.array_cycles(MemKind::Nvram, AccessKind::Write));
         for &(pline, _) in &lines {
             let line = PhysAddr::new(pline);
             if let Some(img) = self.overflow[core.index()].remove(&pline) {
                 machine.persist_bytes(None, line, &img, WriteClass::Data);
-                drain_cycles += 740 / mlp;
+                drain_cycles += line_write;
                 continue;
             }
             machine.clear_tx(line);
             if machine.flush(None, line, WriteClass::Data) {
-                drain_cycles += machine.array_cycles(MemKind::Nvram, AccessKind::Write) / mlp;
+                drain_cycles += line_write;
             }
         }
         let start = self.drain_until[core.index()].max(machine.cycles(core));
@@ -444,6 +446,29 @@ mod tests {
         for &p in &pages {
             assert_eq!(read_u64(&mut e, p), 0);
         }
+
+        // At commit, an overflowed line drains home at the configured
+        // NVRAM write latency, like a flushed one: a one-set, two-way L3
+        // spills all but the last two of eight TX lines.
+        let drain = |write_ns: f64| {
+            let mut cfg = MachineConfig::default();
+            cfg.nvram.write_ns = write_ns;
+            (cfg.l3.size_bytes, cfg.l3.ways) = (2 * LINE_SIZE, 2);
+            let mut e = RedoLog::new(cfg);
+            let pages: Vec<VirtAddr> = (0..8).map(|_| e.map_new_page(C0).base()).collect();
+            e.begin(C0);
+            for &p in &pages {
+                e.store(C0, p, &1u64.to_le_bytes());
+            }
+            assert_eq!(e.overflow[0].len(), 6, "overflowed lines");
+            e.commit(C0);
+            let m = e.machine();
+            let line_write = m.persist_share(m.array_cycles(MemKind::Nvram, AccessKind::Write));
+            let drain = e.drain_until[0] - m.cycles(C0);
+            assert_eq!(drain, 8 * line_write, "write_ns {write_ns}");
+            drain
+        };
+        assert_eq!(drain(400.0), 2 * drain(200.0));
     }
 
     #[test]

@@ -171,10 +171,10 @@ impl ShadowPaging {
         let (home, _) = self.shell.walk(core, vpn);
         let shadow = self.free_frames.pop().expect("shadow frame pool exhausted");
         let machine = &mut self.shell.machine;
-        let mlp = machine.config().persist_mlp.max(1) as u64;
-        let copy_cycles = (machine.array_cycles(MemKind::Nvram, AccessKind::Read)
-            + machine.array_cycles(MemKind::Nvram, AccessKind::Write))
-            / mlp;
+        let copy_cycles = machine.persist_share(
+            machine.array_cycles(MemKind::Nvram, AccessKind::Read)
+                + machine.array_cycles(MemKind::Nvram, AccessKind::Write),
+        );
         for line in LineIdx::all() {
             // The frame may have been recycled: drop any stale cached lines
             // under its identity before the uncached copy lands.
@@ -263,7 +263,6 @@ impl TxnEngine for ShadowPaging {
             |&(v, _)| v,
         );
         let journal = &mut self.journals[core.index()];
-        let mlp = machine.config().persist_mlp.max(1) as u64;
         for &(vpn_raw, shadow) in &remaps {
             let entry = LogEntry {
                 tid,
@@ -272,7 +271,7 @@ impl TxnEngine for ShadowPaging {
                 data: [0u8; 64],
             };
             let cycles = journal.log.append(machine, &entry);
-            machine.add_cycles(core, (cycles / mlp).max(1));
+            machine.add_cycles(core, machine.persist_share(cycles).max(1));
         }
         journal.log.persist_head(machine, Some(core));
         // Fault site: remap journal durable, commit register not yet

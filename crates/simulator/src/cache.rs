@@ -65,10 +65,10 @@
 //!   (or a bounce) reads the bytes through `l3_bytes`, so a cold line is
 //!   copied once, memory → L1.
 //! * **Into the overlay.** A dirty L1 victim and an owner recall store
-//!   their bytes there. So do a flush while memory is
-//!   [frozen](PhysMem::frozen) and an `install_line_l3` whose data memory
-//!   does not hold (behind `Machine::install_line_cached`: while memory is
-//!   frozen), because memory then keeps its old bytes.
+//!   their bytes there. So do a flush whose write the memory port dropped
+//!   (its power-cut latch is set) and an `install_line_l3` whose data
+//!   memory does not hold (behind `Machine::install_line_cached`: while
+//!   the latch is set), because memory then keeps its old bytes.
 //! * **Out of the overlay.** The entry is dropped when a flush reaches
 //!   memory, when the slot leaves the L3 (a victim — written back from the
 //!   entry first if dirty — or a `purge`) and on `crash`.
@@ -76,7 +76,8 @@
 //!   bytes are the owner's dirty L1 copy until an eviction merge, a recall
 //!   or a flush brings them down, so no path reads an owned slot's bytes
 //!   (`l3_bytes` asserts it).
-//! * **Memory written behind the hierarchy** (`Machine`'s uncached writes)
+//! * **Memory written behind the hierarchy** (`Machine`'s uncached writes,
+//!   which reach memory through the same port as write-backs and flushes)
 //!   calls `CacheHierarchy::before_memory_write` first: a clean,
 //!   unflagged L3 copy snapshots memory's old bytes into the overlay, so a
 //!   cached read returns what the cache held.
@@ -110,9 +111,9 @@
 use crate::addr::{PhysAddr, LINE_SIZE};
 use crate::config::MachineConfig;
 use crate::fastmod::Modulus;
-use crate::phys::PhysMem;
+use crate::phys::{MemPort, PhysMem};
 use crate::stats::{MachineStats, WriteClass};
-use crate::timing::{AccessKind, MemKind, MemTiming};
+use crate::timing::{AccessKind, MemKind};
 use fxhash::FxHashMap;
 
 #[cfg(test)]
@@ -628,15 +629,14 @@ impl CacheHierarchy {
     /// end of the line.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub fn access(
+    pub(crate) fn access(
         &mut self,
         core: CoreId,
         addr: PhysAddr,
         op: LineOp<'_>,
         tx: bool,
         cfg: &MachineConfig,
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
+        port: &mut MemPort,
         stats: &mut MachineStats,
     ) -> AccessResult {
         assert!(op.end() <= LINE_SIZE, "access crosses line end");
@@ -667,7 +667,7 @@ impl CacheHierarchy {
             l1.apply(at, op, tx);
             return result;
         }
-        self.access_miss(core, addr, op, tx, cfg, mem, timing, stats, result, set)
+        self.access_miss(core, addr, op, tx, cfg, port, stats, result, set)
     }
 
     /// The rest of [`access`](Self::access) after the L1 probe of
@@ -688,8 +688,7 @@ impl CacheHierarchy {
         op: LineOp<'_>,
         tx: bool,
         cfg: &MachineConfig,
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
+        port: &mut MemPort,
         stats: &mut MachineStats,
         mut result: AccessResult,
         l1_set: usize,
@@ -730,11 +729,13 @@ impl CacheHierarchy {
             match l3_hit {
                 Some(pos) => {
                     stats.l3_hits += 1;
-                    timing.record_llc_probe(line / LINE_SIZE as u64, kind, is_write, true);
+                    port.timing
+                        .record_llc_probe(line / LINE_SIZE as u64, kind, is_write, true);
                     Some(self.l3.promote(l3_set, pos))
                 }
                 None => {
-                    timing.record_llc_probe(line / LINE_SIZE as u64, kind, is_write, false);
+                    port.timing
+                        .record_llc_probe(line / LINE_SIZE as u64, kind, is_write, false);
                     match kind {
                         MemKind::Dram => stats.dram_reads += 1,
                         MemKind::Nvram => stats.nvram_reads += 1,
@@ -749,7 +750,7 @@ impl CacheHierarchy {
             Some(home) => home,
             None => {
                 stats.mem_accesses += 1;
-                self.fill_l3(addr, l3_set, mem, timing, stats, &mut result)
+                self.fill_l3(addr, l3_set, port, stats, &mut result)
             }
         };
         if l2_hit.is_none() {
@@ -778,10 +779,10 @@ impl CacheHierarchy {
             // A non-TX line meeting an L1 set full of TX lines bounces
             // straight back out: it serves `op` in passing and leaves as
             // its own victim (a write lands in the L3 copy).
-            let mut bytes = self.l3_bytes(home, mem);
+            let mut bytes = self.l3_bytes(home, port.mem());
             apply_op(&mut bytes, op);
             let dirty = is_write.then_some((false, &bytes));
-            self.evict_from_l1(core, line, dirty, mem, timing, stats);
+            self.evict_from_l1(core, line, dirty, port, stats);
             return result;
         };
         if let Some(victim) = displaced {
@@ -794,9 +795,9 @@ impl CacheHierarchy {
             } else {
                 None
             };
-            self.evict_from_l1(core, victim.line, dirty, mem, timing, stats);
+            self.evict_from_l1(core, victim.line, dirty, port, stats);
         }
-        let bytes = self.l3_bytes(home, mem);
+        let bytes = self.l3_bytes(home, port.mem());
         let l1 = &mut self.l1[c];
         *l1.line_mut(at) = bytes;
         l1.apply(at, op, tx);
@@ -818,14 +819,15 @@ impl CacheHierarchy {
         &mut self,
         addr: PhysAddr,
         set: usize,
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
+        port: &mut MemPort,
         stats: &mut MachineStats,
         result: &mut AccessResult,
     ) -> Loc {
         let kind = PhysMem::kind_of_addr(addr);
-        result.cycles += timing.access_cycles(stats, kind, addr.line_base(), AccessKind::Read);
-        self.claim_l3(set, addr.line_base().raw(), 0, mem, timing, stats)
+        result.cycles += port
+            .timing
+            .access_cycles(stats, kind, addr.line_base(), AccessKind::Read);
+        self.claim_l3(set, addr.line_base().raw(), 0, port, stats)
             .expect("line resident in L3")
     }
 
@@ -842,8 +844,7 @@ impl CacheHierarchy {
         set: usize,
         line: u64,
         flags: u8,
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
+        port: &mut MemPort,
         stats: &mut MachineStats,
     ) -> Option<Loc> {
         let (home, displaced) = self.l3.claim(set, line, flags)?;
@@ -862,7 +863,7 @@ impl CacheHierarchy {
                 None => None,
             };
             if let Some((tx, data)) = fresh {
-                write_back(&mut self.spills, v.line, tx, data, mem, timing, stats);
+                write_back(&mut self.spills, v.line, tx, data, port, stats);
             }
         }
         Some(home)
@@ -984,8 +985,7 @@ impl CacheHierarchy {
         core: CoreId,
         line: u64,
         dirty: Option<(bool, &[u8; LINE_SIZE])>,
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
+        port: &mut MemPort,
         stats: &mut MachineStats,
     ) {
         let Some((set, pos)) = self.l3.probe(line) else {
@@ -993,7 +993,7 @@ impl CacheHierarchy {
             // that a dirty line is never dropped silently if it is not.
             debug_assert!(false, "L1 victim without an L3 copy");
             if let Some((tx, data)) = dirty {
-                write_back(&mut self.spills, line, tx, data, mem, timing, stats);
+                write_back(&mut self.spills, line, tx, data, port, stats);
             }
             return;
         };
@@ -1013,12 +1013,11 @@ impl CacheHierarchy {
     /// Writes the freshest copy of `line` to memory and marks every cached
     /// copy clean (the semantics of `clwb`). Returns the persist latency in
     /// cycles, or `None` if the line was nowhere dirty.
-    pub fn flush_line(
+    pub(crate) fn flush_line(
         &mut self,
         line: PhysAddr,
         class: WriteClass,
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
+        port: &mut MemPort,
         stats: &mut MachineStats,
     ) -> Option<u64> {
         let key = line.line_base().raw();
@@ -1039,21 +1038,15 @@ impl CacheHierarchy {
         }
         let home = self.l3.promote(set, pos);
         if fresh.is_none() && self.l3.is_dirty(home) {
-            fresh = Some(self.l3_bytes(home, mem));
+            fresh = Some(self.l3_bytes(home, port.mem()));
         }
         let data = fresh?;
         self.l3
             .set_flag(home, FLAG_DIRTY | FLAG_TX | FLAG_OWNED, false);
-        let kind = PhysMem::kind_of_addr(line);
-        let cycles = timing.access_cycles(stats, kind, line.line_base(), AccessKind::Write);
-        match kind {
-            MemKind::Dram => stats.dram_writes += 1,
-            MemKind::Nvram => stats.record_nvram_write(class),
-        }
-        mem.write_line(line.ppn(), line.line_index(), &data);
-        // The L3 copy is now memory's — unless memory is frozen at a power
-        // cut and kept its old bytes.
-        if mem.frozen() {
+        let cycles = port.write(stats, line.line_base(), &data, Some(class));
+        // The L3 copy is now memory's — unless the power is cut and memory
+        // kept its old bytes.
+        if port.power_lost() {
             self.l3_store(home, &data);
         } else {
             self.l3_forget(key, self.l3.flags[home.idx]);
@@ -1074,13 +1067,12 @@ impl CacheHierarchy {
     /// payload stays put; otherwise it moves to the way claimed in the
     /// other set. The new name's L3 slot is owned by `core` and stores no
     /// bytes: they are the L1 copy's until it comes down.
-    pub fn retag(
+    pub(crate) fn retag(
         &mut self,
         core: CoreId,
         old: PhysAddr,
         new: PhysAddr,
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
+        port: &mut MemPort,
         stats: &mut MachineStats,
     ) -> bool {
         let old_key = old.line_base().raw();
@@ -1101,7 +1093,7 @@ impl CacheHierarchy {
         // inclusion, owned by `core` in the directory, dirty + TX in L1.
         let l3_set = self.l3.set_index(new_key);
         let home = self
-            .claim_l3(l3_set, new_key, FLAG_TX | FLAG_OWNED, mem, timing, stats)
+            .claim_l3(l3_set, new_key, FLAG_TX | FLAG_OWNED, port, stats)
             .expect("a TX line never bounces");
         self.l3.sharers.set(home.idx, 1 << c);
         let l1_set = self.l1[c].set_index(new_key);
@@ -1116,7 +1108,7 @@ impl CacheHierarchy {
             if let Some(victim) = displaced {
                 let dirty = victim.flags & FLAG_DIRTY != 0;
                 let dirty = dirty.then_some((victim.flags & FLAG_TX != 0, &bytes));
-                self.evict_from_l1(core, victim.line, dirty, mem, timing, stats);
+                self.evict_from_l1(core, victim.line, dirty, port, stats);
             }
         }
         true
@@ -1128,15 +1120,14 @@ impl CacheHierarchy {
     /// TX lines (rare set-pressure fallout) spill. The copy's bytes are
     /// memory's, or go into the overlay if memory does not hold `data`
     /// (behind [`Machine::install_line_cached`], which writes memory
-    /// first: while memory is frozen at a power cut).
+    /// first: while the power is cut and the write was dropped).
     ///
     /// [`Machine::install_line_cached`]: crate::machine::Machine::install_line_cached
-    pub fn install_line_l3(
+    pub(crate) fn install_line_l3(
         &mut self,
         line: PhysAddr,
         data: [u8; LINE_SIZE],
-        mem: &mut PhysMem,
-        timing: &mut MemTiming,
+        port: &mut MemPort,
         stats: &mut MachineStats,
     ) {
         let key = line.line_base().raw();
@@ -1144,8 +1135,8 @@ impl CacheHierarchy {
         let set = self.l3.set_index(key);
         // A set full of TX lines has no room for a plain one: the
         // installed copy is then simply not kept.
-        if let Some(home) = self.claim_l3(set, key, 0, mem, timing, stats) {
-            if mem.read_line(line.ppn(), line.line_index()) != data {
+        if let Some(home) = self.claim_l3(set, key, 0, port, stats) {
+            if port.mem().read_line(line.ppn(), line.line_index()) != data {
                 self.l3_store(home, &data);
             }
         }
@@ -1238,8 +1229,7 @@ fn write_back(
     line: u64,
     tx: bool,
     data: &[u8; LINE_SIZE],
-    mem: &mut PhysMem,
-    timing: &mut MemTiming,
+    port: &mut MemPort,
     stats: &mut MachineStats,
 ) {
     let addr = PhysAddr::new(line);
@@ -1250,16 +1240,10 @@ fn write_back(
         });
         return;
     }
-    let kind = PhysMem::kind_of_addr(addr);
     // Write-back latency is absorbed by write buffers, not charged to
     // the core; traffic is still counted.
-    let _ = timing.access_cycles(stats, kind, addr, AccessKind::Write);
-    match kind {
-        MemKind::Dram => stats.dram_writes += 1,
-        MemKind::Nvram => stats.record_nvram_write(WriteClass::Data),
-    }
     stats.writebacks += 1;
-    mem.write_line(addr.ppn(), addr.line_index(), data);
+    let _ = port.write(stats, addr, data, Some(WriteClass::Data));
 }
 
 #[cfg(test)]
@@ -1271,8 +1255,7 @@ mod tests {
 
     struct Rig {
         cfg: MachineConfig,
-        mem: PhysMem,
-        timing: MemTiming,
+        port: MemPort,
         stats: MachineStats,
         cache: CacheHierarchy,
     }
@@ -1280,12 +1263,10 @@ mod tests {
     impl Rig {
         fn new() -> Self {
             let cfg = MachineConfig::default();
-            let timing = MemTiming::new(&cfg);
             let cache = CacheHierarchy::new(&cfg);
             Self {
+                port: MemPort::new(&cfg),
                 cfg,
-                mem: PhysMem::new(),
-                timing,
                 stats: MachineStats::new(),
                 cache,
             }
@@ -1301,8 +1282,7 @@ mod tests {
                 },
                 false,
                 &self.cfg,
-                &mut self.mem,
-                &mut self.timing,
+                &mut self.port,
                 &mut self.stats,
             )
         }
@@ -1318,8 +1298,7 @@ mod tests {
                 },
                 false,
                 &self.cfg,
-                &mut self.mem,
-                &mut self.timing,
+                &mut self.port,
                 &mut self.stats,
             );
             buf[0]
@@ -1344,23 +1323,21 @@ mod tests {
         let addr = nv_addr(1, 2);
         rig.write(0, addr, 0x77);
         let ppn = Ppn::new(NVRAM_PPN_BASE + 1);
-        assert_eq!(rig.mem.read_line(ppn, LineIdx::new(2))[0], 0);
+        assert_eq!(rig.port.mem().read_line(ppn, LineIdx::new(2))[0], 0);
         let cycles = rig.cache.flush_line(
             PhysAddr::new(addr),
             WriteClass::Data,
-            &mut rig.mem,
-            &mut rig.timing,
+            &mut rig.port,
             &mut rig.stats,
         );
         assert!(cycles.is_some());
-        assert_eq!(rig.mem.read_line(ppn, LineIdx::new(2))[0], 0x77);
+        assert_eq!(rig.port.mem().read_line(ppn, LineIdx::new(2))[0], 0x77);
         assert_eq!(rig.stats.nvram_writes(WriteClass::Data), 1);
         // Second flush is a no-op: the line is clean now.
         let again = rig.cache.flush_line(
             PhysAddr::new(addr),
             WriteClass::Data,
-            &mut rig.mem,
-            &mut rig.timing,
+            &mut rig.port,
             &mut rig.stats,
         );
         assert!(again.is_none());
@@ -1410,7 +1387,7 @@ mod tests {
         let addr = nv_addr(4, 0);
         rig.write(0, addr, 0x42);
         rig.cache.crash();
-        rig.mem.crash();
+        rig.port.crash();
         assert_eq!(rig.read(0, addr), 0);
     }
 
@@ -1424,8 +1401,7 @@ mod tests {
             CoreId::new(0),
             PhysAddr::new(p0),
             PhysAddr::new(p1),
-            &mut rig.mem,
-            &mut rig.timing,
+            &mut rig.port,
             &mut rig.stats,
         );
         assert!(res);
@@ -1442,8 +1418,7 @@ mod tests {
             CoreId::new(0),
             PhysAddr::new(nv_addr(7, 0)),
             PhysAddr::new(nv_addr(8, 0)),
-            &mut rig.mem,
-            &mut rig.timing,
+            &mut rig.port,
             &mut rig.stats,
         );
         assert!(!res);
@@ -1468,8 +1443,7 @@ mod tests {
                 },
                 true, // transactional
                 &rig.cfg,
-                &mut rig.mem,
-                &mut rig.timing,
+                &mut rig.port,
                 &mut rig.stats,
             );
         }
@@ -1479,7 +1453,9 @@ mod tests {
         // yet unless L3 also overflowed; either way memory stayed clean.
         for ev in &rig.cache.spills {
             assert_eq!(
-                rig.mem.read_line(ev.line.ppn(), ev.line.line_index()),
+                rig.port
+                    .mem()
+                    .read_line(ev.line.ppn(), ev.line.line_index()),
                 [0u8; LINE_SIZE]
             );
         }
@@ -1498,21 +1474,20 @@ mod tests {
             },
             true,
             &rig.cfg,
-            &mut rig.mem,
-            &mut rig.timing,
+            &mut rig.port,
             &mut rig.stats,
         );
         rig.cache.clear_tx(PhysAddr::new(addr));
         let flushed = rig.cache.flush_line(
             PhysAddr::new(addr),
             WriteClass::Data,
-            &mut rig.mem,
-            &mut rig.timing,
+            &mut rig.port,
             &mut rig.stats,
         );
         assert!(flushed.is_some());
         assert_eq!(
-            rig.mem
+            rig.port
+                .mem()
                 .read_line(PhysAddr::new(addr).ppn(), PhysAddr::new(addr).line_index())[0],
             0xbb
         );
@@ -1586,8 +1561,7 @@ mod tests {
             },
             false,
             &rig.cfg,
-            &mut rig.mem,
-            &mut rig.timing,
+            &mut rig.port,
             &mut rig.stats,
         );
     }

@@ -16,6 +16,7 @@ use super::spec::{Sets, Slot, Spec};
 use super::tests::nv_addr;
 use super::*;
 use crate::config::{CacheConfig, InterconnectConfig};
+use crate::timing::MemTiming;
 
 impl SetAssoc {
     /// The set the slot at `at` belongs to.
@@ -160,8 +161,7 @@ fn tiny_cfg(cores: usize) -> MachineConfig {
 
 /// The live hierarchy with everything an access needs.
 struct Live {
-    mem: PhysMem,
-    timing: MemTiming,
+    port: MemPort,
     stats: MachineStats,
     cache: CacheHierarchy,
 }
@@ -197,8 +197,7 @@ impl Lockstep {
     fn with_cfg(cfg: MachineConfig) -> Self {
         Self {
             live: Live {
-                mem: PhysMem::new(),
-                timing: MemTiming::new(&cfg),
+                port: MemPort::new(&cfg),
                 stats: MachineStats::new(),
                 cache: CacheHierarchy::new(&cfg),
             },
@@ -241,8 +240,7 @@ impl Lockstep {
             op(offset, &mut a[span.clone()], data),
             tx,
             &self.cfg,
-            &mut l.mem,
-            &mut l.timing,
+            &mut l.port,
             &mut l.stats,
         );
         let (cycles, spills) = self
@@ -256,9 +254,7 @@ impl Lockstep {
     fn flush(&mut self, addr: u64) {
         let what = self.what(format_args!("flush {addr:#x}"));
         let (addr, class, l) = (PhysAddr::new(addr), WriteClass::Data, &mut self.live);
-        let a = l
-            .cache
-            .flush_line(addr, class, &mut l.mem, &mut l.timing, &mut l.stats);
+        let a = l.cache.flush_line(addr, class, &mut l.port, &mut l.stats);
         assert_eq!(a, self.spec.flush_line(addr, class), "flush, {what}");
         self.check(&[], &what);
     }
@@ -269,9 +265,7 @@ impl Lockstep {
         let what = self.what(format_args!("{core} retag {old:#x} -> {new:#x}"));
         let (core, old, new) = (CoreId::new(core), PhysAddr::new(old), PhysAddr::new(new));
         let l = &mut self.live;
-        let held = l
-            .cache
-            .retag(core, old, new, &mut l.mem, &mut l.timing, &mut l.stats);
+        let held = l.cache.retag(core, old, new, &mut l.port, &mut l.stats);
         let spills = self.spec.retag(core, old, new);
         assert_eq!(held, spills.is_some(), "presence, {what}");
         let spills = spills.unwrap_or_default();
@@ -283,7 +277,7 @@ impl Lockstep {
         let what = self.what(format_args!("install {addr:#x} {byte}"));
         let (addr, data, l) = (PhysAddr::new(addr), [byte; LINE_SIZE], &mut self.live);
         l.cache
-            .install_line_l3(addr, data, &mut l.mem, &mut l.timing, &mut l.stats);
+            .install_line_l3(addr, data, &mut l.port, &mut l.stats);
         let spills = self.spec.install_line_l3(addr, data);
         self.check(&spills, &what);
     }
@@ -304,29 +298,31 @@ impl Lockstep {
 
     /// Writes `byte` over `addr`'s line in memory behind the hierarchy,
     /// as `Machine`'s uncached writes do: the spec's L3 copy keeps its
-    /// bytes, and the live side says so first.
+    /// bytes, and the live side says so first. Neither side times or
+    /// counts it, so both stay comparable; the port's latch still holds.
     fn behind(&mut self, addr: u64, byte: u8) {
         let what = self.what(format_args!("behind {addr:#x} {byte}"));
         let (a, data, l) = (PhysAddr::new(addr), [byte; LINE_SIZE], &mut self.live);
-        l.cache.before_memory_write(a, &l.mem);
-        l.mem.write_line(a.ppn(), a.line_index(), &data);
-        self.spec.mem.write_line(a.ppn(), a.line_index(), &data);
+        l.cache.before_memory_write(a, l.port.mem());
+        l.port.write(&mut l.stats, a, &data, None);
+        if !self.spec.power_lost {
+            self.spec.mem.write_unported(a, &data);
+        }
         self.check(&[], &what);
     }
 
     /// A power cut: both memories drop every write until the next crash.
-    fn freeze(&mut self) {
-        let what = self.what(format_args!("freeze"));
-        self.live.mem.freeze();
-        self.spec.mem.freeze();
+    fn cut_power(&mut self) {
+        let what = self.what(format_args!("cut power"));
+        self.live.port.cut_power();
+        self.spec.power_lost = true;
         self.check(&[], &what);
     }
 
     fn crash(&mut self) {
         let what = self.what(format_args!("crash"));
-        self.live.mem.crash();
+        self.live.port.crash();
         self.live.cache.crash();
-        self.live.timing.reset();
         self.spec.crash();
         self.check(&[], &what);
     }
@@ -355,7 +351,7 @@ impl Lockstep {
             timing.swap_llc_events(&mut llc);
             (mem, llc)
         };
-        let (a, b) = (events(&mut l.timing), events(&mut spec.timing));
+        let (a, b) = (events(&mut l.port.timing), events(&mut spec.timing));
         assert_eq!(a, b, "memory and LLC events, {what}");
         self.events += a.0.len() + a.1.len();
     }
@@ -365,7 +361,7 @@ impl Lockstep {
         for line in lines {
             let a = PhysAddr::new(line);
             assert_eq!(
-                self.live.mem.read_line(a.ppn(), a.line_index()),
+                self.live.port.mem().read_line(a.ppn(), a.line_index()),
                 self.spec.mem.read_line(a.ppn(), a.line_index()),
                 "memory at {a:?} ({} core(s))",
                 self.cfg.cores
@@ -401,13 +397,13 @@ pub(super) fn directory_in_l3_matches_the_hash_map_model_on_random_streams() {
         let (cores, recording) = (cfg.cores, cfg.interconnect.enabled);
         let mut m = Lockstep::with_cfg(cfg);
         let mut rng = SmallRng::seed_from_u64(seed);
-        // Memory written behind the hierarchy and power cuts (memory
-        // frozen until the next crash), from a stream of their own.
+        // Memory written behind the hierarchy and power cuts (the port's
+        // latch set until the next crash), from a stream of their own.
         let mut behind = SmallRng::seed_from_u64(seed + 100);
         for step in 0..5_000u32 {
             match behind.gen_range(0..100u32) {
                 0..=3 => m.behind(addrs[behind.gen_range(0..addrs.len())], behind.gen()),
-                4 if step % 10 == 0 => m.freeze(),
+                4 if step % 10 == 0 => m.cut_power(),
                 _ => {}
             }
             let core = rng.gen_range(0..cores);

@@ -110,6 +110,8 @@ pub(super) struct Spec {
     pub mem: PhysMem,
     pub timing: MemTiming,
     pub stats: MachineStats,
+    /// The power is cut: writes home are counted but dropped.
+    pub power_lost: bool,
 }
 
 impl Spec {
@@ -124,6 +126,7 @@ impl Spec {
             mem: PhysMem::new(),
             timing: MemTiming::new(cfg),
             stats: MachineStats::new(),
+            power_lost: false,
         }
     }
 
@@ -264,7 +267,9 @@ impl Spec {
             MemKind::Dram => self.stats.dram_writes += 1,
             MemKind::Nvram => self.stats.record_nvram_write(class),
         }
-        self.mem.write_line(addr.ppn(), addr.line_index(), data);
+        if !self.power_lost {
+            self.mem.write_unported(addr, data);
+        }
         cycles
     }
 
@@ -327,10 +332,11 @@ impl Spec {
     }
 
     /// Power failure: nothing cached survives, nor the memory's open
-    /// rows; what reached memory does.
+    /// rows; what reached memory does, and memory is writable again.
     pub fn crash(&mut self) {
         self.mem.crash();
         self.timing.reset();
+        self.power_lost = false;
         let levels = self.l1.iter_mut().chain(&mut self.l2).chain([&mut self.l3]);
         levels.for_each(|l| l.sets.iter_mut().for_each(Vec::clear));
         self.dir.clear();

@@ -5,12 +5,13 @@
 //! *trips* when the trigger fires: either the core-cycle clock reaching a
 //! target ([`CrashPoint::AtCycle`]) or an engine passing a named hook the
 //! n-th time ([`CrashPoint::AtSite`]). Tripping models a power cut at the
-//! memory controller: physical memory freezes (every subsequent write is
-//! silently dropped — NVRAM holds exactly the bytes it held at the cut
-//! instant) while the engine *keeps executing* obliviously, exactly like a
-//! real machine whose capacitors die mid-instruction. Cycle and event
-//! accounting continue after the trip, so a tripped run's counters stay
-//! bit-identical across execution modes; the driver polls
+//! memory controller: it sets the memory port's power-cut latch (every
+//! subsequent write is silently dropped — NVRAM holds exactly the bytes it
+//! held at the cut instant) while the engine *keeps executing*
+//! obliviously, exactly like a real machine whose capacitors die
+//! mid-instruction. Cycle and event accounting continue after the trip,
+//! so a tripped run's counters stay bit-identical across execution modes;
+//! the driver polls
 //! [`Machine::power_lost`](crate::machine::Machine::power_lost) at
 //! transaction granularity and then performs the actual
 //! [`crash`](crate::machine::Machine::crash)/recover sequence.
@@ -19,6 +20,8 @@
 //! and the engine's own deterministic hook sequence, a fixed seed plus a
 //! crash schedule reproduces the identical cut point in threaded,
 //! sequential, and repeated runs.
+
+use crate::phys::MemPort;
 
 /// Named engine hook sites a crash can be scheduled at.
 ///
@@ -61,24 +64,24 @@ pub enum CrashPoint {
     },
 }
 
-/// The machine-resident fault state: at most one armed crash point plus
-/// the latched power-lost flag.
+/// The machine-resident fault state: at most one armed crash point. A
+/// trip sets the latch of the memory port it is checked against, which is
+/// the one record of the cut.
 #[derive(Debug, Clone, Default)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     armed: Option<CrashPoint>,
     site_hits: u32,
-    tripped: bool,
 }
 
 impl FaultState {
     /// Arms `point`, replacing any previously armed point and restarting
-    /// the site-hit counter. Does not clear a latched trip.
+    /// the site-hit counter. Does not clear a set latch.
     pub fn arm(&mut self, point: CrashPoint) {
         self.armed = Some(point);
         self.site_hits = 0;
     }
 
-    /// Disarms without clearing a latched trip.
+    /// Disarms without clearing a set latch.
     pub fn disarm(&mut self) {
         self.armed = None;
         self.site_hits = 0;
@@ -89,21 +92,16 @@ impl FaultState {
         self.armed
     }
 
-    /// True once a crash point has tripped (power is lost).
-    pub fn tripped(&self) -> bool {
-        self.tripped
-    }
-
     /// Checks an [`CrashPoint::AtCycle`] trigger against the clock.
     /// Returns `true` exactly once, at the first call with `now` at or
-    /// past the target.
-    pub fn check_cycle(&mut self, now: u64) -> bool {
-        if self.tripped {
+    /// past the target, having cut `port`'s power.
+    pub fn check_cycle(&mut self, now: u64, port: &mut MemPort) -> bool {
+        if port.power_lost() {
             return false;
         }
         match self.armed {
             Some(CrashPoint::AtCycle(t)) if now >= t => {
-                self.trip();
+                self.trip(port);
                 true
             }
             _ => false,
@@ -112,16 +110,17 @@ impl FaultState {
 
     /// Checks an [`CrashPoint::AtSite`] trigger at a hook pass. Counts
     /// the pass when the site matches the armed point and returns `true`
-    /// exactly once, on the `hits`-th matching pass.
-    pub fn check_site(&mut self, site: FaultSite) -> bool {
-        if self.tripped {
+    /// exactly once, on the `hits`-th matching pass, having cut `port`'s
+    /// power.
+    pub fn check_site(&mut self, site: FaultSite, port: &mut MemPort) -> bool {
+        if port.power_lost() {
             return false;
         }
         match self.armed {
             Some(CrashPoint::AtSite { site: s, hits }) if s == site => {
                 self.site_hits += 1;
                 if self.site_hits >= hits {
-                    self.trip();
+                    self.trip(port);
                     true
                 } else {
                     false
@@ -131,76 +130,77 @@ impl FaultState {
         }
     }
 
-    fn trip(&mut self) {
-        self.armed = None;
-        self.site_hits = 0;
-        self.tripped = true;
-    }
-
-    /// Clears everything — armed point, hit counter and the latched trip.
-    /// Called by the machine's crash path: the power cycle consumes the
-    /// cut.
-    pub fn reset(&mut self) {
-        *self = Self::default();
+    fn trip(&mut self, port: &mut MemPort) {
+        self.disarm();
+        port.cut_power();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MachineConfig;
+
+    fn port() -> MemPort {
+        MemPort::new(&MachineConfig::default())
+    }
 
     #[test]
     fn at_cycle_trips_once_at_or_past_target() {
-        let mut f = FaultState::default();
+        let (mut f, mut p) = (FaultState::default(), port());
         f.arm(CrashPoint::AtCycle(100));
-        assert!(!f.check_cycle(99));
-        assert!(f.check_cycle(100));
-        assert!(f.tripped());
-        // Latched: no second trip, even past the target.
-        assert!(!f.check_cycle(1000));
+        assert!(!f.check_cycle(99, &mut p));
+        assert!(f.check_cycle(100, &mut p));
+        assert!(p.power_lost());
+        // Latched: no second trip, even past the target or re-armed.
+        assert!(!f.check_cycle(1000, &mut p));
+        f.arm(CrashPoint::AtCycle(0));
+        assert!(!f.check_cycle(1000, &mut p));
     }
 
     #[test]
     fn at_site_counts_hits() {
-        let mut f = FaultState::default();
+        let (mut f, mut p) = (FaultState::default(), port());
         f.arm(CrashPoint::AtSite {
             site: FaultSite::CommitMark,
             hits: 3,
         });
-        assert!(!f.check_site(FaultSite::CommitMark));
+        assert!(!f.check_site(FaultSite::CommitMark, &mut p));
         // Non-matching sites don't count.
-        assert!(!f.check_site(FaultSite::CommitData));
-        assert!(!f.check_site(FaultSite::CommitMark));
-        assert!(f.check_site(FaultSite::CommitMark));
-        assert!(f.tripped());
+        assert!(!f.check_site(FaultSite::CommitData, &mut p));
+        assert!(!f.check_site(FaultSite::CommitMark, &mut p));
+        assert!(f.check_site(FaultSite::CommitMark, &mut p));
+        assert!(p.power_lost());
     }
 
     #[test]
     fn rearm_restarts_hit_counter() {
-        let mut f = FaultState::default();
+        let (mut f, mut p) = (FaultState::default(), port());
         f.arm(CrashPoint::AtSite {
             site: FaultSite::Recovery,
             hits: 2,
         });
-        assert!(!f.check_site(FaultSite::Recovery));
+        assert!(!f.check_site(FaultSite::Recovery, &mut p));
         f.arm(CrashPoint::AtSite {
             site: FaultSite::Recovery,
             hits: 2,
         });
-        assert!(!f.check_site(FaultSite::Recovery));
-        assert!(f.check_site(FaultSite::Recovery));
+        assert!(!f.check_site(FaultSite::Recovery, &mut p));
+        assert!(f.check_site(FaultSite::Recovery, &mut p));
     }
 
     #[test]
     fn disarm_prevents_trip_and_reset_clears_latch() {
-        let mut f = FaultState::default();
+        let (mut f, mut p) = (FaultState::default(), port());
         f.arm(CrashPoint::AtCycle(10));
         f.disarm();
-        assert!(!f.check_cycle(u64::MAX));
+        assert!(!f.check_cycle(u64::MAX, &mut p));
         f.arm(CrashPoint::AtCycle(10));
-        assert!(f.check_cycle(10));
-        f.reset();
-        assert!(!f.tripped());
+        assert!(f.check_cycle(10, &mut p));
         assert!(f.armed().is_none());
+        // The power cycle clears the latch; the point stays consumed.
+        p.crash();
+        assert!(!p.power_lost());
+        assert!(!f.check_cycle(u64::MAX, &mut p));
     }
 }

@@ -6,7 +6,8 @@
 //! model:
 //!
 //! * [`phys`] — physical page frames split into volatile DRAM and
-//!   persistent NVRAM regions; the crash boundary.
+//!   persistent NVRAM regions, the crash boundary, and the one port every
+//!   memory write passes (timed, counted and dropped after a power cut).
 //! * [`timing`] — bank/open-row latency model with the paper's Table 2
 //!   parameters (50 ns DRAM, 50/200 ns NVRAM read/write).
 //! * [`cache`] — per-core L1, per-core L2 tags, shared inclusive L3 with an
@@ -16,9 +17,9 @@
 //! * [`machine`] — the facade gluing these together with per-core cycle
 //!   accounting and NVRAM write counters classified by purpose.
 //! * [`fault`] — deterministic fault injection: crash points armed at
-//!   exact virtual times or named engine sites freeze [`phys`] memory at
-//!   the cut instant while the simulation runs on (the crash-storm
-//!   harness's trigger layer).
+//!   exact virtual times or named engine sites cut the power at the
+//!   memory port — no write lands after the cut instant — while the
+//!   simulation runs on (the crash-storm harness's trigger layer).
 //! * [`interconnect`] / [`bankq`] — the deterministic *cross-shard*
 //!   memory-controller model: shards record their memory events against
 //!   local virtual time, and at epoch boundaries the run driver merges

@@ -14,9 +14,9 @@ use crate::config::MachineConfig;
 use crate::fault::{CrashPoint, FaultSite, FaultState};
 use crate::interconnect::{EpochCharge, LlcEvent, MemEvent};
 use crate::obs::{ObsKind, ObsRing};
-use crate::phys::PhysMem;
+use crate::phys::{MemPort, PhysMem};
 use crate::stats::{MachineStats, WriteClass};
-use crate::timing::{AccessKind, MemKind, MemTiming};
+use crate::timing::{AccessKind, MemKind};
 
 /// The simulated machine.
 ///
@@ -40,8 +40,9 @@ use crate::timing::{AccessKind, MemKind, MemTiming};
 #[derive(Debug, Clone)]
 pub struct Machine {
     cfg: MachineConfig,
-    mem: PhysMem,
-    timing: MemTiming,
+    /// Memory, its timing model and the power-cut latch: every byte
+    /// written to memory passes [`MemPort::write`].
+    port: MemPort,
     cache: CacheHierarchy,
     stats: MachineStats,
     core_cycles: Vec<u64>,
@@ -56,14 +57,13 @@ pub struct Machine {
 impl Machine {
     /// Builds a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        let timing = MemTiming::new(&cfg);
+        let port = MemPort::new(&cfg);
         let cache = CacheHierarchy::new(&cfg);
         let core_cycles = vec![0; cfg.cores];
         let obs = ObsRing::new(&cfg.obs);
         Self {
             cfg,
-            mem: PhysMem::new(),
-            timing,
+            port,
             cache,
             stats: MachineStats::new(),
             core_cycles,
@@ -161,8 +161,15 @@ impl Machine {
     /// once when the machine was built) — what an engine charges for a
     /// persist it models itself.
     #[inline]
-    pub fn array_cycles(&self, mem: crate::timing::MemKind, kind: AccessKind) -> u64 {
-        self.timing.array_cycles(mem, kind)
+    pub fn array_cycles(&self, mem: MemKind, kind: AccessKind) -> u64 {
+        self.port.timing.array_cycles(mem, kind)
+    }
+
+    /// A core's share of a persist taking `cycles`: the persists one
+    /// commit issues overlap, [`MachineConfig::persist_mlp`] at a time.
+    #[inline]
+    pub fn persist_share(&self, cycles: u64) -> u64 {
+        cycles / self.cfg.persist_mlp.max(1) as u64
     }
 
     /// Adds explicit cycles (instruction overhead) to a core.
@@ -199,9 +206,9 @@ impl Machine {
     #[inline(always)]
     fn stamp_event_clock(&mut self) {
         self.fault_tick();
-        if self.timing.recording() {
+        if self.port.timing.recording() {
             let now = self.core_cycles.iter().copied().max().unwrap_or(0);
-            self.timing.set_now(now);
+            self.port.timing.set_now(now);
         }
     }
 
@@ -213,8 +220,7 @@ impl Machine {
     fn fault_tick(&mut self) {
         if matches!(self.fault.armed(), Some(CrashPoint::AtCycle(_))) {
             let now = self.core_cycles.iter().copied().max().unwrap_or(0);
-            if self.fault.check_cycle(now) {
-                self.mem.freeze();
+            if self.fault.check_cycle(now, &mut self.port) {
                 // Site code 0 = virtual-time (AtCycle) cut.
                 self.obs_record(ObsKind::Fault, 0);
             }
@@ -233,11 +239,11 @@ impl Machine {
         self.fault.disarm();
     }
 
-    /// True once an armed crash point has tripped: physical memory is
-    /// frozen and the run driver should crash + recover this machine.
+    /// True once an armed crash point has tripped: every write to memory
+    /// is dropped and the run driver should crash + recover this machine.
     /// Cleared by [`Machine::crash`].
     pub fn power_lost(&self) -> bool {
-        self.fault.tripped()
+        self.port.power_lost()
     }
 
     /// Engine hook: reports passing the named fault site and trips the
@@ -245,8 +251,7 @@ impl Machine {
     /// call this at the semantic points named by [`FaultSite`]; a cheap
     /// no-op when nothing is armed.
     pub fn fault_point(&mut self, site: FaultSite) {
-        if self.fault.check_site(site) {
-            self.mem.freeze();
+        if self.fault.check_site(site, &mut self.port) {
             self.obs_record(ObsKind::Fault, fault_site_code(site));
         }
     }
@@ -261,7 +266,7 @@ impl Machine {
     /// [`InterconnectConfig::enabled`]: crate::config::InterconnectConfig::enabled
     /// [`Interconnect::arbitrate`]: crate::interconnect::Interconnect::arbitrate
     pub fn take_mem_events_into(&mut self, buf: &mut Vec<MemEvent>) {
-        self.timing.swap_events(buf);
+        self.port.timing.swap_events(buf);
     }
 
     /// Drains the shared-LLC probe events recorded since the last drain
@@ -273,13 +278,13 @@ impl Machine {
     ///
     /// [`Interconnect::arbitrate_epoch`]: crate::interconnect::Interconnect::arbitrate_epoch
     pub fn take_llc_events_into(&mut self, buf: &mut Vec<LlcEvent>) {
-        self.timing.swap_llc_events(buf);
+        self.port.timing.swap_llc_events(buf);
     }
 
     /// Discards any recorded memory events without yielding them (warm-up
     /// phases, shards running with the interconnect disabled).
     pub fn discard_mem_events(&mut self) {
-        self.timing.discard_events();
+        self.port.timing.discard_events();
     }
 
     /// Applies one epoch's interconnect verdict to this shard: the
@@ -291,7 +296,9 @@ impl Machine {
         self.core_cycles[core.index()] += delay;
         // Port back-pressure (deferred issue under the in-flight cap)
         // paces the next epoch's event stream but is not lost core time.
-        self.timing.stall_port(delay + charge.port_stall_cycles);
+        self.port
+            .timing
+            .stall_port(delay + charge.port_stall_cycles);
         self.stats.bankq_delay_cycles += charge.delay_cycles;
         self.stats.bankq_conflicts += charge.conflicts;
         self.stats.bankq_row_hits += charge.row_hits;
@@ -339,8 +346,7 @@ impl Machine {
             LineOp::Read { offset, buf },
             false,
             &self.cfg,
-            &mut self.mem,
-            &mut self.timing,
+            &mut self.port,
             &mut self.stats,
         );
         self.core_cycles[core.index()] += result.cycles;
@@ -366,8 +372,7 @@ impl Machine {
             LineOp::Write { offset, data },
             tx,
             &self.cfg,
-            &mut self.mem,
-            &mut self.timing,
+            &mut self.port,
             &mut self.stats,
         );
         self.core_cycles[core.index()] += result.cycles;
@@ -382,16 +387,13 @@ impl Machine {
     /// Returns `true` if the line was dirty.
     pub fn flush(&mut self, core: Option<CoreId>, addr: PhysAddr, class: WriteClass) -> bool {
         self.stamp_event_clock();
-        match self.cache.flush_line(
-            addr,
-            class,
-            &mut self.mem,
-            &mut self.timing,
-            &mut self.stats,
-        ) {
+        match self
+            .cache
+            .flush_line(addr, class, &mut self.port, &mut self.stats)
+        {
             Some(cycles) => {
                 if let Some(core) = core {
-                    let charged = cycles / self.cfg.persist_mlp.max(1) as u64;
+                    let charged = self.persist_share(cycles);
                     self.core_cycles[core.index()] += charged.max(1);
                 }
                 true
@@ -406,14 +408,9 @@ impl Machine {
     pub fn retag(&mut self, core: CoreId, old: PhysAddr, new: PhysAddr) -> bool {
         self.stamp_event_clock();
         self.assert_spills_settled();
-        let moved = self.cache.retag(
-            core,
-            old,
-            new,
-            &mut self.mem,
-            &mut self.timing,
-            &mut self.stats,
-        );
+        let moved = self
+            .cache
+            .retag(core, old, new, &mut self.port, &mut self.stats);
         self.settle_spills();
         moved
     }
@@ -440,71 +437,52 @@ impl Machine {
         class: WriteClass,
     ) {
         self.stamp_event_clock();
-        self.write_bytes_unaccounted(addr, data);
-        let first_line = addr.line_base().raw();
-        let last_line = PhysAddr::new(addr.raw() + data.len().max(1) as u64 - 1)
-            .line_base()
-            .raw();
-        let lines = (last_line - first_line) / LINE_SIZE as u64 + 1;
-        let kind = PhysMem::kind_of_addr(addr);
-        for i in 0..lines {
-            let line_addr = PhysAddr::new(first_line + i * LINE_SIZE as u64);
-            let cycles = self.line_written(kind, line_addr, class);
+        for (a, range) in chunks(addr, data.len(), LINE_SIZE) {
+            let cycles = self.write_uncached(a, &data[range], Some(class));
             if let Some(c) = core {
-                self.core_cycles[c.index()] += (cycles / self.cfg.persist_mlp.max(1) as u64).max(1);
+                self.core_cycles[c.index()] += self.persist_share(cycles).max(1);
             }
         }
     }
 
-    /// Stores bytes directly to memory without counting line writes or
-    /// charging latency. Pair with [`Machine::account_memory_write`] when
-    /// modelling write-combining buffers that coalesce several small
-    /// appends into one line write.
-    pub fn write_bytes_unaccounted(&mut self, addr: PhysAddr, data: &[u8]) {
-        // A cached copy keeps the bytes it held: the hierarchy is told
-        // before memory changes under it.
-        let end = addr.raw() + data.len() as u64;
-        for line in (addr.line_base().raw()..end).step_by(LINE_SIZE) {
-            self.cache
-                .before_memory_write(PhysAddr::new(line), &self.mem);
-        }
-        for (a, range) in page_chunks(addr, data.len()) {
-            self.mem.write_bytes(a, &data[range]);
-        }
-    }
-
-    /// Counts one memory line write of `class` and returns its latency in
-    /// cycles without charging any core (the caller decides who stalls).
-    pub fn account_memory_write(
+    /// Appends `data` at `addr` through the memory controller's
+    /// write-combining buffer, which several small appends share: a
+    /// touched line below `counted_until` was counted by an earlier
+    /// append, so its bytes land uncounted and untimed; every other
+    /// touched line is one write of `class`. Returns the summed latency
+    /// of the counted lines without charging any core (the caller decides
+    /// who stalls).
+    pub fn persist_combined(
         &mut self,
-        kind: MemKind,
         addr: PhysAddr,
+        data: &[u8],
+        counted_until: PhysAddr,
         class: WriteClass,
     ) -> u64 {
         self.stamp_event_clock();
-        self.line_written(kind, addr, class)
-    }
-
-    /// The one place a line written straight to memory is accounted: the
-    /// timing model's latency (and bank-queue event) for it, and the
-    /// counter of its kind and `class`. Returns the latency in cycles.
-    #[inline(always)]
-    fn line_written(&mut self, kind: MemKind, addr: PhysAddr, class: WriteClass) -> u64 {
-        let cycles = self
-            .timing
-            .access_cycles(&mut self.stats, kind, addr, AccessKind::Write);
-        match kind {
-            MemKind::Dram => self.stats.dram_writes += 1,
-            MemKind::Nvram => self.stats.record_nvram_write(class),
+        let mut cycles = 0;
+        for (a, range) in chunks(addr, data.len(), LINE_SIZE) {
+            let class = (a >= counted_until).then_some(class);
+            cycles += self.write_uncached(a, &data[range], class);
         }
         cycles
     }
 
-    /// [`Machine::line_written`]'s read twin.
+    /// Memory written behind the hierarchy: a cached copy keeps the bytes
+    /// it held (the hierarchy is told first), then `data`, within one
+    /// line, passes the port.
+    #[inline]
+    fn write_uncached(&mut self, addr: PhysAddr, data: &[u8], class: Option<WriteClass>) -> u64 {
+        self.cache.before_memory_write(addr, self.port.mem());
+        self.port.write(&mut self.stats, addr, data, class)
+    }
+
+    /// Times and counts one line read straight from memory.
     #[inline(always)]
     fn line_read(&mut self, addr: PhysAddr) {
         let kind = PhysMem::kind_of_addr(addr);
         let _ = self
+            .port
             .timing
             .access_cycles(&mut self.stats, kind, addr, AccessKind::Read);
         match kind {
@@ -517,8 +495,8 @@ impl Machine {
     /// controller metadata reads, recovery). Page-crossing ranges are
     /// split internally.
     pub fn read_bytes_uncached(&self, addr: PhysAddr, buf: &mut [u8]) {
-        for (a, range) in page_chunks(addr, buf.len()) {
-            self.mem.read_bytes(a, &mut buf[range]);
+        for (a, range) in chunks(addr, buf.len(), PAGE_SIZE) {
+            self.port.mem().read_bytes(a, &mut buf[range]);
         }
     }
 
@@ -533,10 +511,9 @@ impl Machine {
     ) {
         self.stamp_event_clock();
         self.assert_spills_settled();
-        self.line_written(PhysMem::kind_of_addr(addr), addr, class);
-        self.mem.write_line(addr.ppn(), addr.line_index(), &data);
+        self.write_uncached(addr.line_base(), &data, Some(class));
         self.cache
-            .install_line_l3(addr, data, &mut self.mem, &mut self.timing, &mut self.stats);
+            .install_line_l3(addr, data, &mut self.port, &mut self.stats);
         self.settle_spills();
     }
 
@@ -544,18 +521,16 @@ impl Machine {
     pub fn read_line_uncached(&mut self, addr: PhysAddr) -> [u8; LINE_SIZE] {
         self.stamp_event_clock();
         self.line_read(addr);
-        self.mem.read_line(addr.ppn(), addr.line_index())
+        self.port.mem().read_line(addr.ppn(), addr.line_index())
     }
 
     /// Copies whole-line data directly between physical lines in memory
     /// (consolidation's DMA-style copy). Counts reads and writes.
     pub fn copy_line_uncached(&mut self, from: PhysAddr, to: PhysAddr, class: WriteClass) {
         self.stamp_event_clock();
-        let data = self.mem.read_line(from.ppn(), from.line_index());
+        let data = self.port.mem().read_line(from.ppn(), from.line_index());
         self.line_read(from);
-        self.line_written(PhysMem::kind_of_addr(to), to, class);
-        self.cache.before_memory_write(to, &self.mem);
-        self.mem.write_line(to.ppn(), to.line_index(), &data);
+        self.write_uncached(to.line_base(), &data, Some(class));
     }
 
     /// Counts coherence traffic for a TLB-metadata broadcast (the paper's
@@ -579,12 +554,11 @@ impl Machine {
     /// pre-crash tail.
     pub fn crash(&mut self) {
         self.cache.crash();
-        self.timing.reset();
-        self.mem.crash();
+        self.port.crash();
         for c in &mut self.core_cycles {
             *c = 0;
         }
-        self.fault.reset();
+        self.fault.disarm();
     }
 
     /// Number of dirty lines still cached (diagnostics; should be zero
@@ -596,21 +570,26 @@ impl Machine {
     /// Number of materialised NVRAM frames (capacity accounting for the
     /// consolidation experiments).
     pub fn resident_nvram_frames(&self) -> usize {
-        self.mem.resident_nvram_frames()
+        self.port.mem().resident_nvram_frames()
     }
 
     /// Order-independent hash of the NVRAM region's contents (see
     /// [`PhysMem::nvram_fingerprint`]). Crash first to fingerprint only
     /// the *durable* state — dirty cached lines have not reached memory.
     pub fn nvram_fingerprint(&self) -> u64 {
-        self.mem.nvram_fingerprint()
+        self.port.mem().nvram_fingerprint()
     }
 }
 
-/// Splits the byte range `addr .. addr + len` at page boundaries (the page
-/// store is page-granular): each chunk's address and its range of offsets.
+/// Splits the byte range `addr .. addr + len` at multiples of `unit`, a
+/// power of two — pages for the page-granular frame store, lines for the
+/// port: each chunk's address and its range of offsets.
 #[inline(always)]
-fn page_chunks(addr: PhysAddr, len: usize) -> impl Iterator<Item = (PhysAddr, Range<usize>)> {
+fn chunks(
+    addr: PhysAddr,
+    len: usize,
+    unit: usize,
+) -> impl Iterator<Item = (PhysAddr, Range<usize>)> {
     let mut off = 0usize;
     std::iter::from_fn(move || {
         if off >= len {
@@ -618,7 +597,7 @@ fn page_chunks(addr: PhysAddr, len: usize) -> impl Iterator<Item = (PhysAddr, Ra
         }
         let a = PhysAddr::new(addr.raw() + off as u64);
         let start = off;
-        off += (PAGE_SIZE - a.page_offset()).min(len - off);
+        off += (unit - (a.raw() as usize & (unit - 1))).min(len - off);
         Some((a, start..off))
     })
 }
@@ -650,16 +629,16 @@ mod tests {
 
     #[test]
     fn byte_ranges_split_at_page_boundaries_only() {
-        let chunks = |off, len| -> Vec<_> { page_chunks(nv(2, off), len).collect() };
-        assert_eq!(chunks(100, 0), []);
-        assert_eq!(chunks(100, 50), [(nv(2, 100), 0..50)]);
-        assert_eq!(chunks(4000, 96), [(nv(2, 4000), 0..96)]);
+        let split = |off, len| -> Vec<_> { chunks(nv(2, off), len, PAGE_SIZE).collect() };
+        assert_eq!(split(100, 0), []);
+        assert_eq!(split(100, 50), [(nv(2, 100), 0..50)]);
+        assert_eq!(split(4000, 96), [(nv(2, 4000), 0..96)]);
         let spanning = [
             (nv(2, 4090), 0..6),
             (nv(3, 0), 6..4102),
             (nv(4, 0), 4102..4200),
         ];
-        assert_eq!(chunks(4090, 4200), spanning);
+        assert_eq!(split(4090, 4200), spanning);
         // The uncached byte paths round-trip across the boundary.
         let mut m = machine();
         let data: Vec<u8> = (0..200u8).collect();
@@ -813,6 +792,29 @@ mod tests {
         assert_eq!(buf, [2u8; 8]); // clock-crossing write still landed
         m.read_bytes_uncached(nv(10, 128), &mut buf);
         assert_eq!(buf, [0u8; 8]); // post-cut write dropped
+    }
+
+    #[test]
+    fn a_combined_append_counts_new_lines_and_is_dropped_past_a_due_cut() {
+        let mut m = machine();
+        let c = CoreId::new(0);
+        // 88 bytes at offset 40 touch lines 0 and 1; line 0 is counted.
+        let (at, counted) = (nv(13, 40), nv(13, 64));
+        assert!(m.persist_combined(at, &[7u8; 88], counted, WriteClass::Log) > 0);
+        assert_eq!(m.stats().nvram_writes(WriteClass::Log), 1);
+        assert_eq!(durable_byte(&m, nv(13, 127)), 7);
+        // A cut the clock has already passed trips before the bytes land.
+        m.arm_crash(CrashPoint::AtCycle(m.elapsed_cycles() + 1));
+        m.add_cycles(c, 10);
+        let next = nv(13, 128);
+        m.persist_combined(next, &[8u8; 88], next, WriteClass::Log);
+        assert!(m.power_lost());
+        assert_eq!(m.stats().nvram_writes(WriteClass::Log), 3);
+        m.crash();
+        let mut buf = [0u8; 88];
+        m.read_bytes_uncached(next, &mut buf);
+        assert_eq!(buf, [0u8; 88], "the append after the cut is absent");
+        assert_eq!(durable_byte(&m, nv(13, 127)), 7);
     }
 
     #[test]

@@ -1,13 +1,21 @@
 //! Physical memory: page frames split into a volatile DRAM region and a
-//! persistent NVRAM region.
+//! persistent NVRAM region, and the one port every write reaches them
+//! through.
 //!
 //! The contents of `PhysMem` are the *memory-side* truth: data still sitting
 //! dirty in a cache has not reached these frames yet. A simulated power
 //! failure ([`PhysMem::crash`]) therefore simply discards the DRAM region;
 //! the NVRAM region is exactly what recovery code gets to see.
+//!
+//! `PhysMem`'s writer is private to this module: every byte that reaches a
+//! frame passes `MemPort::write`, which times, counts, checks the
+//! power-cut latch and stores once each. A set latch drops the bytes (the
+//! frames keep what they held at the cut); the write is still counted.
 
 use crate::addr::{LineIdx, PhysAddr, Ppn, LINE_SIZE, PAGE_SIZE};
-use crate::timing::MemKind;
+use crate::config::MachineConfig;
+use crate::stats::{MachineStats, WriteClass};
+use crate::timing::{AccessKind, MemKind, MemTiming};
 use fxhash::FxHashMap;
 
 /// First physical page number of the NVRAM region. Frames below this are
@@ -30,12 +38,12 @@ fn zeroed_frame() -> PageFrame {
 /// ```
 /// use ssp_simulator::addr::{LineIdx, Ppn};
 /// use ssp_simulator::phys::{PhysMem, NVRAM_PPN_BASE};
+/// use ssp_simulator::timing::MemKind;
 ///
-/// let mut mem = PhysMem::new();
+/// let mem = PhysMem::new();
 /// let nv = Ppn::new(NVRAM_PPN_BASE);
-/// mem.write_line(nv, LineIdx::new(0), &[7u8; 64]);
-/// mem.crash();
-/// assert_eq!(mem.read_line(nv, LineIdx::new(0))[0], 7); // survived
+/// assert_eq!(PhysMem::kind_of(nv), MemKind::Nvram); // survives a crash
+/// assert_eq!(mem.read_line(nv, LineIdx::new(0)), [0u8; 64]); // untouched
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PhysMem {
@@ -43,10 +51,6 @@ pub struct PhysMem {
     /// access resolves a frame here, and nothing observable depends on
     /// iteration order (the fingerprint sorts, `crash` filters).
     frames: FxHashMap<u64, PageFrame>,
-    /// Power-cut latch (see [`PhysMem::freeze`]): while set, every write
-    /// is silently dropped so memory holds exactly the bytes it held at
-    /// the cut instant.
-    frozen: bool,
 }
 
 impl PhysMem {
@@ -82,16 +86,6 @@ impl PhysMem {
         }
     }
 
-    /// Writes one cache line. Dropped while [frozen](PhysMem::freeze).
-    pub fn write_line(&mut self, ppn: Ppn, line: LineIdx, data: &[u8; LINE_SIZE]) {
-        if self.frozen {
-            return;
-        }
-        let frame = self.frames.entry(ppn.raw()).or_insert_with(zeroed_frame);
-        let off = line.byte_offset();
-        frame[off..off + LINE_SIZE].copy_from_slice(data);
-    }
-
     /// Reads `buf.len()` bytes starting at `addr`. The range may span lines
     /// but must not span pages.
     ///
@@ -107,18 +101,12 @@ impl PhysMem {
         }
     }
 
-    /// Writes `data` starting at `addr`. The range may span lines but must
-    /// not span pages. Dropped while [frozen](PhysMem::freeze).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range crosses a page boundary.
-    pub fn write_bytes(&mut self, addr: PhysAddr, data: &[u8]) {
+    /// Writes `data` starting at `addr`; the range must not span pages.
+    /// Only [`MemPort::write`] calls it.
+    #[inline]
+    fn write_bytes(&mut self, addr: PhysAddr, data: &[u8]) {
         let off = addr.page_offset();
         assert!(off + data.len() <= PAGE_SIZE, "write crosses page boundary");
-        if self.frozen {
-            return;
-        }
         let frame = self
             .frames
             .entry(addr.ppn().raw())
@@ -126,39 +114,10 @@ impl PhysMem {
         frame[off..off + data.len()].copy_from_slice(data);
     }
 
-    /// Copies one whole page frame (used by consolidation tests and
-    /// page-granularity shadow paging). Dropped while
-    /// [frozen](PhysMem::freeze).
-    pub fn copy_page(&mut self, from: Ppn, to: Ppn) {
-        if self.frozen {
-            return;
-        }
-        let src = match self.frames.get(&from.raw()) {
-            Some(frame) => frame.clone(),
-            None => zeroed_frame(),
-        };
-        self.frames.insert(to.raw(), src);
-    }
-
-    /// Freezes memory at a power cut: every subsequent write (line, byte
-    /// or page copy) is silently dropped until [`PhysMem::crash`] runs.
-    /// Reads keep working — the simulation above the cut continues
-    /// deterministically, it just can no longer change persistent state.
-    pub fn freeze(&mut self) {
-        self.frozen = true;
-    }
-
-    /// True while writes are being dropped after a power cut.
-    pub fn frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Simulates a power failure: every DRAM frame is discarded; NVRAM
-    /// frames are untouched. Lifts any [freeze](PhysMem::freeze) — the
-    /// power cycle restores a writable memory.
+    /// frames are untouched.
     pub fn crash(&mut self) {
         self.frames.retain(|&ppn, _| ppn >= NVRAM_PPN_BASE);
-        self.frozen = false;
     }
 
     /// Number of frames currently materialised (for capacity accounting).
@@ -201,9 +160,105 @@ impl PhysMem {
     }
 }
 
+/// The memory controller's write side: it owns the frames, the timing
+/// model and the power-cut latch, and [`MemPort::write`] is the only way
+/// bytes reach a frame (module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct MemPort {
+    mem: PhysMem,
+    /// The bank/row model every memory access is timed by (reads too,
+    /// which bypass the port's write).
+    pub timing: MemTiming,
+    /// Set at a power cut, cleared by [`MemPort::crash`]: while set, every
+    /// write is dropped.
+    power_lost: bool,
+}
+
+impl MemPort {
+    /// Empty frames behind `cfg`'s timing model, the power on.
+    pub fn new(cfg: &MachineConfig) -> Self {
+        Self {
+            mem: PhysMem::new(),
+            timing: MemTiming::new(cfg),
+            power_lost: false,
+        }
+    }
+
+    /// The frames, read-only.
+    #[inline]
+    pub fn mem(&self) -> &PhysMem {
+        &self.mem
+    }
+
+    /// True once the power has been cut: writes are being dropped (a
+    /// write's bytes landed iff this is false).
+    #[inline]
+    pub fn power_lost(&self) -> bool {
+        self.power_lost
+    }
+
+    /// Cuts the power: every write from now until [`MemPort::crash`] is
+    /// dropped.
+    pub fn cut_power(&mut self) {
+        self.power_lost = true;
+    }
+
+    /// Writes `data`, which lies within one line, at `addr`. Timed and
+    /// counted as one line write of `class`, or — `None` — neither: the
+    /// bytes join a line a write-combining buffer has already counted.
+    /// Returns the latency (0 if untimed), charged to no core: the caller
+    /// decides who stalls.
+    #[inline]
+    pub fn write(
+        &mut self,
+        stats: &mut MachineStats,
+        addr: PhysAddr,
+        data: &[u8],
+        class: Option<WriteClass>,
+    ) -> u64 {
+        debug_assert!(
+            addr.line_offset() + data.len() <= LINE_SIZE,
+            "a port write stays within one line"
+        );
+        let mut cycles = 0;
+        if let Some(class) = class {
+            let kind = PhysMem::kind_of_addr(addr);
+            cycles = self
+                .timing
+                .access_cycles(stats, kind, addr.line_base(), AccessKind::Write);
+            match kind {
+                MemKind::Dram => stats.dram_writes += 1,
+                MemKind::Nvram => stats.record_nvram_write(class),
+            }
+        }
+        if !self.power_lost {
+            self.mem.write_bytes(addr, data);
+        }
+        cycles
+    }
+
+    /// Power cycle: DRAM and the open rows are lost, NVRAM survives, and
+    /// memory is writable again.
+    pub fn crash(&mut self) {
+        self.mem.crash();
+        self.timing.reset();
+        self.power_lost = false;
+    }
+}
+
+#[cfg(test)]
+impl PhysMem {
+    /// Writes past the port: for the hierarchy's specification
+    /// (`cache/spec.rs`), which keeps its own accounting and latch.
+    pub(crate) fn write_unported(&mut self, addr: PhysAddr, data: &[u8]) {
+        self.write_bytes(addr, data);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{CrashPoint, FaultSite};
 
     fn nv(n: u64) -> Ppn {
         Ppn::new(NVRAM_PPN_BASE + n)
@@ -219,7 +274,7 @@ mod tests {
     fn line_write_read_round_trip() {
         let mut mem = PhysMem::new();
         let data = [0xabu8; 64];
-        mem.write_line(nv(1), LineIdx::new(3), &data);
+        mem.write_bytes(nv(1).line_addr(LineIdx::new(3)), &data);
         assert_eq!(mem.read_line(nv(1), LineIdx::new(3)), data);
         // Neighbouring line untouched.
         assert_eq!(mem.read_line(nv(1), LineIdx::new(4)), [0u8; 64]);
@@ -247,8 +302,8 @@ mod tests {
     fn crash_discards_dram_keeps_nvram() {
         let mut mem = PhysMem::new();
         let dram = Ppn::new(10);
-        mem.write_line(dram, LineIdx::new(0), &[1u8; 64]);
-        mem.write_line(nv(0), LineIdx::new(0), &[2u8; 64]);
+        mem.write_bytes(dram.line_addr(LineIdx::new(0)), &[1u8; 64]);
+        mem.write_bytes(nv(0).line_addr(LineIdx::new(0)), &[2u8; 64]);
         mem.crash();
         assert_eq!(mem.read_line(dram, LineIdx::new(0)), [0u8; 64]);
         assert_eq!(mem.read_line(nv(0), LineIdx::new(0)), [2u8; 64]);
@@ -265,54 +320,61 @@ mod tests {
     }
 
     #[test]
-    fn copy_page_duplicates_contents() {
-        let mut mem = PhysMem::new();
-        mem.write_line(nv(0), LineIdx::new(7), &[9u8; 64]);
-        mem.copy_page(nv(0), nv(1));
-        assert_eq!(mem.read_line(nv(1), LineIdx::new(7)), [9u8; 64]);
-        // Copy is by value: further writes to the source do not alias.
-        mem.write_line(nv(0), LineIdx::new(7), &[1u8; 64]);
-        assert_eq!(mem.read_line(nv(1), LineIdx::new(7)), [9u8; 64]);
-    }
-
-    #[test]
     fn fingerprint_tracks_nvram_contents_only() {
         let mut a = PhysMem::new();
         let mut b = PhysMem::new();
         assert_eq!(a.nvram_fingerprint(), b.nvram_fingerprint());
-        a.write_line(nv(3), LineIdx::new(1), &[5u8; 64]);
+        a.write_bytes(nv(3).line_addr(LineIdx::new(1)), &[5u8; 64]);
         assert_ne!(a.nvram_fingerprint(), b.nvram_fingerprint());
-        b.write_line(nv(3), LineIdx::new(1), &[5u8; 64]);
+        b.write_bytes(nv(3).line_addr(LineIdx::new(1)), &[5u8; 64]);
         assert_eq!(a.nvram_fingerprint(), b.nvram_fingerprint());
         // DRAM contents and zeroed NVRAM frames do not affect the hash.
-        a.write_line(Ppn::new(1), LineIdx::new(0), &[9u8; 64]);
-        b.write_line(nv(7), LineIdx::new(0), &[0u8; 64]);
+        a.write_bytes(Ppn::new(1).line_addr(LineIdx::new(0)), &[9u8; 64]);
+        b.write_bytes(nv(7).line_addr(LineIdx::new(0)), &[0u8; 64]);
         assert_eq!(a.nvram_fingerprint(), b.nvram_fingerprint());
     }
 
     #[test]
-    fn freeze_drops_writes_until_crash() {
-        let mut mem = PhysMem::new();
-        mem.write_line(nv(0), LineIdx::new(0), &[1u8; 64]);
-        mem.freeze();
-        assert!(mem.frozen());
-        mem.write_line(nv(0), LineIdx::new(0), &[2u8; 64]);
-        mem.write_bytes(nv(1).base(), &[3u8; 8]);
-        mem.copy_page(nv(0), nv(2));
-        assert_eq!(mem.read_line(nv(0), LineIdx::new(0)), [1u8; 64]);
-        assert_eq!(mem.read_line(nv(1), LineIdx::new(0)), [0u8; 64]);
-        assert_eq!(mem.read_line(nv(2), LineIdx::new(0)), [0u8; 64]);
-        mem.crash();
-        assert!(!mem.frozen());
-        mem.write_line(nv(1), LineIdx::new(0), &[4u8; 64]);
-        assert_eq!(mem.read_line(nv(1), LineIdx::new(0))[0], 4);
+    fn a_tripped_latch_drops_every_write_until_crash() {
+        use crate::machine::Machine;
+        let cfg = MachineConfig::default();
+        let mut port = MemPort::new(&cfg);
+        let mut stats = MachineStats::new();
+        let class = Some(WriteClass::Data);
+        let line = |n| nv(n).line_addr(LineIdx::new(0));
+        port.write(&mut stats, line(0), &[1u8; 64], class);
+        port.cut_power();
+        assert!(port.power_lost());
+        // A line write and a byte write: each dropped, each counted once.
+        assert!(port.write(&mut stats, line(0), &[2u8; 64], class) > 0);
+        port.write(&mut stats, line(1), &[3u8; 8], class);
+        assert_eq!(stats.nvram_writes(WriteClass::Data), 3);
+        assert_eq!(port.mem().read_line(nv(0), LineIdx::new(0)), [1u8; 64]);
+        assert_eq!(port.mem().read_line(nv(1), LineIdx::new(0)), [0u8; 64]);
+        port.crash();
+        assert!(!port.power_lost());
+        port.write(&mut stats, line(1), &[4u8; 64], class);
+        assert_eq!(port.mem().read_line(nv(1), LineIdx::new(0))[0], 4);
+        // A machine's uncached line copy goes through the same latch.
+        let mut m = Machine::new(cfg);
+        m.persist_bytes(None, line(0), &[5u8; 64], WriteClass::Other);
+        m.arm_crash(CrashPoint::AtSite {
+            site: FaultSite::CommitData,
+            hits: 1,
+        });
+        m.fault_point(FaultSite::CommitData);
+        m.copy_line_uncached(line(0), line(2), WriteClass::Consolidation);
+        assert_eq!(m.stats().nvram_writes(WriteClass::Consolidation), 1);
+        let mut buf = [0u8; 64];
+        m.read_bytes_uncached(line(2), &mut buf);
+        assert_eq!(buf, [0u8; 64]);
     }
 
     #[test]
     fn resident_frame_accounting() {
         let mut mem = PhysMem::new();
-        mem.write_line(Ppn::new(1), LineIdx::new(0), &[1u8; 64]);
-        mem.write_line(nv(0), LineIdx::new(0), &[1u8; 64]);
+        mem.write_bytes(Ppn::new(1).line_addr(LineIdx::new(0)), &[1u8; 64]);
+        mem.write_bytes(nv(0).line_addr(LineIdx::new(0)), &[1u8; 64]);
         assert_eq!(mem.resident_frames(), 2);
         assert_eq!(mem.resident_nvram_frames(), 1);
     }
